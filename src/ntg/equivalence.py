@@ -623,7 +623,9 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     vertex_map: Dict[CV, CV] = {}
     input_perm: Dict[str, Dict[int, int]] = {}
 
-    def pair_bodies(f1: str, f2: str) -> bool:
+    def pair_bodies(f1: str, f2: str):
+        # a generator: it yields each callee pair it needs paired first and
+        # receives that verdict back, so nesting depth costs no recursion
         if n1.signature.nested[f1] != n2.signature.nested[f2]:
             return False
         if len(n1.rec[f1]) != len(n2.rec[f2]):
@@ -655,7 +657,7 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
                     return False
                 if symbol_map.setdefault(g1, g2) != g2:
                     return False
-                if not pair_bodies(g1, g2):
+                if not (yield g1, g2):
                     return False
                 sub = input_perm[g1]
                 for i in range(1, l1.arity + 1):
@@ -670,7 +672,18 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
         return True
 
     symbol_map[n1.root_symbol] = n2.root_symbol
-    if not pair_bodies(n1.root_symbol, n2.root_symbol):
+    stack = [pair_bodies(n1.root_symbol, n2.root_symbol)]
+    verdict = None
+    while stack:
+        try:
+            callee = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+        else:
+            stack.append(pair_bodies(*callee))
+            verdict = None
+    if not verdict:
         return None
     if len(symbol_map) != len(n1.signature.nested):
         return None

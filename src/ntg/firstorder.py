@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph import TermGraph, check_root_connected, reachable, tg_collapse
+from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable, tg_collapse
 from .labels import Atomic, Input, Nested, Output
 from .rgs import NtgSignature, Rgs, symbol_name_ok, validate_rgs, is_ntg
 from .sntg import ntg_to_sntg
@@ -400,42 +400,13 @@ def _scoped_collapse(g: TermGraph) -> TermGraph:
     assignment.  Refining by the ancestor chains as well keeps the
     quotient in the representing class; on fully back-linked graphs the
     back-link edges already enforce this, so both refinements coincide.
+    The chains enter the same refinement engine as the arguments, as
+    further positions, so this takes O(m log n) time where m counts the
+    edges plus the total length of the ancestor chains.
     """
     anc, err = infer_ancestors(g)
     assert err is None
-    block = {v: repr(g.lab[v]) for v in g.lab}
-    while True:
-        sig = {
-            v: (
-                block[v],
-                tuple(block[w] for w in g.args[v]),
-                tuple(block[a] for a in anc[v]),
-            )
-            for v in g.lab
-        }
-        groups: Dict[tuple, list] = {}
-        for v in g.lab:
-            groups.setdefault(sig[v], []).append(v)
-        new_block = {}
-        for members in groups.values():
-            rep = min(members, key=str)
-            for v in members:
-                new_block[v] = rep
-        stable = True
-        rep_of_old = {}
-        for v in g.lab:
-            if rep_of_old.setdefault(block[v], new_block[v]) != new_block[v]:
-                stable = False
-                break
-        block = new_block
-        if stable:
-            break
-    reps = sorted(set(block.values()), key=str)
-    return TermGraph(
-        {r: g.lab[r] for r in reps},
-        {r: tuple(block[w] for w in g.args[r]) for r in reps},
-        block[g.root],
-    )
+    return _quotient(g, _refine(g.lab, g.args, anc))
 
 
 def ntg_collapse(n: Rgs) -> Rgs:

@@ -7,7 +7,6 @@ consistency without consulting a signature object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,6 @@ class Input:
 
 
 OUTPUT = Output()
-
-Label = Union[Atomic, Nested, Output, Input]
 
 # Placeholder symbol used when a cyclic specification is unfolded with a
 # depth cutoff.  Reserved: the text format cannot express it.

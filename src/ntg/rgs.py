@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .graph import TermGraph, check_root_connected, reachable
@@ -161,10 +162,18 @@ class DependencyArs:
     steps: Tuple[DepStep, ...]
 
     def steps_from(self, sym: str) -> List[DepStep]:
-        return [s for s in self.steps if s.source == sym]
+        return list(self._by_source.get(sym, ()))
 
     def steps_into(self, sym: str) -> List[DepStep]:
         return [s for s in self.steps if s.target == sym]
+
+    @cached_property
+    def _by_source(self) -> Dict[str, List[DepStep]]:
+        # built once on first use, so each lookup costs only its own steps
+        index: Dict[str, List[DepStep]] = {}
+        for step in self.steps:
+            index.setdefault(step.source, []).append(step)
+        return index
 
 
 def dependency_ars(r: Rgs) -> DependencyArs:
@@ -208,13 +217,10 @@ class UnreachableSymbol:
         return f"symbol {self.symbol!r} is unreachable from the root symbol"
 
 
-Defect = Union[Cycle, CoDetViolation, UnreachableSymbol]
-
-
 @dataclass(frozen=True)
 class NtgResult:
     ok: bool
-    defect: Optional[Defect] = None
+    defect: Optional[Union[Cycle, CoDetViolation, UnreachableSymbol]] = None
 
     def __bool__(self):
         return self.ok
@@ -226,8 +232,8 @@ def _reachable_symbols(deps: DependencyArs) -> List[str]:
     queue = deque(order)
     while queue:
         s = queue.popleft()
-        for step in deps.steps:
-            if step.source == s and step.target not in seen:
+        for step in deps.steps_from(s):
+            if step.target not in seen:
                 seen.add(step.target)
                 order.append(step.target)
                 queue.append(step.target)
@@ -241,7 +247,7 @@ def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
     deps = deps or dependency_ars(r)
     reach = _reachable_symbols(deps)
     reach_set = set(reach)
-    succ = {s: [t.target for t in deps.steps if t.source == s] for s in reach}
+    succ = {s: [t.target for t in deps.steps_from(s)] for s in reach}
     # cycle detection by iterative DFS with colors
     color = {s: 0 for s in reach}  # 0 unvisited, 1 on stack, 2 done
     parent: Dict[str, Optional[str]] = {}
@@ -298,19 +304,24 @@ def dependency_height(r: Rgs) -> int:
     Only defined for acyclic dependency structures.
     """
     deps = dependency_ars(r)
-    memo: Dict[str, int] = {}
-
-    def h(sym: str) -> int:
-        if sym in memo:
-            return memo[sym]
-        memo[sym] = 0  # guard against accidental cycles
-        best = 0
-        for step in deps.steps_from(sym):
-            best = max(best, 1 + h(step.target))
-        memo[sym] = best
-        return best
-
-    return h(r.root_symbol)
+    # explicit stack of (symbol, remaining steps, best so far); a symbol in
+    # progress reads as height 0, which guards against accidental cycles
+    memo: Dict[str, int] = {r.root_symbol: 0}
+    stack = [[r.root_symbol, iter(deps.steps_from(r.root_symbol)), 0]]
+    while stack:
+        frame = stack[-1]
+        for step in frame[1]:
+            if step.target not in memo:
+                memo[step.target] = 0
+                stack.append([step.target, iter(deps.steps_from(step.target)), 0])
+                break
+            frame[2] = max(frame[2], 1 + memo[step.target])
+        else:
+            stack.pop()
+            memo[frame[0]] = frame[2]
+            if stack:
+                stack[-1][2] = max(stack[-1][2], 1 + frame[2])
+    return memo[r.root_symbol]
 
 
 @dataclass(frozen=True)
@@ -387,7 +398,7 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
 
 
 def _has_cycle(deps: DependencyArs, reach) -> bool:
-    succ = {s: [t.target for t in deps.steps if t.source == s and t.target in reach] for s in reach}
+    succ = {s: [t.target for t in deps.steps_from(s) if t.target in reach] for s in reach}
     color = {s: 0 for s in reach}
     for start in reach:
         if color[start]:

@@ -2,8 +2,9 @@
 
 These deliberately use different formulations: plain enumeration with a
 clause verifier for homomorphisms, a greatest-fixpoint computation over
-vertex pairs for the collapse, and a backtracking enumeration of ancestor
-assignments.  None of them share search code with the library.
+vertex pairs for the collapse, round-by-round refinement as the reference
+block map of the collapse engine, and a backtracking enumeration of
+ancestor assignments.  None of them share search code with the library.
 """
 
 from itertools import product
@@ -74,6 +75,45 @@ def gfp_collapse_classes(g):
                 rel.discard((u, v))
                 changed = True
     return {v: frozenset(u for u in vs if (v, u) in rel) for v in vs}
+
+
+def moore_refine(lab, args, extra=None):
+    """Round-by-round (Moore) partition refinement, the reference for the
+    library's splitter-worklist engine ``graph._refine``.
+
+    Each round regroups every vertex by its own block, the blocks of its
+    successors and, when ``extra`` is given, the blocks of the vertices
+    ``extra`` lists for it; the loop stops once a round splits no block.
+    Blocks are named by their least member under ``key=str`` in every
+    round.  O(n) rounds of O(m) work each.
+    """
+    block = {v: repr(lab[v]) for v in lab}
+    while True:
+        sig = {
+            v: (
+                block[v],
+                tuple(block[w] for w in args[v]),
+                tuple(block[a] for a in (extra[v] if extra is not None else ())),
+            )
+            for v in lab
+        }
+        groups = {}
+        for v in lab:
+            groups.setdefault(sig[v], []).append(v)
+        new_block = {}
+        for members in groups.values():
+            rep = min(members, key=str)
+            for v in members:
+                new_block[v] = rep
+        stable = True
+        rep_of_old = {}
+        for v in lab:
+            if rep_of_old.setdefault(block[v], new_block[v]) != new_block[v]:
+                stable = False
+                break
+        block = new_block
+        if stable:
+            return block
 
 
 def gfp_bisimilar(g1, g2):

@@ -28,7 +28,8 @@ from ntg import (
     tg_isomorphic,
 )
 from generators import mutate_ntg, random_ntg, random_quotient
-from oracles import enumerate_ancestor_assignments
+from ntg.graph import _refine
+from oracles import enumerate_ancestor_assignments, moore_refine
 
 
 def census(g):
@@ -333,16 +334,13 @@ def test_ancestor_uniqueness_brute_force(fix_triv):
         assert err is None and solutions[0] == anc
 
 
-def test_scope_local_cycles_need_the_scoped_collapse():
-    # A body cycle that never reaches an input or constant makes the
-    # flattening lose full back-linking: the plain collapse then merges
-    # equally-shaped cycles across scope levels and leaves the
-    # representing class.  The scope-respecting fallback keeps collapse
-    # total, idempotent and reached by a homomorphism.
+def _scope_local_cycles():
+    """Equally-shaped body cycles in two scopes that never reach an input
+    or a constant."""
     from ntg import Nested, NtgSignature, Rgs, make_graph
 
     sig = NtgSignature({"u1": 1, "b0": 2, "c": 0}, {"r": 0, "g": 0}, "r")
-    n = Rgs(sig, {
+    return Rgs(sig, {
         "r": make_graph("o", {
             "o": (Output(), ["t"]),
             "t": (Atomic("b0", 2), ["loop", "go"]),
@@ -354,6 +352,15 @@ def test_scope_local_cycles_need_the_scoped_collapse():
             "loop": (Atomic("u1", 1), ["loop"]),
         }),
     })
+
+
+def test_scope_local_cycles_need_the_scoped_collapse():
+    # A body cycle that never reaches an input or constant makes the
+    # flattening lose full back-linking: the plain collapse then merges
+    # equally-shaped cycles across scope levels and leaves the
+    # representing class.  The scope-respecting fallback keeps collapse
+    # total, idempotent and reached by a homomorphism.
+    n = _scope_local_cycles()
     g = interpret(n)
     assert is_rg_member(g)
     assert not check_fully_backlinked(g)
@@ -363,6 +370,20 @@ def test_scope_local_cycles_need_the_scoped_collapse():
     assert ntg_isomorphic(c, ntg_collapse(c)) is not None
     assert ntg_hom(n, c) is not None
     assert ntg_bisimilar(n, c) is not None
+
+
+def test_scoped_refinement_equals_moore_reference():
+    g = interpret(_scope_local_cycles())
+    anc, _ = infer_ancestors(g)
+    block = _refine(g.lab, g.args, anc)
+    assert block == moore_refine(g.lab, g.args, anc)
+    # the ancestor chains keep apart the loops that the plain refinement merges
+    assert block != _refine(g.lab, g.args)
+    rng = random.Random(83)
+    for _ in range(25):
+        g = interpret(random_ntg(rng))
+        anc, _ = infer_ancestors(g)
+        assert _refine(g.lab, g.args, anc) == moore_refine(g.lab, g.args, anc)
 
 
 def test_retraction_random(tree_corpus):

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from ntg import (
     Atomic,
+    NtgSignature,
+    Output,
+    Rgs,
     TermGraph,
     check_root_connected,
     make_graph,
@@ -17,13 +20,15 @@ from ntg import (
     tg_isomorphic,
     verify_tg_hom,
 )
-from generators import random_ntg
+from generators import mutate_ntg, random_ntg, random_quotient
 from ntg.firstorder import interpret
+from ntg.graph import _refine, disjoint_union
 from oracles import (
     backtracking_tg_hom,
     brute_force_tg_hom,
     gfp_bisimilar,
     gfp_collapse_graph,
+    moore_refine,
 )
 
 a0 = Atomic("a", 0)
@@ -140,6 +145,56 @@ def test_collapse_idempotent_and_hom_onto():
         again, _ = tg_collapse(collapsed)
         assert tg_isomorphic(collapsed, again) is not None
         assert tg_hom(g, collapsed) == q
+
+
+def test_refine_equals_moore_reference_on_flattenings():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = random_ntg(rng)
+        g = interpret(n)
+        assert _refine(g.lab, g.args) == moore_refine(g.lab, g.args)
+        lab, args, _, _ = disjoint_union(g, interpret(mutate_ntg(rng, n)))
+        assert _refine(lab, args) == moore_refine(lab, args)
+
+
+def test_refine_equals_moore_reference_on_cycles():
+    g = make_graph("p", {"p": (u1, ["q"]), "q": (u1, ["p"])})
+    assert _refine(g.lab, g.args) == moore_refine(g.lab, g.args) == {"p": "p", "q": "p"}
+    rng = random.Random(19)
+    quotients = 0
+    while quotients < 20:
+        found = random_quotient(rng, interpret(random_ntg(rng)))
+        if found is not None:
+            q = found[0]
+            assert _refine(q.lab, q.args) == moore_refine(q.lab, q.args)
+            quotients += 1
+    labels = [a0, b0, u1, Atomic("v", 1), f2]
+    for _ in range(60):
+        vs = [f"v{j}" for j in range(rng.randint(1, 25))]
+        lab = {v: rng.choice(labels) for v in vs}
+        args = {v: tuple(rng.choice(vs) for _ in range(lab[v].arity)) for v in vs}
+        assert _refine(lab, args) == moore_refine(lab, args)
+
+
+def _chain_spec(n: int, sym: str) -> Rgs:
+    """pair(s^n(c), s^n(c)) in one nullary definition ``sym``."""
+    spec = {"o": (Output(), ["p"]), "p": (Atomic("pair", 2), ["x0", "y0"])}
+    for side in "xy":
+        for i in range(n):
+            spec[f"{side}{i}"] = (u1, [f"{side}{i + 1}"])
+        spec[f"{side}{n}"] = (Atomic("c", 0), [])
+    return Rgs(NtgSignature({"pair": 2, "u": 1, "c": 0}, {sym: 0}, sym), {sym: make_graph("o", spec)})
+
+
+def test_collapse_long_chain():
+    # naive round-by-round refinement needs n rounds here
+    n = 2000
+    g = interpret(_chain_spec(n, "r"))
+    collapsed, q = tg_collapse(g)
+    # out_r, pair, one shared chain with its constant, and the root link
+    assert len(collapsed) == n + 4
+    assert verify_tg_hom(g, collapsed, q) is None
+    assert tg_bisimilar(g, interpret(_chain_spec(n, "copy")))
 
 
 def test_bisimilar_basic():

@@ -1,0 +1,28 @@
+import gc
+import importlib
+import sys
+import weakref
+
+from conftest import DATA
+
+
+def _drop_ntg_modules():
+    return {m: sys.modules.pop(m) for m in list(sys.modules) if m == "ntg" or m.startswith("ntg.")}
+
+
+def test_reimport_releases_the_previous_copy():
+    # A module-level typing subscript over the package's classes lands in
+    # typing's internal cache, which then pins every module of the copy.
+    saved = _drop_ntg_modules()
+    try:
+        old = importlib.import_module("ntg")
+        old.print_rgs(old.ntg_collapse(old.parse_rgs((DATA / "n.rgs").read_text())))
+        ref = weakref.ref(old.TermGraph)
+        del old
+        _drop_ntg_modules()
+        importlib.import_module("ntg")
+        gc.collect()
+        assert ref() is None
+    finally:
+        _drop_ntg_modules()
+        sys.modules.update(saved)

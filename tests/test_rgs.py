@@ -220,3 +220,27 @@ def test_stack_depth_bounded_by_dependency_height():
         n = random_ntg(rng)
         rel = minimal_nested_self_bisimulation(n)
         assert rel.max_stack_depth() <= dependency_height(n)
+
+
+def _nesting(d: int, sym: str, vx: str) -> Rgs:
+    """``sym``0 calls ``sym``1 on a constant, each ``sym``i passes its input
+    on to ``sym``i+1, and ``sym``d applies ``s`` to it: nesting depth d."""
+    rec = {f"{sym}0": make_graph("o", {
+        "o": (Output(), ["a"]), "a": (Nested(f"{sym}1", 1), [vx]), vx: (Atomic("c", 0), []),
+    })}
+    for i in range(1, d + 1):
+        inner = (Nested(f"{sym}{i + 1}", 1) if i < d else Atomic("s", 1), [vx])
+        rec[f"{sym}{i}"] = make_graph("o", {"o": (Output(), ["a"]), "a": inner, vx: (Input(1), [])})
+    nested = {f"{sym}{i}": 1 for i in range(1, d + 1)}
+    nested[f"{sym}0"] = 0
+    return Rgs(NtgSignature({"c": 0, "s": 1}, nested, f"{sym}0"), rec)
+
+
+def test_deep_nesting_needs_no_recursion():
+    # d = 1500 is beyond the default recursion limit for one frame per level
+    n, m = _nesting(1500, "e", "x"), _nesting(1500, "f", "y")
+    assert dependency_height(n) == 1500
+    iso = ntg_isomorphic(n, m)
+    assert iso is not None
+    assert iso.symbol_map["e1500"] == "f1500"
+    assert ntg_isomorphic(n, _nesting(1499, "f", "y")) is None
