@@ -52,7 +52,7 @@ back = sntg_to_ntg(s)
 print("\nround trip is an isomorphism:", ntg_isomorphic(n, back) is not None)
 
 # DOT rendering groups each definition into a cluster; call and return
-# links are dashed.
-out = pathlib.Path(__file__).resolve().parent / "structural_view.dot"
-out.write_text(export_dot(s))
-print(f"wrote {out.name} ({len(export_dot(s).splitlines())} lines)")
+# links are dashed.  Copy the digraph into Graphviz to draw it.
+dot = export_dot(s)
+print(f"\nDOT rendering ({len(dot.splitlines())} lines):")
+print(dot, end="")

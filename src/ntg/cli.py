@@ -2,8 +2,9 @@
 
 Every subcommand is a thin adapter around one library call.  Exit codes:
 0 success or the checked property holds, 1 the property fails, 2 parse or
-usage errors, 3 disagreement between two deciders that must coincide
-(which would be an implementation bug).
+usage errors and exhausted resources (recursion depth, memory), 3
+disagreement between two deciders that must coincide (which would be an
+implementation bug).
 
 Run as ``python -m ntg <subcommand> ...``.
 """
@@ -76,6 +77,9 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         return USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=stderr)
+        return USAGE
+    except (RecursionError, MemoryError) as e:
+        print(f"error: input too large for this process ({str(e) or type(e).__name__})", file=stderr)
         return USAGE
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable, tg_collapse
 from .labels import Atomic, Input, Nested, Output
@@ -152,6 +152,10 @@ def infer_ancestors(g: TermGraph):
     root at chain length one.  Returns ``(assignment, None)`` when a single
     consistent assignment exists (it is then the only one), otherwise
     ``(None, failure)``.
+
+    Every chain built this way extends the chain of its last letter, so a
+    popped chain is that letter's own chain and is shared, not copied;
+    only output vertices build a new chain.
     """
     if not isinstance(g.lab[g.root], RootOutput):
         return None, AncestorFailure(g.root, "root is not labeled as the root output")
@@ -160,7 +164,7 @@ def infer_ancestors(g: TermGraph):
 
     def assign(v: Vertex, chain: tuple):
         if v in anc:
-            if anc[v] != chain:
+            if anc[v] is not chain and anc[v] != chain:
                 return AncestorFailure(v, "conflicting ancestor chains")
             return None
         anc[v] = chain
@@ -185,7 +189,8 @@ def infer_ancestors(g: TermGraph):
                 return None, AncestorFailure(v, "back-link does not target the innermost ancestor")
             if not isinstance(g.lab[back], Output):
                 return None, AncestorFailure(v, "back-link target is not an output vertex")
-            err = assign(arg, chain[:-1]) or assign(back, chain[:-1])
+            outer = anc[back]  # == chain[:-1]
+            err = assign(arg, outer) or assign(back, outer)
         elif isinstance(lbl, RootInput):
             if chain != (g.root,):
                 return None, AncestorFailure(v, "root link not at chain length one")
@@ -202,31 +207,71 @@ def infer_ancestors(g: TermGraph):
     return anc, None
 
 
-def rg_defect(g: TermGraph) -> Optional[AncestorFailure]:
-    """None when ``g`` represents a nested structure, else the obstruction."""
+def exit_chain_ends(lab, args) -> Callable[[Vertex], Vertex]:
+    """Memoised walk along the exit chains of a first-order graph.
+
+    ``end(v)`` follows argument edge 0 from ``v`` for as long as it stands
+    on an exit vertex and returns where the walk stops: the first vertex
+    that is not an exit vertex (a root link, for a well-formed chain), or,
+    when the walk runs into a cycle, the first exit vertex met twice.
+    Every exit vertex keeps its answer once walked, so the chains of all
+    constants together cost time linear in the graph, even when many
+    constants share one long chain.
+    """
+    memo: Dict[Vertex, Vertex] = {}
+
+    def end(v: Vertex) -> Vertex:
+        path: List[Vertex] = []
+        at: Dict[Vertex, int] = {}
+        x = v
+        while x not in memo and isinstance(lab[x], FoInput):
+            if x in at:
+                # on the cycle each vertex is the first met twice from itself
+                first = at[x]
+                for u in path[first:]:
+                    memo[u] = u
+                for u in path[:first]:
+                    memo[u] = x
+                return memo[v]
+            at[x] = len(path)
+            path.append(x)
+            x = args[x][0]
+        stop = memo.get(x, x)
+        for u in path:
+            memo[u] = stop
+        return stop
+
+    return end
+
+
+def _member_ancestors(g: TermGraph):
+    """``(anc, None)`` when ``g`` represents a nested structure, with its
+    unique ancestor assignment; otherwise ``(None, obstruction)``."""
     witness = check_root_connected(g)
     if witness is not None:
-        return AncestorFailure(witness, "not root-connected")
+        return None, AncestorFailure(witness, "not root-connected")
     for v in g.lab:
         if not isinstance(g.lab[v], _FO_LABELS):
-            return AncestorFailure(v, f"label {g.lab[v]} is not first-order")
+            return None, AncestorFailure(v, f"label {g.lab[v]} is not first-order")
         if isinstance(g.lab[v], RootOutput) and v != g.root:
-            return AncestorFailure(v, "root-output label away from the root")
+            return None, AncestorFailure(v, "root-output label away from the root")
     anc, err = infer_ancestors(g)
     if err is not None:
-        return err
+        return None, err
+    end = exit_chain_ends(g.lab, g.args)
     for v in g.lab:
         if isinstance(g.lab[v], PrimedConst):
-            x = g.args[v][0]
-            seen = set()
-            while isinstance(g.lab[x], FoInput):
-                if x in seen:
-                    return AncestorFailure(x, "cyclic exit chain")
-                seen.add(x)
-                x = g.args[x][0]
+            x = end(g.args[v][0])
+            if isinstance(g.lab[x], FoInput):
+                return None, AncestorFailure(x, "cyclic exit chain")
             if not isinstance(g.lab[x], RootInput):
-                return AncestorFailure(v, "constant's exit chain does not end at a root link")
-    return None
+                return None, AncestorFailure(v, "constant's exit chain does not end at a root link")
+    return anc, None
+
+
+def rg_defect(g: TermGraph) -> Optional[AncestorFailure]:
+    """None when ``g`` represents a nested structure, else the obstruction."""
+    return _member_ancestors(g)[1]
 
 
 def is_rg_member(g: TermGraph) -> bool:
@@ -235,10 +280,9 @@ def is_rg_member(g: TermGraph) -> bool:
 
 def check_fully_backlinked(g: TermGraph) -> bool:
     """Every ancestor of every vertex is forward-reachable from it."""
-    defect = rg_defect(g)
+    anc, defect = _member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    anc, _ = infer_ancestors(g)
     for v in g.lab:
         if not anc[v]:
             continue
@@ -258,50 +302,81 @@ def represent(g: TermGraph) -> Rgs:
 
     Every output vertex opens a definition whose body consists of the
     vertices one level below it.  Call edges (argument edges into output
-    vertices) become fresh occurrence vertices, one per edge, duplicating
-    shared definitions so the result's dependencies form a tree; constants
-    drop their exit chains; input indices are assigned in first-visit
-    order of a depth-first walk from each definition's output vertex.
+    vertices) become occurrence vertices, one per called output vertex in
+    a body; constants drop their exit chains.  Input indices follow the
+    first-visit order of a depth-first walk from each definition's output
+    vertex along argument edges, through called definitions and back out
+    along their exit vertices.
+
+    That walk is computed once per scope and stays on the scope's own
+    level: at a called output vertex it goes on to the actual arguments of
+    the callee's inputs, in the callee's order, since vertices of a level
+    are reached from deeper scopes only through one-level exits.  Scopes
+    are done innermost first, and the bodies are built from an explicit
+    stack, so the whole read-back takes time linear in the graph (after
+    the ancestor assignment) and no recursion, whatever the nesting depth.
     """
-    defect = rg_defect(g)
+    anc, defect = _member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    anc, _ = infer_ancestors(g)
+    return _read_back(g, anc)
 
-    chain_vertex: Dict[Vertex, bool] = {}
+
+class _Scope:
+    """A definition under construction: the body read back from the level
+    below output vertex ``o``."""
+
+    __slots__ = ("sym", "o", "index_of", "lab", "args", "memo")
+
+    def __init__(self, sym: str, o: Vertex, inputs: List[Vertex]):
+        self.sym = sym
+        self.o = o
+        self.index_of = {b: j for j, b in enumerate(inputs, start=1)}
+        self.lab: Dict[Vertex, object] = {f"{sym}:{o}": Output()}
+        self.args: Dict[Vertex, tuple] = {}
+        # graph vertex -> body vertex standing for it.  Shared within the
+        # body: all argument edges to one output vertex yield one
+        # occurrence vertex, the single occurrence of that call in scope.
+        self.memo: Dict[Vertex, Vertex] = {}
+
+
+def _read_back(g: TermGraph, anc: Dict[Vertex, tuple]) -> Rgs:
+    """``represent`` for a member ``g`` whose ancestor assignment is ``anc``."""
+    # Every chain of the assignment extends the chain of its last letter,
+    # so two vertices share a level exactly when their innermost ancestors
+    # agree; comparing those costs O(1) instead of O(depth).
+    inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
+    end = exit_chain_ends(g.lab, g.args)
 
     def is_chain(v: Vertex) -> bool:
-        if v in chain_vertex:
-            return chain_vertex[v]
-        x = v
-        path = []
-        while isinstance(g.lab[x], FoInput) and x not in chain_vertex:
-            path.append(x)
-            x = g.args[x][0]
-        verdict = chain_vertex[x] if x in chain_vertex else isinstance(g.lab[x], RootInput)
-        for u in path:
-            chain_vertex[u] = verdict
-        return verdict
+        return isinstance(g.lab[end(v)], RootInput)
 
-    def scope_inputs(o: Vertex) -> List[Vertex]:
-        # first-visit order of a depth-first walk along argument edges
-        level = anc[o] + (o,)
+    # inputs of each scope in first-visit order; a scope's walk reads the
+    # input lists of the scopes it calls, which lie one level deeper
+    outputs = [v for v in g.lab if isinstance(g.lab[v], (Output, RootOutput))]
+    inputs_of: Dict[Vertex, List[Vertex]] = {}
+    for o in sorted(outputs, key=lambda v: len(anc[v]), reverse=True):
+        order: List[Vertex] = []
         seen = set()
-        order = []
-        stack = [o]
+        stack = [g.args[o][0]]
         while stack:
             v = stack.pop()
-            if v in seen:
+            if v in seen or inner[v] != o:
                 continue
             seen.add(v)
-            if isinstance(g.lab[v], FoInput) and anc[v] == level and not is_chain(v):
+            lbl = g.lab[v]
+            if isinstance(lbl, Atomic):
+                stack.extend(reversed(g.args[v]))
+            elif isinstance(lbl, Output):
+                stack.extend(g.args[b][0] for b in reversed(inputs_of[v]))
+            elif isinstance(lbl, FoInput) and not is_chain(v):
                 order.append(v)
-            stack.extend(reversed(g.args[v]))
-        return order
+            # constants, chain links and root links lead off the level
+        inputs_of[o] = order
 
     atomic: Dict[str, int] = {}
 
-    def note_atomic(name: str, arity: int, v: Vertex):
+    def note_atomic(name: str, arity: int):
         if atomic.setdefault(name, arity) != arity:
             raise NotRepresentableError(
                 f"symbol {name!r} occurs both as a constant and with arity {arity}"
@@ -314,75 +389,73 @@ def represent(g: TermGraph) -> Rgs:
         lbl.name for lbl in g.lab.values() if isinstance(lbl, (Atomic, PrimedConst))
     }
 
-    def fresh_symbol() -> str:
+    def open_scope(o: Vertex) -> _Scope:
         while True:
-            name = f"d{counter[0]}"
+            sym = f"d{counter[0]}"
             counter[0] += 1
-            if name not in taken and symbol_name_ok(name):
-                return name
+            if sym not in taken and symbol_name_ok(sym):
+                break
+        nested_sig[sym] = len(inputs_of[o])
+        return _Scope(sym, o, inputs_of[o])
 
-    def build(o: Vertex) -> Tuple[str, int]:
-        sym = fresh_symbol()
-        level = anc[o] + (o,)
-        inputs = scope_inputs(o)
-        index_of = {b: j for j, b in enumerate(inputs, start=1)}
-        nested_sig[sym] = len(inputs)
+    # Work items, run last-in first-out in the order a recursive
+    # translation would run them: VISIT translates a vertex into a body,
+    # SEAL fixes the successors of a body vertex once they are translated,
+    # CLOSE finishes a body.
+    VISIT, SEAL, CLOSE = range(3)
+    root = open_scope(g.root)
+    work = [(CLOSE, root, None, None), (VISIT, root, g.args[g.root][0], None)]
+    while work:
+        step, scope, v, succ = work.pop()
+        if step == SEAL:
+            scope.args[v] = tuple(scope.memo[w] for w in succ)
+            continue
+        if step == CLOSE:
+            out_id = f"{scope.sym}:{scope.o}"
+            scope.args[out_id] = (scope.memo[g.args[scope.o][0]],)
+            rec[scope.sym] = TermGraph(scope.lab, scope.args, out_id)
+            continue
+        if v in scope.memo:
+            continue
+        lbl = g.lab[v]
+        if isinstance(lbl, (Output, RootOutput)):
+            # argument edge into an output vertex: a call
+            if inner[v] != scope.o:
+                raise NotRepresentableError(f"call at {v!r} crosses a scope level")
+            occ_id = f"{scope.sym}:call:{v}"
+            scope.memo[v] = occ_id
+            callee = open_scope(v)
+            scope.lab[occ_id] = Nested(callee.sym, len(inputs_of[v]))
+            actual = [g.args[b][0] for b in inputs_of[v]]
+            work.append((SEAL, scope, occ_id, actual))
+            work.extend((VISIT, scope, w, None) for w in reversed(actual))
+            work.append((CLOSE, callee, None, None))
+            work.append((VISIT, callee, g.args[v][0], None))
+            continue
+        if isinstance(lbl, RootInput) or (isinstance(lbl, FoInput) and is_chain(v)):
+            raise NotRepresentableError(
+                f"argument at {v!r} references a constant's exit chain"
+            )
+        if inner[v] != scope.o:
+            raise NotRepresentableError(f"argument {v!r} crosses a scope level")
+        vid = f"{scope.sym}:{v}"
+        scope.memo[v] = vid
+        if isinstance(lbl, Atomic):
+            note_atomic(lbl.name, lbl.arity)
+            scope.lab[vid] = lbl
+            work.append((SEAL, scope, vid, g.args[v]))
+            work.extend((VISIT, scope, w, None) for w in reversed(g.args[v]))
+        elif isinstance(lbl, PrimedConst):
+            note_atomic(lbl.name, 0)
+            scope.lab[vid] = Atomic(lbl.name, 0)
+            scope.args[vid] = ()
+        else:
+            scope.lab[vid] = Input(scope.index_of[v])
+            scope.args[vid] = ()
 
-        lab: Dict[Vertex, object] = {}
-        args: Dict[Vertex, tuple] = {}
-        memo: Dict[Vertex, Vertex] = {}
-
-        def translate(v: Vertex) -> Vertex:
-            """Body vertex standing for ``v`` in this definition.
-
-            Shared within the definition: all argument edges to the same
-            output vertex yield one occurrence vertex, since they all
-            denote the single occurrence of that call in this scope.
-            """
-            if v in memo:
-                return memo[v]
-            lbl = g.lab[v]
-            if isinstance(lbl, (Output, RootOutput)):
-                # argument edge into an output vertex: a call
-                if anc[v] != level:
-                    raise NotRepresentableError(f"call at {v!r} crosses a scope level")
-                occ_id = f"{sym}:call:{v}"
-                memo[v] = occ_id
-                child_sym, child_arity = build(v)
-                lab[occ_id] = Nested(child_sym, child_arity)
-                args[occ_id] = tuple(translate(g.args[b][0]) for b in scope_inputs(v))
-                return occ_id
-            if isinstance(lbl, RootInput) or (isinstance(lbl, FoInput) and is_chain(v)):
-                raise NotRepresentableError(
-                    f"argument at {v!r} references a constant's exit chain"
-                )
-            if anc[v] != level:
-                raise NotRepresentableError(f"argument {v!r} crosses a scope level")
-            vid = f"{sym}:{v}"
-            memo[v] = vid
-            if isinstance(lbl, Atomic):
-                note_atomic(lbl.name, lbl.arity, v)
-                lab[vid] = lbl
-                args[vid] = tuple(translate(w) for w in g.args[v])
-            elif isinstance(lbl, PrimedConst):
-                note_atomic(lbl.name, 0, v)
-                lab[vid] = Atomic(lbl.name, 0)
-                args[vid] = ()
-            else:
-                lab[vid] = Input(index_of[v])
-                args[vid] = ()
-            return vid
-
-        out_id = f"{sym}:{o}"
-        lab[out_id] = Output()
-        args[out_id] = (translate(g.args[o][0]),)
-        rec[sym] = TermGraph(lab, args, out_id)
-        return sym, len(inputs)
-
-    root_sym, root_arity = build(g.root)
-    if root_arity != 0:
+    if inputs_of[g.root]:
         raise NotRepresentableError("root definition has inputs")
-    sig = NtgSignature(atomic, nested_sig, root_sym)
+    sig = NtgSignature(atomic, nested_sig, root.sym)
     n = Rgs(sig, rec)
     bad = validate_rgs(n)
     assert not bad, f"reconstruction is ill-formed: {bad[:1]}"
@@ -420,6 +493,7 @@ def ntg_collapse(n: Rgs) -> Rgs:
     """
     flat = interpret(n)
     collapsed, _ = tg_collapse(flat)
-    if rg_defect(collapsed) is not None:
-        collapsed = _scoped_collapse(flat)
-    return represent(collapsed)
+    anc, defect = _member_ancestors(collapsed)
+    if defect is None:
+        return _read_back(collapsed, anc)
+    return represent(_scoped_collapse(flat))

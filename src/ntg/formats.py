@@ -23,7 +23,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .graph import TermGraph, reachable
 from .labels import Atomic, Input, Nested, Output
-from .firstorder import FO_INPUT, ROOT_INPUT, ROOT_OUTPUT, FoInput, PrimedConst, RootInput, RootOutput
+from .firstorder import (
+    FO_INPUT,
+    ROOT_INPUT,
+    ROOT_OUTPUT,
+    FoInput,
+    PrimedConst,
+    RootInput,
+    RootOutput,
+    exit_chain_ends,
+)
 from .rgs import (
     DependencyArs,
     NtgSignature,
@@ -263,8 +272,11 @@ def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Opt
 
 
 def _body_discovery_order(g: TermGraph) -> List[str]:
+    """Vertices reachable from the root in breadth-first order, then the
+    rest sorted by name: O(n + m) plus the sort of the unreachable ones."""
     order = reachable(g, g.root)
-    rest = sorted((v for v in g.lab if v not in set(order)), key=str)
+    seen = set(order)
+    rest = sorted((v for v in g.lab if v not in seen), key=str)
     return order + rest
 
 
@@ -301,9 +313,10 @@ def print_rgs(r: Rgs) -> str:
     out.append(f"root {r.root_symbol};")
     for sym in _definition_order(r):
         body = r.rec[sym]
-        names = {v: f"v{i}" for i, v in enumerate(_body_discovery_order(body))}
+        order = _body_discovery_order(body)
+        names = {v: f"v{i}" for i, v in enumerate(order)}
         lines = []
-        for v in _body_discovery_order(body):
+        for v in order:
             label = _label_text(body.lab[v])
             succ = ", ".join(names[w] for w in body.args[v])
             lines.append(f"  {names[v]}: {label}" + (f"({succ})" if succ else "") + ";")
@@ -362,27 +375,24 @@ def parse_fo(text: str) -> TermGraph:
 
     # recover constant labels: unary symbol whose successor chain of exit
     # vertices grounds out at a root link
-    def chain_ends_at_root_link(v: str) -> bool:
-        seen = set()
-        while isinstance(lab[v], FoInput):
-            if v in seen:
-                return False
-            seen.add(v)
-            v = args[v][0]
-        return isinstance(lab[v], RootInput)
-
+    end = exit_chain_ends(lab, args)
     for v in list(lab):
         lbl = lab[v]
-        if isinstance(lbl, Atomic) and lbl.arity == 1 and chain_ends_at_root_link(args[v][0]):
+        if isinstance(lbl, Atomic) and lbl.arity == 1 and isinstance(lab[end(args[v][0])], RootInput):
             lab[v] = PrimedConst(lbl.name)
     return TermGraph(lab, args, root)
 
 
 def print_fo(g: TermGraph) -> str:
-    """Deterministic single-block document; constants written unprimed."""
-    names = {v: f"n{i}" for i, v in enumerate(_body_discovery_order(g))}
+    """Deterministic single-block document; constants written unprimed.
+
+    Vertices are named and listed in the order of ``_body_discovery_order``,
+    so printing takes time linear in the graph.
+    """
+    order = _body_discovery_order(g)
+    names = {v: f"n{i}" for i, v in enumerate(order)}
     lines = [f"tg {{", f"  root {names[g.root]};"]
-    for v in _body_discovery_order(g):
+    for v in order:
         lbl = g.lab[v]
         if isinstance(lbl, RootOutput):
             text = "out_r"
@@ -445,9 +455,10 @@ def _dot_label(lbl) -> str:
 def _dot_rgs(r: Rgs, graph_name: str) -> str:
     deps = dependency_ars(r)
     order = _definition_order(r, deps)
+    body_order = {sym: _body_discovery_order(r.rec[sym]) for sym in order}
     node: Dict[tuple, str] = {}
     for ci, sym in enumerate(order):
-        for vi, v in enumerate(_body_discovery_order(r.rec[sym])):
+        for vi, v in enumerate(body_order[sym]):
             node[(sym, v)] = f"c{ci}_v{vi}"
     lines = [f"digraph {graph_name} {{"]
     lines.append('  __start__ [shape=point, label=""];')
@@ -457,12 +468,12 @@ def _dot_rgs(r: Rgs, graph_name: str) -> str:
         body = r.rec[sym]
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f'    label="{_dot_escape(sym)}/{r.signature.nested[sym]}";')
-        for v in _body_discovery_order(body):
+        for v in body_order[sym]:
             shape = ", shape=diamond" if isinstance(body.lab[v], Nested) else ""
             lines.append(
                 f'    {node[(sym, v)]} [label="{_dot_escape(_dot_label(body.lab[v]))}"{shape}];'
             )
-        for v in _body_discovery_order(body):
+        for v in body_order[sym]:
             for w in body.args[v]:
                 lines.append(f"    {node[(sym, v)]} -> {node[(sym, w)]};")
         lines.append("  }")
@@ -475,7 +486,7 @@ def _dot_rgs(r: Rgs, graph_name: str) -> str:
     for step in deps.steps:
         body = r.rec[step.target]
         occ_args = r.rec[step.source].args[step.vertex]
-        for v in _body_discovery_order(body):
+        for v in body_order[step.target]:
             lbl = body.lab[v]
             if isinstance(lbl, Input) and lbl.index <= len(occ_args):
                 tgt = node[(step.source, occ_args[lbl.index - 1])]

@@ -164,9 +164,6 @@ class DependencyArs:
     def steps_from(self, sym: str) -> List[DepStep]:
         return list(self._by_source.get(sym, ()))
 
-    def steps_into(self, sym: str) -> List[DepStep]:
-        return [s for s in self.steps if s.target == sym]
-
     @cached_property
     def _by_source(self) -> Dict[str, List[DepStep]]:
         # built once on first use, so each lookup costs only its own steps

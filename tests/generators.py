@@ -20,6 +20,7 @@ from ntg import (
     Rgs,
     TermGraph,
     is_ntg,
+    make_graph,
     tg_collapse,
     validate_rgs,
 )
@@ -248,3 +249,42 @@ def random_quotient(rng: random.Random, g: TermGraph):
         rep[g.root],
     )
     return quotient, rep
+
+
+def chain_spec(n: int, sym: str) -> Rgs:
+    """pair(u^n(c), u^n(c)) in one nullary definition ``sym``."""
+    u1 = Atomic("u", 1)
+    spec = {"o": (Output(), ["p"]), "p": (Atomic("pair", 2), ["x0", "y0"])}
+    for side in "xy":
+        for i in range(n):
+            spec[f"{side}{i}"] = (u1, [f"{side}{i + 1}"])
+        spec[f"{side}{n}"] = (Atomic("c", 0), [])
+    return Rgs(NtgSignature({"pair": 2, "u": 1, "c": 0}, {sym: 0}, sym), {sym: make_graph("o", spec)})
+
+
+def depth_family(d: int) -> Rgs:
+    """Nesting depth ``d``: ``e``i calls ``e``i+1 on a constant and on its
+    first input, and puts its second input beside the call; ``e``d joins
+    its two inputs.  Every scope but the innermost holds two copies of the
+    constant ``c``."""
+    rec = {"e0": make_graph("o", {
+        "o": (Output(), ["a"]),
+        "a": (Atomic("q", 3), ["b", "kd", "m"]),
+        "b": (Nested("e1", 2), ["k", "m"]),
+        "k": (Atomic("c", 0), []),
+        "kd": (Atomic("c", 0), []),
+        "m": (Atomic("d", 0), []),
+    })}
+    for i in range(1, d + 1):
+        spec = {"o": (Output(), ["a"]), "x1": (Input(1), []), "x2": (Input(2), [])}
+        if i < d:
+            spec["a"] = (Atomic("q", 3), ["b", "x2", "kd"])
+            spec["b"] = (Nested(f"e{i + 1}", 2), ["k", "x1"])
+            spec["k"] = (Atomic("c", 0), [])
+            spec["kd"] = (Atomic("c", 0), [])
+        else:
+            spec["a"] = (Atomic("p", 2), ["x1", "x2"])
+        rec[f"e{i}"] = make_graph("o", spec)
+    nested = {f"e{i}": 2 for i in range(1, d + 1)}
+    nested["e0"] = 0
+    return Rgs(NtgSignature({"c": 0, "d": 0, "p": 2, "q": 3}, nested, "e0"), rec)

@@ -3,7 +3,8 @@
 These deliberately use different formulations: plain enumeration with a
 clause verifier for homomorphisms, a greatest-fixpoint computation over
 vertex pairs for the collapse, round-by-round refinement as the reference
-block map of the collapse engine, and a backtracking enumeration of
+block map of the collapse engine, a whole-graph walk per scope as the
+reference input order of the read-back, and a backtracking enumeration of
 ancestor assignments.  None of them share search code with the library.
 """
 
@@ -114,6 +115,40 @@ def moore_refine(lab, args, extra=None):
         block = new_block
         if stable:
             return block
+
+
+def depth_first_scope_inputs(g, anc, o):
+    """Input vertices of the scope opened by output vertex ``o``, in the
+    order ``represent`` numbers them: the first visits of a depth-first
+    walk from ``o`` along every argument edge, through all deeper scopes
+    and out along exit chains, keeping the exit vertices one level below
+    ``o`` that are not links of a constant's exit chain.
+
+    The walk reaches the whole graph from every scope, so it costs
+    O(|graph|) per scope; ``anc`` is the ancestor assignment.
+    """
+    from ntg.firstorder import FoInput, RootInput
+
+    def on_exit_chain(v):
+        seen = set()
+        while isinstance(g.lab[v], FoInput) and v not in seen:
+            seen.add(v)
+            v = g.args[v][0]
+        return isinstance(g.lab[v], RootInput)
+
+    level = anc[o] + (o,)
+    seen = set()
+    order = []
+    stack = [o]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        if isinstance(g.lab[v], FoInput) and anc[v] == level and not on_exit_chain(v):
+            order.append(v)
+        stack.extend(reversed(g.args[v]))
+    return order
 
 
 def gfp_bisimilar(g1, g2):

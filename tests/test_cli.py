@@ -145,6 +145,19 @@ def test_roundtrip_command():
         assert code == 0 and "roundtrip ok" in out, name
 
 
+def test_resource_errors_are_usage_errors(monkeypatch):
+    from ntg import firstorder
+
+    for exc in (RecursionError("maximum recursion depth exceeded"), MemoryError()):
+        def exhausted(g, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(firstorder, "represent", exhausted)
+        code, out, err = run("roundtrip", path("n.rgs"))
+        assert code == 2 and out == "", type(exc).__name__
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_dot_sniffs_input_kind(tmp_path):
     code, out, err = run("dot", path("n.rgs"))
     assert code == 0 and out.startswith("digraph")

@@ -27,9 +27,10 @@ from ntg import (
     tg_hom,
     tg_isomorphic,
 )
-from generators import mutate_ntg, random_ntg, random_quotient
+from generators import chain_spec, depth_family, mutate_ntg, random_ntg, random_quotient
 from ntg.graph import _refine
-from oracles import enumerate_ancestor_assignments, moore_refine
+from ntg.labels import Input
+from oracles import depth_first_scope_inputs, enumerate_ancestor_assignments, moore_refine
 
 
 def census(g):
@@ -415,3 +416,52 @@ def test_collapse_of_mutation_pairs_consistent():
         m = mutate_ntg(rng, n)
         if ntg_bisimilar(n, m) is not None:
             assert ntg_isomorphic(ntg_collapse(n), ntg_collapse(m)) is not None
+
+
+def _assert_inputs_follow_reference(g):
+    """The input indices ``represent`` assigns in every definition list the
+    scope's inputs in the order of the whole-graph reference walk."""
+    anc, err = infer_ancestors(g)
+    assert err is None
+    r = represent(g)
+    for sym, body in r.rec.items():
+        # read-back names body vertices "<symbol>:<graph vertex>"
+        o = body.root.partition(":")[2]
+        numbered = sorted(
+            (body.lab[u].index, u.partition(":")[2]) for u in body.lab if isinstance(body.lab[u], Input)
+        )
+        assert [b for _, b in numbered] == depth_first_scope_inputs(g, anc, o)
+        assert [j for j, _ in numbered] == list(range(1, r.signature.nested[sym] + 1))
+
+
+def test_represent_input_order_equals_reference():
+    rng = random.Random(89)
+    quotients = 0
+    for _ in range(60):
+        g = interpret(random_ntg(rng, max_defs=5, max_arity=3))
+        _assert_inputs_follow_reference(g)
+        found = random_quotient(rng, g)
+        if found is not None and is_rg_member(found[0]):
+            _assert_inputs_follow_reference(found[0])
+            quotients += 1
+    assert quotients > 10
+    for d in range(1, 13):
+        g = interpret(depth_family(d))
+        _assert_inputs_follow_reference(g)
+        _assert_inputs_follow_reference(tg_collapse(g)[0])
+
+
+def test_represent_long_chain_needs_no_recursion():
+    # one frame per chain vertex would pass the default recursion limit
+    n = 1000
+    spec = chain_spec(n, "r")
+    assert ntg_isomorphic(spec, represent(interpret(spec))) is not None
+    c = ntg_collapse(spec)
+    # out, pair, one shared chain and its constant
+    assert len(c.rec[c.root_symbol]) == n + 3
+    assert ntg_isomorphic(c, ntg_collapse(c)) is not None
+
+
+def test_represent_deep_nesting_needs_no_recursion():
+    n = depth_family(400)
+    assert ntg_isomorphic(n, represent(interpret(n))) is not None

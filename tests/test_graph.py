@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from ntg import (
     Atomic,
-    NtgSignature,
-    Output,
-    Rgs,
     TermGraph,
     check_root_connected,
     make_graph,
@@ -20,7 +17,7 @@ from ntg import (
     tg_isomorphic,
     verify_tg_hom,
 )
-from generators import mutate_ntg, random_ntg, random_quotient
+from generators import chain_spec, mutate_ntg, random_ntg, random_quotient
 from ntg.firstorder import interpret
 from ntg.graph import _refine, disjoint_union
 from oracles import (
@@ -176,25 +173,15 @@ def test_refine_equals_moore_reference_on_cycles():
         assert _refine(lab, args) == moore_refine(lab, args)
 
 
-def _chain_spec(n: int, sym: str) -> Rgs:
-    """pair(s^n(c), s^n(c)) in one nullary definition ``sym``."""
-    spec = {"o": (Output(), ["p"]), "p": (Atomic("pair", 2), ["x0", "y0"])}
-    for side in "xy":
-        for i in range(n):
-            spec[f"{side}{i}"] = (u1, [f"{side}{i + 1}"])
-        spec[f"{side}{n}"] = (Atomic("c", 0), [])
-    return Rgs(NtgSignature({"pair": 2, "u": 1, "c": 0}, {sym: 0}, sym), {sym: make_graph("o", spec)})
-
-
 def test_collapse_long_chain():
     # naive round-by-round refinement needs n rounds here
     n = 2000
-    g = interpret(_chain_spec(n, "r"))
+    g = interpret(chain_spec(n, "r"))
     collapsed, q = tg_collapse(g)
     # out_r, pair, one shared chain with its constant, and the root link
     assert len(collapsed) == n + 4
     assert verify_tg_hom(g, collapsed, q) is None
-    assert tg_bisimilar(g, interpret(_chain_spec(n, "copy")))
+    assert tg_bisimilar(g, interpret(chain_spec(n, "copy")))
 
 
 def test_bisimilar_basic():
