@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .graph import TermGraph
-from .labels import Atomic, Input, Nested, Output
+from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     MissingDepthError,
     NtgSignature,
@@ -25,8 +25,9 @@ from .rgs import (
     is_ntg,
     unfold_to_ntg,
     validate_rgs,
-    _has_cycle,
-    _reachable_symbols,
+    _find_cycle,
+    _pair_witness,
+    _uniquify,
 )
 
 CV = Tuple[str, str]  # (symbol, body vertex)
@@ -97,20 +98,6 @@ def _merge_atomic(s1: NtgSignature, s2: NtgSignature) -> Dict[str, int]:
     return merged
 
 
-def _uniquify(keys, fmt, avoid=()):
-    """Deterministic readable names for ``keys``, collision-free even when
-    the formatted strings coincide or clash with ``avoid``."""
-    names = {}
-    taken = set(avoid)
-    for key in keys:
-        name = fmt(key)
-        while name in taken:
-            name += "'"
-        names[key] = name
-        taken.add(name)
-    return names
-
-
 # ---------------------------------------------------------------------------
 # Stack-based comparison
 # ---------------------------------------------------------------------------
@@ -146,18 +133,6 @@ class NestedBisimRelation:
 
     def max_stack_depth(self) -> int:
         return max((len(c.left_stack) for c in self.configs), default=0)
-
-
-def _compatible(l1, l2) -> bool:
-    if isinstance(l1, Atomic) and isinstance(l2, Atomic):
-        return l1 == l2
-    if isinstance(l1, Nested) and isinstance(l2, Nested):
-        return True
-    if isinstance(l1, Output) and isinstance(l2, Output):
-        return True
-    if isinstance(l1, Input) and isinstance(l2, Input):
-        return True
-    return False
 
 
 def _progressions(c1: _Carrier, c2: _Carrier, cfg: NestedConfig):
@@ -235,11 +210,7 @@ def _closure(c1: _Carrier, c2: _Carrier, depth: Optional[int]):
 
 
 def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
-    for r in (r1, r2):
-        deps = dependency_ars(r)
-        if _has_cycle(deps, set(_reachable_symbols(deps))):
-            return True
-    return False
+    return any(_find_cycle(dependency_ars(r)) is not None for r in (r1, r2))
 
 
 @dataclass(frozen=True)
@@ -517,75 +488,45 @@ def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:
                 order.append(child)
                 queue.append(child)
 
-    # group the reached pairs into definition bodies of the witness
-    def body_key(pair):
-        return (pair[0][0], pair[1][0])
+    def labels(pair):
+        return c1.lab(pair[0]), c2.lab(pair[1])
 
-    pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
+    def scope(pair):
+        return pair[0][0], pair[1][0]
 
+    # the witness has one definition per pair of entered symbols, and its
+    # inputs are numbered in discovery order
     sym_keys = [(n1.root_symbol, n2.root_symbol)]
-    inputs_of: Dict[Tuple[str, str], list] = {}
-    for pair in order:
-        v, w = pair
-        l1, l2 = c1.lab(v), c2.lab(w)
-        if isinstance(l1, Nested) and (l1.name, l2.name) not in sym_keys:
-            sym_keys.append((l1.name, l2.name))
-        if isinstance(l1, Input):
-            inputs_of.setdefault(body_key(pair), []).append(pair)
-    sym_name = _uniquify(sym_keys, lambda key: f"{key[0]}&{key[1]}", avoid=set(atomic))
+    sym_keys += [(l1.name, l2.name) for l1, l2 in map(labels, order) if isinstance(l1, Nested)]
+    sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}&{key[1]}", avoid=atomic)
+    pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
+    arity, entry = _pair_witness(
+        [pair for pair in order if isinstance(c1.lab(pair[0]), Input)],
+        labels,
+        lambda pair: (c1.args(pair[0]), c2.args(pair[1])),
+        scope,
+        lambda pair: tuple(lbl.name for lbl in labels(pair)),
+        sym_name.__getitem__,
+    )
 
-    input_index: Dict[tuple, int] = {}
-    for key in inputs_of:
-        for idx, pair in enumerate(inputs_of[key], start=1):  # discovery order
-            input_index[pair] = idx
-
-    bodies: Dict[Tuple[str, str], dict] = {key: {} for key in sym_name}
+    bodies: Dict[Tuple[str, str], tuple] = {key: ({}, {}) for key in sym_name}
     proj_left: Dict[CV, CV] = {}
     proj_right: Dict[CV, CV] = {}
     for pair in order:
-        v, w = pair
-        key = body_key(pair)
-        if key not in bodies:
-            return None  # pair outside any entered body: cannot happen
-        l1, l2 = c1.lab(v), c2.lab(w)
+        lab, succ = entry(pair)
+        key = scope(pair)
         vid = pair_name[pair]
-        if isinstance(l1, Atomic):
-            lab = l1
-            args = tuple(
-                pair_name[(x, y)] for x, y in zip(c1.args(v), c2.args(w))
-            )
-        elif isinstance(l1, Output):
-            args = tuple(
-                pair_name[(x, y)] for x, y in zip(c1.args(v), c2.args(w))
-            )
-            lab = l1
-        elif isinstance(l1, Input):
-            lab = Input(input_index[pair])
-            args = ()
-        else:
-            ckey = (l1.name, l2.name)
-            arity = len(inputs_of.get(ckey, []))
-            lab = Nested(sym_name[ckey], arity)
-            fetched = []
-            for u_pair in inputs_of.get(ckey, []):
-                i = c1.lab(u_pair[0]).index
-                j = c2.lab(u_pair[1]).index
-                fetched.append(pair_name[(c1.args(v)[i - 1], c2.args(w)[j - 1])])
-            args = tuple(fetched)
-        bodies[key][vid] = (lab, args)
-        cname = sym_name[key]
-        proj_left[(cname, vid)] = v
-        proj_right[(cname, vid)] = w
+        body_lab, body_args = bodies[key]
+        body_lab[vid] = lab
+        body_args[vid] = tuple(pair_name[q] for q in succ)
+        proj_left[(sym_name[key], vid)] = pair[0]
+        proj_right[(sym_name[key], vid)] = pair[1]
 
-    rec = {}
-    for key, spec in bodies.items():
-        root_pair = (c1.rootof[key[0]], c2.rootof[key[1]])
-        rec[sym_name[key]] = TermGraph(
-            {vid: lab for vid, (lab, _) in spec.items()},
-            {vid: args for vid, (_, args) in spec.items()},
-            pair_name[root_pair],
-        )
-    nested = {sym_name[key]: len(inputs_of.get(key, [])) for key in sym_name}
+    rec = {
+        sym_name[key]: TermGraph(lab, args, pair_name[(c1.rootof[key[0]], c2.rootof[key[1]])])
+        for key, (lab, args) in bodies.items()
+    }
+    nested = {sym_name[key]: arity.get(key, 0) for key in sym_name}
     sig = NtgSignature(atomic, nested, sym_name[(n1.root_symbol, n2.root_symbol)])
     witness = Rgs(sig, rec)
 
@@ -713,90 +654,49 @@ def witness_ntg_from_relation(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> Rgs
     def stack_pair(cfg):
         return (cfg.left_stack, cfg.right_stack)
 
+    def labels(cfg):
+        return c1.lab(cfg.left), c2.lab(cfg.right)
+
     atomic = _merge_atomic(r1.signature, r2.signature)
     pairs = sorted({stack_pair(cfg) for cfg in rel.configs}, key=lambda p: (len(p[0]), str(p)))
-    sym_name = _uniquify(
-        list(enumerate(pairs)), lambda ip: f"w{ip[0]}", avoid=set(atomic)
-    )
-    sym_name = {p: sym_name[(i, p)] for i, p in enumerate(pairs)}
+    number = {p: i for i, p in enumerate(pairs)}
+    sym_name = _uniquify(pairs, lambda p: f"w{number[p]}", avoid=atomic)
 
+    configs = sorted(rel.configs, key=str)
     members: Dict[tuple, list] = {p: [] for p in pairs}
-    for cfg in sorted(rel.configs, key=str):
+    for cfg in configs:
         members[stack_pair(cfg)].append(cfg)
-
-    inputs_of: Dict[tuple, list] = {}
-    for p in pairs:
-        ins = [
-            cfg
-            for cfg in members[p]
-            if isinstance(c1.lab(cfg.left), Input) and isinstance(c2.lab(cfg.right), Input)
-        ]
-        ins.sort(key=lambda cfg: (c1.lab(cfg.left).index, c2.lab(cfg.right).index, str(cfg)))
-        inputs_of[p] = ins
-    input_index = {}
-    for p in pairs:
-        for idx, cfg in enumerate(inputs_of[p], start=1):
-            input_index[cfg] = idx
-
-    vid_map = {}
-    for p in pairs:
-        vid_map.update(
-            _uniquify(
-                members[p],
-                lambda cfg: f"{cfg.left[0]}.{cfg.left[1]}|{cfg.right[0]}.{cfg.right[1]}",
-            )
-        )
-
-    def vid(cfg):
-        return vid_map[cfg]
+    # inputs are numbered by their two indices within each stack pair
+    inputs = [cfg for cfg in configs if all(isinstance(lbl, Input) for lbl in labels(cfg))]
+    inputs.sort(key=lambda cfg: (c1.lab(cfg.left).index, c2.lab(cfg.right).index, str(cfg)))
+    arity, entry = _pair_witness(
+        inputs,
+        labels,
+        lambda cfg: (c1.args(cfg.left), c2.args(cfg.right)),
+        stack_pair,
+        lambda cfg: (cfg.left_stack + (cfg.left,), cfg.right_stack + (cfg.right,)),
+        sym_name.__getitem__,
+    )
 
     rec = {}
     for p in pairs:
+        vid = _uniquify(
+            members[p],
+            lambda cfg: f"{cfg.left[0]}.{cfg.left[1]}|{cfg.right[0]}.{cfg.right[1]}",
+        )
         lab = {}
         args = {}
         for cfg in members[p]:
-            l1, l2 = c1.lab(cfg.left), c2.lab(cfg.right)
-            if isinstance(l1, Atomic):
-                lab[vid(cfg)] = l1
-                args[vid(cfg)] = tuple(
-                    vid(NestedConfig(cfg.left_stack, x, cfg.right_stack, y))
-                    for x, y in zip(c1.args(cfg.left), c2.args(cfg.right))
-                )
-            elif isinstance(l1, Output):
-                lab[vid(cfg)] = l1
-                (x,) = c1.args(cfg.left)
-                (y,) = c2.args(cfg.right)
-                args[vid(cfg)] = (vid(NestedConfig(cfg.left_stack, x, cfg.right_stack, y)),)
-            elif isinstance(l1, Input):
-                lab[vid(cfg)] = Input(input_index[cfg])
-                args[vid(cfg)] = ()
-            else:  # nested pair: an occurrence of the pushed stack pair
-                child = (cfg.left_stack + (cfg.left,), cfg.right_stack + (cfg.right,))
-                arity = len(inputs_of[child])
-                lab[vid(cfg)] = Nested(sym_name[child], arity)
-                fetched = []
-                for u in inputs_of[child]:
-                    i = c1.lab(u.left).index
-                    j = c2.lab(u.right).index
-                    fetched.append(
-                        vid(
-                            NestedConfig(
-                                cfg.left_stack,
-                                c1.args(cfg.left)[i - 1],
-                                cfg.right_stack,
-                                c2.args(cfg.right)[j - 1],
-                            )
-                        )
-                    )
-                args[vid(cfg)] = tuple(fetched)
+            lab[vid[cfg]], succ = entry(cfg)
+            args[vid[cfg]] = tuple(vid[NestedConfig(p[0], x, p[1], y)] for x, y in succ)
         out_vids = [
-            vid(cfg) for cfg in members[p] if isinstance(c1.lab(cfg.left), Output)
+            vid[cfg] for cfg in members[p] if isinstance(c1.lab(cfg.left), Output)
         ]
         if len(out_vids) != 1:
             raise ValueError(f"stack pair {p} has {len(out_vids)} output configurations")
         rec[sym_name[p]] = TermGraph(lab, args, out_vids[0])
 
-    nested = {sym_name[p]: len(inputs_of[p]) for p in pairs}
+    nested = {sym_name[p]: arity.get(p, 0) for p in pairs}
     sig = NtgSignature(atomic, nested, sym_name[((), ())])
     witness = Rgs(sig, rec)
     assert not validate_rgs(witness), "relation does not induce a well-formed specification"

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable, tg_collapse
+from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable
 from .labels import Atomic, Input, Nested, Output
 from .rgs import NtgSignature, Rgs, symbol_name_ok, validate_rgs, is_ntg
 from .sntg import ntg_to_sntg
@@ -463,37 +463,28 @@ def _read_back(g: TermGraph, anc: Dict[Vertex, tuple]) -> Rgs:
     return n
 
 
-def _scoped_collapse(g: TermGraph) -> TermGraph:
-    """Coarsest quotient that respects labels, arguments and the ancestor
-    assignment.
-
-    Plain partition refinement can merge equally-shaped cycles across
-    scope levels when those cycles never reach an exit vertex (the graph
-    is then not fully back-linked), which destroys the ancestor
-    assignment.  Refining by the ancestor chains as well keeps the
-    quotient in the representing class; on fully back-linked graphs the
-    back-link edges already enforce this, so both refinements coincide.
-    The chains enter the same refinement engine as the arguments, as
-    further positions, so this takes O(m log n) time where m counts the
-    edges plus the total length of the ancestor chains.
-    """
-    anc, err = infer_ancestors(g)
-    assert err is None
-    return _quotient(g, _refine(g.lab, g.args, anc))
-
-
 def ntg_collapse(n: Rgs) -> Rgs:
     """Maximally shared form of a tree-shaped specification.
 
     Computed by flattening, collapsing the first-order graph, and reading
     the result back.  Idempotent up to isomorphism, and bisimilar inputs
-    collapse to isomorphic results.  When the flattening is not fully
-    back-linked the plain collapse may leave the representing class; the
-    scope-respecting collapse is used instead in that case.
+    collapse to isomorphic results.
+
+    The collapse refines by the arguments and by each vertex's innermost
+    ancestor, in one run of the refinement engine.  Plain refinement can
+    merge equally-shaped cycles across scope levels when those cycles
+    never reach an exit vertex (the flattening is then not fully
+    back-linked), and the quotient would leave the representing class.
+    The ancestor key keeps it inside, and it is exact: a homomorphism
+    carries the forced ancestor assignment onto that of its image, so
+    whenever the plain quotient is in the class its partition already
+    respects the ancestors and equals this one.  The innermost ancestor
+    is enough, because every chain is the chain of its last letter with
+    that letter appended: a partition that respects the last letters
+    respects the whole chains, by induction on their length.  This costs
+    O(m log n) time for n vertices and m edges, plus one entry per vertex.
     """
     flat = interpret(n)
-    collapsed, _ = tg_collapse(flat)
-    anc, defect = _member_ancestors(collapsed)
-    if defect is None:
-        return _read_back(collapsed, anc)
-    return represent(_scoped_collapse(flat))
+    anc, _ = infer_ancestors(flat)
+    seqs = {v: flat.args[v] + anc[v][-1:] for v in flat.lab}
+    return represent(_quotient(flat, _refine(flat.lab, seqs)))

@@ -18,7 +18,6 @@ and print are mutually inverse only up to vertex renaming.
 from __future__ import annotations
 
 import re
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from .graph import TermGraph, reachable
@@ -40,6 +39,7 @@ from .rgs import (
     Violation,
     dependency_ars,
     validate_rgs,
+    _reachable_symbols,
 )
 from .sntg import Sntg
 
@@ -189,7 +189,7 @@ def _parse_root_decl(toks: _Tokens) -> Optional[str]:
 
 
 def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Optional[str]) -> Rgs:
-    defs: Dict[str, Tuple[int, list]] = {}
+    defs: Dict[str, Tuple[int, list, int]] = {}
     order: List[str] = []
     while toks.peek()[1] == "def":
         toks.next()
@@ -202,14 +202,14 @@ def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Opt
             raise ParseError(line, f"symbol {name!r} defined twice")
         if name in atomic:
             raise ParseError(line, f"symbol {name!r} is declared atomic")
-        defs[name] = (int(ar), body_lines)
+        defs[name] = (int(ar), body_lines, line)
         order.append(name)
     if toks.peek()[0] != "eof":
         raise ParseError(toks.peek()[2], f"unexpected {toks.peek()[1]!r}")
     if not defs:
         raise ParseError(toks.peek()[2], "a specification needs at least one definition")
 
-    nested = {name: ar for name, (ar, _) in defs.items()}
+    nested = {name: ar for name, (ar, _, _) in defs.items()}
     if declared_root is None:
         nullary = [name for name in order if nested[name] == 0]
         if not nullary:
@@ -221,7 +221,9 @@ def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Opt
     rec: Dict[str, TermGraph] = {}
     pending: List[Violation] = []
     for name in order:
-        _, body_lines = defs[name]
+        _, body_lines, def_line = defs[name]
+        if not body_lines:
+            raise ParseError(def_line, f"definition {name!r} has an empty body")
         lab: Dict[str, object] = {}
         args: Dict[str, tuple] = {}
         out_vertices: List[str] = []
@@ -281,19 +283,11 @@ def _body_discovery_order(g: TermGraph) -> List[str]:
 
 
 def _definition_order(r: Rgs, deps: Optional[DependencyArs] = None) -> List[str]:
-    deps = deps or dependency_ars(r)
-    seen = {r.root_symbol}
-    order = [r.root_symbol]
-    queue = deque([r.root_symbol])
-    while queue:
-        sym = queue.popleft()
-        for step in deps.steps_from(sym):
-            if step.target not in seen:
-                seen.add(step.target)
-                order.append(step.target)
-                queue.append(step.target)
-    order += sorted(s for s in r.signature.nested if s not in seen)
-    return order
+    """Symbols reachable from the root in breadth-first order, then the
+    rest sorted by name."""
+    order = _reachable_symbols(deps or dependency_ars(r))
+    seen = set(order)
+    return order + sorted(s for s in r.signature.nested if s not in seen)
 
 
 def _label_text(lbl) -> str:

@@ -150,13 +150,12 @@ def verify_tg_hom(g1, g2, phi) -> Optional[tuple]:
     return None
 
 
-def _refine(lab: Mapping, args: Mapping, extra: Optional[Mapping] = None) -> Dict[Vertex, Vertex]:
+def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
     """Coarsest partition in which block-mates agree on their label and on
     the blocks of their successors, position by position.
 
-    ``extra`` optionally maps each vertex to a further sequence of vertices
-    (the ancestor chain in the scoped collapse), compared position by
-    position like the successors.
+    ``args`` may list more vertices than the label's arity: the scoped
+    collapse of ``ntg_collapse`` appends each vertex's innermost ancestor.
 
     Splitter-worklist refinement with the "process the smaller half" rule
     (Hopcroft 1971; Paige and Tarjan 1987; Valmari and Lehtinen 2008).  The
@@ -171,7 +170,7 @@ def _refine(lab: Mapping, args: Mapping, extra: Optional[Mapping] = None) -> Dic
     already queued, all its new parts are queued; otherwise all parts but
     the largest.  A vertex therefore lies in at most log2(n) + 1 processed
     splitters, so the refinement takes O(m log n) time for n vertices and
-    m successor and ``extra`` entries.
+    m successor entries.
 
     Returns the map from each vertex to its block representative.  Blocks
     are named once at the end by their least member under ``key=str``, so
@@ -185,12 +184,11 @@ def _refine(lab: Mapping, args: Mapping, extra: Optional[Mapping] = None) -> Dic
     block_of: list = []
     start: Dict[tuple, int] = {}
     for u, v in enumerate(verts):
-        seq = args[v] if extra is None else (*args[v], *extra[v])
         bit = 1
-        for w in seq:
+        for w in args[v]:
             preds[index[w]].append((bit, u))
             bit <<= 1
-        b = start.setdefault((repr(lab[v]), len(seq)), len(blocks))
+        b = start.setdefault((repr(lab[v]), len(args[v])), len(blocks))
         if b == len(blocks):
             blocks.append(set())
         blocks[b].add(u)

@@ -32,6 +32,21 @@ def _check_symbol_name(name: str):
         raise ValueError(f"symbol name {name!r} is reserved")
 
 
+def _uniquify(keys, fmt, avoid=()):
+    """Deterministic readable names for ``keys``: ``fmt(key)``, primed
+    until it is clear of ``avoid``, of reserved names and of the names
+    already given."""
+    names = {}
+    taken = set(avoid)
+    for key in keys:
+        name = fmt(key)
+        while name in taken or not symbol_name_ok(name):
+            name += "'"
+        names[key] = name
+        taken.add(name)
+    return names
+
+
 @dataclass(frozen=True)
 class NtgSignature:
     """Atomic and nested symbol arities plus the distinguished root symbol."""
@@ -237,47 +252,43 @@ def _reachable_symbols(deps: DependencyArs) -> List[str]:
     return order
 
 
+def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
+    """The first dependency cycle met by a depth-first walk from the root
+    symbol, as the path of symbols that closes it, or None.
+
+    The walk keeps its path on an explicit stack, so a back edge to a
+    symbol on that stack yields the cycle from that symbol onwards.
+    """
+    on_path = {deps.root}
+    done = set()
+    stack = [(deps.root, iter(deps.steps_from(deps.root)))]
+    while stack:
+        node, it = stack[-1]
+        for step in it:
+            nxt = step.target
+            if nxt in on_path:
+                path = [sym for sym, _ in stack]
+                return tuple(path[path.index(nxt):]) + (nxt,)
+            if nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, iter(deps.steps_from(nxt))))
+                break
+        else:
+            on_path.discard(node)
+            done.add(node)
+            stack.pop()
+    return None
+
+
 def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
     """Decide whether the dependency structure restricted to the reachable
     symbols is a tree: acyclic, at most one step into each symbol, and all
     declared symbols reachable."""
     deps = deps or dependency_ars(r)
-    reach = _reachable_symbols(deps)
-    reach_set = set(reach)
-    succ = {s: [t.target for t in deps.steps_from(s)] for s in reach}
-    # cycle detection by iterative DFS with colors
-    color = {s: 0 for s in reach}  # 0 unvisited, 1 on stack, 2 done
-    parent: Dict[str, Optional[str]] = {}
-    for start in reach:
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        parent[start] = None
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    # walk the parent chain from node back to nxt
-                    chain = [node]
-                    cur = node
-                    while cur != nxt and parent[cur] is not None:
-                        cur = parent[cur]
-                        chain.append(cur)
-                    if cur != nxt:
-                        chain = [node]  # self loop
-                    cycle = tuple(reversed(chain)) + (nxt,)
-                    return NtgResult(False, Cycle(cycle))
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    cycle = _find_cycle(deps)
+    if cycle is not None:
+        return NtgResult(False, Cycle(cycle))
+    reach_set = set(_reachable_symbols(deps))
     incoming: Dict[str, List[DepStep]] = {}
     for step in deps.steps:
         if step.source in reach_set:
@@ -340,10 +351,7 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     deeper than that are replaced by the nullary placeholder, yielding a
     truncated, non-semantic result meant for inspection only.
     """
-    deps = dependency_ars(r)
-    reach = set(_reachable_symbols(deps))
-    cyclic = _has_cycle(deps, reach)
-    if cyclic and depth is None:
+    if depth is None and _find_cycle(dependency_ars(r)) is not None:
         raise MissingDepthError("cyclic dependencies require an unfold depth")
 
     counters: Dict[str, int] = {}
@@ -394,26 +402,38 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     return UnfoldResult(Rgs(sig, new_rec), cuts)
 
 
-def _has_cycle(deps: DependencyArs, reach) -> bool:
-    succ = {s: [t.target for t in deps.steps_from(s) if t.target in reach] for s in reach}
-    color = {s: 0 for s in reach}
-    for start in reach:
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return True
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return False
+def _pair_witness(inputs, lab, args, scope, callee, name):
+    """The body entries of a witness that relates two structures pair by
+    pair, as the bisimilarity deciders build it.
+
+    ``inputs`` lists the input pairs in the order their indices follow.
+    ``lab(p)`` and ``args(p)`` give a pair's two labels and two successor
+    tuples, ``scope(p)`` the key of the scope ``p`` lies in, ``callee(p)``
+    the key of the scope an occurrence pair opens, and ``name(key)`` that
+    scope's symbol.
+
+    Returns ``(arity, entry)``.  ``arity`` maps each scope key with inputs
+    to their number.  ``entry(p)`` is a reached pair's label and its
+    successors, as pairs of the two sides' vertices: atomic and output
+    pairs keep the left label and pair their successors position by
+    position; the input pairs of each scope are numbered from 1; an
+    occurrence pair takes, for each input pair of its callee, the two
+    actual arguments at that pair's input indices.
+    """
+    inputs_of: Dict[tuple, list] = {}
+    for u in inputs:
+        inputs_of.setdefault(scope(u), []).append(u)
+    index = {u: j for us in inputs_of.values() for j, u in enumerate(us, start=1)}
+
+    def entry(p):
+        (l1, _), (a1, a2) = lab(p), args(p)
+        if isinstance(l1, Input):
+            return Input(index[p]), ()
+        if isinstance(l1, Nested):
+            key = callee(p)
+            ins = [lab(u) for u in inputs_of.get(key, ())]
+            succ = tuple((a1[i.index - 1], a2[j.index - 1]) for i, j in ins)
+            return Nested(name(key), len(ins)), succ
+        return l1, tuple(zip(a1, a2))
+
+    return {key: len(us) for key, us in inputs_of.items()}, entry

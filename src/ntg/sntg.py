@@ -15,8 +15,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import TermGraph, reachable
-from .labels import Atomic, Input, Nested, Output
-from .rgs import NtgSignature, Rgs, dependency_ars, is_ntg, symbol_name_ok, validate_rgs
+from .labels import Atomic, Input, Nested, Output, _compatible
+from .rgs import (
+    NtgSignature,
+    Rgs,
+    dependency_ars,
+    is_ntg,
+    validate_rgs,
+    _pair_witness,
+    _reachable_symbols,
+    _uniquify,
+)
 
 Vertex = str
 
@@ -167,10 +176,10 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     bad = validate_rgs(n)
     if bad:
         raise ValueError("invalid specification: " + str(bad[0]))
-    res = is_ntg(n)
+    deps = dependency_ars(n)
+    res = is_ntg(n, deps)
     if not res.ok:
         raise ValueError(f"not a tree-shaped specification: {res.defect}")
-    deps = dependency_ars(n)
 
     def vid(sym: str, v: Vertex) -> Vertex:
         return f"{sym}.{v}"
@@ -187,13 +196,7 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
         occ_vertex[step.target] = vid(step.source, step.vertex)
 
     # process symbols in dependency order so ancestor chains are available
-    order = [n.root_symbol]
-    queue = deque(order)
-    while queue:
-        sym = queue.popleft()
-        for step in deps.steps_from(sym):
-            order.append(step.target)
-            queue.append(step.target)
+    order = _reachable_symbols(deps)
 
     sym_anc: Dict[str, tuple] = {}
     for sym in order:
@@ -246,14 +249,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     # one definition per occurrence vertex, named by that vertex (primed
     # until clear of atomic, reserved and already-taken names)
     nested_vertices = [v for v in sorted(g.lab, key=str) if isinstance(g.lab[v], Nested)]
-    sym_of: Dict[Vertex, str] = {}
-    taken = set(atomic)
-    for v in nested_vertices:
-        name = str(v)
-        while name in taken or not symbol_name_ok(name):
-            name += "'"
-        sym_of[v] = name
-        taken.add(name)
+    sym_of = _uniquify(nested_vertices, str, avoid=atomic)
 
     rec: Dict[str, TermGraph] = {}
     nested_sig: Dict[str, int] = {}
@@ -308,15 +304,6 @@ class SntgConflict:
     reason: str
 
 
-def _kinds_match(l1, l2) -> bool:
-    if isinstance(l1, Atomic) and isinstance(l2, Atomic):
-        return l1 == l2
-    for cls in (Nested, Output, Input):
-        if isinstance(l1, cls) and isinstance(l2, cls):
-            return True
-    return False
-
-
 def sntg_hom_explained(s1: Sntg, s2: Sntg):
     """Propagate the unique homomorphism candidate from the root pair
     through arguments, call and return links, then verify it in full."""
@@ -329,7 +316,7 @@ def sntg_hom_explained(s1: Sntg, s2: Sntg):
                 return None, SntgConflict(v, w, f"already mapped to {phi[v]!r}")
             continue
         l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
-        if not _kinds_match(l1, l2):
+        if not _compatible(l1, l2):
             return None, SntgConflict(v, w, f"labels {l1} and {l2} do not match")
         phi[v] = w
         if isinstance(l1, (Atomic, Output)):
@@ -400,7 +387,7 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
     while queue:
         v, w = queue.popleft()
         l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
-        if not _kinds_match(l1, l2):
+        if not _compatible(l1, l2):
             return None
         if isinstance(l1, (Atomic, Output)):
             children = list(zip(s1.tg.args[v], s2.tg.args[w]))
@@ -414,68 +401,39 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
                 order.append(child)
                 queue.append(child)
 
-    vid_map = {}
-    taken = set()
-    for pair in order:
-        name = f"({pair[0]},{pair[1]})"
-        while name in taken:
-            name += "'"
-        vid_map[pair] = name
-        taken.add(name)
-
-    def vid(pair):
-        return vid_map[pair]
-
-    # input indices are assigned per definition pair, in discovery order
-    scope_inputs: Dict[tuple, list] = {}
-    for pair in order:
-        v, w = pair
-        if isinstance(s1.tg.lab[v], Input):
-            key = (s1.anc[v], s2.anc[w])
-            scope_inputs.setdefault(key, []).append(pair)
-    input_index = {}
-    for key, pairs in scope_inputs.items():
-        for idx, pair in enumerate(pairs, start=1):
-            input_index[pair] = idx
+    if any(len(s1.anc[v]) != len(s2.anc[w]) for v, w in order):
+        return None
+    vid = _uniquify(order, lambda pair: f"({pair[0]},{pair[1]})")
+    # the inputs of each definition pair are numbered in discovery order
+    _, entry = _pair_witness(
+        [pair for pair in order if isinstance(s1.tg.lab[pair[0]], Input)],
+        lambda pair: (s1.tg.lab[pair[0]], s2.tg.lab[pair[1]]),
+        lambda pair: (s1.tg.args[pair[0]], s2.tg.args[pair[1]]),
+        lambda pair: (s1.anc[pair[0]], s2.anc[pair[1]]),
+        lambda pair: (s1.anc[pair[0]] + (pair[0],), s2.anc[pair[1]] + (pair[1],)),
+        lambda key: f"{s1.tg.lab[key[0][-1]].name}&{s2.tg.lab[key[1][-1]].name}",
+    )
 
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
     anc: Dict[Vertex, tuple] = {}
-    for pair in order:
-        v, w = pair
-        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
-        if len(s1.anc[v]) != len(s2.anc[w]):
-            return None
-        anc[vid(pair)] = tuple(
-            vid((a, b)) for a, b in zip(s1.anc[v], s2.anc[w])
-        )
-        if isinstance(l1, Nested):
-            key = (s1.anc[v] + (v,), s2.anc[w] + (w,))
-            arity = len(scope_inputs.get(key, []))
-            lab[vid(pair)] = Nested(f"{l1.name}&{l2.name}", arity)
-            fetched = []
-            for u_pair in scope_inputs.get(key, []):
-                i = s1.tg.lab[u_pair[0]].index
-                j = s2.tg.lab[u_pair[1]].index
-                fetched.append(vid((s1.tg.args[v][i - 1], s2.tg.args[w][j - 1])))
-            args[vid(pair)] = tuple(fetched)
-            call[vid(pair)] = vid((s1.call[v], s2.call[w]))
-        elif isinstance(l1, Input):
-            lab[vid(pair)] = Input(input_index[pair])
-            args[vid(pair)] = ()
-            ret[vid(pair)] = vid((s1.ret[v], s2.ret[w]))
-        else:
-            lab[vid(pair)] = l1
-            args[vid(pair)] = tuple(
-                vid((x, y)) for x, y in zip(s1.tg.args[v], s2.tg.args[w])
-            )
-    witness = Sntg(TermGraph(lab, args, vid(start)), call, ret, anc)
+    for v, w in order:
+        label, succ = entry((v, w))
+        x = vid[(v, w)]
+        anc[x] = tuple(vid[a] for a in zip(s1.anc[v], s2.anc[w]))
+        lab[x] = label
+        args[x] = tuple(vid[q] for q in succ)
+        if isinstance(label, Nested):
+            call[x] = vid[(s1.call[v], s2.call[w])]
+        elif isinstance(label, Input):
+            ret[x] = vid[(s1.ret[v], s2.ret[w])]
+    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, anc)
     if check_sntg(witness):
         return None
-    proj1 = {vid(pair): pair[0] for pair in order}
-    proj2 = {vid(pair): pair[1] for pair in order}
+    proj1 = {vid[pair]: pair[0] for pair in order}
+    proj2 = {vid[pair]: pair[1] for pair in order}
     assert not verify_sntg_hom(witness, s1, proj1), "left projection fails"
     assert not verify_sntg_hom(witness, s2, proj2), "right projection fails"
     return witness

@@ -4,13 +4,12 @@ All random specifications draw atomic symbols from one shared pool so
 that any two generated values have a common atomic signature, which the
 comparison operations require.
 
-Bodies are kept grounded: every vertex reaches an input vertex, a
-constant, or an occurrence with a constant somewhere below it.  This
-makes the flattened graphs fully back-linked, the fragment on which the
-plain collapse provably stays inside the representing class.  Ungrounded
-specifications (with scope-local cycles that never exit) are legal and
-covered by dedicated tests, but would make closure properties of the
-plain collapse fail by design rather than by bug.
+Bodies are usually kept grounded: every vertex reaches an input vertex,
+a constant, or an occurrence with a constant somewhere below it, so the
+flattened graphs are fully back-linked.  ``random_ungrounded_ntg`` drops
+that filter: its bodies may hold cycles that never exit their scope, and
+on some of its flattenings the plain first-order collapse merges such
+cycles across scopes and leaves the representing class.
 """
 
 import random
@@ -139,8 +138,8 @@ def _finish(rng, names, arities, occurrences) -> Rgs:
     return r
 
 
-def random_ntg(rng: random.Random, max_defs=4, max_arity=2, extra_budget=5) -> Rgs:
-    """A random grounded tree-shaped specification."""
+def _random_tree(rng: random.Random, max_defs, max_arity):
+    """Symbol names, arities and occurrences of a random dependency tree."""
     count = rng.randrange(1, max_defs + 1)
     names = [f"s{i}" for i in range(count)]
     arities = {"s0": 0}
@@ -149,9 +148,28 @@ def random_ntg(rng: random.Random, max_defs=4, max_arity=2, extra_budget=5) -> R
         arities[names[i]] = rng.randrange(0, max_arity + 1)
         par = names[rng.randrange(0, i)]
         occurrences[par].append((names[i], arities[names[i]]))
-    r = _finish(rng, names, arities, occurrences)
+    return names, arities, occurrences
+
+
+def random_ntg(rng: random.Random, max_defs=4, max_arity=2, extra_budget=5) -> Rgs:
+    """A random grounded tree-shaped specification."""
+    r = _finish(rng, *_random_tree(rng, max_defs, max_arity))
     assert is_ntg(r).ok
     return r
+
+
+def random_ungrounded_ntg(rng: random.Random, max_defs=4, max_arity=2, extra_budget=5) -> Rgs:
+    """A random tree-shaped specification whose bodies are not filtered for
+    grounding, so cycles that never reach an input or a constant stay."""
+    while True:
+        names, arities, occurrences = _random_tree(rng, max_defs, max_arity)
+        rec = {
+            name: _raw_body(rng, arities[name], occurrences[name], extra_budget, back_edges=True)
+            for name in names
+        }
+        r = Rgs(NtgSignature(dict(ATOM_POOL), arities, "s0"), rec)
+        if not validate_rgs(r) and is_ntg(r).ok:
+            return r
 
 
 def random_acyclic_rgs(rng: random.Random, max_defs=4, max_arity=2) -> Rgs:

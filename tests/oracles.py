@@ -3,9 +3,12 @@
 These deliberately use different formulations: plain enumeration with a
 clause verifier for homomorphisms, a greatest-fixpoint computation over
 vertex pairs for the collapse, round-by-round refinement as the reference
-block map of the collapse engine, a whole-graph walk per scope as the
+block map of the collapse engine, the plain-then-scoped collapse as the
+reference of ``ntg_collapse``, a whole-graph walk per scope as the
 reference input order of the read-back, and a backtracking enumeration of
-ancestor assignments.  None of them share search code with the library.
+ancestor assignments.  None of them share search code with the library,
+except that ``two_path_collapse`` takes its plain path from
+``tg_collapse``, whose block map is checked against ``moore_refine``.
 """
 
 from itertools import product
@@ -115,6 +118,26 @@ def moore_refine(lab, args, extra=None):
         block = new_block
         if stable:
             return block
+
+
+def two_path_collapse(n):
+    """``ntg_collapse`` as two paths: the plain first-order collapse, read
+    back when it stays in the representing class, else a refinement keyed
+    by the full ancestor chains (``moore_refine``)."""
+    from ntg import infer_ancestors, interpret, is_rg_member, represent, tg_collapse
+
+    flat = interpret(n)
+    plain, _ = tg_collapse(flat)
+    if is_rg_member(plain):
+        return represent(plain)
+    anc, _ = infer_ancestors(flat)
+    block = moore_refine(flat.lab, flat.args, anc)
+    reps = sorted(set(block.values()), key=str)
+    return represent(TermGraph(
+        {r: flat.lab[r] for r in reps},
+        {r: tuple(block[w] for w in flat.args[r]) for r in reps},
+        block[flat.root],
+    ))
 
 
 def depth_first_scope_inputs(g, anc, o):

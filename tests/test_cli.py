@@ -38,6 +38,13 @@ def test_validate_parse_error(tmp_path):
     assert code == 2
 
 
+def test_validate_empty_body_is_parse_error(tmp_path):
+    doc = tmp_path / "empty.rgs"
+    doc.write_text("atomic c/0;\ndef f/0 { }\n")
+    code, out, err = run("validate", str(doc))
+    assert code == 2 and err == "parse error: line 2: definition 'f' has an empty body\n"
+
+
 def test_deps_output():
     code, out, err = run("deps", path("r0.rgs"))
     assert code == 0

@@ -20,6 +20,7 @@ from ntg import (
     ntg_hom,
     ntg_isomorphic,
     ntg_to_sntg,
+    print_rgs,
     represent,
     rg_defect,
     tg_bisimilar,
@@ -27,10 +28,22 @@ from ntg import (
     tg_hom,
     tg_isomorphic,
 )
-from generators import chain_spec, depth_family, mutate_ntg, random_ntg, random_quotient
+from generators import (
+    chain_spec,
+    depth_family,
+    mutate_ntg,
+    random_ntg,
+    random_quotient,
+    random_ungrounded_ntg,
+)
 from ntg.graph import _refine
 from ntg.labels import Input
-from oracles import depth_first_scope_inputs, enumerate_ancestor_assignments, moore_refine
+from oracles import (
+    depth_first_scope_inputs,
+    enumerate_ancestor_assignments,
+    moore_refine,
+    two_path_collapse,
+)
 
 
 def census(g):
@@ -359,8 +372,9 @@ def test_scope_local_cycles_need_the_scoped_collapse():
     # A body cycle that never reaches an input or constant makes the
     # flattening lose full back-linking: the plain collapse then merges
     # equally-shaped cycles across scope levels and leaves the
-    # representing class.  The scope-respecting fallback keeps collapse
-    # total, idempotent and reached by a homomorphism.
+    # representing class.  ntg_collapse also refines by the innermost
+    # ancestor, which keeps collapse total, idempotent and reached by a
+    # homomorphism.
     n = _scope_local_cycles()
     g = interpret(n)
     assert is_rg_member(g)
@@ -373,18 +387,40 @@ def test_scope_local_cycles_need_the_scoped_collapse():
     assert ntg_bisimilar(n, c) is not None
 
 
+def _innermost_key(g, anc):
+    # the sequences ntg_collapse refines by: arguments, then innermost ancestor
+    return {v: g.args[v] + anc[v][-1:] for v in g.lab}
+
+
 def test_scoped_refinement_equals_moore_reference():
+    # keying on the innermost ancestor gives the partition of the full
+    # ancestor chains, computed by the round-by-round reference
     g = interpret(_scope_local_cycles())
     anc, _ = infer_ancestors(g)
-    block = _refine(g.lab, g.args, anc)
+    block = _refine(g.lab, _innermost_key(g, anc))
     assert block == moore_refine(g.lab, g.args, anc)
-    # the ancestor chains keep apart the loops that the plain refinement merges
+    # the ancestors keep apart the loops that the plain refinement merges
     assert block != _refine(g.lab, g.args)
     rng = random.Random(83)
-    for _ in range(25):
-        g = interpret(random_ntg(rng))
+    for make in [random_ntg] * 25 + [random_ungrounded_ntg] * 25:
+        g = interpret(make(rng))
         anc, _ = infer_ancestors(g)
-        assert _refine(g.lab, g.args, anc) == moore_refine(g.lab, g.args, anc)
+        assert _refine(g.lab, _innermost_key(g, anc)) == moore_refine(g.lab, g.args, anc)
+
+
+def test_one_path_collapse_equals_two_path_reference():
+    rng = random.Random(89)
+    samples = [_scope_local_cycles()]
+    samples += [random_ntg(rng) for _ in range(150)]
+    samples += [random_ungrounded_ntg(rng) for _ in range(150)]
+    samples += [random_ungrounded_ntg(rng, max_defs=8, max_arity=1, extra_budget=2) for _ in range(300)]
+    left_the_class = 0
+    for n in samples:
+        assert print_rgs(ntg_collapse(n)) == print_rgs(two_path_collapse(n))
+        left_the_class += not is_rg_member(tg_collapse(interpret(n))[0])
+    # besides the hand-made case, random samples reach the scoped path of
+    # the reference too
+    assert left_the_class >= 2
 
 
 def test_retraction_random(tree_corpus):

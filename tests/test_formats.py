@@ -58,6 +58,12 @@ def test_parse_reports_line_numbers():
     assert exc.value.line == 4
 
 
+def test_parse_rejects_empty_body():
+    with pytest.raises(ParseError) as exc:
+        parse_rgs("atomic c/0;\ndef f/0 { }\n")
+    assert exc.value.line == 2 and "'f'" in exc.value.message
+
+
 def test_print_is_deterministic_and_stable(fix_n):
     text1 = print_rgs(fix_n)
     text2 = print_rgs(parse_rgs(text1))
