@@ -5,14 +5,17 @@ specifications by a synchronized walk over their definition bodies, with
 an interface rule at defined-symbol occurrences.  The stack-based ones
 compare arbitrary specifications through configurations that pair a
 vertex with the stack of occurrence vertices it is nested under; those
-work for shared and cyclic dependencies as well (depth-bounded in the
-cyclic case).
+work for shared and cyclic dependencies as well.  Stack-based
+bisimilarity is decided exactly by call/return summaries; the explicit
+closure over configurations remains for the homomorphism variant (bounded
+in the cyclic case) and for building the relation itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .graph import TermGraph
@@ -213,38 +216,208 @@ def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
     return any(_find_cycle(dependency_ars(r)) is not None for r in (r1, r2))
 
 
+# ---------------------------------------------------------------------------
+# Call/return summaries
+#
+# Both stacks push and pop together, so a clash is a reachability question
+# in a pushdown system whose stack letters are occurrence pairs.  What
+# happens below a call depends only on the pair of entered symbols, not on
+# the stack under it, so the closure is tabulated once per such pair in
+# the style of Reps, Horwitz and Sagiv (POPL 1995): the vertex pairs it
+# reaches at its own level, and the input-index pairs through which it
+# returns.  The tables are polynomial in the two specifications whatever
+# their sharing or recursion, so the verdict is exact in every case.
+# ---------------------------------------------------------------------------
+
+
+class _Context:
+    """The summary of one pair of entered symbols (``None``: the root pair).
+
+    ``reached`` maps each vertex pair at this level to its first-discovery
+    pointer ``(length, previous pair, callee, exit)``: ``length`` counts
+    the configurations from the entry pair through this one, ``previous``
+    is None at the entry pair, and ``callee`` and ``exit`` are set when the
+    pair was reached by returning from the call at ``previous``.  ``exits``
+    maps each input-index pair to the input pair first found with it.
+    """
+
+    __slots__ = ("reached", "exits", "callers", "opener")
+
+    def __init__(self, opener):
+        self.reached: Dict[tuple, tuple] = {}
+        self.exits: Dict[Tuple[int, int], tuple] = {}
+        self.callers: List[tuple] = []  # (context key, occurrence pair)
+        self.opener = opener  # the first caller; None for the root context
+
+
+def _tabulate(c1: _Carrier, c2: _Carrier):
+    """Summaries of every context reachable from the root pair.
+
+    Returns ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
+    reason)``, where ``via`` is the calling frame when the clash depends on
+    the caller (an exit that the caller's arity cannot take), else None.
+    """
+    contexts: Dict[Optional[tuple], _Context] = {None: _Context(None)}
+    work = deque()
+
+    def reach(key, pair, pointer):
+        seen = contexts[key].reached
+        if pair not in seen:
+            seen[pair] = pointer
+            work.append((key, pair))
+
+    def ret(key, occ, callee, ij):
+        """Continue the call at ``occ`` of context ``key`` after ``callee``
+        exits through ``ij``; returns a clash reason or None."""
+        i, j = ij
+        a1, a2 = c1.args(occ[0]), c2.args(occ[1])
+        if i > len(a1) or j > len(a2):
+            return "input index exceeds the calling occurrence's arity"
+        sub = contexts[callee]
+        length = contexts[key].reached[occ][0] + sub.reached[sub.exits[ij]][0] + 1
+        reach(key, (a1[i - 1], a2[j - 1]), (length, occ, callee, ij))
+        return None
+
+    reach(None, (c1.root, c2.root), (1, None, None, None))
+    while work:
+        key, pair = work.popleft()
+        ctx = contexts[key]
+        v1, v2 = pair
+        l1, l2 = c1.lab(v1), c2.lab(v2)
+        if not _compatible(l1, l2):
+            return contexts, (key, pair, None, f"labels {l1} and {l2} do not match")
+        if isinstance(l1, (Atomic, Output)):
+            step = (ctx.reached[pair][0] + 1, pair, None, None)
+            for child in zip(c1.args(v1), c2.args(v2)):
+                reach(key, child, step)
+        elif isinstance(l1, Nested):
+            callee = (l1.name, l2.name)
+            sub = contexts.get(callee)
+            if sub is None:
+                sub = contexts[callee] = _Context((key, pair))
+                reach(callee, (c1.rootof[l1.name], c2.rootof[l2.name]), (1, None, None, None))
+            sub.callers.append((key, pair))
+            for ij, w in sub.exits.items():
+                reason = ret(key, pair, callee, ij)
+                if reason:
+                    return contexts, (callee, w, (key, pair), reason)
+        else:  # two inputs: an exit of this context
+            if key is None:
+                return contexts, (key, pair, None, "input vertex reached outside any call")
+            ij = (l1.index, l2.index)
+            if ij not in ctx.exits:
+                ctx.exits[ij] = pair
+                for caller in ctx.callers:
+                    reason = ret(*caller, key, ij)
+                    if reason:
+                        return contexts, (key, pair, caller, reason)
+    return contexts, None
+
+
+def _frames(contexts, key, via) -> List[tuple]:
+    """The calling frames ``(context key, occurrence pair)`` from the root
+    down to context ``key``, entered through ``via`` or its first caller."""
+    frames = []
+    link = via if via is not None else contexts[key].opener
+    while link is not None:
+        frames.append(link)
+        link = contexts[link[0]].opener
+    frames.reverse()
+    return frames
+
+
+def _rebuild_path(contexts, frames, key, pair) -> List[NestedConfig]:
+    """The configurations from the root pair to ``pair`` in context
+    ``key``, following first-discovery pointers backwards; a return is
+    expanded into the callee's own path from its entry to the exit."""
+    segments = []  # (context key, last pair, left stack, right stack)
+    ls, rs = (), ()
+    for k, occ in frames:
+        segments.append((k, occ, ls, rs))
+        ls, rs = ls + (occ[0],), rs + (occ[1],)
+    segments.append((key, pair, ls, rs))
+    backwards = []
+    while segments:
+        k, cur, ls, rs = segments.pop()
+        reached = contexts[k].reached
+        while True:
+            backwards.append(NestedConfig(ls, cur[0], rs, cur[1]))
+            _, prev, callee, ij = reached[cur]
+            if prev is None:
+                break
+            if callee is not None:
+                segments.append((k, prev, ls, rs))
+                exit_pair = contexts[callee].exits[ij]
+                segments.append((callee, exit_pair, ls + (prev[0],), rs + (prev[1],)))
+                break
+            cur = prev
+    backwards.reverse()
+    return backwards
+
+
 @dataclass(frozen=True)
 class NestedBisimResult:
-    verdict: str  # "bisimilar" | "not_bisimilar" | "unknown_at_depth"
-    relation: Optional[NestedBisimRelation] = None
+    verdict: str  # "bisimilar" | "not_bisimilar"
     counterexample: Optional[NestedConfig] = None
     reason: Optional[str] = None
-    depth: Optional[int] = None
+    contexts: int = 0  # pairs of entered symbols tabulated, plus the root context
+    facts: int = 0  # vertex pairs reached and exits found, over all contexts
+    path_length: int = 0  # configurations on ``path``; 0 when bisimilar
+    _carriers: tuple = field(default=(), repr=False, compare=False)
+    _trace: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def bisimilar(self) -> bool:
         return self.verdict == "bisimilar"
 
+    @cached_property
+    def path(self) -> Optional[List[NestedConfig]]:
+        """The configurations from the root pair to ``counterexample``,
+        each a successor of the one before; None when bisimilar."""
+        return None if self._trace is None else _rebuild_path(*self._trace)
+
+    @cached_property
+    def relation(self) -> Optional[NestedBisimRelation]:
+        """The least nested bisimulation, when it is finite: built by the
+        explicit closure on first access, for a positive verdict on acyclic
+        specifications; None otherwise."""
+        c1, c2 = self._carriers
+        if not self.bisimilar or _needs_depth(c1.rgs, c2.rgs):
+            return None
+        configs, bounded, clash = _closure(c1, c2, None)
+        assert clash is None and not bounded, "the closure disagrees with the summaries"
+        return NestedBisimRelation(frozenset(configs), None)
+
 
 def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimResult:
-    """Decide stack-based bisimilarity by closure from the root pair.
+    """Decide stack-based bisimilarity exactly, by call/return summaries.
 
-    Exact whenever both dependency structures are acyclic; with cyclic
-    dependencies a ``depth`` bound is required and a run that hits the
-    bound without finding a clash stays undecided.
+    Polynomial in the two specifications and exact on acyclic, shared and
+    cyclic ones alike.  ``depth`` is accepted for compatibility and no
+    longer affects the answer.  A negative verdict carries the clashing
+    configuration and the path of configurations that reaches it.
     """
     _require_valid(r1, "left specification")
     _require_valid(r2, "right specification")
-    if depth is None and _needs_depth(r1, r2):
-        raise MissingDepthError("cyclic dependencies require a depth bound")
     c1, c2 = _Carrier(r1), _Carrier(r2)
-    configs, bounded, clash = _closure(c1, c2, depth)
-    if clash is not None:
-        return NestedBisimResult("not_bisimilar", counterexample=clash.cfg, reason=clash.message)
-    rel = NestedBisimRelation(frozenset(configs), depth if bounded else None)
-    if bounded:
-        return NestedBisimResult("unknown_at_depth", relation=rel, depth=depth)
-    return NestedBisimResult("bisimilar", relation=rel)
+    contexts, clash = _tabulate(c1, c2)
+    counts = dict(
+        contexts=len(contexts),
+        facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
+    )
+    if clash is None:
+        return NestedBisimResult("bisimilar", _carriers=(c1, c2), **counts)
+    key, pair, via, reason = clash
+    frames = _frames(contexts, key, via)
+    cfg = NestedConfig(
+        tuple(occ[0] for _, occ in frames), pair[0], tuple(occ[1] for _, occ in frames), pair[1]
+    )
+    length = contexts[key].reached[pair][0]
+    length += sum(contexts[k].reached[occ][0] for k, occ in frames)
+    return NestedBisimResult(
+        "not_bisimilar", cfg, reason, path_length=length, _carriers=(c1, c2),
+        _trace=(contexts, frames, key, pair), **counts,
+    )
 
 
 @dataclass(frozen=True)
@@ -260,7 +433,15 @@ class NestedHomResult:
 
 def nested_hom(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedHomResult:
     """Functional variant: the closure must assign at most one right
-    configuration to every left configuration."""
+    configuration to every left configuration.
+
+    Cyclic dependencies need a ``depth`` bound, and a run that reaches it
+    without a conflict stays undecided.  Unlike ``nested_bisim``, this
+    cannot be tabulated per pair of entered symbols: functionality asks
+    whether one left configuration, stack included, meets two right
+    configurations along different paths, and a per-context summary
+    forgets the stacks under which a vertex pair was reached.
+    """
     _require_valid(r1, "left specification")
     _require_valid(r2, "right specification")
     if depth is None and _needs_depth(r1, r2):
@@ -270,13 +451,18 @@ def nested_hom(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedHomResult
     if clash is not None:
         return NestedHomResult("none", reason=clash.message)
     mapping = {}
-    for cfg in sorted(configs, key=str):
-        key = (cfg.left_stack, cfg.left)
-        val = (cfg.right_stack, cfg.right)
+    twice = set()
+    for cfg in configs:
+        key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
         if mapping.setdefault(key, val) != val:
-            return NestedHomResult(
-                "none", reason=f"configuration {key} relates to two targets"
-            )
+            twice.add(key)
+    if twice:
+        # report the first conflict in the order of the printed configurations
+        first = {}
+        for cfg in sorted((c for c in configs if (c.left_stack, c.left) in twice), key=str):
+            key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
+            if first.setdefault(key, val) != val:
+                return NestedHomResult("none", reason=f"configuration {key} relates to two targets")
     if bounded:
         return NestedHomResult("unknown_at_depth")
     return NestedHomResult("hom", mapping=mapping)
@@ -311,22 +497,25 @@ def verify_nested_bisim(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> List[str]
     root_cfg = NestedConfig((), c1.root, (), c2.root)
     if root_cfg not in rel.configs:
         problems.append("root configuration missing")
-    for cfg in sorted(rel.configs, key=str):
+    found = []  # (configuration, problem), in set order
+    for cfg in rel.configs:
         if len(cfg.left_stack) != len(cfg.right_stack):
-            problems.append(f"{cfg}: stacks have different lengths")
+            found.append((cfg, "stacks have different lengths"))
             continue
         try:
             children, pushes = _progressions(c1, c2, cfg)
         except _Clash as e:
-            problems.append(f"{cfg}: {e.message}")
+            found.append((cfg, e.message))
             continue
         if pushes and rel.depth_bound is not None:
             if len(cfg.left_stack) + 1 > rel.depth_bound:
                 continue
         for child in children:
             if child not in rel.configs:
-                problems.append(f"{cfg}: required configuration {child} missing")
-    return problems
+                found.append((cfg, f"required configuration {child} missing"))
+    # stable, so the problems of one configuration keep their order
+    found.sort(key=lambda p: str(p[0]))
+    return problems + [f"{cfg}: {problem}" for cfg, problem in found]
 
 
 # ---------------------------------------------------------------------------

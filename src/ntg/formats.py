@@ -57,12 +57,15 @@ class ValidationError(ValueError):
         self.violations = violations
 
 
+# one match per token or per run of blanks within a line; the last group
+# catches a character that starts no token
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nat>\d+)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_@.']*)
-      | (?P<punct>[{}():,;/])
+    r"""(\d+)
+      | ([A-Za-z_][A-Za-z0-9_@.']*)
+      | ([{}():,;/])
+      | [^\S\n]+
+      | \#.*
+      | (\S)
     """,
     re.VERBOSE,
 )
@@ -71,18 +74,17 @@ _TOKEN_RE = re.compile(
 class _Tokens:
     def __init__(self, text: str):
         self.toks: List[Tuple[str, str, int]] = []
-        line = 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(line, f"unexpected character {text[pos]!r}")
-            kind = m.lastgroup
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.toks.append((kind, value, line))
-            line += value.count("\n")
-            pos = m.end()
+        append = self.toks.append
+        for line, chunk in enumerate(text.split("\n"), 1):
+            for nat, name, punct, bad in _TOKEN_RE.findall(chunk):
+                if nat:
+                    append(("nat", nat, line))
+                elif name:
+                    append(("name", name, line))
+                elif punct:
+                    append(("punct", punct, line))
+                elif bad:
+                    raise ParseError(line, f"unexpected character {bad!r}")
         self.i = 0
 
     def peek(self):

@@ -18,12 +18,14 @@ from ntg import (
     NtgSignature,
     Rgs,
     TermGraph,
+    dependency_ars,
     is_ntg,
     make_graph,
     tg_collapse,
     validate_rgs,
 )
 from ntg.labels import Atomic, Input, Nested, Output
+from ntg.rgs import _find_cycle
 
 ATOM_POOL = {"ca": 0, "cb": 0, "u0": 1, "u1": 1, "b0": 2, "b1": 2, "t0": 3}
 CONSTANTS = [name for name, ar in ATOM_POOL.items() if ar == 0]
@@ -125,12 +127,12 @@ def random_body(rng: random.Random, arity: int, children, extra_budget=5, const_
     return _raw_body(rng, arity, children, extra_budget, back_edges=False)
 
 
-def _finish(rng, names, arities, occurrences) -> Rgs:
+def _finish(rng, names, arities, occurrences, extra_budget=5) -> Rgs:
     """Build bodies bottom-up so constant information is available."""
     rec = {}
     const_below = {}
     for name in reversed(names):
-        body = random_body(rng, arities[name], occurrences[name], const_below=const_below)
+        body = random_body(rng, arities[name], occurrences[name], extra_budget, const_below)
         rec[name] = body
         const_below[name] = _carries_const(body, const_below)
     r = Rgs(NtgSignature(dict(ATOM_POOL), arities, "s0"), {n: rec[n] for n in names})
@@ -153,7 +155,7 @@ def _random_tree(rng: random.Random, max_defs, max_arity):
 
 def random_ntg(rng: random.Random, max_defs=4, max_arity=2, extra_budget=5) -> Rgs:
     """A random grounded tree-shaped specification."""
-    r = _finish(rng, *_random_tree(rng, max_defs, max_arity))
+    r = _finish(rng, *_random_tree(rng, max_defs, max_arity), extra_budget)
     assert is_ntg(r).ok
     return r
 
@@ -185,6 +187,72 @@ def random_acyclic_rgs(rng: random.Random, max_defs=4, max_arity=2) -> Rgs:
             par = names[rng.randrange(0, i)]
             occurrences[par].append((names[i], arities[names[i]]))
     return _finish(rng, names, arities, occurrences)
+
+
+def random_cyclic_rgs(rng: random.Random, max_defs=4, max_arity=2, max_back=3) -> Rgs:
+    """A random grounded specification with cyclic dependencies: a random
+    dependency tree plus 1 to ``max_back`` occurrences that call an
+    ancestor of their definition (mutual recursion) or the definition
+    itself."""
+    names, arities, occurrences = _random_tree(rng, max_defs, max_arity)
+    parent = {}
+    for sym in names:
+        for callee, _ in occurrences[sym]:
+            parent[callee] = sym
+    for _ in range(rng.randrange(1, max_back + 1)):
+        caller = rng.choice(names)
+        chain = [caller]
+        while chain[-1] in parent:
+            chain.append(parent[chain[-1]])
+        callee = rng.choice(chain)
+        occurrences[caller].append((callee, arities[callee]))
+    r = _finish(rng, names, arities, occurrences)
+    assert _find_cycle(dependency_ars(r)) is not None
+    return r
+
+
+def unroll_twice(r: Rgs) -> Rgs:
+    """Two copies of every definition, each calling into the other copy:
+    the same infinite unfolding as ``r`` from twice the definitions."""
+    def twin(sym, k):
+        return sym if k == 0 else f"{sym}_u"
+
+    sig = r.signature
+    rec = {}
+    for sym, body in r.rec.items():
+        for k in (0, 1):
+            lab = {
+                v: Nested(twin(lbl.name, 1 - k), lbl.arity) if isinstance(lbl, Nested) else lbl
+                for v, lbl in body.lab.items()
+            }
+            rec[twin(sym, k)] = TermGraph(lab, body.args, body.root)
+    nested = {twin(sym, k): ar for sym, ar in sig.nested.items() for k in (0, 1)}
+    return Rgs(NtgSignature(dict(sig.atomic), nested, sig.root_symbol), rec)
+
+
+def relabel(r: Rgs, sym: str, v: str, name: str) -> Rgs:
+    """A copy of ``r`` whose vertex ``v`` of definition ``sym`` is the
+    constant ``name``."""
+    body = r.rec[sym]
+    lab = dict(body.lab)
+    lab[v] = Atomic(name, 0)
+    return Rgs(r.signature, {**r.rec, sym: TermGraph(lab, body.args, body.root)})
+
+
+def relabel_constant(rng: random.Random, r: Rgs) -> Rgs:
+    """A copy of ``r`` with one constant vertex, chosen at random, turned
+    into another constant of the pool; ``r`` itself when it has none."""
+    spots = [
+        (sym, v)
+        for sym in sorted(r.rec)
+        for v in sorted(r.rec[sym].lab, key=str)
+        if isinstance(r.rec[sym].lab[v], Atomic) and r.rec[sym].lab[v].arity == 0
+    ]
+    if not spots:
+        return r
+    sym, v = rng.choice(spots)
+    other = rng.choice([c for c in CONSTANTS if c != r.rec[sym].lab[v].name])
+    return relabel(r, sym, v, other)
 
 
 def mutate_ntg(rng: random.Random, r: Rgs, tries=40) -> Rgs:
@@ -306,3 +374,27 @@ def depth_family(d: int) -> Rgs:
     nested = {f"e{i}": 2 for i in range(1, d + 1)}
     nested["e0"] = 0
     return Rgs(NtgSignature({"c": 0, "d": 0, "p": 2, "q": 3}, nested, "e0"), rec)
+
+
+def fanout_family(k: int, suffix: str = "") -> Rgs:
+    """``d``i calls ``d``i+1 twice, once on its own input and once on a
+    constant: 2^k access paths to the innermost definition ``d``k.
+    ``suffix`` renames every defined symbol."""
+    rec = {}
+    for i in range(k + 1):
+        spec = {"o": (Output(), ["a"])}
+        if i < k:
+            callee = Nested(f"d{i + 1}{suffix}", 1)
+            spec["a"] = (Atomic("g", 2), ["x", "y"])
+            spec["x"] = (callee, ["i1" if i else "m"])
+            spec["y"] = (callee, ["kk"])
+            spec["kk"] = (Atomic("c", 0), [])
+        else:
+            spec["a"] = (Atomic("h", 1), ["i1"])
+        if i:
+            spec["i1"] = (Input(1), [])
+        else:
+            spec["m"] = (Atomic("c2", 0), [])
+        rec[f"d{i}{suffix}"] = make_graph("o", spec)
+    nested = {f"d{i}{suffix}": 1 if i else 0 for i in range(k + 1)}
+    return Rgs(NtgSignature({"g": 2, "h": 1, "c": 0, "c2": 0, "z": 0}, nested, f"d0{suffix}"), rec)

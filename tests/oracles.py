@@ -5,12 +5,15 @@ clause verifier for homomorphisms, a greatest-fixpoint computation over
 vertex pairs for the collapse, round-by-round refinement as the reference
 block map of the collapse engine, the plain-then-scoped collapse as the
 reference of ``ntg_collapse``, a whole-graph walk per scope as the
-reference input order of the read-back, and a backtracking enumeration of
-ancestor assignments.  None of them share search code with the library,
-except that ``two_path_collapse`` takes its plain path from
+reference input order of the read-back, a backtracking enumeration of
+ancestor assignments, a whole-text scanner as the reference tokenizer,
+and a replay of the explicit progression rules as the checker of the
+paths of ``nested_bisim``.  None of them share search code with the
+library, except that ``two_path_collapse`` takes its plain path from
 ``tg_collapse``, whose block map is checked against ``moore_refine``.
 """
 
+import re
 from itertools import product
 
 from ntg import verify_ntg_hom, verify_sntg_hom, verify_tg_hom
@@ -338,3 +341,63 @@ def enumerate_ancestor_assignments(g, limit=2):
 
     extend({}, 0)
     return solutions
+
+
+_SCAN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<nat>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_@.']*)
+      | (?P<punct>[{}():,;/])
+    """,
+    re.VERBOSE,
+)
+
+
+def scan_tokens(text):
+    """The reference tokenizer of the text formats: one anchored match per
+    token or run of whitespace over the whole text, counting newlines as
+    it goes.  Returns the ``(kind, value, line)`` tuples, or raises the
+    ``ParseError`` for the first character that starts no token."""
+    from ntg.formats import ParseError
+
+    toks = []
+    line = 1
+    pos = 0
+    while pos < len(text):
+        m = _SCAN_RE.match(text, pos)
+        if not m:
+            raise ParseError(line, f"unexpected character {text[pos]!r}")
+        if m.lastgroup not in ("ws", "comment"):
+            toks.append((m.lastgroup, m.group(), line))
+        line += m.group().count("\n")
+        pos = m.end()
+    return toks
+
+
+def replay_path(r1, r2, path):
+    """Why ``path`` is not a run of the stack-based progression rules into
+    a clash, or None when it is one.
+
+    The path must start at the root configuration, every configuration
+    must be among the successors the rules force on the one before, and
+    the rules must reject the last one.  This replays the explicit rules of
+    the closure and shares nothing with the summary tabulation.
+    """
+    from ntg.equivalence import NestedConfig, _Clash, _progressions
+
+    c1, c2 = _Carrier(r1), _Carrier(r2)
+    if not path or path[0] != NestedConfig((), c1.root, (), c2.root):
+        return "the path does not start at the root configuration"
+    for k in range(1, len(path)):
+        try:
+            children, _ = _progressions(c1, c2, path[k - 1])
+        except _Clash:
+            return f"configuration {k - 1} already clashes"
+        if path[k] not in children:
+            return f"configuration {k} is not a successor of configuration {k - 1}"
+    try:
+        _progressions(c1, c2, path[-1])
+    except _Clash:
+        return None
+    return "the last configuration does not clash"

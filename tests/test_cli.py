@@ -134,8 +134,13 @@ def test_bisim_unfolds_shared_input():
 
 
 def test_bisim_cyclic_without_depth():
-    code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"))
-    assert code == 2
+    for depth in ([], ["--depth", "4"]):
+        code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"), *depth)
+        assert code == 0 and out.strip() == "bisimilar"
+    # the first-order method flattens a finite unfolding, which a cyclic
+    # specification does not have
+    code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"), "--method", "both")
+    assert code == 2 and out == ""
 
 
 def test_hom_levels():

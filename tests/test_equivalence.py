@@ -1,9 +1,9 @@
 import random
+import time
 
 import pytest
 
 from ntg import (
-    MissingDepthError,
     cross_check_theorems,
     dependency_height,
     minimal_nested_self_bisimulation,
@@ -19,8 +19,18 @@ from ntg import (
     witness_ntg_from_relation,
 )
 from ntg.firstorder import ntg_collapse
-from generators import mutate_ntg, random_acyclic_rgs, random_ntg
-from oracles import brute_force_ntg_hom
+from generators import (
+    depth_family,
+    fanout_family,
+    mutate_ntg,
+    random_acyclic_rgs,
+    random_cyclic_rgs,
+    random_ntg,
+    relabel,
+    relabel_constant,
+    unroll_twice,
+)
+from oracles import brute_force_ntg_hom, replay_path
 
 
 def test_hom_identity(fix_n):
@@ -109,11 +119,12 @@ def test_nested_bisim_specification_against_unfolding(fix_r0):
     assert nested_hom(unfolded, fix_r0).exists
 
 
-def test_nested_bisim_requires_depth_for_cycles(fix_r1):
-    with pytest.raises(MissingDepthError):
-        nested_bisim(fix_r1, fix_r1)
-    res = nested_bisim(fix_r1, fix_r1, depth=4)
-    assert res.verdict == "unknown_at_depth"
+def test_nested_bisim_decides_cycles_exactly(fix_r1):
+    for depth in (None, 4):
+        res = nested_bisim(fix_r1, fix_r1, depth)
+        assert res.verdict == "bisimilar"
+        # no finite relation exists to build on cyclic input
+        assert res.relation is None
 
 
 def test_nested_bisim_cyclic_negative_is_definite(fix_r1):
@@ -264,3 +275,130 @@ def test_stack_depth_bound_for_pairs(fix_n, sharing_chain):
             if res.bisimilar:
                 bound = max(dependency_height(n1), dependency_height(n2))
                 assert res.relation.max_stack_depth() <= bound
+
+
+# ---------------------------------------------------------------------------
+# The summary tabulation of nested_bisim against the explicit closure
+# ---------------------------------------------------------------------------
+
+
+def _closure_clash(r1, r2, depth):
+    from ntg.equivalence import _Carrier, _closure
+
+    return _closure(_Carrier(r1), _Carrier(r2), depth)[2]
+
+
+def _random_pairs(rng, make, count):
+    """Pairs of ``make(rng)`` against itself, a copy with one constant
+    changed, and another random specification, in turn."""
+    pairs = []
+    for k in range(count):
+        a = make(rng)
+        b = (a, relabel_constant(rng, a), make(rng))[k % 3]
+        pairs.append((a, b))
+    return pairs
+
+
+def _check_negative(a, b, res):
+    assert res.verdict == "not_bisimilar" and res.relation is None
+    path = res.path
+    assert replay_path(a, b, path) is None
+    assert path[-1] == res.counterexample and len(path) == res.path_length
+    for k in range(len(path)):
+        assert replay_path(a, b, path[:k] + path[k + 1:]) is not None, k
+    # the clash lies within the stack depth the path reaches
+    depth = max(len(cfg.left_stack) for cfg in path)
+    assert _closure_clash(a, b, depth) is not None
+
+
+def test_summaries_agree_with_closure_on_acyclic_pairs():
+    verdicts = []
+    for a, b in _random_pairs(random.Random(101), random_acyclic_rgs, 420):
+        res = nested_bisim(a, b)
+        assert res.bisimilar == (_closure_clash(a, b, None) is None)
+        if res.bisimilar:
+            assert res.path is None and res.path_length == 0
+            assert verify_nested_bisim(res.relation, a, b) == []
+        else:
+            _check_negative(a, b, res)
+        verdicts.append(res.verdict)
+    assert verdicts.count("bisimilar") >= 100 and verdicts.count("not_bisimilar") >= 100
+
+
+def test_summaries_decide_cyclic_pairs():
+    verdicts = []
+    for a, b in _random_pairs(random.Random(103), random_cyclic_rgs, 90):
+        res = nested_bisim(a, b)
+        if res.bisimilar:
+            assert res.relation is None and res.path is None
+        else:
+            _check_negative(a, b, res)
+        verdicts.append(res.verdict)
+    assert verdicts.count("bisimilar") >= 20 and verdicts.count("not_bisimilar") >= 20
+    # no bounded closure finds a clash where the summaries found none; one
+    # call back per specification keeps the closure at depth 8 small (with
+    # k calls back its size grows like k^depth)
+    positives = 0
+    for a, b in _random_pairs(random.Random(109), lambda rng: random_cyclic_rgs(rng, max_back=1), 90):
+        if nested_bisim(a, b).bisimilar:
+            positives += 1
+            for depth in range(1, 9):
+                assert _closure_clash(a, b, depth) is None, depth
+    assert positives >= 20
+
+
+def test_cyclic_specification_against_its_unrolling(fix_r1):
+    from conftest import load_rgs
+
+    assert nested_bisim(fix_r1, load_rgs("r1_unrolled.rgs")).verdict == "bisimilar"
+    rng = random.Random(107)
+    for _ in range(30):
+        r = random_cyclic_rgs(rng)
+        assert nested_bisim(r, unroll_twice(r)).bisimilar
+
+
+def test_summaries_call_neither_closure_nor_progressions(monkeypatch):
+    from ntg import equivalence
+
+    def forbidden(*args):
+        raise AssertionError("the summary tabulation used the explicit rules")
+
+    pairs = _random_pairs(random.Random(113), random_cyclic_rgs, 30)
+    expected = [nested_bisim(a, b) for a, b in pairs]
+    monkeypatch.setattr(equivalence, "_closure", forbidden)
+    monkeypatch.setattr(equivalence, "_progressions", forbidden)
+    for (a, b), want in zip(pairs, expected):
+        res = nested_bisim(a, b)
+        assert (res.verdict, res.counterexample) == (want.verdict, want.counterexample)
+        assert res.path == want.path
+
+
+def test_shared_fanout_decides_without_the_relation(monkeypatch):
+    from ntg import equivalence
+
+    f, g = fanout_family(80), fanout_family(80, "_b")
+    negatives = [relabel(f, sym, v, "z") for sym, v in (("d0", "m"), ("d40", "kk"), ("d79", "kk"))]
+    monkeypatch.setattr(equivalence, "_closure", None)  # 2^80 configurations
+    for other in [g] + negatives:
+        start = time.perf_counter()
+        res = nested_bisim(f, other)
+        path = res.path
+        assert time.perf_counter() - start < 0.1
+        assert res.bisimilar == (other is g)
+        assert res.contexts == 81
+        if path is not None:
+            assert replay_path(f, other, path) is None
+
+
+def test_deep_negative_path_without_recursion():
+    import sys
+
+    limit = sys.getrecursionlimit()
+    d = depth_family(1500)
+    other = relabel(d, "e1499", "k", "d")
+    res = nested_bisim(d, other)
+    assert res.verdict == "not_bisimilar" and res.reason == "labels c and d do not match"
+    assert len(res.counterexample.left_stack) == 1499
+    assert len(res.path) == res.path_length > 3 * 1499
+    assert res.path[-1] == res.counterexample
+    assert sys.getrecursionlimit() == limit

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -164,3 +165,40 @@ def test_dot_sntg(fix_n):
 
 def test_dot_byte_stable(fix_n):
     assert export_dot(fix_n) == export_dot(parse_rgs(print_rgs(fix_n)))
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return ("error", e.line, e.message)
+
+
+def test_tokenizer_equals_whole_text_scanner():
+    from ntg.formats import _Tokens
+    from oracles import scan_tokens
+
+    data = pathlib.Path(__file__).parent / "data"
+    texts = [p.read_text() for p in sorted(data.iterdir())]
+    rng = random.Random(83)
+    for _ in range(40):
+        n = random_ntg(rng)
+        texts += [print_rgs(n), print_fo(interpret(n))]
+    texts += [print_rgs(random_acyclic_rgs(rng)) for _ in range(20)]
+    # blanks and line breaks of every kind, comments, stray characters and
+    # digits outside ASCII, spliced in at random places
+    noise = ["\r\n", "\t", " ", "\n\n", " ", " ", "　", "\x0b", "\x0c", "\x85",
+             "# note", "#\r", "$", "é", "٣", "7", "-", "\\", "\x00", ";", "'"]
+    fuzzed = []
+    for text in texts[:60]:
+        for _ in range(4):
+            chars = list(text)
+            for _ in range(rng.randrange(1, 6)):
+                chars.insert(rng.randrange(len(chars) + 1), rng.choice(noise))
+            fuzzed.append("".join(chars))
+    errors = 0
+    for text in texts + fuzzed:
+        ours = _tokens_or_error(lambda t: _Tokens(t).toks, text)
+        assert ours == _tokens_or_error(scan_tokens, text), repr(text)
+        errors += ours[0] == "error"
+    assert 0 < errors < len(fuzzed)
