@@ -54,14 +54,18 @@ back = represent(flat)
 print("\nreading back gives the original up to isomorphism:",
       ntg_isomorphic(n, back) is not None)
 
-# Maximal sharing: collapse the flattening, read the result back.  The
-# collapse of any bisimilar specification is the same up to isomorphism.
+# Maximal sharing: ntg_collapse refines the specification's own vertices
+# (occurrences redirected, constants without exit chains) and reads the
+# quotient back, without building the flattening.  The collapse of any
+# bisimilar specification is the same up to isomorphism.
 d = parse_rgs((DATA / "chain_d.rgs").read_text())
 a = parse_rgs((DATA / "chain_a.rgs").read_text())
 cd, ca = ntg_collapse(d), ntg_collapse(a)
 print("\ncollapses of the chain ends coincide:", ntg_isomorphic(cd, ca) is not None)
 print("every specification maps homomorphically onto its collapse:",
       ntg_hom(d, cd) is not None)
+print("and it is the read-back of the collapsed flattening:",
+      ntg_isomorphic(cd, represent(tg_collapse(interpret(d))[0])) is not None)
 
 collapsed_flat, _ = tg_collapse(flat)
 print("\nthe collapse of a flattening stays in the representing class:",

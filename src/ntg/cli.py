@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import equivalence, firstorder, formats, rgs as rgs_mod
 from .graph import tg_bisimilar, tg_hom_explained
-from .rgs import MissingDepthError, is_ntg, unfold_to_ntg
+from .rgs import Cycle, MissingDepthError, is_ntg, unfold_to_ntg
 from .sntg import ntg_to_sntg, sntg_hom_explained
 
 OK, FAIL, USAGE, DISAGREE = 0, 1, 2, 3
@@ -41,15 +41,24 @@ def _load_rgs(path: str):
 
 
 def _load_ntg(path: str, stderr, depth: Optional[int] = None):
-    """Parse and, when the dependencies are acyclic but shared, unfold."""
+    """Parse and, when the dependencies are acyclic but shared, unfold.
+
+    Cyclic input has no tree-shaped form at any depth, so it is refused
+    with a pointer to the one method that decides it."""
     r = _load_rgs(path)
-    if is_ntg(r).ok:
+    res = is_ntg(r)
+    if res.ok:
         return r
-    res = unfold_to_ntg(r, depth)
-    if res.truncated:
-        raise MissingDepthError("cyclic specification cannot be made tree-shaped")
+    if isinstance(res.defect, Cycle):
+        raise ValueError(
+            f"{path} has cyclic dependencies, so it has no tree-shaped form "
+            "(bisim --method nested decides cyclic input)"
+        )
+    unfolded = unfold_to_ntg(r, depth)
+    if unfolded.truncated:
+        raise ValueError(f"the unfolding of {path} is cut at depth {depth} (drop --depth)")
     print(f"note: unfolded {path} into a tree-shaped specification", file=stderr)
-    return res.rgs
+    return unfolded.rgs
 
 
 def run_cli(argv, stdout=None, stderr=None) -> int:

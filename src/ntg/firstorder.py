@@ -7,18 +7,30 @@ back-link to their scope's output vertex, constants become unary and grow
 a chain of exit vertices that grounds their nesting level at the root.
 Membership in the image class is characterized by the existence of a
 unique ancestor assignment, which also drives the inverse translation.
+
+``interpret`` and ``ntg_collapse`` share one carrier: the specification's
+own vertices under these rules, with constants left nullary.  The
+flattening adds the exit chains; the collapse never builds them, since a
+chain is fixed by its constant's name and enclosing scopes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable
 from .labels import Atomic, Input, Nested, Output
-from .rgs import NtgSignature, Rgs, symbol_name_ok, validate_rgs, is_ntg
-from .sntg import ntg_to_sntg
+from .rgs import (
+    NtgSignature,
+    Rgs,
+    _reachable_symbols,
+    _tree_dependencies,
+    is_ntg,
+    symbol_name_ok,
+    validate_rgs,
+)
 
 Vertex = str
 
@@ -79,52 +91,91 @@ ROOT_OUTPUT = RootOutput()
 ROOT_INPUT = RootInput()
 
 
+def _carrier(n: Rgs):
+    """``(g, inner, depth)``: ``g`` holds the non-occurrence vertices of
+    ``n`` once each, under their names in the flattening.  An edge into an
+    occurrence goes to its callee's output vertex, an input's successors
+    are its occurrence's argument and its scope's output vertex, the root
+    output is relabeled, and a constant is a nullary leaf.  ``inner`` maps
+    each vertex to its innermost enclosing output vertex (None at the
+    root output), ``depth`` each output vertex to its nesting depth.
+
+    Linear time; invalid or not tree-shaped input raises the same
+    ``ValueError`` as in ``ntg_to_sntg`` (``rgs._tree_dependencies``).
+    """
+    deps = _tree_dependencies(n)
+
+    out_of = {sym: f"{sym}.{body.root}" for sym, body in n.rec.items()}
+    intro = {step.target: step for step in deps.steps}
+    root = out_of[n.root_symbol]
+    lab: Dict[Vertex, object] = {}
+    args: Dict[Vertex, tuple] = {}
+    inner: Dict[Vertex, Optional[Vertex]] = {}
+    depth: Dict[Vertex, int] = {root: 0}
+
+    def redirect(sym: str, body: TermGraph, v: Vertex) -> Vertex:
+        lbl = body.lab[v]
+        return out_of[lbl.name] if isinstance(lbl, Nested) else f"{sym}.{v}"
+
+    for sym in _reachable_symbols(deps):
+        body = n.rec[sym]
+        o = out_of[sym]
+        if sym != n.root_symbol:
+            step = intro[sym]
+            caller = n.rec[step.source]
+            actual = [redirect(step.source, caller, w) for w in caller.args[step.vertex]]
+            inner[o] = out_of[step.source]
+            depth[o] = depth[inner[o]] + 1
+        else:
+            actual, inner[o] = [], None
+        for v in body.lab:
+            lbl = body.lab[v]
+            if isinstance(lbl, Nested):
+                continue
+            u = f"{sym}.{v}"
+            if isinstance(lbl, Output):
+                lab[u] = ROOT_OUTPUT if u == root else lbl
+                args[u] = (redirect(sym, body, body.args[v][0]),)
+                continue
+            if isinstance(lbl, Input):
+                lab[u] = FO_INPUT
+                args[u] = (actual[lbl.index - 1], o)
+            else:
+                lab[u] = lbl
+                args[u] = tuple(redirect(sym, body, w) for w in body.args[v])
+            inner[u] = o
+    return TermGraph(lab, args, root), inner, depth
+
+
 def interpret(n: Rgs) -> TermGraph:
     """Flatten a tree-shaped specification into a first-order term graph.
 
-    Starting from the structural representation: occurrence vertices are
-    removed with incoming edges redirected to their definition's output
-    vertex; each input vertex becomes binary (argument, then back-link to
-    the enclosing output vertex); the root definition's output vertex is
-    relabeled; and each constant becomes unary, its successor heading a
-    chain of exit vertices, one per nesting level, ending in a link back
-    to the root.
+    The carrier of ``n`` (see ``_carrier``) in which each constant becomes
+    unary, its successor heading a chain of exit vertices, one per
+    enclosing scope, innermost first, ending in a link back to the root.
     """
-    s = ntg_to_sntg(n)
-    g = s.tg
-
-    def redirect(v: Vertex) -> Vertex:
-        return s.call[v] if isinstance(g.lab[v], Nested) else v
-
-    root = s.call[g.root]
+    c, inner, _ = _carrier(n)
+    root = c.root
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
-    for v in g.lab:
-        lbl = g.lab[v]
-        if isinstance(lbl, Nested):
-            continue
-        if isinstance(lbl, Output):
-            lab[v] = ROOT_OUTPUT if v == root else lbl
-            args[v] = (redirect(g.args[v][0]),)
-        elif isinstance(lbl, Input):
-            occ = s.anc[v][-1]
-            lab[v] = FO_INPUT
-            args[v] = (redirect(s.ret[v]), s.call[occ])
-        elif isinstance(lbl, Atomic) and lbl.arity == 0:
-            lab[v] = PrimedConst(lbl.name)
-            chain = s.anc[v]  # occurrence vertices, innermost last
-            depth = len(chain)
-            links = [f"{v}#e{k}" for k in range(1, depth)] + [f"{v}#er"]
-            args[v] = (links[0],)
-            for k in range(1, depth):
-                # k-th exit leaves the scope opened by chain[depth - k]
-                lab[links[k - 1]] = FO_INPUT
-                args[links[k - 1]] = (links[k], s.call[chain[depth - k]])
-            lab[links[-1]] = ROOT_INPUT
-            args[links[-1]] = (root,)
-        else:
+    for v, lbl in c.lab.items():
+        if not (isinstance(lbl, Atomic) and lbl.arity == 0):
             lab[v] = lbl
-            args[v] = tuple(redirect(w) for w in g.args[v])
+            args[v] = c.args[v]
+            continue
+        lab[v] = PrimedConst(lbl.name)
+        outs = []  # the scopes the chain leaves, innermost first
+        o = inner[v]
+        while o != root:
+            outs.append(o)
+            o = inner[o]
+        links = [f"{v}#e{k}" for k in range(1, len(outs) + 1)] + [f"{v}#er"]
+        args[v] = (links[0],)
+        for k, o in enumerate(outs):
+            lab[links[k]] = FO_INPUT
+            args[links[k]] = (links[k + 1], o)
+        lab[links[-1]] = ROOT_INPUT
+        args[links[-1]] = (root,)
 
     out = TermGraph(lab, args, root)
     assert check_root_connected(out) is None, "interpretation must be root-connected"
@@ -319,7 +370,11 @@ def represent(g: TermGraph) -> Rgs:
     anc, defect = _member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    return _read_back(g, anc)
+    # Every chain of the assignment extends the chain of its last letter,
+    # so two vertices share a level exactly when their innermost ancestors
+    # agree; comparing those costs O(1) instead of O(depth).
+    inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
+    return _read_back(g, inner, {v: len(chain) for v, chain in anc.items()})
 
 
 class _Scope:
@@ -340,12 +395,11 @@ class _Scope:
         self.memo: Dict[Vertex, Vertex] = {}
 
 
-def _read_back(g: TermGraph, anc: Dict[Vertex, tuple]) -> Rgs:
-    """``represent`` for a member ``g`` whose ancestor assignment is ``anc``."""
-    # Every chain of the assignment extends the chain of its last letter,
-    # so two vertices share a level exactly when their innermost ancestors
-    # agree; comparing those costs O(1) instead of O(depth).
-    inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
+def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
+               depth: Mapping[Vertex, int]) -> Rgs:
+    """``represent`` for a member ``g``, or for a carrier's quotient (whose
+    constants have no exit chains), given each vertex's innermost
+    enclosing output vertex ``inner`` and each output vertex's ``depth``."""
     end = exit_chain_ends(g.lab, g.args)
 
     def is_chain(v: Vertex) -> bool:
@@ -355,7 +409,7 @@ def _read_back(g: TermGraph, anc: Dict[Vertex, tuple]) -> Rgs:
     # input lists of the scopes it calls, which lie one level deeper
     outputs = [v for v in g.lab if isinstance(g.lab[v], (Output, RootOutput))]
     inputs_of: Dict[Vertex, List[Vertex]] = {}
-    for o in sorted(outputs, key=lambda v: len(anc[v]), reverse=True):
+    for o in sorted(outputs, key=depth.__getitem__, reverse=True):
         order: List[Vertex] = []
         seen = set()
         stack = [g.args[o][0]]
@@ -466,25 +520,38 @@ def _read_back(g: TermGraph, anc: Dict[Vertex, tuple]) -> Rgs:
 def ntg_collapse(n: Rgs) -> Rgs:
     """Maximally shared form of a tree-shaped specification.
 
-    Computed by flattening, collapsing the first-order graph, and reading
-    the result back.  Idempotent up to isomorphism, and bisimilar inputs
-    collapse to isomorphic results.
+    One run of the refinement engine on the carrier (see ``_carrier``),
+    keyed by each vertex's arguments and innermost enclosing output
+    vertex, then the quotient and the read-back; the flattening is never
+    built.  Idempotent up to isomorphism, and bisimilar inputs collapse to
+    isomorphic results.
 
-    The collapse refines by the arguments and by each vertex's innermost
-    ancestor, in one run of the refinement engine.  Plain refinement can
+    The innermost output vertex keeps scopes apart.  Plain refinement can
     merge equally-shaped cycles across scope levels when those cycles
     never reach an exit vertex (the flattening is then not fully
     back-linked), and the quotient would leave the representing class.
-    The ancestor key keeps it inside, and it is exact: a homomorphism
-    carries the forced ancestor assignment onto that of its image, so
-    whenever the plain quotient is in the class its partition already
-    respects the ancestors and equals this one.  The innermost ancestor
-    is enough, because every chain is the chain of its last letter with
-    that letter appended: a partition that respects the last letters
-    respects the whole chains, by induction on their length.  This costs
-    O(m log n) time for n vertices and m edges, plus one entry per vertex.
+    The key is exact: a homomorphism carries the forced ancestor
+    assignment onto that of its image, so whenever the plain quotient is
+    in the class its partition already respects the ancestors and equals
+    this one.  The innermost output vertex is enough, because every chain
+    is the chain of its last letter with that letter appended: a
+    partition that respects the last letters respects the whole chains,
+    by induction on their length.  For the same reason the exit chains
+    can be left out: two constants of one name share a chain in the
+    collapse of the flattening exactly when their innermost output
+    vertices share a block, so both collapses agree on the carrier.
+
+    This costs O(m log m) time for the m vertices and edges of ``n``,
+    whose flattening can have Θ(m²) vertices on deep nesting.
     """
-    flat = interpret(n)
-    anc, _ = infer_ancestors(flat)
-    seqs = {v: flat.args[v] + anc[v][-1:] for v in flat.lab}
-    return represent(_quotient(flat, _refine(flat.lab, seqs)))
+    c, inner, depth = _carrier(n)
+    seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
+    block = _refine(c.lab, seqs)
+    q = _quotient(c, block)
+    q_inner: Dict[Vertex, Optional[Vertex]] = {}
+    for v, b in block.items():
+        i = block.get(inner[v])  # None at the root output
+        q_inner.setdefault(b, i)
+        assert q_inner[b] == i, "the collapse must respect the scopes"
+    q_depth = {block[o]: k for o, k in depth.items()}
+    return _read_back(q, q_inner, q_depth)

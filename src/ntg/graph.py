@@ -154,8 +154,9 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
     """Coarsest partition in which block-mates agree on their label and on
     the blocks of their successors, position by position.
 
-    ``args`` may list more vertices than the label's arity: the scoped
-    collapse of ``ntg_collapse`` appends each vertex's innermost ancestor.
+    ``args`` may list more vertices than the label's arity: ``ntg_collapse``
+    refines the carrier of a specification (``firstorder._carrier``) with
+    each vertex's innermost enclosing output vertex appended.
 
     Splitter-worklist refinement with the "process the smaller half" rule
     (Hopcroft 1971; Paige and Tarjan 1987; Valmari and Lehtinen 2008).  The

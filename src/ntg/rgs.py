@@ -302,6 +302,29 @@ def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
     return NtgResult(True)
 
 
+def _tree_dependencies(n: Rgs) -> DependencyArs:
+    """The dependency steps of ``n``, after a ``ValueError`` on the first
+    violation when ``n`` is invalid or not tree-shaped, or when two of its
+    vertices share the name ``<symbol>.<vertex>`` that the structural
+    representation and the flattening give them."""
+    bad = validate_rgs(n)
+    if bad:
+        raise ValueError("invalid specification: " + str(bad[0]))
+    deps = dependency_ars(n)
+    res = is_ntg(n, deps)
+    if not res.ok:
+        raise ValueError(f"not a tree-shaped specification: {res.defect}")
+    owner: Dict[str, str] = {}
+    for sym, body in n.rec.items():
+        for v in body.lab:
+            other = owner.setdefault(f"{sym}.{v}", sym)
+            if other != sym:
+                raise ValueError(
+                    f"vertex name {sym}.{v} is ambiguous: definitions {other} and {sym} both yield it"
+                )
+    return deps
+
+
 class MissingDepthError(ValueError):
     """Raised when unfolding a cyclic specification without a depth bound."""
 

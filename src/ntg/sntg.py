@@ -19,11 +19,11 @@ from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     NtgSignature,
     Rgs,
-    dependency_ars,
     is_ntg,
     validate_rgs,
     _pair_witness,
     _reachable_symbols,
+    _tree_dependencies,
     _uniquify,
 )
 
@@ -173,13 +173,7 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     vertex, every input vertex back to the matching occurrence successor,
     and ancestor chains record the call path from the root vertex.
     """
-    bad = validate_rgs(n)
-    if bad:
-        raise ValueError("invalid specification: " + str(bad[0]))
-    deps = dependency_ars(n)
-    res = is_ntg(n, deps)
-    if not res.ok:
-        raise ValueError(f"not a tree-shaped specification: {res.defect}")
+    deps = _tree_dependencies(n)
 
     def vid(sym: str, v: Vertex) -> Vertex:
         return f"{sym}.{v}"

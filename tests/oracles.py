@@ -8,9 +8,13 @@ reference of ``ntg_collapse``, a whole-graph walk per scope as the
 reference input order of the read-back, a backtracking enumeration of
 ancestor assignments, a whole-text scanner as the reference tokenizer,
 and a replay of the explicit progression rules as the checker of the
-paths of ``nested_bisim``.  None of them share search code with the
-library, except that ``two_path_collapse`` takes its plain path from
-``tg_collapse``, whose block map is checked against ``moore_refine``.
+paths of ``nested_bisim``, and the flattening built from the structural
+representation, with the collapse of that flattening read back, as the
+references of the carrier-based ``interpret`` and ``ntg_collapse``.
+None of them share search code with the library, except that
+``two_path_collapse`` takes its plain path from ``tg_collapse``, whose
+block map is checked against ``moore_refine``, and ``flat_collapse``
+runs the library's ``_refine`` on the flattening.
 """
 
 import re
@@ -141,6 +145,71 @@ def two_path_collapse(n):
         {r: tuple(block[w] for w in flat.args[r]) for r in reps},
         block[flat.root],
     ))
+
+
+def sntg_interpret(n):
+    """The flattening of ``n`` built from its structural representation:
+    occurrence vertices removed with incoming edges redirected through the
+    call map, inputs closed by the return map and the innermost occurrence
+    of their ancestor chain, and each constant's exit chain read off its
+    full ancestor chain."""
+    from ntg import Atomic, Input, Nested, Output, ntg_to_sntg
+    from ntg.firstorder import FO_INPUT, ROOT_INPUT, ROOT_OUTPUT, PrimedConst
+    from ntg.graph import check_root_connected
+
+    s = ntg_to_sntg(n)
+    g = s.tg
+
+    def redirect(v):
+        return s.call[v] if isinstance(g.lab[v], Nested) else v
+
+    root = s.call[g.root]
+    lab = {}
+    args = {}
+    for v in g.lab:
+        lbl = g.lab[v]
+        if isinstance(lbl, Nested):
+            continue
+        if isinstance(lbl, Output):
+            lab[v] = ROOT_OUTPUT if v == root else lbl
+            args[v] = (redirect(g.args[v][0]),)
+        elif isinstance(lbl, Input):
+            occ = s.anc[v][-1]
+            lab[v] = FO_INPUT
+            args[v] = (redirect(s.ret[v]), s.call[occ])
+        elif isinstance(lbl, Atomic) and lbl.arity == 0:
+            lab[v] = PrimedConst(lbl.name)
+            chain = s.anc[v]  # occurrence vertices, innermost last
+            depth = len(chain)
+            links = [f"{v}#e{k}" for k in range(1, depth)] + [f"{v}#er"]
+            args[v] = (links[0],)
+            for k in range(1, depth):
+                # k-th exit leaves the scope opened by chain[depth - k]
+                lab[links[k - 1]] = FO_INPUT
+                args[links[k - 1]] = (links[k], s.call[chain[depth - k]])
+            lab[links[-1]] = ROOT_INPUT
+            args[links[-1]] = (root,)
+        else:
+            lab[v] = lbl
+            args[v] = tuple(redirect(w) for w in g.args[v])
+
+    out = TermGraph(lab, args, root)
+    assert check_root_connected(out) is None, "interpretation must be root-connected"
+    return out
+
+
+def flat_collapse(n):
+    """``ntg_collapse`` through the flattening: ``sntg_interpret``, one
+    refinement by the arguments and the innermost ancestor of the inferred
+    assignment, the quotient, and ``represent`` with its membership
+    checks."""
+    from ntg import infer_ancestors, represent
+    from ntg.graph import _quotient, _refine
+
+    flat = sntg_interpret(n)
+    anc, _ = infer_ancestors(flat)
+    seqs = {v: flat.args[v] + anc[v][-1:] for v in flat.lab}
+    return represent(_quotient(flat, _refine(flat.lab, seqs)))
 
 
 def depth_first_scope_inputs(g, anc, o):

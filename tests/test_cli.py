@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from ntg import run_cli
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -141,6 +143,43 @@ def test_bisim_cyclic_without_depth():
     # specification does not have
     code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"), "--method", "both")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["collapse", "{r1}"],
+    ["interpret", "{r1}"],
+    ["roundtrip", "{r1}"],
+    ["sntg", "{r1}"],
+    ["hom", "{r1}", "{r1}", "--level", "ntg"],
+    ["hom", "{r1}", "{r1}", "--level", "sntg"],
+    ["hom", "{r1}", "{r1}", "--level", "fo"],
+    ["bisim", "{r1}", "{r1}", "--method", "firstorder"],
+    ["bisim", "{r1}", "{r1}", "--method", "both", "--depth", "3"],
+], ids=" ".join)
+def test_cyclic_input_points_to_the_nested_method(argv):
+    # no depth makes a cyclic specification tree-shaped, so the hint names
+    # the method that decides it instead of --depth
+    code, out, err = run(*(a.format(r1=path("r1.rgs")) for a in argv))
+    assert code == 2 and out == ""
+    assert "cyclic" in err and "bisim --method nested" in err
+    assert "--depth" not in err
+
+
+def test_clashing_vertex_names_exit_2(tmp_path):
+    doc = tmp_path / "dots.rgs"
+    doc.write_text(
+        "atomic k/0, u/1;\nroot r;\ndef r/0 { o: out(p); p: u(x); x: a; }\n"
+        "def a/0 { o: out(b.c); b.c: u(y); y: a.b; }\ndef a.b/0 { o: out(c); c: k; }\n"
+    )
+    for cmd in ("interpret", "collapse", "roundtrip", "sntg"):
+        code, out, err = run(cmd, str(doc))
+        assert code == 2 and out == "" and "a.b.c is ambiguous" in err, cmd
+
+
+def test_shared_input_cut_by_depth_is_not_called_cyclic():
+    code, out, err = run("bisim", path("r0.rgs"), path("r0.rgs"), "--method", "both", "--depth", "0")
+    assert code == 2 and out == ""
+    assert "cut at depth 0" in err and "cyclic" not in err
 
 
 def test_hom_levels():

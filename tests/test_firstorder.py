@@ -20,6 +20,7 @@ from ntg import (
     ntg_hom,
     ntg_isomorphic,
     ntg_to_sntg,
+    print_fo,
     print_rgs,
     represent,
     rg_defect,
@@ -32,6 +33,8 @@ from generators import (
     chain_spec,
     depth_family,
     mutate_ntg,
+    random_acyclic_rgs,
+    random_cyclic_rgs,
     random_ntg,
     random_quotient,
     random_ungrounded_ntg,
@@ -41,7 +44,9 @@ from ntg.labels import Input
 from oracles import (
     depth_first_scope_inputs,
     enumerate_ancestor_assignments,
+    flat_collapse,
     moore_refine,
+    sntg_interpret,
     two_path_collapse,
 )
 
@@ -501,3 +506,164 @@ def test_represent_long_chain_needs_no_recursion():
 def test_represent_deep_nesting_needs_no_recursion():
     n = depth_family(400)
     assert ntg_isomorphic(n, represent(interpret(n))) is not None
+
+
+def _outcome(f, n):
+    try:
+        return f(n), None
+    except Exception as e:  # compared by type and message below
+        return None, (type(e), str(e))
+
+
+def _assert_carrier_matches_flattening(n):
+    """``interpret`` and ``ntg_collapse`` agree with the references built
+    through the structural representation and the flattening, including
+    the exception raised on invalid or not tree-shaped input, which is
+    returned (None when both succeed)."""
+    g, err = _outcome(interpret, n)
+    ref, ref_err = _outcome(sntg_interpret, n)
+    assert err == ref_err
+    c, err = _outcome(ntg_collapse, n)
+    ref_c, ref_err = _outcome(flat_collapse, n)
+    assert err == ref_err
+    if err is not None:
+        return err
+    assert (g.lab, g.args, g.root) == (ref.lab, ref.args, ref.root)
+    assert print_rgs(c) == print_rgs(ref_c)
+    assert ntg_isomorphic(c, ref_c) is not None
+    return None
+
+
+def _redirect_one_edge(rng, r):
+    """``r`` with one argument edge moved to a random vertex of its body,
+    not revalidated: often invalid (an edge into the output vertex, an
+    unreachable vertex, a lost occurrence), sometimes still tree-shaped."""
+    from ntg import Rgs
+
+    sym = rng.choice(sorted(r.rec))
+    body = r.rec[sym]
+    vs = [v for v in sorted(body.lab, key=str) if body.args[v]]
+    v = rng.choice(vs)
+    args = dict(body.args)
+    i = rng.randrange(len(args[v]))
+    args[v] = args[v][:i] + (rng.choice(sorted(body.lab, key=str)),) + args[v][i + 1:]
+    rec = dict(r.rec)
+    rec[sym] = TermGraph(body.lab, args, body.root)
+    return Rgs(r.signature, rec)
+
+
+def test_carrier_matches_flattening_on_data_and_families():
+    from conftest import DATA, load_rgs
+
+    for path in sorted(DATA.glob("*.rgs")):
+        _assert_carrier_matches_flattening(load_rgs(path.name))
+    for d in range(1, 40):
+        assert _assert_carrier_matches_flattening(depth_family(d)) is None
+    for k in range(30):
+        assert _assert_carrier_matches_flattening(chain_spec(k, "r")) is None
+
+
+def test_carrier_matches_flattening_on_random_specifications():
+    rng = random.Random(97)
+    for _ in range(300):
+        assert _assert_carrier_matches_flattening(random_ntg(rng)) is None
+        assert _assert_carrier_matches_flattening(random_ungrounded_ntg(rng)) is None
+    assert _assert_carrier_matches_flattening(_scope_local_cycles()) is None
+
+
+def test_carrier_rejects_like_the_structural_representation():
+    rng = random.Random(101)
+    reasons = Counter()
+    for _ in range(150):
+        for r in (_redirect_one_edge(rng, random_ntg(rng)), random_acyclic_rgs(rng)):
+            err = _assert_carrier_matches_flattening(r)
+            reasons[err and (err[0], err[1].partition(":")[0])] += 1
+        err = _assert_carrier_matches_flattening(random_cyclic_rgs(rng))
+        assert err is not None and "cycle" in err[1]
+    # both kinds of rejection are met, and some inputs are accepted
+    assert reasons[ValueError, "invalid specification"] >= 30
+    assert reasons[ValueError, "not a tree-shaped specification"] >= 30
+    assert reasons[None] >= 30
+    assert sum(reasons.values()) == 300
+
+
+def test_clashing_vertex_names_are_refused():
+    # vertex b.c of a and vertex c of a.b would both be named a.b.c, and
+    # the flattening would silently merge them
+    from ntg import Nested, NtgSignature, Rgs, make_graph
+
+    sig = NtgSignature({"k": 0, "u": 1}, {"r": 0, "a": 0, "a.b": 0}, "r")
+    n = Rgs(sig, {
+        "r": make_graph("o", {"o": (Output(), ["p"]), "p": (Atomic("u", 1), ["x"]), "x": (Nested("a", 0), [])}),
+        "a": make_graph("o", {"o": (Output(), ["b.c"]), "b.c": (Atomic("u", 1), ["y"]), "y": (Nested("a.b", 0), [])}),
+        "a.b": make_graph("o", {"o": (Output(), ["c"]), "c": (Atomic("k", 0), [])}),
+    })
+    for f in (interpret, ntg_collapse, ntg_to_sntg):
+        with pytest.raises(ValueError, match="vertex name a.b.c is ambiguous"):
+            f(n)
+    assert _assert_carrier_matches_flattening(n)[0] is ValueError
+
+
+def test_collapse_refines_only_the_specification(monkeypatch):
+    # the collapse refines the specification's own vertices, not the
+    # flattening: at depth 400 the specification has 2,803 vertices, 400
+    # of them occurrences, and the flattening has 162,804
+    import sys
+
+    from ntg import firstorder, sntg
+
+    n = depth_family(400)
+    refined = []
+
+    def spy(lab, args):
+        refined.append(len(lab))
+        return _refine(lab, args)
+
+    monkeypatch.setattr(firstorder, "_refine", spy)
+    # a recursive collapse needs a frame per level: allow far fewer
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 150)
+    try:
+        c = ntg_collapse(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(len(body) for body in n.rec.values()) == 2803
+    assert refined == [2803 - 400]
+    assert len(c.rec) == 401
+
+    def forbidden(*_):
+        raise AssertionError("interpret must not build the structural representation")
+
+    monkeypatch.setattr(sntg, "ntg_to_sntg", forbidden)
+    assert not hasattr(firstorder, "ntg_to_sntg")
+    assert len(interpret(n)) == 162804
+
+
+def test_collapse_without_self_checks():
+    # python -O drops every assert; the collapse must not lose work with them
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from generators import depth_family, random_ungrounded_ntg\n"
+        "from ntg import interpret, ntg_collapse, print_fo, print_rgs\n"
+        "import random\n"
+        "for n in [depth_family(6)] + [random_ungrounded_ntg(random.Random(s)) for s in range(20)]:\n"
+        "    print(print_rgs(ntg_collapse(n)) + print_fo(interpret(n)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(root / "src"), str(root / "tests")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    expected = "".join(
+        print_rgs(ntg_collapse(n)) + print_fo(interpret(n)) + "\n"
+        for n in [depth_family(6)] + [random_ungrounded_ntg(random.Random(s)) for s in range(20)]
+    )
+    assert done.stdout == expected
