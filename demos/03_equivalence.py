@@ -55,14 +55,18 @@ print("\nshared specification vs its unfolding:", nested_bisim(r0, u).verdict)
 print("stack-based homomorphisms both ways:",
       nested_hom(r0, u).exists, "/", nested_hom(u, r0).exists)
 
-# On cyclic specifications the stack-based comparison is still exact: it
-# tabulates call/return summaries per pair of entered definitions instead
-# of listing stacks, which grow without bound here.
+# On cyclic specifications the stack-based comparisons are still exact:
+# they tabulate call/return summaries per pair of entered definitions
+# instead of listing stacks, which grow without bound here.  A
+# homomorphism asks in addition that each such context be functional.
 r1 = parse_rgs((DATA / "r1.rgs").read_text())
 r1u = parse_rgs((DATA / "r1_unrolled.rgs").read_text())
 res = nested_bisim(r1, r1u)
 print("cyclic specification vs its two-definition unrolling:", res.verdict,
       f"({res.contexts} contexts, {res.facts} facts)")
+hom = nested_hom(r1, r1u)
+print("stack-based homomorphism onto the unrolling:", hom.verdict,
+      f"({hom.contexts} contexts, {hom.facts} facts)")
 
 # The minimal self-bisimulation is the diagonal over stack-prefixed
 # visits; quotienting it reproduces the unfolding.

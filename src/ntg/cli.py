@@ -40,11 +40,13 @@ def _load_rgs(path: str):
     return formats.parse_rgs(_read(path))
 
 
-def _load_ntg(path: str, stderr, depth: Optional[int] = None):
+def _load_ntg(
+    path: str, stderr, depth: Optional[int] = None, decider: str = "bisim --method nested"
+):
     """Parse and, when the dependencies are acyclic but shared, unfold.
 
     Cyclic input has no tree-shaped form at any depth, so it is refused
-    with a pointer to the one method that decides it."""
+    with a pointer to ``decider``, the command that decides it."""
     r = _load_rgs(path)
     res = is_ntg(r)
     if res.ok:
@@ -52,7 +54,7 @@ def _load_ntg(path: str, stderr, depth: Optional[int] = None):
     if isinstance(res.defect, Cycle):
         raise ValueError(
             f"{path} has cyclic dependencies, so it has no tree-shaped form "
-            "(bisim --method nested decides cyclic input)"
+            f"({decider} decides cyclic input)"
         )
     unfolded = unfold_to_ntg(r, depth)
     if unfolded.truncated:
@@ -147,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("hom", _cmd_hom, help="search a homomorphism between two inputs")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--level", choices=["ntg", "sntg", "fo"], default="ntg")
+    # nested compares the specifications as given, by the stack-based
+    # decider; the other levels need tree-shaped or first-order input
+    p.add_argument("--level", choices=["ntg", "sntg", "fo", "nested"], default="ntg")
 
     p = cmd("roundtrip", _cmd_roundtrip, help="flatten, read back, compare")
     p.add_argument("file")
@@ -269,28 +273,39 @@ def _cmd_bisim(ns, stdout, stderr) -> int:
     return OK if answer else FAIL
 
 
+_HOM_DECIDER = "hom --level nested"
+
+
 def _load_fo(path: str, stderr):
     """A first-order graph: read directly or obtained by flattening."""
     text = _read(path)
     if text.lstrip().startswith("tg"):
         return formats.parse_fo(text)
-    return firstorder.interpret(_load_ntg(path, stderr))
+    return firstorder.interpret(_load_ntg(path, stderr, decider=_HOM_DECIDER))
 
 
 def _cmd_hom(ns, stdout, stderr) -> int:
+    if ns.level == "nested":
+        res = equivalence.nested_hom(_load_rgs(ns.a), _load_rgs(ns.b))
+        print("hom" if res.exists else "none", file=stdout)
+        if res.exists:
+            return OK
+        shown = res.conflict or (res.counterexample,)
+        print(f"no homomorphism: {' and '.join(map(str, shown))} ({res.reason})", file=stderr)
+        return FAIL
     if ns.level == "fo":
         g1 = _load_fo(ns.a, stderr)
         g2 = _load_fo(ns.b, stderr)
         phi, conflict = tg_hom_explained(g1, g2)
         pairs = sorted(phi.items()) if phi else None
     elif ns.level == "sntg":
-        s1 = ntg_to_sntg(_load_ntg(ns.a, stderr))
-        s2 = ntg_to_sntg(_load_ntg(ns.b, stderr))
+        s1 = ntg_to_sntg(_load_ntg(ns.a, stderr, decider=_HOM_DECIDER))
+        s2 = ntg_to_sntg(_load_ntg(ns.b, stderr, decider=_HOM_DECIDER))
         phi, conflict = sntg_hom_explained(s1, s2)
         pairs = sorted(phi.items()) if phi else None
     else:
-        n1 = _load_ntg(ns.a, stderr)
-        n2 = _load_ntg(ns.b, stderr)
+        n1 = _load_ntg(ns.a, stderr, decider=_HOM_DECIDER)
+        n2 = _load_ntg(ns.b, stderr, decider=_HOM_DECIDER)
         phi, conflict = equivalence.ntg_hom_explained(n1, n2)
         pairs = (
             sorted((f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}") for a, b in phi.items())

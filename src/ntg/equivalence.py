@@ -6,9 +6,10 @@ an interface rule at defined-symbol occurrences.  The stack-based ones
 compare arbitrary specifications through configurations that pair a
 vertex with the stack of occurrence vertices it is nested under; those
 work for shared and cyclic dependencies as well.  Stack-based
-bisimilarity is decided exactly by call/return summaries; the explicit
-closure over configurations remains for the homomorphism variant (bounded
-in the cyclic case) and for building the relation itself.
+bisimilarity and homomorphism existence are both decided exactly by
+call/return summaries; the explicit closure over configurations remains
+only to build the finite relation or mapping of an acyclic positive on
+request, and the bounded self-bisimulation.
 """
 
 from __future__ import annotations
@@ -226,7 +227,9 @@ def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
 # the style of Reps, Horwitz and Sagiv (POPL 1995): the vertex pairs it
 # reaches at its own level, and the input-index pairs through which it
 # returns.  The tables are polynomial in the two specifications whatever
-# their sharing or recursion, so the verdict is exact in every case.
+# their sharing or recursion, so the verdict is exact in every case.  A
+# homomorphism asks in addition that each context be functional, which the
+# same tables answer.
 # ---------------------------------------------------------------------------
 
 
@@ -355,38 +358,98 @@ def _rebuild_path(contexts, frames, key, pair) -> List[NestedConfig]:
     return backwards
 
 
+def _config(frames, pair) -> NestedConfig:
+    """The configuration of ``pair`` under the stacks of ``frames``."""
+    return NestedConfig(
+        tuple(occ[0] for _, occ in frames), pair[0], tuple(occ[1] for _, occ in frames), pair[1]
+    )
+
+
+def _functionality_conflict(contexts):
+    """The first pair, in the order contexts and their pairs were
+    discovered, whose left vertex already met another right vertex in the
+    same context: ``(key, earlier pair, pair)``, or None when every
+    context is functional."""
+    for key, ctx in contexts.items():
+        image = {}
+        for v1, v2 in ctx.reached:
+            w = image.setdefault(v1, v2)
+            if w != v2:
+                return key, (v1, w), (v1, v2)
+    return None
+
+
+def _acyclic_closure(carriers):
+    """The explicit closure of a positive verdict, when it is finite (on
+    acyclic specifications); None otherwise."""
+    c1, c2 = carriers
+    if _needs_depth(c1.rgs, c2.rgs):
+        return None
+    configs, bounded, clash = _closure(c1, c2, None)
+    assert clash is None and not bounded, "the closure disagrees with the summaries"
+    return configs
+
+
 @dataclass(frozen=True)
-class NestedBisimResult:
-    verdict: str  # "bisimilar" | "not_bisimilar"
-    counterexample: Optional[NestedConfig] = None
+class _SummaryResult:
+    verdict: str  # "bisimilar" | "not_bisimilar", or "hom" | "none"
+    counterexample: Optional[NestedConfig] = None  # the clashing configuration
     reason: Optional[str] = None
     contexts: int = 0  # pairs of entered symbols tabulated, plus the root context
     facts: int = 0  # vertex pairs reached and exits found, over all contexts
-    path_length: int = 0  # configurations on ``path``; 0 when bisimilar
+    path_length: int = 0  # configurations on ``path``; 0 without a clash
     _carriers: tuple = field(default=(), repr=False, compare=False)
     _trace: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    @property
-    def bisimilar(self) -> bool:
-        return self.verdict == "bisimilar"
 
     @cached_property
     def path(self) -> Optional[List[NestedConfig]]:
         """The configurations from the root pair to ``counterexample``,
-        each a successor of the one before; None when bisimilar."""
-        return None if self._trace is None else _rebuild_path(*self._trace)
+        each a successor of the one before; None without a clash."""
+        cfg = self.counterexample
+        return None if cfg is None else _rebuild_path(*self._trace, (cfg.left, cfg.right))
+
+
+def _summarize(r1: Rgs, r2: Rgs):
+    """Tabulate the summaries of ``r1`` against ``r2``.
+
+    Returns ``(contexts, fields, clash)``: the tables, the result fields
+    every verdict carries, and on a clash the fields that describe it and
+    trace its path, else None.
+    """
+    _require_valid(r1, "left specification")
+    _require_valid(r2, "right specification")
+    c1, c2 = _Carrier(r1), _Carrier(r2)
+    contexts, clash = _tabulate(c1, c2)
+    fields = dict(
+        contexts=len(contexts),
+        facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
+        _carriers=(c1, c2),
+    )
+    if clash is None:
+        return contexts, fields, None
+    key, pair, via, reason = clash
+    frames = _frames(contexts, key, via)
+    length = contexts[key].reached[pair][0]
+    length += sum(contexts[k].reached[occ][0] for k, occ in frames)
+    return contexts, fields, dict(
+        counterexample=_config(frames, pair), reason=reason, path_length=length,
+        _trace=(contexts, frames, key),
+    )
+
+
+@dataclass(frozen=True)
+class NestedBisimResult(_SummaryResult):
+    @property
+    def bisimilar(self) -> bool:
+        return self.verdict == "bisimilar"
 
     @cached_property
     def relation(self) -> Optional[NestedBisimRelation]:
         """The least nested bisimulation, when it is finite: built by the
         explicit closure on first access, for a positive verdict on acyclic
         specifications; None otherwise."""
-        c1, c2 = self._carriers
-        if not self.bisimilar or _needs_depth(c1.rgs, c2.rgs):
-            return None
-        configs, bounded, clash = _closure(c1, c2, None)
-        assert clash is None and not bounded, "the closure disagrees with the summaries"
-        return NestedBisimRelation(frozenset(configs), None)
+        configs = _acyclic_closure(self._carriers) if self.bisimilar else None
+        return None if configs is None else NestedBisimRelation(frozenset(configs), None)
 
 
 def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimResult:
@@ -397,75 +460,73 @@ def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimRe
     longer affects the answer.  A negative verdict carries the clashing
     configuration and the path of configurations that reaches it.
     """
-    _require_valid(r1, "left specification")
-    _require_valid(r2, "right specification")
-    c1, c2 = _Carrier(r1), _Carrier(r2)
-    contexts, clash = _tabulate(c1, c2)
-    counts = dict(
-        contexts=len(contexts),
-        facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
-    )
-    if clash is None:
-        return NestedBisimResult("bisimilar", _carriers=(c1, c2), **counts)
-    key, pair, via, reason = clash
-    frames = _frames(contexts, key, via)
-    cfg = NestedConfig(
-        tuple(occ[0] for _, occ in frames), pair[0], tuple(occ[1] for _, occ in frames), pair[1]
-    )
-    length = contexts[key].reached[pair][0]
-    length += sum(contexts[k].reached[occ][0] for k, occ in frames)
-    return NestedBisimResult(
-        "not_bisimilar", cfg, reason, path_length=length, _carriers=(c1, c2),
-        _trace=(contexts, frames, key, pair), **counts,
-    )
+    _, fields, clash = _summarize(r1, r2)
+    if clash is not None:
+        return NestedBisimResult("not_bisimilar", **clash, **fields)
+    return NestedBisimResult("bisimilar", **fields)
 
 
 @dataclass(frozen=True)
-class NestedHomResult:
-    verdict: str  # "hom" | "none" | "unknown_at_depth"
-    mapping: Optional[dict] = None  # (stack, v) -> (stack, w)
-    reason: Optional[str] = None
+class NestedHomResult(_SummaryResult):
+    # a "none" without a clash: two configurations with equal left sides
+    # and different right sides
+    conflict: Optional[Tuple[NestedConfig, NestedConfig]] = None
 
     @property
     def exists(self) -> bool:
         return self.verdict == "hom"
 
+    @cached_property
+    def runs(self) -> Optional[Tuple[List[NestedConfig], List[NestedConfig]]]:
+        """For a ``conflict``: the two runs of configurations from the root
+        pair to its two configurations; None otherwise."""
+        if self.conflict is None:
+            return None
+        return tuple(_rebuild_path(*self._trace, (cfg.left, cfg.right)) for cfg in self.conflict)
+
+    @cached_property
+    def mapping(self) -> Optional[dict]:
+        """The homomorphism ``(left stack, left vertex) -> (right stack,
+        right vertex)``, when it is finite: built by the explicit closure on
+        first access, for a "hom" on acyclic specifications; None
+        otherwise."""
+        configs = _acyclic_closure(self._carriers) if self.exists else None
+        if configs is None:
+            return None
+        mapping = {(cfg.left_stack, cfg.left): (cfg.right_stack, cfg.right) for cfg in configs}
+        assert len(mapping) == len(configs), "the closure is not functional"
+        return mapping
+
 
 def nested_hom(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedHomResult:
-    """Functional variant: the closure must assign at most one right
-    configuration to every left configuration.
+    """Decide exactly whether a stack-based homomorphism exists: a nested
+    bisimulation that relates every left configuration to at most one
+    right configuration.
 
-    Cyclic dependencies need a ``depth`` bound, and a run that reaches it
-    without a conflict stays undecided.  Unlike ``nested_bisim``, this
-    cannot be tabulated per pair of entered symbols: functionality asks
-    whether one left configuration, stack included, meets two right
-    configurations along different paths, and a per-context summary
-    forgets the stacks under which a vertex pair was reached.
+    The vertex pairs reached at one call level depend only on the pair of
+    entered symbols, not on the stacks under it, so the call/return
+    summaries of ``nested_bisim`` decide this too: a homomorphism exists
+    iff they find no clash and every context is functional, meeting each
+    left vertex with at most one right vertex.  Two right stacks under one
+    left stack first differ at a call level whose left occurrence meets two
+    right ones, so the check per context covers them.  Polynomial and
+    exact on acyclic, shared and cyclic specifications; ``depth`` is
+    accepted for compatibility and ignored.  A "none" carries either a
+    clash with its ``path`` or a ``conflict`` with its two ``runs``.
     """
-    _require_valid(r1, "left specification")
-    _require_valid(r2, "right specification")
-    if depth is None and _needs_depth(r1, r2):
-        raise MissingDepthError("cyclic dependencies require a depth bound")
-    c1, c2 = _Carrier(r1), _Carrier(r2)
-    configs, bounded, clash = _closure(c1, c2, depth)
+    contexts, fields, clash = _summarize(r1, r2)
     if clash is not None:
-        return NestedHomResult("none", reason=clash.message)
-    mapping = {}
-    twice = set()
-    for cfg in configs:
-        key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
-        if mapping.setdefault(key, val) != val:
-            twice.add(key)
-    if twice:
-        # report the first conflict in the order of the printed configurations
-        first = {}
-        for cfg in sorted((c for c in configs if (c.left_stack, c.left) in twice), key=str):
-            key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
-            if first.setdefault(key, val) != val:
-                return NestedHomResult("none", reason=f"configuration {key} relates to two targets")
-    if bounded:
-        return NestedHomResult("unknown_at_depth")
-    return NestedHomResult("hom", mapping=mapping)
+        return NestedHomResult("none", **clash, **fields)
+    found = _functionality_conflict(contexts)
+    if found is None:
+        return NestedHomResult("hom", **fields)
+    key, first, second = found
+    frames = _frames(contexts, key, None)
+    return NestedHomResult(
+        "none", reason="a left configuration meets two right configurations",
+        conflict=(_config(frames, first), _config(frames, second)),
+        _trace=(contexts, frames, key), **fields,
+    )
 
 
 def minimal_nested_self_bisimulation(

@@ -255,6 +255,37 @@ def relabel_constant(rng: random.Random, r: Rgs) -> Rgs:
     return relabel(r, sym, v, other)
 
 
+def split_shared_vertex(rng: random.Random, r: Rgs):
+    """A copy of ``r`` in which one argument edge into a shared atomic or
+    occurrence vertex, chosen at random, goes to a fresh duplicate of that
+    vertex; None when no body has such a vertex.
+
+    The two are bisimilar, and a homomorphism maps the copy onto ``r``.
+    One maps ``r`` onto the copy only when no run reaches the shared
+    vertex, so only functionality tells the two directions apart."""
+    edges = {}  # (symbol, vertex) -> argument slots (source, position) into it
+    for sym in sorted(r.rec):
+        body = r.rec[sym]
+        for v in sorted(body.lab, key=str):
+            for i, w in enumerate(body.args[v]):
+                if isinstance(body.lab[w], (Atomic, Nested)):
+                    edges.setdefault((sym, w), []).append((v, i))
+    shared = [target for target, slots in edges.items() if len(slots) > 1]
+    if not shared:
+        return None
+    sym, w = rng.choice(shared)
+    v, i = rng.choice(edges[(sym, w)])
+    body = r.rec[sym]
+    copy = f"{w}_split"
+    assert copy not in body.lab
+    lab = {**body.lab, copy: body.lab[w]}
+    args = {**body.args, copy: body.args[w]}
+    args[v] = args[v][:i] + (copy,) + args[v][i + 1:]
+    split = Rgs(r.signature, {**r.rec, sym: TermGraph(lab, args, body.root)})
+    assert not validate_rgs(split)
+    return split
+
+
 def mutate_ntg(rng: random.Random, r: Rgs, tries=40) -> Rgs:
     """A near-copy: one label swap, argument swap or edge redirect,
     revalidated so the result is again a tree-shaped specification."""

@@ -7,17 +7,22 @@ block map of the collapse engine, the plain-then-scoped collapse as the
 reference of ``ntg_collapse``, a whole-graph walk per scope as the
 reference input order of the read-back, a backtracking enumeration of
 ancestor assignments, a whole-text scanner as the reference tokenizer,
-and a replay of the explicit progression rules as the checker of the
-paths of ``nested_bisim``, and the flattening built from the structural
-representation, with the collapse of that flattening read back, as the
-references of the carrier-based ``interpret`` and ``ntg_collapse``.
-None of them share search code with the library, except that
-``two_path_collapse`` takes its plain path from ``tg_collapse``, whose
-block map is checked against ``moore_refine``, and ``flat_collapse``
-runs the library's ``_refine`` on the flattening.
+a replay of the explicit progression rules as the checker of the
+paths and runs of ``nested_bisim`` and ``nested_hom``, the explicit
+closure over stack-prefixed configurations with a functionality scan as
+the reference of the summary-based ``nested_hom``, and the flattening
+built from the structural representation, with the collapse of that
+flattening read back, as the references of the carrier-based
+``interpret`` and ``ntg_collapse``.  None of them share search code with
+the library, except that ``two_path_collapse`` takes its plain path from
+``tg_collapse``, whose block map is checked against ``moore_refine``,
+``flat_collapse`` runs the library's ``_refine`` on the flattening, and
+``closure_nested_hom`` runs the library's explicit closure, which shares
+nothing with the summary tabulation.
 """
 
 import re
+from collections import namedtuple
 from itertools import product
 
 from ntg import verify_ntg_hom, verify_sntg_hom, verify_tg_hom
@@ -444,14 +449,16 @@ def scan_tokens(text):
     return toks
 
 
-def replay_path(r1, r2, path):
+def replay_path(r1, r2, path, end=None):
     """Why ``path`` is not a run of the stack-based progression rules into
-    a clash, or None when it is one.
+    a clash, or, when ``end`` is given, into the configuration ``end``
+    without a clash; None when it is one.
 
     The path must start at the root configuration, every configuration
     must be among the successors the rules force on the one before, and
-    the rules must reject the last one.  This replays the explicit rules of
-    the closure and shares nothing with the summary tabulation.
+    the rules must reject the last one, or accept it when it is ``end``.
+    This replays the explicit rules of the closure and shares nothing with
+    the summary tabulation.
     """
     from ntg.equivalence import NestedConfig, _Clash, _progressions
 
@@ -468,5 +475,48 @@ def replay_path(r1, r2, path):
     try:
         _progressions(c1, c2, path[-1])
     except _Clash:
-        return None
-    return "the last configuration does not clash"
+        return None if end is None else "the last configuration clashes"
+    if end is None:
+        return "the last configuration does not clash"
+    return None if path[-1] == end else "the path does not end at the given configuration"
+
+
+ClosureHomResult = namedtuple("ClosureHomResult", "verdict mapping reason", defaults=(None, None))
+
+
+def closure_nested_hom(r1, r2, depth=None):
+    """Functional variant: the closure must assign at most one right
+    configuration to every left configuration.
+
+    The explicit closure over stack-prefixed configurations, the reference
+    of the summary-based ``nested_hom``: exponential in sharing, and on
+    cyclic dependencies it needs a ``depth`` bound, where a run that
+    reaches the bound without a conflict stays ``"unknown_at_depth"``.
+    """
+    from ntg import MissingDepthError
+    from ntg.equivalence import _closure, _needs_depth, _require_valid
+
+    _require_valid(r1, "left specification")
+    _require_valid(r2, "right specification")
+    if depth is None and _needs_depth(r1, r2):
+        raise MissingDepthError("cyclic dependencies require a depth bound")
+    c1, c2 = _Carrier(r1), _Carrier(r2)
+    configs, bounded, clash = _closure(c1, c2, depth)
+    if clash is not None:
+        return ClosureHomResult("none", reason=clash.message)
+    mapping = {}
+    twice = set()
+    for cfg in configs:
+        key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
+        if mapping.setdefault(key, val) != val:
+            twice.add(key)
+    if twice:
+        # report the first conflict in the order of the printed configurations
+        first = {}
+        for cfg in sorted((c for c in configs if (c.left_stack, c.left) in twice), key=str):
+            key, val = (cfg.left_stack, cfg.left), (cfg.right_stack, cfg.right)
+            if first.setdefault(key, val) != val:
+                return ClosureHomResult("none", reason=f"configuration {key} relates to two targets")
+    if bounded:
+        return ClosureHomResult("unknown_at_depth")
+    return ClosureHomResult("hom", mapping=mapping)

@@ -24,8 +24,13 @@ def test_tiny_jobs_pass_their_checks(workload):
     jobs, _ = workloads.WORKLOADS[workload](random.Random(1), True)
     in_process = [job for job in jobs if not job.sub]
     assert in_process
+    queries = exact = 0
     for job in in_process:
         out = workloads.Outcome()
         data = job.run(ntg, out)
         assert job.check(ntg, data) is None, type(job).__name__
         assert out.errors == [], type(job).__name__
+        queries += out.queries
+        exact += out.exact
+    # every decider query gets an exact verdict, cyclic ones included
+    assert exact == queries

@@ -158,11 +158,58 @@ def test_bisim_cyclic_without_depth():
 ], ids=" ".join)
 def test_cyclic_input_points_to_the_nested_method(argv):
     # no depth makes a cyclic specification tree-shaped, so the hint names
-    # the method that decides it instead of --depth
+    # the command that decides the same question instead of --depth
     code, out, err = run(*(a.format(r1=path("r1.rgs")) for a in argv))
     assert code == 2 and out == ""
-    assert "cyclic" in err and "bisim --method nested" in err
+    hint = "hom --level nested" if argv[0] == "hom" else "bisim --method nested"
+    assert "cyclic" in err and f"({hint} decides cyclic input)" in err
     assert "--depth" not in err
+
+
+# a cyclic specification in which both arguments of app are one shared
+# vertex, in f and in g, and the same with each shared vertex split in two
+SHARED_APP = """atomic lam/1, app/2, v/0;
+root f;
+def f/0 { o: out(l); l: app(go, go); go: g(w); w: v; }
+def g/1 { o: out(l); l: app(a, a); a: lam(go); go: g(x); x: in 1; }
+"""
+SPLIT_APP = SHARED_APP.replace(
+    "app(go, go); go: g(w);", "app(go, go2); go: g(w); go2: g(w);"
+).replace("app(a, a); a: lam(go);", "app(a, b); a: lam(go); b: lam(go);")
+
+
+def test_hom_nested_decides_cyclic_input(tmp_path):
+    code, out, err = run("hom", path("r1.rgs"), path("r1_unrolled.rgs"), "--level", "nested")
+    assert (code, out, err) == (0, "hom\n", "")
+    shared, split = tmp_path / "shared.rgs", tmp_path / "split.rgs"
+    shared.write_text(SHARED_APP)
+    split.write_text(SPLIT_APP)
+    code, out, err = run("hom", str(split), str(shared), "--level", "nested")
+    assert (code, out) == (0, "hom\n")
+    # a clash, with its configuration and reason
+    code, out, err = run("hom", path("r1.rgs"), str(split), "--level", "nested")
+    assert (code, out) == (1, "none\n")
+    assert err == "no homomorphism: <f.l ~ f.l> (labels lam and app do not match)\n"
+
+
+def test_hom_nested_reports_a_functionality_conflict(tmp_path):
+    shared, split = tmp_path / "shared.rgs", tmp_path / "split.rgs"
+    shared.write_text(SHARED_APP)
+    split.write_text(SPLIT_APP)
+    code, out, err = run("hom", str(shared), str(split), "--level", "nested")
+    assert (code, out) == (1, "none\n")
+    # of the conflicts in f and in g, the first in discovery order,
+    # whatever the hash seed
+    assert err == (
+        "no homomorphism: <f.go ~ f.go> and <f.go ~ f.go2> "
+        "(a left configuration meets two right configurations)\n"
+    )
+    cmd = [sys.executable, "-m", "ntg", "hom", str(shared), str(split), "--level", "nested"]
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    for seed in (1, 2):
+        seeded = dict(env, PYTHONHASHSEED=str(seed))
+        done = subprocess.run(cmd, capture_output=True, text=True, env=seeded)
+        assert (done.returncode, done.stdout, done.stderr) == (1, out, err)
 
 
 def test_clashing_vertex_names_exit_2(tmp_path):

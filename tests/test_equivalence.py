@@ -28,9 +28,10 @@ from generators import (
     random_ntg,
     relabel,
     relabel_constant,
+    split_shared_vertex,
     unroll_twice,
 )
-from oracles import brute_force_ntg_hom, replay_path
+from oracles import brute_force_ntg_hom, closure_nested_hom, replay_path
 
 
 def test_hom_identity(fix_n):
@@ -149,6 +150,17 @@ def test_nested_hom_chain_composite(sharing_chain):
     a, _, _, d = sharing_chain
     assert nested_hom(d, a).exists
     assert not nested_hom(a, d).exists
+
+
+def test_nested_hom_decides_cycles_without_depth(fix_r1):
+    from conftest import load_rgs
+
+    unrolled = load_rgs("r1_unrolled.rgs")
+    for left, right in ((fix_r1, unrolled), (unrolled, fix_r1)):
+        res = nested_hom(left, right)
+        assert res.verdict == "hom" and res.contexts == 3
+        # no finite mapping exists to build on cyclic input
+        assert res.mapping is None
 
 
 def test_nested_relation_passes_independent_verifier(tree_corpus, fix_r0):
@@ -396,9 +408,145 @@ def test_deep_negative_path_without_recursion():
     limit = sys.getrecursionlimit()
     d = depth_family(1500)
     other = relabel(d, "e1499", "k", "d")
-    res = nested_bisim(d, other)
-    assert res.verdict == "not_bisimilar" and res.reason == "labels c and d do not match"
-    assert len(res.counterexample.left_stack) == 1499
-    assert len(res.path) == res.path_length > 3 * 1499
-    assert res.path[-1] == res.counterexample
+    assert nested_hom(d, d).exists
+    for res in (nested_bisim(d, other), nested_hom(d, other)):
+        assert res.verdict in ("not_bisimilar", "none")
+        assert res.reason == "labels c and d do not match"
+        assert len(res.counterexample.left_stack) == 1499
+        assert len(res.path) == res.path_length > 3 * 1499
+        assert res.path[-1] == res.counterexample
     assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# The summary-based nested_hom against the explicit closure
+# ---------------------------------------------------------------------------
+
+
+def _check_hom(a, b, res):
+    """Check the certificate of ``res = nested_hom(a, b)`` by replay and
+    return the greatest stack depth it reaches (0 for a "hom")."""
+    if res.exists:
+        assert res.path is None and res.conflict is None and res.runs is None
+        return 0
+    if res.conflict is None:
+        path = res.path
+        assert replay_path(a, b, path) is None
+        assert path[-1] == res.counterexample and len(path) == res.path_length
+        return max(len(cfg.left_stack) for cfg in path)
+    assert res.counterexample is None and res.path is None
+    first, second = res.conflict
+    assert (first.left_stack, first.left) == (second.left_stack, second.left)
+    assert (first.right_stack, first.right) != (second.right_stack, second.right)
+    for run, end in zip(res.runs, res.conflict):
+        assert replay_path(a, b, run, end) is None
+        assert replay_path(a, b, run) is not None
+    return max(len(cfg.left_stack) for run in res.runs for cfg in run)
+
+
+def _both_ways(pairs):
+    return [pair for a, b in pairs for pair in ((a, b), (b, a))]
+
+
+def _check_cyclic_against_closure(a, b, res):
+    """Every verdict the bounded closure decides at depths 1 to 6 is the
+    summaries' verdict, and a "none" is found by the closure bounded at
+    the depth of its certificate."""
+    reach = _check_hom(a, b, res)
+    if not res.exists:
+        assert closure_nested_hom(a, b, max(reach, 1)).verdict == "none"
+    decided = 0
+    for depth in range(1, 7):
+        verdict = closure_nested_hom(a, b, depth).verdict
+        if verdict != "unknown_at_depth":
+            assert verdict == res.verdict, depth
+            decided += 1
+    return decided
+
+
+def test_nested_hom_agrees_with_closure_on_acyclic_pairs():
+    rng = random.Random(131)
+    pairs = []
+    for k in range(240):
+        a = random_acyclic_rgs(rng)
+        pairs.append((a, (random_acyclic_rgs(rng), unroll_twice(a), relabel_constant(rng, a))[k % 3]))
+    verdicts = []
+    for a, b in _both_ways(pairs):
+        res = nested_hom(a, b)
+        want = closure_nested_hom(a, b)
+        assert res.verdict == want.verdict
+        assert res.mapping == want.mapping
+        _check_hom(a, b, res)
+        verdicts.append(res.verdict)
+    assert verdicts.count("hom") >= 100 and verdicts.count("none") >= 100
+
+
+def test_nested_hom_functionality_decides_split_copies():
+    from ntg.equivalence import _needs_depth
+
+    rng = random.Random(137)
+    specs = [random_acyclic_rgs(rng) for _ in range(120)]
+    specs += [random_cyclic_rgs(rng) for _ in range(40)]
+    conflicts = 0
+    for a in specs:
+        split = split_shared_vertex(rng, a)
+        if split is None:
+            continue
+        # bisimilar both ways, so no clash: only functionality decides
+        assert nested_bisim(a, split).bisimilar and nested_bisim(split, a).bisimilar
+        merge, spread = nested_hom(split, a), nested_hom(a, split)
+        assert merge.exists
+        assert spread.exists or spread.conflict is not None
+        conflicts += not spread.exists
+        for (left, right), res in (((split, a), merge), ((a, split), spread)):
+            if _needs_depth(left, right):
+                _check_cyclic_against_closure(left, right, res)
+            else:
+                assert closure_nested_hom(left, right).verdict == res.verdict
+                _check_hom(left, right, res)
+    assert conflicts >= 100
+
+
+def test_nested_hom_agrees_with_ntg_hom_on_tree_shaped_pairs():
+    rng = random.Random(139)
+    pairs = []
+    for k in range(150):
+        a = random_ntg(rng)
+        pairs.append((a, (random_ntg(rng), mutate_ntg(rng, a), ntg_collapse(a))[k % 3]))
+    found = 0
+    for a, b in _both_ways(pairs):
+        res = nested_hom(a, b)
+        assert res.exists == (ntg_hom(a, b) is not None)
+        _check_hom(a, b, res)
+        found += res.exists
+    assert found >= 100
+
+
+def test_nested_hom_decides_cyclic_pairs():
+    rng = random.Random(149)
+    pairs = []
+    for k in range(60):
+        a = random_cyclic_rgs(rng)
+        pairs.append((a, (unroll_twice(a), relabel_constant(rng, a))[k % 2]))
+    verdicts = []
+    decided = 0
+    for a, b in _both_ways(pairs):
+        res = nested_hom(a, b)
+        decided += _check_cyclic_against_closure(a, b, res)
+        verdicts.append(res.verdict)
+    assert verdicts.count("hom") >= 40 and verdicts.count("none") >= 40
+    assert decided >= 200
+
+
+def test_shared_fanout_hom_without_the_closure(monkeypatch):
+    from ntg import equivalence
+
+    def forbidden(*args):
+        raise AssertionError("nested_hom used the explicit closure")
+
+    f, g = fanout_family(80), fanout_family(80, "_b")
+    monkeypatch.setattr(equivalence, "_closure", forbidden)  # 2^80 configurations
+    start = time.perf_counter()
+    res = nested_hom(f, g)
+    assert time.perf_counter() - start < 0.05
+    assert res.verdict == "hom" and res.contexts <= 82
