@@ -11,8 +11,10 @@ First-order documents::
 
     tg { root a; a: out_r(b); b: c(d); d: in_r(a); }
 
-Vertex names are local to a document; printing renames them, so parse
-and print are mutually inverse only up to vertex renaming.
+Blanks, line breaks and ``#`` comments (to the end of the line) may
+stand between any two tokens.  Vertex names are local to a document;
+printing renames them, so parse and print are mutually inverse only up
+to vertex renaming.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from .graph import TermGraph, reachable
-from .labels import Atomic, Input, Nested, Output
+from .labels import OUTPUT, Atomic, Input, Nested, Output
 from .firstorder import (
     FO_INPUT,
     ROOT_INPUT,
@@ -125,7 +127,7 @@ def _parse_lines(toks: _Tokens, stop: str):
         toks.expect(":")
         lkind, lvalue, lline = toks.next()
         if lkind not in ("name",):
-            raise ParseError(lline, f"expected a label, found {lvalue!r}")
+            raise ParseError(lline, f"expected a label, found {lvalue or 'end of input'!r}")
         nat = None
         if lvalue == "in":
             k, v, nline = toks.peek()
@@ -143,9 +145,128 @@ def _parse_lines(toks: _Tokens, stop: str):
                 if v == ")":
                     break
                 if v != ",":
-                    raise ParseError(pline, f"expected ',' or ')', found {v!r}")
+                    raise ParseError(pline, f"expected ',' or ')', found {v or 'end of input'!r}")
         toks.expect(";")
-        lines.append((vid, lvalue, nat, succ, line))
+        lines.append((vid, lvalue, nat, tuple(succ), line))
+
+
+# ---------------------------------------------------------------------------
+# Statement-level reader
+#
+# A well-formed document is read one statement at a time: each header and
+# each vertex statement is one match of a compiled pattern.  The patterns
+# accept the token sequences of the grammar above and read them the same
+# way: blanks, line breaks and comments may stand between any two tokens, a
+# keyword is a whole name, and names and numbers use the tokenizer's
+# character classes, so the first way a pattern matches is the tokenizer's
+# longest-token reading.  The reader returns None at the first statement
+# it cannot match, and at a duplicate that the grammar reports while it
+# reads; the grammar then re-reads the text and names the first error.
+# ---------------------------------------------------------------------------
+
+_NAME_CHAR = "[A-Za-z0-9_@.']"
+_NAME = "[A-Za-z_]" + _NAME_CHAR + "*"
+# blanks, line breaks and comments; a comment runs to the end of its line,
+# so a gap splits one way only and a failed match backtracks linearly
+_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
+
+
+def _keyword(word: str) -> str:
+    return _GAP + word + f"(?!{_NAME_CHAR})"
+
+
+# ``ID : LABEL [n] [(a, b, ...)] ;`` or the closing brace
+_STATEMENT_RE = re.compile(
+    _GAP + rf"(?:({_NAME}){_GAP}:{_GAP}({_NAME})(?:{_GAP}(\d+))?"
+    rf"(?:{_GAP}\(({_GAP}{_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP}\))?{_GAP};|\}})"
+)
+_ITEM = rf"{_GAP}{_NAME}{_GAP}/{_GAP}\d+"
+_ATOMIC_RE = re.compile(_keyword("atomic") + rf"(?:{_GAP};|({_ITEM}(?:{_GAP},{_ITEM})*){_GAP};)")
+_ITEM_RE = re.compile(rf"({_NAME})\s*/\s*(\d+)")
+_ROOT_RE = re.compile(_keyword("root") + rf"{_GAP}({_NAME}){_GAP};")
+_DEF_RE = re.compile(_keyword("def") + rf"{_GAP}({_NAME}){_GAP}/{_GAP}(\d+){_GAP}\{{")
+_TG_RE = re.compile(_keyword("tg") + rf"{_GAP}\{{" + _keyword("root") + rf"{_GAP}({_NAME}){_GAP};")
+_END_RE = re.compile(_GAP + r"\Z")
+_COMMENT_RE = re.compile(r"\#[^\n]*")
+_NAME_RE = re.compile(_NAME)
+
+
+def _read_lines(text: str, pos: int, line: int, at: int):
+    """The vertex statements from ``pos`` up to the closing brace, in the
+    grammar's form, as ``(lines, end, line, at)``: ``line`` is the line
+    number at offset ``at``.  None when a statement does not match."""
+    lines = []
+    append = lines.append
+    match = _STATEMENT_RE.match
+    count = text.count
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        vid, label, nat, succ = m.groups()
+        pos = m.end()
+        if vid is None:
+            return lines, pos, line, at
+        start = m.start(1)
+        line += count("\n", at, start)
+        at = start
+        if nat is not None:
+            if label != "in":
+                return None
+            nat = int(nat)
+        if succ is None:
+            succ = ()
+        else:
+            if "#" in succ:
+                succ = _COMMENT_RE.sub("", succ)
+            succ = tuple(_NAME_RE.findall(succ))
+        append((vid, label, nat, succ, line))
+
+
+def _read_rgs(text: str):
+    """``(atomic, root, defs)`` as ``_grammar_rgs`` gives them, or None."""
+    m = _ATOMIC_RE.match(text)
+    if m is None:
+        return None
+    atomic: Dict[str, int] = {}
+    if m.group(1) is not None:
+        for name, ar in _ITEM_RE.findall(_COMMENT_RE.sub("", m.group(1))):
+            if name in atomic:
+                return None
+            atomic[name] = int(ar)
+    pos = m.end()
+    declared_root = None
+    m = _ROOT_RE.match(text, pos)
+    if m is not None:
+        declared_root, pos = m.group(1), m.end()
+    defs: Dict[str, Tuple[int, list, int]] = {}
+    line, at = 1, 0
+    while (m := _DEF_RE.match(text, pos)) is not None:
+        name = m.group(1)
+        if name in defs or name in atomic:
+            return None
+        start = m.start(1)
+        line += text.count("\n", at, start)
+        at = start
+        body = _read_lines(text, m.end(), line, at)
+        if body is None:
+            return None
+        defs[name] = (int(m.group(2)), body[0], line)
+        pos, line, at = body[1:]
+    if not defs or _END_RE.match(text, pos) is None:
+        return None
+    return atomic, declared_root, defs
+
+
+def _read_fo(text: str):
+    """``(root, lines)`` as ``_grammar_fo`` gives them, or None."""
+    m = _TG_RE.match(text)
+    if m is None:
+        return None
+    body = _read_lines(text, m.end(), 1, 0)
+    if body is None or _END_RE.match(text, body[1]) is None:
+        return None
+    return m.group(1), body[0]
 
 
 def parse_rgs(text: str) -> Rgs:
@@ -154,6 +275,13 @@ def parse_rgs(text: str) -> Rgs:
     Raises ParseError for syntax and arity problems, ValidationError when
     the parsed specification breaks a well-formedness invariant.
     """
+    return _build_rgs(*(_read_rgs(text) or _grammar_rgs(text)))
+
+
+def _grammar_rgs(text: str):
+    """The token grammar of a specification document: the atomic
+    signature, the declared root symbol (or None) and, per definition in
+    document order, its arity, vertex statements and line."""
     toks = _Tokens(text)
     toks.expect("atomic")
     atomic: Dict[str, int] = {}
@@ -162,7 +290,24 @@ def parse_rgs(text: str) -> Rgs:
     else:
         atomic.update(_parse_signature_items(toks))
     declared_root = _parse_root_decl(toks)
-    return _parse_definitions(toks, atomic, declared_root)
+    defs: Dict[str, Tuple[int, list, int]] = {}
+    while toks.peek()[1] == "def":
+        toks.next()
+        name, line = toks.expect_kind("name", "a symbol name")
+        toks.expect("/")
+        ar, _ = toks.expect_kind("nat", "an arity")
+        toks.expect("{")
+        body_lines = _parse_lines(toks, "}")
+        if name in defs:
+            raise ParseError(line, f"symbol {name!r} defined twice")
+        if name in atomic:
+            raise ParseError(line, f"symbol {name!r} is declared atomic")
+        defs[name] = (int(ar), body_lines, line)
+    if toks.peek()[0] != "eof":
+        raise ParseError(toks.peek()[2], f"unexpected {toks.peek()[1]!r}")
+    if not defs:
+        raise ParseError(toks.peek()[2], "a specification needs at least one definition")
+    return atomic, declared_root, defs
 
 
 def _parse_signature_items(toks: _Tokens) -> Dict[str, int]:
@@ -190,40 +335,23 @@ def _parse_root_decl(toks: _Tokens) -> Optional[str]:
     return declared_root
 
 
-def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Optional[str]) -> Rgs:
-    defs: Dict[str, Tuple[int, list, int]] = {}
-    order: List[str] = []
-    while toks.peek()[1] == "def":
-        toks.next()
-        name, line = toks.expect_kind("name", "a symbol name")
-        toks.expect("/")
-        ar, _ = toks.expect_kind("nat", "an arity")
-        toks.expect("{")
-        body_lines = _parse_lines(toks, "}")
-        if name in defs:
-            raise ParseError(line, f"symbol {name!r} defined twice")
-        if name in atomic:
-            raise ParseError(line, f"symbol {name!r} is declared atomic")
-        defs[name] = (int(ar), body_lines, line)
-        order.append(name)
-    if toks.peek()[0] != "eof":
-        raise ParseError(toks.peek()[2], f"unexpected {toks.peek()[1]!r}")
-    if not defs:
-        raise ParseError(toks.peek()[2], "a specification needs at least one definition")
-
+def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rgs:
+    """The specification that read statements describe, after the checks
+    that need all of them: symbols, arities, vertices, validity."""
     nested = {name: ar for name, (ar, _, _) in defs.items()}
     if declared_root is None:
-        nullary = [name for name in order if nested[name] == 0]
+        nullary = [name for name in defs if nested[name] == 0]
         if not nullary:
             raise ValidationError([Violation(None, None, "no nullary definition to act as root")])
         declared_root = nullary[0]
     if declared_root not in nested:
         raise ValidationError([Violation(None, None, f"root symbol {declared_root!r} is not defined")])
 
+    symbol = {name: Atomic(name, ar) for name, ar in atomic.items()}
+    symbol.update((name, Nested(name, ar)) for name, ar in nested.items())
     rec: Dict[str, TermGraph] = {}
     pending: List[Violation] = []
-    for name in order:
-        _, body_lines, def_line = defs[name]
+    for name, (_, body_lines, def_line) in defs.items():
         if not body_lines:
             raise ParseError(def_line, f"definition {name!r} has an empty body")
         lab: Dict[str, object] = {}
@@ -233,16 +361,14 @@ def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Opt
             if vid in lab:
                 raise ParseError(line, f"vertex {vid!r} defined twice")
             if lvalue == "out":
-                label = Output()
+                label = OUTPUT
                 out_vertices.append(vid)
             elif lvalue == "in":
                 if nat is None:
                     raise ParseError(line, "'in' needs an index in a specification body")
                 label = Input(nat)
-            elif lvalue in atomic:
-                label = Atomic(lvalue, atomic[lvalue])
-            elif lvalue in nested:
-                label = Nested(lvalue, nested[lvalue])
+            elif lvalue in symbol:
+                label = symbol[lvalue]
             else:
                 raise ParseError(line, f"unknown symbol {lvalue!r}")
             if len(succ) != label.arity:
@@ -250,7 +376,7 @@ def _parse_definitions(toks: _Tokens, atomic: Dict[str, int], declared_root: Opt
                     line, f"label {lvalue!r} needs {label.arity} arguments, found {len(succ)}"
                 )
             lab[vid] = label
-            args[vid] = tuple(succ)
+            args[vid] = succ
         for vid, lvalue, nat, succ, line in body_lines:
             for sid in succ:
                 if sid not in lab:
@@ -329,6 +455,12 @@ def parse_fo(text: str) -> TermGraph:
     a constant exactly when its successor chain of exit vertices ends in a
     root link.
     """
+    return _build_fo(*(_read_fo(text) or _grammar_fo(text)))
+
+
+def _grammar_fo(text: str):
+    """The token grammar of a first-order document: the root vertex and
+    the vertex statements."""
     toks = _Tokens(text)
     toks.expect("tg")
     toks.expect("{")
@@ -338,30 +470,31 @@ def parse_fo(text: str) -> TermGraph:
     body_lines = _parse_lines(toks, "}")
     if toks.peek()[0] != "eof":
         raise ParseError(toks.peek()[2], f"unexpected {toks.peek()[1]!r}")
+    return root, body_lines
 
+
+def _build_fo(root: str, body_lines) -> TermGraph:
+    """The first-order graph that read statements describe, after the
+    checks that need all of them."""
     lab: Dict[str, object] = {}
     args: Dict[str, tuple] = {}
+    interface = {"out_r": ROOT_OUTPUT, "out": OUTPUT, "in": FO_INPUT, "in_r": ROOT_INPUT}
+    symbol: Dict[Tuple[str, int], Atomic] = {}  # one label object per symbol and arity
     for vid, lvalue, nat, succ, line in body_lines:
         if vid in lab:
             raise ParseError(line, f"vertex {vid!r} defined twice")
         if nat is not None:
             raise ParseError(line, "'in' is binary in a first-order document")
-        if lvalue == "out_r":
-            label = ROOT_OUTPUT
-        elif lvalue == "out":
-            label = Output()
-        elif lvalue == "in":
-            label = FO_INPUT
-        elif lvalue == "in_r":
-            label = ROOT_INPUT
-        else:
-            label = Atomic(lvalue, len(succ))
-        if len(succ) != label.arity and not isinstance(label, Atomic):
+        label = interface.get(lvalue)
+        if label is None:
+            key = (lvalue, len(succ))
+            label = symbol.get(key) or symbol.setdefault(key, Atomic(*key))
+        elif len(succ) != label.arity:
             raise ParseError(
                 line, f"label {lvalue!r} needs {label.arity} arguments, found {len(succ)}"
             )
         lab[vid] = label
-        args[vid] = tuple(succ)
+        args[vid] = succ
     for vid, lvalue, nat, succ, line in body_lines:
         for sid in succ:
             if sid not in lab:

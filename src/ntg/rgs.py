@@ -74,7 +74,12 @@ class NtgSignature:
 
 @dataclass(frozen=True)
 class Rgs:
-    """A specification: signature plus one definition body per nested symbol."""
+    """A specification: signature plus one definition body per nested symbol.
+
+    Immutable.  Each check result (``validate_rgs``, ``dependency_ars``,
+    ``is_ntg`` and the tree check of the structural conversions) is
+    computed on first use and kept on the object it describes.
+    """
 
     signature: NtgSignature
     rec: Mapping[str, TermGraph]
@@ -88,6 +93,22 @@ class Rgs:
     @property
     def root_symbol(self) -> str:
         return self.signature.root_symbol
+
+    @cached_property
+    def _violations(self) -> Tuple["Violation", ...]:
+        return tuple(_check_bodies(self))
+
+    @cached_property
+    def _dependencies(self) -> "DependencyArs":
+        return _dependency_steps(self)
+
+    @cached_property
+    def _ntg(self) -> "NtgResult":
+        return _decide_ntg(self, self._dependencies)
+
+    @cached_property
+    def _tree_defect(self) -> Optional[str]:
+        return _tree_check(self)
 
 
 @dataclass(frozen=True)
@@ -108,8 +129,13 @@ def validate_rgs(r: Rgs) -> List[Violation]:
 
     Returns the empty list when the specification is well formed.  Symbol
     reachability is deliberately not checked here (the parser stays
-    permissive); ``is_ntg`` reports unreachable symbols.
+    permissive); ``is_ntg`` reports unreachable symbols.  The check runs
+    once per specification; each call returns a fresh list.
     """
+    return list(r._violations)
+
+
+def _check_bodies(r: Rgs) -> List[Violation]:
     out: List[Violation] = []
     sig = r.signature
     for sym in sorted(r.rec):
@@ -189,7 +215,12 @@ class DependencyArs:
 
 
 def dependency_ars(r: Rgs) -> DependencyArs:
-    """One step per occurrence of a nested-labeled vertex in some body."""
+    """One step per occurrence of a nested-labeled vertex in some body;
+    built once per specification."""
+    return r._dependencies
+
+
+def _dependency_steps(r: Rgs) -> DependencyArs:
     steps = []
     for sym in sorted(r.rec):
         body = r.rec[sym]
@@ -283,8 +314,12 @@ def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
 def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
     """Decide whether the dependency structure restricted to the reachable
     symbols is a tree: acyclic, at most one step into each symbol, and all
-    declared symbols reachable."""
-    deps = deps or dependency_ars(r)
+    declared symbols reachable.  Without ``deps`` the answer is computed
+    once per specification; given ``deps``, it is computed from them."""
+    return r._ntg if deps is None else _decide_ntg(r, deps)
+
+
+def _decide_ntg(r: Rgs, deps: DependencyArs) -> NtgResult:
     cycle = _find_cycle(deps)
     if cycle is not None:
         return NtgResult(False, Cycle(cycle))
@@ -307,22 +342,25 @@ def _tree_dependencies(n: Rgs) -> DependencyArs:
     violation when ``n`` is invalid or not tree-shaped, or when two of its
     vertices share the name ``<symbol>.<vertex>`` that the structural
     representation and the flattening give them."""
-    bad = validate_rgs(n)
+    defect = n._tree_defect
+    if defect is not None:
+        raise ValueError(defect)
+    return n._dependencies
+
+
+def _tree_check(n: Rgs) -> Optional[str]:
+    bad = n._violations
     if bad:
-        raise ValueError("invalid specification: " + str(bad[0]))
-    deps = dependency_ars(n)
-    res = is_ntg(n, deps)
-    if not res.ok:
-        raise ValueError(f"not a tree-shaped specification: {res.defect}")
+        return "invalid specification: " + str(bad[0])
+    if not n._ntg.ok:
+        return f"not a tree-shaped specification: {n._ntg.defect}"
     owner: Dict[str, str] = {}
     for sym, body in n.rec.items():
         for v in body.lab:
             other = owner.setdefault(f"{sym}.{v}", sym)
             if other != sym:
-                raise ValueError(
-                    f"vertex name {sym}.{v} is ambiguous: definitions {other} and {sym} both yield it"
-                )
-    return deps
+                return f"vertex name {sym}.{v} is ambiguous: definitions {other} and {sym} both yield it"
+    return None
 
 
 class MissingDepthError(ValueError):

@@ -34,3 +34,26 @@ def test_tiny_jobs_pass_their_checks(workload):
         exact += out.exact
     # every decider query gets an exact verdict, cyclic ones included
     assert exact == queries
+
+
+def _no_token_grammar(text):
+    raise AssertionError("a well-formed document went through the token grammar")
+
+
+@pytest.mark.parametrize("workload", ["flat-chains", "deep-nesting", "shared-recursion"])
+def test_tiny_jobs_read_documents_statement_by_statement(workload, monkeypatch):
+    # the token grammar only names errors; every benchmark document is
+    # well formed, so each must take the statement-level reader
+    monkeypatch.setattr(ntg.formats, "_Tokens", _no_token_grammar)
+    jobs, _ = workloads.WORKLOADS[workload](random.Random(1), True)
+    for job in jobs:
+        if not job.sub:
+            job.run(ntg, workloads.Outcome())
+
+
+def test_deep_flattening_is_read_statement_by_statement(monkeypatch):
+    from generators import depth_family
+
+    doc = ntg.print_fo(ntg.interpret(depth_family(400)))
+    monkeypatch.setattr(ntg.formats, "_Tokens", _no_token_grammar)
+    assert len(ntg.parse_fo(doc)) == 162804

@@ -233,6 +233,24 @@ def test_cross_checks_on_random_pairs():
         assert cross_check_theorems(r1, r2).all_agree
 
 
+def test_cross_checks_on_cyclic_pairs(fix_r1):
+    from conftest import load_rgs
+
+    unrolled = load_rgs("r1_unrolled.rgs")
+    rng = random.Random(61)
+    same = [(fix_r1, unrolled), (unrolled, fix_r1)]
+    for _ in range(15):
+        r = random_cyclic_rgs(rng)
+        same.append((r, unroll_twice(r)))
+    other = [(random_cyclic_rgs(rng), random_cyclic_rgs(rng)) for _ in range(15)]
+    for a, b in same + other:
+        report = cross_check_theorems(a, b)
+        assert len(report.entries) == 2 and report.all_agree, str(report)
+        if (a, b) in same:
+            # a specification and its unrolled copy unfold to the same graph
+            assert report.entries[1][1:3] == (True, True), str(report)
+
+
 def test_isomorphism_accepts_input_permutation():
     from ntg import Atomic, Input, Nested, NtgSignature, Output, Rgs, make_graph
 

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -202,3 +203,123 @@ def test_tokenizer_equals_whole_text_scanner():
         assert ours == _tokens_or_error(scan_tokens, text), repr(text)
         errors += ours[0] == "error"
     assert 0 < errors < len(fuzzed)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("tg { root a; a:", "expected a label, found 'end of input'"),
+    ("tg { root a; a: b(c", "expected ',' or ')', found 'end of input'"),
+])
+def test_grammar_names_end_of_input(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_fo(text)
+    assert exc.value.message == message
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``, with every dict in its order, or
+    the type, message and line of what it raises."""
+    from ntg import Rgs
+
+    try:
+        value = parse(text)
+    except ValueError as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    if isinstance(value, Rgs):
+        sig = value.signature
+        bodies = [(sym, _outcome(lambda _: g, None)) for sym, g in value.rec.items()]
+        return list(sig.atomic.items()), list(sig.nested.items()), sig.root_symbol, bodies
+    return list(value.lab.items()), list(value.args.items()), value.root
+
+
+def _grammar_or_error(grammar, text):
+    try:
+        return grammar(text)
+    except ParseError as e:
+        return {"error": (e.line, e.message)}
+
+
+def _reader_corpus(rng):
+    from generators import chain_spec, depth_family, fanout_family, random_cyclic_rgs
+
+    data = pathlib.Path(__file__).parent / "data"
+    texts = [p.read_text() for p in sorted(data.iterdir())]
+    trees = [depth_family(d) for d in (1, 3, 6)] + [chain_spec(4, "s")]
+    trees += [unfold_to_ntg(fanout_family(k)).rgs for k in (2, 3)]
+    trees += [random_ntg(rng) for _ in range(12)]
+    texts += [print_rgs(n) for n in trees] + [print_fo(interpret(n)) for n in trees]
+    texts += [print_rgs(fanout_family(k)) for k in (2, 4)]
+    texts += [print_rgs(random_cyclic_rgs(rng)) for _ in range(8)]
+    texts += [print_rgs(random_acyclic_rgs(rng)) for _ in range(8)]
+    return texts
+
+
+def _fuzz(rng, text):
+    """``text`` with a few edits: gaps, comments and line breaks between
+    tokens and inside argument lists, the index of ``in`` joined to it or
+    followed by a name, a keyword joined to the next name, duplicated
+    statements and atomic symbols, unknown successors, dropped or stray
+    punctuation, and stray characters."""
+    gaps = ["\n", "\r\n", "\t", "  ", "# note\n", "# a(b, c);\n", "#\n", "\n# x # y\n",
+            " #:(\n", "\x0b", "　", "\x85"]
+    stray = ["$", "é", "٣", "7", "x", "@", "'", "\\", ";", ",", "(", ")", "{", "}", ":", "/", "#"]
+    for _ in range(rng.randrange(1, 5)):
+        cuts = [m.end() for m in re.finditer(r"[:;,(){}/]|\bin\b", text)] or [len(text)]
+        at = rng.choice(cuts)
+        kind = rng.randrange(11)
+        if kind < 3:
+            text = text[:at] + rng.choice(gaps) + text[at:]
+        elif kind == 3:
+            text = text.replace(rng.choice(["in 1", "in 2", "in 1;"]),
+                                rng.choice(["in1", "in 1x", "in\n#c\n1", "in٣", "in 0", "in 12"]), 1)
+        elif kind == 4:
+            lines = text.split("\n")
+            i = rng.randrange(len(lines))
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            text = "\n".join(lines)
+        elif kind == 5:
+            names = re.findall(r"[(,] ?([A-Za-z_][\w@.']*)", text)
+            if names:
+                text = text.replace(rng.choice(names) + ")", "zz9)", 1)
+        elif kind == 6:
+            text = text[:at - 1] + text[at:]
+        elif kind == 7:
+            text = text[:at] + rng.choice(stray) + text[at:]
+        elif kind == 8:
+            word = rng.choice(["root ", "def ", "atomic ", "tg "])
+            text = text.replace(word, word.strip() + rng.choice(["", "_", "1", "@"]), 1)
+        elif kind == 9:
+            item = re.search(r"atomic ([^;,]+)", text)
+            if item:
+                text = text.replace(item.group(0), f"{item.group(0)}, {item.group(1)}", 1)
+        else:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(stray + gaps) + text[i:]
+    return text
+
+
+def test_reader_reads_what_the_grammar_reads():
+    """On every text, the statement-level reader either declines or
+    returns the grammar's reading, line numbers included; it declines
+    only texts the grammar rejects; and the parsers give what the grammar
+    alone gives, or raise what it raises."""
+    from ntg import formats
+
+    rng = random.Random(97)
+    texts = _reader_corpus(rng)
+    fuzzed = [_fuzz(rng, rng.choice(texts)) for _ in range(1200)]
+    readers = [
+        (formats._read_rgs, formats._grammar_rgs, parse_rgs, formats._build_rgs),
+        (formats._read_fo, formats._grammar_fo, parse_fo, formats._build_fo),
+    ]
+    accepted = declined = 0
+    for text in texts + fuzzed:
+        for read, grammar, parse, build in readers:
+            theirs = _grammar_or_error(grammar, text)
+            ours = read(text)
+            assert ours == (None if isinstance(theirs, dict) else theirs), repr(text)
+            direct = _outcome(lambda t: build(*grammar(t)), text)
+            assert _outcome(parse, text) == direct, repr(text)
+            accepted += ours is not None
+            declined += ours is None and read is formats._read_rgs and text.startswith("atomic")
+    # the fuzzed texts reach both sides of the reader
+    assert accepted > 300 and declined > 300

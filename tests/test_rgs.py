@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,7 @@ from ntg import (
     Rgs,
     TermGraph,
     UnreachableSymbol,
+    Violation,
     dependency_ars,
     dependency_height,
     is_ntg,
@@ -244,3 +249,90 @@ def test_deep_nesting_needs_no_recursion():
     assert iso is not None
     assert iso.symbol_map["e1500"] == "f1500"
     assert ntg_isomorphic(n, _nesting(1499, "f", "y")) is None
+
+
+# ---------------------------------------------------------------------------
+# Check results kept on the specification
+# ---------------------------------------------------------------------------
+
+
+def test_validate_rgs_returns_a_fresh_list(fix_n):
+    bad = _single_def(TermGraph({"a": Atomic("c", 0), "b": Output()}, {"a": (), "b": ("a",)}, "a"))
+    for r in (fix_n, bad):
+        first = validate_rgs(r)
+        expected = list(first)
+        first.append(Violation(None, None, "appended by the caller"))
+        assert validate_rgs(r) == expected
+        assert validate_rgs(r) is not validate_rgs(r)
+    assert validate_rgs(bad)
+
+
+def test_is_ntg_reads_the_dependencies_it_is_given(fix_n, fix_r1):
+    assert is_ntg(fix_n).ok
+    foreign = is_ntg(fix_n, dependency_ars(fix_r1))
+    assert not foreign.ok and isinstance(foreign.defect, Cycle)
+    assert is_ntg(fix_n).ok and is_ntg(fix_n, dependency_ars(fix_n)).ok
+
+
+_VERDICTS = r"""
+import pathlib, sys
+from ntg import *
+from generators import depth_family, random_ntg
+import random
+
+data = pathlib.Path(sys.argv[1])
+specs = [parse_rgs(p.read_text()) for p in sorted(data.glob("*.rgs"))]
+rng = random.Random(5)
+specs += [random_ntg(rng) for _ in range(6)] + [depth_family(4)]
+derived = []
+for r in specs:
+    if is_ntg(r).ok:
+        derived += [ntg_collapse(r), sntg_to_ntg(ntg_to_sntg(r)), represent(interpret(r))]
+    else:
+        derived.append(unfold_to_ntg(r, depth=2).rgs)
+for r in specs + derived:
+    print([str(v) for v in validate_rgs(r)], is_ntg(r), len(dependency_ars(r).steps))
+    print(nested_bisim(r, specs[0]).verdict, nested_hom(r, r).verdict)
+"""
+
+
+def test_check_results_do_not_depend_on_asserts():
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+
+    def run(*flags):
+        proc = subprocess.run([sys.executable, *flags, "-c", _VERDICTS, str(here / "data")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    asserting, optimized = run(), run("-O")
+    assert asserting.count("\n") > 20
+    assert asserting == optimized
+
+
+def test_each_specification_is_checked_once(monkeypatch):
+    import ntg.rgs
+    from ntg import interpret, ntg_collapse, ntg_to_sntg, parse_rgs, print_rgs
+    from generators import depth_family
+
+    text = print_rgs(depth_family(12))
+    checked = []
+    body_check = ntg.rgs._check_bodies
+
+    def spy(r):
+        checked.append(r)
+        return body_check(r)
+
+    monkeypatch.setattr(ntg.rgs, "_check_bodies", spy)
+    r = parse_rgs(text)
+    assert validate_rgs(r) == []
+    ntg_to_sntg(r)
+    interpret(r)
+    shared = ntg_collapse(r)
+    ntg_to_sntg(r)
+    interpret(shared)
+    # the parsed specification and the collapse's self-checked result
+    assert sum(x is r for x in checked) == 1
+    assert len({id(x) for x in checked}) == len(checked)
+    assert any(x is shared for x in checked) == __debug__
