@@ -71,7 +71,6 @@ from .equivalence import (
     ntg_isomorphic,
     verify_nested_bisim,
     verify_ntg_hom,
-    witness_ntg_from_relation,
 )
 from .firstorder import (
     AncestorFailure,

@@ -36,6 +36,16 @@ def _write_out(text: str, path: Optional[str], stdout):
             fh.write(text)
 
 
+def _is_fo(text: str) -> bool:
+    """Whether a document is first-order: its first line that is neither
+    blank nor a ``#`` comment opens with ``tg``."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return line.startswith("tg")
+    return False
+
+
 def _load_rgs(path: str):
     return formats.parse_rgs(_read(path))
 
@@ -279,7 +289,7 @@ _HOM_DECIDER = "hom --level nested"
 def _load_fo(path: str, stderr):
     """A first-order graph: read directly or obtained by flattening."""
     text = _read(path)
-    if text.lstrip().startswith("tg"):
+    if _is_fo(text):
         return formats.parse_fo(text)
     return firstorder.interpret(_load_ntg(path, stderr, decider=_HOM_DECIDER))
 
@@ -333,10 +343,6 @@ def _cmd_roundtrip(ns, stdout, stderr) -> int:
 
 def _cmd_dot(ns, stdout, stderr) -> int:
     text = _read(ns.file)
-    stripped = text.lstrip()
-    if stripped.startswith("tg"):
-        value = formats.parse_fo(text)
-    else:
-        value = formats.parse_rgs(text)
+    value = formats.parse_fo(text) if _is_fo(text) else formats.parse_rgs(text)
     _write_out(formats.export_dot(value), ns.output, stdout)
     return OK

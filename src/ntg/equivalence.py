@@ -7,8 +7,10 @@ compare arbitrary specifications through configurations that pair a
 vertex with the stack of occurrence vertices it is nested under; those
 work for shared and cyclic dependencies as well.  Stack-based
 bisimilarity and homomorphism existence are both decided exactly by
-call/return summaries; the explicit closure over configurations remains
-only to build the finite relation or mapping of an acyclic positive on
+call/return summaries, and the same tables give a positive bisimilarity
+verdict its witness specification, which is also the witness of
+``ntg_bisimilar``.  The explicit closure over configurations remains only
+to build the finite relation or mapping of an acyclic positive on
 request, and the bounded self-bisimulation.
 """
 
@@ -379,10 +381,64 @@ def _functionality_conflict(contexts):
     return None
 
 
-def _acyclic_closure(carriers):
+@dataclass(frozen=True)
+class BisimWitness:
+    """A witness specification over paired symbols, with both projections."""
+
+    witness: Rgs
+    proj_left: Dict[CV, CV]
+    proj_right: Dict[CV, CV]
+
+
+def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
+    """The witness of a positive verdict, read off its summary tables.
+
+    One definition ``f&g`` per context, entered at its entry pair; one
+    vertex ``v|w`` per reached pair; one input per exit, numbered in the
+    order the exits were found.  An occurrence pair passes, for each exit
+    of its callee, the argument pair at that exit's input indices.
+    """
+    # the witness carries left labels, so the left arity wins a conflict
+    atomic = {**c2.rgs.signature.atomic, **c1.rgs.signature.atomic}
+    roots = (c1.rgs.root_symbol, c2.rgs.root_symbol)
+    sym_name = _uniquify(contexts, lambda key: "&".join(key or roots), avoid=atomic)
+
+    def labels(item):
+        _, (v1, v2) = item
+        return c1.lab(v1), c2.lab(v2)
+
+    arity, entry = _pair_witness(
+        [(key, u) for key, ctx in contexts.items() for u in ctx.exits.values()],
+        labels,
+        lambda item: (c1.args(item[1][0]), c2.args(item[1][1])),
+        lambda item: item[0],
+        lambda item: tuple(lbl.name for lbl in labels(item)),
+        sym_name.__getitem__,
+    )
+    rec: Dict[str, TermGraph] = {}
+    proj_left: Dict[CV, CV] = {}
+    proj_right: Dict[CV, CV] = {}
+    for key, ctx in contexts.items():
+        sym = sym_name[key]
+        # vertex ids need only be unique within their own body
+        vid = _uniquify(ctx.reached, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
+        lab, args = {}, {}
+        for pair, v in vid.items():
+            lab[v], succ = entry((key, pair))
+            args[v] = tuple(vid[q] for q in succ)
+            proj_left[(sym, v)], proj_right[(sym, v)] = pair
+        rec[sym] = TermGraph(lab, args, next(iter(vid.values())))  # the entry pair came first
+    nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
+    witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
+    assert not validate_rgs(witness), "constructed witness is ill-formed"
+    assert not verify_ntg_hom(witness, c1.rgs, proj_left), "left projection fails"
+    assert not verify_ntg_hom(witness, c2.rgs, proj_right), "right projection fails"
+    return BisimWitness(witness, proj_left, proj_right)
+
+
+def _acyclic_closure(c1: _Carrier, c2: _Carrier):
     """The explicit closure of a positive verdict, when it is finite (on
     acyclic specifications); None otherwise."""
-    c1, c2 = carriers
     if _needs_depth(c1.rgs, c2.rgs):
         return None
     configs, bounded, clash = _closure(c1, c2, None)
@@ -398,7 +454,7 @@ class _SummaryResult:
     contexts: int = 0  # pairs of entered symbols tabulated, plus the root context
     facts: int = 0  # vertex pairs reached and exits found, over all contexts
     path_length: int = 0  # configurations on ``path``; 0 without a clash
-    _carriers: tuple = field(default=(), repr=False, compare=False)
+    _tables: tuple = field(default=(), repr=False, compare=False)  # (c1, c2, contexts)
     _trace: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -423,7 +479,7 @@ def _summarize(r1: Rgs, r2: Rgs):
     fields = dict(
         contexts=len(contexts),
         facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
-        _carriers=(c1, c2),
+        _tables=(c1, c2, contexts),
     )
     if clash is None:
         return contexts, fields, None
@@ -448,8 +504,16 @@ class NestedBisimResult(_SummaryResult):
         """The least nested bisimulation, when it is finite: built by the
         explicit closure on first access, for a positive verdict on acyclic
         specifications; None otherwise."""
-        configs = _acyclic_closure(self._carriers) if self.bisimilar else None
+        configs = _acyclic_closure(*self._tables[:2]) if self.bisimilar else None
         return None if configs is None else NestedBisimRelation(frozenset(configs), None)
+
+    @cached_property
+    def witness(self) -> Optional[BisimWitness]:
+        """For a "bisimilar" verdict, a specification whose projections
+        onto both inputs are homomorphisms, read off the summary tables on
+        first access; None otherwise.  Polynomial like the verdict, also
+        on shared and cyclic input."""
+        return _summary_witness(*self._tables) if self.bisimilar else None
 
 
 def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimResult:
@@ -490,7 +554,7 @@ class NestedHomResult(_SummaryResult):
         right vertex)``, when it is finite: built by the explicit closure on
         first access, for a "hom" on acyclic specifications; None
         otherwise."""
-        configs = _acyclic_closure(self._carriers) if self.exists else None
+        configs = _acyclic_closure(*self._tables[:2]) if self.exists else None
         if configs is None:
             return None
         mapping = {(cfg.left_stack, cfg.left): (cfg.right_stack, cfg.right) for cfg in configs}
@@ -645,7 +709,18 @@ def ntg_hom(n1: Rgs, n2: Rgs) -> Optional[Dict[CV, CV]]:
 
 
 def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
-    """Re-check a homomorphism witness clause by clause."""
+    """Re-check a homomorphism witness clause by clause.
+
+    The clauses are the homomorphism clauses of the paper, and they hold
+    for any valid specification, shared or cyclic, not only tree-shaped
+    ones: the root definitions are related; atomic vertices keep their
+    label and arguments; output, input and occurrence vertices map to
+    vertices of the same kind, outputs keeping their successor; and at an
+    occurrence the two callees' roots are related and each callee input
+    maps to an input of the image's callee whose argument is the image of
+    the argument.  As every body vertex is reachable from its output
+    vertex, these clauses also map each body into one body.
+    """
     c1, c2 = _Carrier(n1), _Carrier(n2)
     problems = []
     if phi.get(c1.root) != c2.root:
@@ -695,96 +770,16 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class BisimWitness:
-    """A witness specification over paired symbols, with both projections."""
-
-    witness: Rgs
-    proj_left: Dict[CV, CV]
-    proj_right: Dict[CV, CV]
-
-
 def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:
-    """Synchronized closure over vertex pairs; builds the witness
-    specification whose projections are homomorphisms, or returns None."""
+    """Bisimilarity of two tree-shaped specifications: the witness of
+    ``nested_bisim``, a tree-shaped specification whose projections are
+    homomorphisms, or None."""
     _require_ntg(n1, "left argument")
     _require_ntg(n2, "right argument")
-    atomic = _merge_atomic(n1.signature, n2.signature)
-    c1, c2 = _Carrier(n1), _Carrier(n2)
-
-    start = (c1.root, c2.root)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        v, w = queue.popleft()
-        l1, l2 = c1.lab(v), c2.lab(w)
-        if not _compatible(l1, l2):
-            return None
-        children = []
-        if isinstance(l1, (Atomic, Output)):
-            children = list(zip(c1.args(v), c2.args(w)))
-        elif isinstance(l1, Nested):
-            children = [(c1.rootof[l1.name], c2.rootof[l2.name])]
-        else:
-            occ1, occ2 = c1.occurrence(v[0]), c2.occurrence(w[0])
-            if occ1 is None or occ2 is None:
-                return None
-            a1, a2 = c1.args(occ1), c2.args(occ2)
-            children = [(a1[l1.index - 1], a2[l2.index - 1])]
-        for child in children:
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-                queue.append(child)
-
-    def labels(pair):
-        return c1.lab(pair[0]), c2.lab(pair[1])
-
-    def scope(pair):
-        return pair[0][0], pair[1][0]
-
-    # the witness has one definition per pair of entered symbols, and its
-    # inputs are numbered in discovery order
-    sym_keys = [(n1.root_symbol, n2.root_symbol)]
-    sym_keys += [(l1.name, l2.name) for l1, l2 in map(labels, order) if isinstance(l1, Nested)]
-    sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}&{key[1]}", avoid=atomic)
-    pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
-    arity, entry = _pair_witness(
-        [pair for pair in order if isinstance(c1.lab(pair[0]), Input)],
-        labels,
-        lambda pair: (c1.args(pair[0]), c2.args(pair[1])),
-        scope,
-        lambda pair: tuple(lbl.name for lbl in labels(pair)),
-        sym_name.__getitem__,
-    )
-
-    bodies: Dict[Tuple[str, str], tuple] = {key: ({}, {}) for key in sym_name}
-    proj_left: Dict[CV, CV] = {}
-    proj_right: Dict[CV, CV] = {}
-    for pair in order:
-        lab, succ = entry(pair)
-        key = scope(pair)
-        vid = pair_name[pair]
-        body_lab, body_args = bodies[key]
-        body_lab[vid] = lab
-        body_args[vid] = tuple(pair_name[q] for q in succ)
-        proj_left[(sym_name[key], vid)] = pair[0]
-        proj_right[(sym_name[key], vid)] = pair[1]
-
-    rec = {
-        sym_name[key]: TermGraph(lab, args, pair_name[(c1.rootof[key[0]], c2.rootof[key[1]])])
-        for key, (lab, args) in bodies.items()
-    }
-    nested = {sym_name[key]: arity.get(key, 0) for key in sym_name}
-    sig = NtgSignature(atomic, nested, sym_name[(n1.root_symbol, n2.root_symbol)])
-    witness = Rgs(sig, rec)
-
-    assert not validate_rgs(witness), "constructed witness is ill-formed"
-    assert is_ntg(witness).ok, "constructed witness is not tree-shaped"
-    assert not verify_ntg_hom(witness, n1, proj_left), "left projection fails"
-    assert not verify_ntg_hom(witness, n2, proj_right), "right projection fails"
-    return BisimWitness(witness, proj_left, proj_right)
+    _merge_atomic(n1.signature, n2.signature)
+    found = nested_bisim(n1, n2).witness
+    assert found is None or is_ntg(found.witness).ok, "witness is not tree-shaped"
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -881,77 +876,6 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     if len(set(symbol_map.values())) != len(symbol_map):
         return None
     return NtgIso(symbol_map, vertex_map, input_perm)
-
-
-# ---------------------------------------------------------------------------
-# Witness extraction from an exact relation
-# ---------------------------------------------------------------------------
-
-
-def witness_ntg_from_relation(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> Rgs:
-    """Turn an exact nested bisimulation into a tree-shaped specification.
-
-    One defined symbol per stack pair occurring in the relation; the
-    configurations sharing a stack pair become the body vertices.
-    """
-    if not rel.exact:
-        raise ValueError("only exact relations induce a specification")
-    problems = verify_nested_bisim(rel, r1, r2)
-    if problems:
-        raise ValueError("relation is not a nested bisimulation: " + problems[0])
-    c1, c2 = _Carrier(r1), _Carrier(r2)
-
-    def stack_pair(cfg):
-        return (cfg.left_stack, cfg.right_stack)
-
-    def labels(cfg):
-        return c1.lab(cfg.left), c2.lab(cfg.right)
-
-    atomic = _merge_atomic(r1.signature, r2.signature)
-    pairs = sorted({stack_pair(cfg) for cfg in rel.configs}, key=lambda p: (len(p[0]), str(p)))
-    number = {p: i for i, p in enumerate(pairs)}
-    sym_name = _uniquify(pairs, lambda p: f"w{number[p]}", avoid=atomic)
-
-    configs = sorted(rel.configs, key=str)
-    members: Dict[tuple, list] = {p: [] for p in pairs}
-    for cfg in configs:
-        members[stack_pair(cfg)].append(cfg)
-    # inputs are numbered by their two indices within each stack pair
-    inputs = [cfg for cfg in configs if all(isinstance(lbl, Input) for lbl in labels(cfg))]
-    inputs.sort(key=lambda cfg: (c1.lab(cfg.left).index, c2.lab(cfg.right).index, str(cfg)))
-    arity, entry = _pair_witness(
-        inputs,
-        labels,
-        lambda cfg: (c1.args(cfg.left), c2.args(cfg.right)),
-        stack_pair,
-        lambda cfg: (cfg.left_stack + (cfg.left,), cfg.right_stack + (cfg.right,)),
-        sym_name.__getitem__,
-    )
-
-    rec = {}
-    for p in pairs:
-        vid = _uniquify(
-            members[p],
-            lambda cfg: f"{cfg.left[0]}.{cfg.left[1]}|{cfg.right[0]}.{cfg.right[1]}",
-        )
-        lab = {}
-        args = {}
-        for cfg in members[p]:
-            lab[vid[cfg]], succ = entry(cfg)
-            args[vid[cfg]] = tuple(vid[NestedConfig(p[0], x, p[1], y)] for x, y in succ)
-        out_vids = [
-            vid[cfg] for cfg in members[p] if isinstance(c1.lab(cfg.left), Output)
-        ]
-        if len(out_vids) != 1:
-            raise ValueError(f"stack pair {p} has {len(out_vids)} output configurations")
-        rec[sym_name[p]] = TermGraph(lab, args, out_vids[0])
-
-    nested = {sym_name[p]: arity.get(p, 0) for p in pairs}
-    sig = NtgSignature(atomic, nested, sym_name[((), ())])
-    witness = Rgs(sig, rec)
-    assert not validate_rgs(witness), "relation does not induce a well-formed specification"
-    assert is_ntg(witness).ok
-    return witness
 
 
 # ---------------------------------------------------------------------------

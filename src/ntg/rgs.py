@@ -412,6 +412,8 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     deeper than that are replaced by the nullary placeholder, yielding a
     truncated, non-semantic result meant for inspection only.
     """
+    if depth is not None and depth < 0:
+        raise ValueError(f"unfold depth must not be negative, got {depth}")
     if depth is None and _find_cycle(dependency_ars(r)) is not None:
         raise MissingDepthError("cyclic dependencies require an unfold depth")
 

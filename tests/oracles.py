@@ -13,16 +13,20 @@ closure over stack-prefixed configurations with a functionality scan as
 the reference of the summary-based ``nested_hom``, and the flattening
 built from the structural representation, with the collapse of that
 flattening read back, as the references of the carrier-based
-``interpret`` and ``ntg_collapse``.  None of them share search code with
-the library, except that ``two_path_collapse`` takes its plain path from
+``interpret`` and ``ntg_collapse``, and two witness builders for
+bisimilarity: the global pair closure over tree-shaped specifications and
+the quotient of an explicit relation by its stack pairs, as the references
+of the summary-based witness.  None of them share search code with the
+library, except that ``two_path_collapse`` takes its plain path from
 ``tg_collapse``, whose block map is checked against ``moore_refine``,
-``flat_collapse`` runs the library's ``_refine`` on the flattening, and
+``flat_collapse`` runs the library's ``_refine`` on the flattening,
 ``closure_nested_hom`` runs the library's explicit closure, which shares
-nothing with the summary tabulation.
+nothing with the summary tabulation, and both witness builders fill their
+bodies through the library's ``_pair_witness``.
 """
 
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import product
 
 from ntg import verify_ntg_hom, verify_sntg_hom, verify_tg_hom
@@ -520,3 +524,172 @@ def closure_nested_hom(r1, r2, depth=None):
     if bounded:
         return ClosureHomResult("unknown_at_depth")
     return ClosureHomResult("hom", mapping=mapping)
+
+
+def closure_ntg_bisimilar(n1, n2):
+    """Synchronized closure over vertex pairs; builds the witness
+    specification whose projections are homomorphisms, or returns None.
+
+    The pair closure of ``ntg_bisimilar`` before it read its witness off
+    the call/return summaries of ``nested_bisim``: one global breadth-first
+    walk over vertex pairs, whose vertex ids are made unique over all
+    bodies at once.  The reference for verdicts, printed witnesses and
+    projections.
+    """
+    from ntg.equivalence import (
+        BisimWitness, _compatible, _merge_atomic, _pair_witness, _require_ntg, _uniquify,
+    )
+    from ntg import Atomic, Input, Nested, NtgSignature, Output, Rgs, is_ntg, validate_rgs
+
+    _require_ntg(n1, "left argument")
+    _require_ntg(n2, "right argument")
+    atomic = _merge_atomic(n1.signature, n2.signature)
+    c1, c2 = _Carrier(n1), _Carrier(n2)
+
+    start = (c1.root, c2.root)
+    seen = {start}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        v, w = queue.popleft()
+        l1, l2 = c1.lab(v), c2.lab(w)
+        if not _compatible(l1, l2):
+            return None
+        children = []
+        if isinstance(l1, (Atomic, Output)):
+            children = list(zip(c1.args(v), c2.args(w)))
+        elif isinstance(l1, Nested):
+            children = [(c1.rootof[l1.name], c2.rootof[l2.name])]
+        else:
+            occ1, occ2 = c1.occurrence(v[0]), c2.occurrence(w[0])
+            if occ1 is None or occ2 is None:
+                return None
+            a1, a2 = c1.args(occ1), c2.args(occ2)
+            children = [(a1[l1.index - 1], a2[l2.index - 1])]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+                queue.append(child)
+
+    def labels(pair):
+        return c1.lab(pair[0]), c2.lab(pair[1])
+
+    def scope(pair):
+        return pair[0][0], pair[1][0]
+
+    # the witness has one definition per pair of entered symbols, and its
+    # inputs are numbered in discovery order
+    sym_keys = [(n1.root_symbol, n2.root_symbol)]
+    sym_keys += [(l1.name, l2.name) for l1, l2 in map(labels, order) if isinstance(l1, Nested)]
+    sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}&{key[1]}", avoid=atomic)
+    pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
+    arity, entry = _pair_witness(
+        [pair for pair in order if isinstance(c1.lab(pair[0]), Input)],
+        labels,
+        lambda pair: (c1.args(pair[0]), c2.args(pair[1])),
+        scope,
+        lambda pair: tuple(lbl.name for lbl in labels(pair)),
+        sym_name.__getitem__,
+    )
+
+    bodies = {key: ({}, {}) for key in sym_name}
+    proj_left = {}
+    proj_right = {}
+    for pair in order:
+        lab, succ = entry(pair)
+        key = scope(pair)
+        vid = pair_name[pair]
+        body_lab, body_args = bodies[key]
+        body_lab[vid] = lab
+        body_args[vid] = tuple(pair_name[q] for q in succ)
+        proj_left[(sym_name[key], vid)] = pair[0]
+        proj_right[(sym_name[key], vid)] = pair[1]
+
+    rec = {
+        sym_name[key]: TermGraph(lab, args, pair_name[(c1.rootof[key[0]], c2.rootof[key[1]])])
+        for key, (lab, args) in bodies.items()
+    }
+    nested = {sym_name[key]: arity.get(key, 0) for key in sym_name}
+    sig = NtgSignature(atomic, nested, sym_name[(n1.root_symbol, n2.root_symbol)])
+    witness = Rgs(sig, rec)
+
+    assert not validate_rgs(witness), "constructed witness is ill-formed"
+    assert is_ntg(witness).ok, "constructed witness is not tree-shaped"
+    assert not verify_ntg_hom(witness, n1, proj_left), "left projection fails"
+    assert not verify_ntg_hom(witness, n2, proj_right), "right projection fails"
+    return BisimWitness(witness, proj_left, proj_right)
+
+
+def relation_witness(rel, r1, r2):
+    """Turn an exact nested bisimulation into a tree-shaped specification.
+
+    One defined symbol per stack pair occurring in the relation; the
+    configurations sharing a stack pair become the body vertices.  The
+    reference for ``NestedBisimResult.witness``: it reads the explicit
+    relation, which is exponential in sharing, where the library reads the
+    call/return summaries.
+    """
+    from ntg.equivalence import (
+        NestedConfig, _merge_atomic, _pair_witness, _uniquify, verify_nested_bisim,
+    )
+    from ntg import Input, NtgSignature, Output, Rgs, is_ntg, validate_rgs
+
+    if not rel.exact:
+        raise ValueError("only exact relations induce a specification")
+    problems = verify_nested_bisim(rel, r1, r2)
+    if problems:
+        raise ValueError("relation is not a nested bisimulation: " + problems[0])
+    c1, c2 = _Carrier(r1), _Carrier(r2)
+
+    def stack_pair(cfg):
+        return (cfg.left_stack, cfg.right_stack)
+
+    def labels(cfg):
+        return c1.lab(cfg.left), c2.lab(cfg.right)
+
+    atomic = _merge_atomic(r1.signature, r2.signature)
+    pairs = sorted({stack_pair(cfg) for cfg in rel.configs}, key=lambda p: (len(p[0]), str(p)))
+    number = {p: i for i, p in enumerate(pairs)}
+    sym_name = _uniquify(pairs, lambda p: f"w{number[p]}", avoid=atomic)
+
+    configs = sorted(rel.configs, key=str)
+    members = {p: [] for p in pairs}
+    for cfg in configs:
+        members[stack_pair(cfg)].append(cfg)
+    # inputs are numbered by their two indices within each stack pair
+    inputs = [cfg for cfg in configs if all(isinstance(lbl, Input) for lbl in labels(cfg))]
+    inputs.sort(key=lambda cfg: (c1.lab(cfg.left).index, c2.lab(cfg.right).index, str(cfg)))
+    arity, entry = _pair_witness(
+        inputs,
+        labels,
+        lambda cfg: (c1.args(cfg.left), c2.args(cfg.right)),
+        stack_pair,
+        lambda cfg: (cfg.left_stack + (cfg.left,), cfg.right_stack + (cfg.right,)),
+        sym_name.__getitem__,
+    )
+
+    rec = {}
+    for p in pairs:
+        vid = _uniquify(
+            members[p],
+            lambda cfg: f"{cfg.left[0]}.{cfg.left[1]}|{cfg.right[0]}.{cfg.right[1]}",
+        )
+        lab = {}
+        args = {}
+        for cfg in members[p]:
+            lab[vid[cfg]], succ = entry(cfg)
+            args[vid[cfg]] = tuple(vid[NestedConfig(p[0], x, p[1], y)] for x, y in succ)
+        out_vids = [
+            vid[cfg] for cfg in members[p] if isinstance(c1.lab(cfg.left), Output)
+        ]
+        if len(out_vids) != 1:
+            raise ValueError(f"stack pair {p} has {len(out_vids)} output configurations")
+        rec[sym_name[p]] = TermGraph(lab, args, out_vids[0])
+
+    nested = {sym_name[p]: arity.get(p, 0) for p in pairs}
+    sig = NtgSignature(atomic, nested, sym_name[((), ())])
+    witness = Rgs(sig, rec)
+    assert not validate_rgs(witness), "relation does not induce a well-formed specification"
+    assert is_ntg(witness).ok
+    return witness

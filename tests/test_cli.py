@@ -265,6 +265,20 @@ def test_dot_sniffs_input_kind(tmp_path):
     assert code == 0 and "dotted" in out
 
 
+def test_commented_first_order_file_is_read_as_first_order():
+    # the file opens with '#' comment lines before its 'tg' header
+    assert (DATA / "n_flattened.fo").read_text().startswith("#")
+    code, out, err = run("dot", path("n_flattened.fo"))
+    assert code == 0 and out.startswith("digraph"), err
+    code, out, err = run("hom", path("n_flattened.fo"), path("n_flattened.fo"), "--level", "fo")
+    assert code == 0 and "root -> root" in out, err
+
+
+def test_negative_unfold_depth_is_usage_error():
+    code, out, err = run("unfold", path("r1.rgs"), "--depth", "-1")
+    assert code == 2 and out == "" and "negative" in err
+
+
 def test_missing_file_is_usage_error():
     code, out, err = run("is-ntg", "/nonexistent/file.rgs")
     assert code == 2

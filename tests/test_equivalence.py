@@ -16,7 +16,6 @@ from ntg import (
     unfold_to_ntg,
     verify_nested_bisim,
     verify_ntg_hom,
-    witness_ntg_from_relation,
 )
 from ntg.firstorder import ntg_collapse
 from generators import (
@@ -31,7 +30,13 @@ from generators import (
     split_shared_vertex,
     unroll_twice,
 )
-from oracles import brute_force_ntg_hom, closure_nested_hom, replay_path
+from oracles import (
+    brute_force_ntg_hom,
+    closure_nested_hom,
+    closure_ntg_bisimilar,
+    relation_witness,
+    replay_path,
+)
 
 
 def test_hom_identity(fix_n):
@@ -184,20 +189,20 @@ def test_verifier_rejects_broken_relation(fix_triv):
 
 def test_witness_from_diagonal_relation(fix_n):
     rel = minimal_nested_self_bisimulation(fix_n)
-    witness = witness_ntg_from_relation(rel, fix_n, fix_n)
+    witness = relation_witness(rel, fix_n, fix_n)
     assert ntg_isomorphic(witness, fix_n) is not None
 
 
 def test_witness_from_self_relation_equals_unfolding(fix_r0):
     rel = minimal_nested_self_bisimulation(fix_r0)
-    witness = witness_ntg_from_relation(rel, fix_r0, fix_r0)
+    witness = relation_witness(rel, fix_r0, fix_r0)
     assert ntg_isomorphic(witness, unfold_to_ntg(fix_r0).rgs) is not None
 
 
 def test_witness_from_cross_relation_projects(sharing_chain):
     a, _, _, d = sharing_chain
     res = nested_bisim(a, d)
-    witness = witness_ntg_from_relation(res.relation, a, d)
+    witness = relation_witness(res.relation, a, d)
     assert ntg_hom(witness, a) is not None
     assert ntg_hom(witness, d) is not None
 
@@ -206,7 +211,7 @@ def test_witness_rejects_bounded_relation(fix_r1):
     rel = minimal_nested_self_bisimulation(fix_r1, depth=3)
     assert not rel.exact
     with pytest.raises(ValueError):
-        witness_ntg_from_relation(rel, fix_r1, fix_r1)
+        relation_witness(rel, fix_r1, fix_r1)
 
 
 def test_cross_checks_on_fixture_pairs(fix_n, fix_triv, sharing_chain):
@@ -568,3 +573,152 @@ def test_shared_fanout_hom_without_the_closure(monkeypatch):
     res = nested_hom(f, g)
     assert time.perf_counter() - start < 0.05
     assert res.verdict == "hom" and res.contexts <= 82
+
+
+# ---------------------------------------------------------------------------
+# The witness read off the summaries
+# ---------------------------------------------------------------------------
+
+
+def _same_as_pair_closure(a, b):
+    """The verdict of ``ntg_bisimilar``, after checking it against the
+    global pair closure: the same verdict, the same printed witness, and
+    projection keys that differ only by the primes the closure added."""
+    from ntg import print_rgs
+
+    old, new = closure_ntg_bisimilar(a, b), ntg_bisimilar(a, b)
+    assert (old is None) == (new is None)
+    if new is None:
+        return False
+    assert print_rgs(old.witness) == print_rgs(new.witness)
+    for before, after in ((old.proj_left, new.proj_left), (old.proj_right, new.proj_right)):
+        assert {(sym, v.rstrip("'")): img for (sym, v), img in before.items()} == after
+    return True
+
+
+def test_ntg_bisimilar_matches_the_pair_closure():
+    rng = random.Random(131)
+    verdicts = []
+    for _ in range(150):
+        n = random_ntg(rng)
+        for other in (n, mutate_ntg(rng, n), random_ntg(rng)):
+            verdicts.append(_same_as_pair_closure(n, other))
+    for _ in range(150):
+        r = random_acyclic_rgs(rng)
+        u = unfold_to_ntg(r).rgs
+        for other in (unroll_twice(r), relabel_constant(rng, r)):
+            verdicts.append(_same_as_pair_closure(u, unfold_to_ntg(other).rgs))
+    for d in range(1, 30):
+        assert _same_as_pair_closure(depth_family(d), depth_family(d))
+    assert verdicts.count(True) >= 250 and verdicts.count(False) >= 250
+
+
+def test_summary_witness_against_the_relation_witness():
+    rng = random.Random(137)
+    positives = 0
+    while positives < 300:
+        r = random_acyclic_rgs(rng)
+        for other in (unroll_twice(r), relabel_constant(rng, r)):
+            res = nested_bisim(r, other)
+            if res.bisimilar:
+                positives += 1
+                rebuilt = relation_witness(res.relation, r, other)
+                assert ntg_isomorphic(rebuilt, unfold_to_ntg(res.witness.witness).rgs) is not None
+            else:
+                assert res.witness is None
+
+
+def test_summary_witness_on_cyclic_positives():
+    from ntg import validate_rgs
+
+    rng = random.Random(139)
+    positives = 0
+    while positives < 100:
+        r = random_cyclic_rgs(rng)
+        for other in (unroll_twice(r), relabel_constant(rng, r)):
+            res = nested_bisim(r, other)
+            if not res.bisimilar:
+                assert res.witness is None
+                continue
+            positives += 1
+            w = res.witness
+            assert validate_rgs(w.witness) == []
+            assert verify_ntg_hom(w.witness, r, w.proj_left) == []
+            assert verify_ntg_hom(w.witness, other, w.proj_right) == []
+            assert nested_bisim(w.witness, r).bisimilar
+            assert nested_bisim(w.witness, other).bisimilar
+
+
+def test_ntg_bisimilar_without_the_closure(monkeypatch):
+    from ntg import equivalence
+
+    def forbidden(*args):
+        raise AssertionError("ntg_bisimilar used the explicit closure")
+
+    f = unfold_to_ntg(fanout_family(6)).rgs
+    g = unfold_to_ntg(fanout_family(6, "_b")).rgs
+    monkeypatch.setattr(equivalence, "_closure", forbidden)
+    res = ntg_bisimilar(f, g)
+    assert res is not None and len(res.witness.rec) == len(f.rec)
+    assert ntg_bisimilar(f, relabel(g, "d0_b", "d0_b/m", "z")) is None
+
+
+def test_witness_vertex_ids_are_unique_per_body():
+    res = ntg_bisimilar(depth_family(1355), depth_family(1355))
+    assert res is not None
+    assert not any("'" in v for body in res.witness.rec.values() for v in body.lab)
+    assert not any("'" in v for _, v in res.proj_left)
+
+
+def test_witness_does_not_rest_on_asserts():
+    import pathlib
+    import subprocess
+    import sys
+
+    from conftest import DATA, load_rgs
+    from ntg import print_rgs
+
+    script = (
+        "import sys\n"
+        "from ntg import nested_bisim, parse_rgs, print_rgs\n"
+        "if __debug__:\n"
+        "    sys.exit(3)\n"
+        "a, b = (parse_rgs(open(p).read()) for p in sys.argv[1:])\n"
+        "sys.stdout.write(print_rgs(nested_bisim(a, b).witness.witness))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for a, b in (("r0.rgs", "r0.rgs"), ("r1.rgs", "r1_unrolled.rgs"), ("chain_a.rgs", "chain_d.rgs")):
+        files = [str(DATA / a), str(DATA / b)]
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script, *files],
+            capture_output=True, text=True, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert run.returncode == 0, run.stderr
+        left, right = (load_rgs(name) for name in (a, b))
+        assert run.stdout == print_rgs(nested_bisim(left, right).witness.witness)
+
+
+def _redirections(target, phi):
+    """Each map that sends one entry of ``phi`` to another vertex of
+    ``target``, one with another label or in another definition."""
+    from ntg.equivalence import _Carrier
+
+    c = _Carrier(target)
+    for key, img in phi.items():
+        for other in c.vertices():
+            if other != img and (other[0] != img[0] or c.lab(other) != c.lab(img)):
+                yield {**phi, key: other}
+
+
+def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
+    from conftest import load_rgs
+
+    pairs = [(fix_r0, fix_r0), (fix_r0, unfold_to_ntg(fix_r0).rgs), (fix_r1, load_rgs("r1_unrolled.rgs"))]
+    rng = random.Random(149)
+    pairs += [(r, unroll_twice(r)) for r in (random_cyclic_rgs(rng) for _ in range(4))]
+    for a, b in pairs:
+        w = nested_bisim(a, b).witness
+        for target, phi in ((a, w.proj_left), (b, w.proj_right)):
+            assert verify_ntg_hom(w.witness, target, phi) == []
+            for wrong in _redirections(target, phi):
+                assert verify_ntg_hom(w.witness, target, wrong) != []

@@ -164,6 +164,13 @@ def test_unfold_cyclic_needs_depth(fix_r1):
         unfold_to_ntg(fix_r1)
 
 
+def test_unfold_rejects_negative_depth(fix_r0, fix_r1):
+    for r in (fix_r0, fix_r1):
+        with pytest.raises(ValueError, match="negative"):
+            unfold_to_ntg(r, -1)
+    assert unfold_to_ntg(fix_r1, 0).cuts == 1
+
+
 def test_unfold_cyclic_truncates(fix_r1):
     res = unfold_to_ntg(fix_r1, depth=3)
     assert res.truncated and res.cuts == 1
