@@ -38,8 +38,9 @@ def _write_out(text: str, path: Optional[str], stdout):
 
 def _is_fo(text: str) -> bool:
     """Whether a document is first-order: its first line that is neither
-    blank nor a ``#`` comment opens with ``tg``."""
-    for line in text.splitlines():
+    blank nor a ``#`` comment opens with ``tg``.  As in the reader, a
+    comment ends only at a newline."""
+    for line in text.split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             return line.startswith("tg")

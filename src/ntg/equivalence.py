@@ -35,6 +35,7 @@ from .rgs import (
     _pair_witness,
     _uniquify,
 )
+from .sntg import ntg_to_sntg, sntg_bisimilar
 
 CV = Tuple[str, str]  # (symbol, body vertex)
 
@@ -436,9 +437,10 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     return BisimWitness(witness, proj_left, proj_right)
 
 
-def _acyclic_closure(c1: _Carrier, c2: _Carrier):
+def _acyclic_closure(carriers):
     """The explicit closure of a positive verdict, when it is finite (on
     acyclic specifications); None otherwise."""
+    c1, c2 = carriers
     if _needs_depth(c1.rgs, c2.rgs):
         return None
     configs, bounded, clash = _closure(c1, c2, None)
@@ -454,7 +456,7 @@ class _SummaryResult:
     contexts: int = 0  # pairs of entered symbols tabulated, plus the root context
     facts: int = 0  # vertex pairs reached and exits found, over all contexts
     path_length: int = 0  # configurations on ``path``; 0 without a clash
-    _tables: tuple = field(default=(), repr=False, compare=False)  # (c1, c2, contexts)
+    _carriers: tuple = field(default=(), repr=False, compare=False)
     _trace: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -479,7 +481,7 @@ def _summarize(r1: Rgs, r2: Rgs):
     fields = dict(
         contexts=len(contexts),
         facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
-        _tables=(c1, c2, contexts),
+        _carriers=(c1, c2),
     )
     if clash is None:
         return contexts, fields, None
@@ -495,6 +497,9 @@ def _summarize(r1: Rgs, r2: Rgs):
 
 @dataclass(frozen=True)
 class NestedBisimResult(_SummaryResult):
+    # the summary tables of a "bisimilar" verdict, read by ``witness``
+    _contexts: Optional[dict] = field(default=None, repr=False, compare=False)
+
     @property
     def bisimilar(self) -> bool:
         return self.verdict == "bisimilar"
@@ -504,7 +509,7 @@ class NestedBisimResult(_SummaryResult):
         """The least nested bisimulation, when it is finite: built by the
         explicit closure on first access, for a positive verdict on acyclic
         specifications; None otherwise."""
-        configs = _acyclic_closure(*self._tables[:2]) if self.bisimilar else None
+        configs = _acyclic_closure(self._carriers) if self.bisimilar else None
         return None if configs is None else NestedBisimRelation(frozenset(configs), None)
 
     @cached_property
@@ -513,7 +518,7 @@ class NestedBisimResult(_SummaryResult):
         onto both inputs are homomorphisms, read off the summary tables on
         first access; None otherwise.  Polynomial like the verdict, also
         on shared and cyclic input."""
-        return _summary_witness(*self._tables) if self.bisimilar else None
+        return _summary_witness(*self._carriers, self._contexts) if self.bisimilar else None
 
 
 def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimResult:
@@ -524,10 +529,10 @@ def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimRe
     longer affects the answer.  A negative verdict carries the clashing
     configuration and the path of configurations that reaches it.
     """
-    _, fields, clash = _summarize(r1, r2)
+    contexts, fields, clash = _summarize(r1, r2)
     if clash is not None:
         return NestedBisimResult("not_bisimilar", **clash, **fields)
-    return NestedBisimResult("bisimilar", **fields)
+    return NestedBisimResult("bisimilar", _contexts=contexts, **fields)
 
 
 @dataclass(frozen=True)
@@ -554,7 +559,7 @@ class NestedHomResult(_SummaryResult):
         right vertex)``, when it is finite: built by the explicit closure on
         first access, for a "hom" on acyclic specifications; None
         otherwise."""
-        configs = _acyclic_closure(*self._tables[:2]) if self.exists else None
+        configs = _acyclic_closure(self._carriers) if self.exists else None
         if configs is None:
             return None
         mapping = {(cfg.left_stack, cfg.left): (cfg.right_stack, cfg.right) for cfg in configs}
@@ -776,7 +781,7 @@ def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:
     homomorphisms, or None."""
     _require_ntg(n1, "left argument")
     _require_ntg(n2, "right argument")
-    _merge_atomic(n1.signature, n2.signature)
+    _merge_atomic(n1.signature, n2.signature)  # only for its ValueError on conflicting arities
     found = nested_bisim(n1, n2).witness
     assert found is None or is_ntg(found.witness).ok, "witness is not tree-shaped"
     return found
@@ -899,10 +904,12 @@ class CrossCheckReport:
 
 
 def cross_check_theorems(a: Rgs, b: Rgs) -> CrossCheckReport:
-    """Run the direct and the stack-based deciders side by side.
+    """Run independent deciders side by side.
 
-    For tree-shaped inputs both must give the same verdict; acyclic inputs
-    are additionally compared against their unfoldings.  Cyclic inputs have
+    For tree-shaped inputs the stack-based deciders must agree with the
+    closure over scoped graphs (bisimilarity) and the direct closure
+    (homomorphism existence); acyclic inputs are additionally compared
+    against their unfoldings.  Cyclic inputs have
     no finite unfolding: there a homomorphism must imply bisimilarity, and
     bisimilarity must not depend on the order of the arguments.  Any
     disagreement is an implementation bug.
@@ -912,10 +919,10 @@ def cross_check_theorems(a: Rgs, b: Rgs) -> CrossCheckReport:
     entries = []
     ta, tb = is_ntg(a).ok, is_ntg(b).ok
     if ta and tb:
-        direct = ntg_bisimilar(a, b) is not None
+        scoped = sntg_bisimilar(ntg_to_sntg(a), ntg_to_sntg(b)) is not None
         stacked = nested_bisim(a, b).bisimilar
         entries.append(
-            ("bisimilarity equals stack-based bisimilarity", direct, stacked, direct == stacked)
+            ("bisimilarity equals stack-based bisimilarity", scoped, stacked, scoped == stacked)
         )
         hom_direct = ntg_hom(a, b) is not None
         hom_stacked = nested_hom(a, b).exists

@@ -274,6 +274,14 @@ def test_commented_first_order_file_is_read_as_first_order():
     assert code == 0 and "root -> root" in out, err
 
 
+def test_comment_runs_to_newline_when_sniffing_the_format(tmp_path):
+    # U+2028 does not end a comment, so 'tg' after it is still commented out
+    doc = tmp_path / "n.rgs"
+    doc.write_text("# note\u2028tg {\n" + (DATA / "n.rgs").read_text(), encoding="utf-8")
+    code, out, err = run("dot", str(doc))
+    assert code == 0 and out.startswith("digraph"), err
+
+
 def test_negative_unfold_depth_is_usage_error():
     code, out, err = run("unfold", path("r1.rgs"), "--depth", "-1")
     assert code == 2 and out == "" and "negative" in err
