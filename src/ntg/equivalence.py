@@ -41,27 +41,19 @@ CV = Tuple[str, str]  # (symbol, body vertex)
 
 
 class _Carrier:
-    """Disjoint union of all definition bodies of one specification."""
+    """Disjoint union of all definition bodies of one specification.
+
+    Building it touches only the body roots, so the deciders that walk it
+    pay nothing per vertex before they start.  A body's inputs are listed
+    on first use, and so is the occurrence map, which only the direct
+    homomorphism search reads.
+    """
 
     def __init__(self, r: Rgs):
         self.rgs = r
-        self.rootof: Dict[str, CV] = {sym: (sym, r.rec[sym].root) for sym in r.rec}
+        self.rootof: Dict[str, CV] = {sym: (sym, body.root) for sym, body in r.rec.items()}
         self.root: CV = self.rootof[r.root_symbol]
-        self._occ: Dict[str, CV] = {}
         self._inputs: Dict[str, List[CV]] = {}
-        for sym in sorted(r.rec):
-            body = r.rec[sym]
-            ins = [
-                (sym, v)
-                for v in sorted(body.lab, key=str)
-                if isinstance(body.lab[v], Input)
-            ]
-            ins.sort(key=lambda cv: body.lab[cv[1]].index)
-            self._inputs[sym] = ins
-            for v in sorted(body.lab, key=str):
-                lbl = body.lab[v]
-                if isinstance(lbl, Nested):
-                    self._occ.setdefault(lbl.name, (sym, v))
 
     def lab(self, cv: CV):
         sym, v = cv
@@ -71,11 +63,41 @@ class _Carrier:
         sym, v = cv
         return tuple((sym, w) for w in self.rgs.rec[sym].args[v])
 
+    def has(self, cv) -> bool:
+        """Whether ``cv``, which may be any object, is a vertex here."""
+        return (
+            isinstance(cv, tuple) and len(cv) == 2
+            and cv[0] in self.rgs.rec and cv[1] in self.rgs.rec[cv[0]].lab
+        )
+
+    @cached_property
+    def _occ(self) -> Dict[str, CV]:
+        # the first occurrence by symbol, then by vertex name
+        occ: Dict[str, CV] = {}
+        for sym in sorted(self.rgs.rec):
+            body = self.rgs.rec[sym]
+            for v in sorted(body.lab, key=str):
+                lbl = body.lab[v]
+                if isinstance(lbl, Nested):
+                    occ.setdefault(lbl.name, (sym, v))
+        return occ
+
     def occurrence(self, sym: str) -> Optional[CV]:
         return self._occ.get(sym)
 
     def inputs(self, sym: str) -> List[CV]:
-        return self._inputs[sym]
+        """The input vertices of ``sym``'s body by index; only repeated
+        indices (an invalid body) are ordered by vertex name."""
+        ins = self._inputs.get(sym)
+        if ins is None:
+            by_index: Dict[int, List[str]] = {}
+            for v, lbl in self.rgs.rec[sym].lab.items():
+                if isinstance(lbl, Input):
+                    by_index.setdefault(lbl.index, []).append(v)
+            ins = self._inputs[sym] = [
+                (sym, v) for i in sorted(by_index) for v in sorted(by_index[i], key=str)
+            ]
+        return ins
 
     def vertices(self) -> List[CV]:
         out = []
@@ -394,7 +416,7 @@ class BisimWitness:
 def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     """The witness of a positive verdict, read off its summary tables.
 
-    One definition ``f&g`` per context, entered at its entry pair; one
+    One definition ``f_g`` per context, entered at its entry pair; one
     vertex ``v|w`` per reached pair; one input per exit, numbered in the
     order the exits were found.  An occurrence pair passes, for each exit
     of its callee, the argument pair at that exit's input indices.
@@ -402,7 +424,7 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     # the witness carries left labels, so the left arity wins a conflict
     atomic = {**c2.rgs.signature.atomic, **c1.rgs.signature.atomic}
     roots = (c1.rgs.root_symbol, c2.rgs.root_symbol)
-    sym_name = _uniquify(contexts, lambda key: "&".join(key or roots), avoid=atomic)
+    sym_name = _uniquify(contexts, lambda key: "_".join(key or roots), avoid=atomic)
 
     def labels(item):
         _, (v1, v2) = item
@@ -724,7 +746,9 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     occurrence the two callees' roots are related and each callee input
     maps to an input of the image's callee whose argument is the image of
     the argument.  As every body vertex is reachable from its output
-    vertex, these clauses also map each body into one body.
+    vertex, these clauses also map each body into one body.  A vertex
+    missing from ``phi`` and an image that is not a vertex of ``n2`` are
+    reported, not looked up.
     """
     c1, c2 = _Carrier(n1), _Carrier(n2)
     problems = []
@@ -735,16 +759,19 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
         if w is None:
             problems.append(f"{v}: map is not total")
             continue
+        if not c2.has(w):
+            problems.append(f"{v}: image is not a vertex of the target")
+            continue
         l1, l2 = c1.lab(v), c2.lab(w)
         if isinstance(l1, Atomic):
             if l1 != l2:
                 problems.append(f"{v}: atomic label not preserved")
-            elif tuple(phi[x] for x in c1.args(v)) != c2.args(w):
+            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
                 problems.append(f"{v}: arguments not preserved")
         elif isinstance(l1, Output):
             if not isinstance(l2, Output):
                 problems.append(f"{v}: output vertex not mapped to an output vertex")
-            elif tuple(phi[x] for x in c1.args(v)) != c2.args(w):
+            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
                 problems.append(f"{v}: output successor not preserved")
         elif isinstance(l1, Input):
             if not isinstance(l2, Input):
@@ -760,7 +787,7 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
                 if img is None:
                     problems.append(f"{u}: map is not total")
                     continue
-                if img not in c2.inputs(l2.name):
+                if not (c2.has(img) and img[0] == l2.name and isinstance(c2.lab(img), Input)):
                     # the redundancy remark: images of inputs stay inputs
                     # of the related definition
                     problems.append(f"{u}: input maps outside the related definition")

@@ -388,7 +388,7 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
                 Violation(name, None, f"body has {len(out_vertices)} output vertices, expected 1")
             )
             root = out_vertices[0] if out_vertices else body_lines[0][0]
-        rec[name] = TermGraph(lab, args, root)
+        rec[name] = TermGraph._prechecked(lab, args, root)
 
     try:
         sig = NtgSignature(atomic, nested, declared_root)
@@ -509,7 +509,7 @@ def _build_fo(root: str, body_lines) -> TermGraph:
         lbl = lab[v]
         if isinstance(lbl, Atomic) and lbl.arity == 1 and isinstance(lab[end(args[v][0])], RootInput):
             lab[v] = PrimedConst(lbl.name)
-    return TermGraph(lab, args, root)
+    return TermGraph._prechecked(lab, args, root)
 
 
 def print_fo(g: TermGraph) -> str:

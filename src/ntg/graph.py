@@ -49,6 +49,18 @@ class TermGraph:
                 if w not in lab:
                     raise ValueError(f"vertex {v!r} has unknown successor {w!r}")
 
+    @classmethod
+    def _prechecked(cls, lab: dict, args: dict, root: Vertex) -> "TermGraph":
+        """A graph over dicts that the caller built for it alone and has
+        already checked as ``__post_init__`` does (the root, one domain,
+        arities, successors, successor tuples): kept without a copy or a
+        second check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "lab", lab)
+        object.__setattr__(g, "args", args)
+        object.__setattr__(g, "root", root)
+        return g
+
     @property
     def vertices(self) -> Tuple[Vertex, ...]:
         return tuple(self.lab)

@@ -421,41 +421,52 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     new_rec: Dict[str, TermGraph] = {}
     new_nested: Dict[str, int] = {}
     cuts = 0
+    # per source symbol, walked once: its reachable occurrences, and
+    # whether its output vertex reaches every vertex of its body
+    walked: Dict[str, Tuple[List[str], bool]] = {}
 
     queue = deque([(r.root_symbol, r.root_symbol, 0)])  # (instance name, symbol, level)
     new_nested[r.root_symbol] = 0
     while queue:
         iname, sym, level = queue.popleft()
         body = r.rec[sym]
+        if sym not in walked:
+            order = reachable(body, body.root)
+            occs = [v for v in order if isinstance(body.lab[v], Nested)]
+            walked[sym] = occs, len(order) == len(body)
+        occurrences, complete = walked[sym]
         prefix = iname + "/"
         lab = {}
         args = {}
         for v in body.lab:
             lab[prefix + v] = body.lab[v]
             args[prefix + v] = tuple(prefix + w for w in body.args[v])
-        for v in reachable(body, body.root):
-            lbl = body.lab[v]
-            if not isinstance(lbl, Nested):
-                continue
-            target = lbl.name
-            if depth is not None and level + 1 > depth:
+        cut = depth is not None and level + 1 > depth
+        for v in occurrences:
+            if cut:
                 lab[prefix + v] = Atomic(CUT_SYMBOL, 0)
                 args[prefix + v] = ()
-                cuts += 1
                 continue
+            lbl = body.lab[v]
+            target = lbl.name
             counters[target] = counters.get(target, 0) + 1
             child = f"{target}@{counters[target]}"
             lab[prefix + v] = Nested(child, lbl.arity)
             new_nested[child] = lbl.arity
             queue.append((child, target, level + 1))
-        # drop vertices cut off by placeholder substitution
-        g = TermGraph(lab, args, prefix + body.root)
-        keep = set(reachable(g, g.root))
-        g = TermGraph(
-            {v: lab[v] for v in lab if v in keep},
-            {v: args[v] for v in args if v in keep},
-            g.root,
-        )
+        # a renamed copy of a checked body, with occurrences relabelled at
+        # their arity and cut ones nullary, needs no second check
+        g = TermGraph._prechecked(lab, args, prefix + body.root)
+        if (cut and occurrences) or not complete:
+            # drop the vertices that a placeholder or the source body cut off
+            keep = set(reachable(g, g.root))
+            g = TermGraph._prechecked(
+                {v: lab[v] for v in lab if v in keep},
+                {v: args[v] for v in args if v in keep},
+                g.root,
+            )
+        if cut:
+            cuts += len(occurrences)
         new_rec[iname] = g
 
     atomic = dict(r.signature.atomic)

@@ -112,6 +112,7 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
         if (v in s.ret) != isinstance(lbl, Input):
             bad("defined", [v], "return must be defined exactly on input vertices")
 
+    scopes: Dict[Vertex, List[Vertex]] = {}  # occurrence -> what its call target reaches
     for v in sorted(g.lab, key=str):
         lbl = g.lab[v]
         if not isinstance(lbl, Nested) or v not in s.call:
@@ -122,7 +123,7 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
             continue
         if s.anc[o] != s.anc[v] + (v,):
             bad("step-into", [v, o], "call target has the wrong ancestor chain")
-        scope = reachable(g, o)
+        scope = scopes[v] = reachable(g, o)
         outputs = [u for u in scope if isinstance(g.lab[u], Output)]
         if outputs != [o]:
             bad("step-into", [v, o], "call target is not the single output vertex of its scope")
@@ -152,16 +153,11 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     extra = [v for v in levels.get((), []) if v != root]
     if extra:
         bad("body-connected", extra, "vertices outside every definition")
-    for v in sorted(g.lab, key=str):
-        if isinstance(g.lab[v], Nested) and v in s.call:
-            o = s.call[v]
-            if not isinstance(g.lab[o], Output):
-                continue
-            scope = set(reachable(g, o))
-            level = set(levels.get(s.anc[v] + (v,), []))
-            stray = sorted(level - scope, key=str)
-            if stray:
-                bad("body-connected", stray, f"unreachable from the output vertex {o}")
+    for v, scope in scopes.items():
+        level = set(levels.get(s.anc[v] + (v,), []))
+        stray = sorted(level.difference(scope), key=str)
+        if stray:
+            bad("body-connected", stray, f"unreachable from the output vertex {s.call[v]}")
     return out
 
 

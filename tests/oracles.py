@@ -16,7 +16,10 @@ flattening read back, as the references of the carrier-based
 ``interpret`` and ``ntg_collapse``, and two witness builders for
 bisimilarity: the global pair closure over tree-shaped specifications and
 the quotient of an explicit relation by its stack pairs, as the references
-of the summary-based witness.  None of them share search code with the
+of the summary-based witness.  The carrier sorted by vertex name is the
+reference of the library's sort-free carrier and the carrier the closure
+oracles walk, and the unfolding that walks every instance twice is the
+reference of ``unfold_to_ntg``.  None of them share search code with the
 library, except that ``two_path_collapse`` takes its plain path from
 ``tg_collapse``, whose block map is checked against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
@@ -30,8 +33,119 @@ from collections import deque, namedtuple
 from itertools import product
 
 from ntg import verify_ntg_hom, verify_sntg_hom, verify_tg_hom
-from ntg.equivalence import _Carrier
-from ntg.graph import TermGraph
+from ntg.graph import TermGraph, reachable
+from ntg.labels import CUT_SYMBOL, Atomic, Input, Nested
+
+
+class ReferenceCarrier:
+    """The disjoint union of all definition bodies of one specification,
+    built as the library built it before its carrier became sort-free:
+    every body's vertices sorted by name, inputs then stably sorted by
+    index, and the occurrence map built up front.  The reference of
+    ``ntg.equivalence._Carrier``, and the carrier of the closure oracles
+    here, so they share no carrier code with the library."""
+
+    def __init__(self, r):
+        self.rgs = r
+        self.rootof = {sym: (sym, r.rec[sym].root) for sym in r.rec}
+        self.root = self.rootof[r.root_symbol]
+        self._occ = {}
+        self._inputs = {}
+        for sym in sorted(r.rec):
+            body = r.rec[sym]
+            ins = [
+                (sym, v)
+                for v in sorted(body.lab, key=str)
+                if isinstance(body.lab[v], Input)
+            ]
+            ins.sort(key=lambda cv: body.lab[cv[1]].index)
+            self._inputs[sym] = ins
+            for v in sorted(body.lab, key=str):
+                lbl = body.lab[v]
+                if isinstance(lbl, Nested):
+                    self._occ.setdefault(lbl.name, (sym, v))
+
+    def lab(self, cv):
+        sym, v = cv
+        return self.rgs.rec[sym].lab[v]
+
+    def args(self, cv):
+        sym, v = cv
+        return tuple((sym, w) for w in self.rgs.rec[sym].args[v])
+
+    def occurrence(self, sym):
+        return self._occ.get(sym)
+
+    def inputs(self, sym):
+        return self._inputs[sym]
+
+    def vertices(self):
+        out = []
+        for sym in sorted(self.rgs.rec):
+            out.extend((sym, v) for v in self.rgs.rec[sym].lab)
+        return out
+
+
+def reference_unfold(r, depth=None):
+    """``unfold_to_ntg`` as the library wrote it before it walked each
+    source body once per call: per instance, one walk of the source body
+    for its occurrences, a checked copy, a walk of that copy and a second
+    checked copy of what it reaches.  The reference for printed results
+    and cut counts."""
+    from ntg import MissingDepthError, NtgSignature, Rgs, UnfoldResult, dependency_ars
+    from ntg.rgs import _find_cycle
+
+    if depth is not None and depth < 0:
+        raise ValueError(f"unfold depth must not be negative, got {depth}")
+    if depth is None and _find_cycle(dependency_ars(r)) is not None:
+        raise MissingDepthError("cyclic dependencies require an unfold depth")
+
+    counters = {}
+    new_rec = {}
+    new_nested = {}
+    cuts = 0
+
+    queue = deque([(r.root_symbol, r.root_symbol, 0)])  # (instance name, symbol, level)
+    new_nested[r.root_symbol] = 0
+    while queue:
+        iname, sym, level = queue.popleft()
+        body = r.rec[sym]
+        prefix = iname + "/"
+        lab = {}
+        args = {}
+        for v in body.lab:
+            lab[prefix + v] = body.lab[v]
+            args[prefix + v] = tuple(prefix + w for w in body.args[v])
+        for v in reachable(body, body.root):
+            lbl = body.lab[v]
+            if not isinstance(lbl, Nested):
+                continue
+            target = lbl.name
+            if depth is not None and level + 1 > depth:
+                lab[prefix + v] = Atomic(CUT_SYMBOL, 0)
+                args[prefix + v] = ()
+                cuts += 1
+                continue
+            counters[target] = counters.get(target, 0) + 1
+            child = f"{target}@{counters[target]}"
+            lab[prefix + v] = Nested(child, lbl.arity)
+            new_nested[child] = lbl.arity
+            queue.append((child, target, level + 1))
+        # drop vertices cut off by placeholder substitution
+        g = TermGraph(lab, args, prefix + body.root)
+        keep = set(reachable(g, g.root))
+        g = TermGraph(
+            {v: lab[v] for v in lab if v in keep},
+            {v: args[v] for v in args if v in keep},
+            g.root,
+        )
+        new_rec[iname] = g
+
+    atomic = dict(r.signature.atomic)
+    if cuts:
+        atomic[CUT_SYMBOL] = 0
+    sig = NtgSignature(atomic, new_nested, r.root_symbol)
+    return UnfoldResult(Rgs(sig, new_rec), cuts)
 
 
 def brute_force_tg_hom(g1, g2):
@@ -288,7 +402,7 @@ def gfp_collapse_graph(g):
 def brute_force_ntg_hom(n1, n2):
     """Backtracking enumeration of carrier maps checked by the clause
     verifier; exhaustive over all total maps."""
-    c1, c2 = _Carrier(n1), _Carrier(n2)
+    c1, c2 = ReferenceCarrier(n1), ReferenceCarrier(n2)
     vs1 = c1.vertices()
     vs2 = c2.vertices()
 
@@ -466,7 +580,7 @@ def replay_path(r1, r2, path, end=None):
     """
     from ntg.equivalence import NestedConfig, _Clash, _progressions
 
-    c1, c2 = _Carrier(r1), _Carrier(r2)
+    c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
     if not path or path[0] != NestedConfig((), c1.root, (), c2.root):
         return "the path does not start at the root configuration"
     for k in range(1, len(path)):
@@ -504,7 +618,7 @@ def closure_nested_hom(r1, r2, depth=None):
     _require_valid(r2, "right specification")
     if depth is None and _needs_depth(r1, r2):
         raise MissingDepthError("cyclic dependencies require a depth bound")
-    c1, c2 = _Carrier(r1), _Carrier(r2)
+    c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
     configs, bounded, clash = _closure(c1, c2, depth)
     if clash is not None:
         return ClosureHomResult("none", reason=clash.message)
@@ -544,7 +658,7 @@ def closure_ntg_bisimilar(n1, n2):
     _require_ntg(n1, "left argument")
     _require_ntg(n2, "right argument")
     atomic = _merge_atomic(n1.signature, n2.signature)
-    c1, c2 = _Carrier(n1), _Carrier(n2)
+    c1, c2 = ReferenceCarrier(n1), ReferenceCarrier(n2)
 
     start = (c1.root, c2.root)
     seen = {start}
@@ -582,7 +696,7 @@ def closure_ntg_bisimilar(n1, n2):
     # inputs are numbered in discovery order
     sym_keys = [(n1.root_symbol, n2.root_symbol)]
     sym_keys += [(l1.name, l2.name) for l1, l2 in map(labels, order) if isinstance(l1, Nested)]
-    sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}&{key[1]}", avoid=atomic)
+    sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}_{key[1]}", avoid=atomic)
     pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
     arity, entry = _pair_witness(
         [pair for pair in order if isinstance(c1.lab(pair[0]), Input)],
@@ -640,7 +754,7 @@ def relation_witness(rel, r1, r2):
     problems = verify_nested_bisim(rel, r1, r2)
     if problems:
         raise ValueError("relation is not a nested bisimulation: " + problems[0])
-    c1, c2 = _Carrier(r1), _Carrier(r2)
+    c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
 
     def stack_pair(cfg):
         return (cfg.left_stack, cfg.right_stack)

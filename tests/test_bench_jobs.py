@@ -57,3 +57,32 @@ def test_deep_flattening_is_read_statement_by_statement(monkeypatch):
     doc = ntg.print_fo(ntg.interpret(depth_family(400)))
     monkeypatch.setattr(ntg.formats, "_Tokens", _no_token_grammar)
     assert len(ntg.parse_fo(doc)) == 162804
+
+
+def test_tiny_jobs_unfold_each_source_body_with_one_walk(monkeypatch):
+    # unfold_to_ntg lists a body's reachable occurrences once per call, not
+    # once per instance of its symbol
+    walks = []
+    walk, unfold = ntg.rgs.reachable, ntg.rgs.unfold_to_ntg
+    shared = 0
+
+    def counted_walk(g, start):
+        walks.append(g)
+        return walk(g, start)
+
+    def counted_unfold(r, depth=None):
+        nonlocal shared
+        ntg.dependency_ars(r)  # walks every body once per specification, not per call
+        walks.clear()
+        res = unfold(r, depth)
+        for sym, body in r.rec.items():
+            assert sum(g is body for g in walks) <= 1, sym
+        shared += len(res.rgs.rec) > len(r.rec)
+        return res
+
+    monkeypatch.setattr(ntg.rgs, "reachable", counted_walk)
+    monkeypatch.setattr(ntg, "unfold_to_ntg", counted_unfold)
+    jobs, _ = workloads.WORKLOADS["shared-recursion"](random.Random(1), True)
+    for job in jobs:
+        job.run(ntg, workloads.Outcome())
+    assert shared > 0

@@ -712,13 +712,98 @@ def _redirections(target, phi):
 
 def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
     from conftest import load_rgs
+    from ntg.equivalence import _Carrier
 
     pairs = [(fix_r0, fix_r0), (fix_r0, unfold_to_ntg(fix_r0).rgs), (fix_r1, load_rgs("r1_unrolled.rgs"))]
     rng = random.Random(149)
     pairs += [(r, unroll_twice(r)) for r in (random_cyclic_rgs(rng) for _ in range(4))]
+    outside = 0
     for a, b in pairs:
         w = nested_bisim(a, b).witness
+        inputs = [u for sym in w.witness.rec for u in _Carrier(w.witness).inputs(sym)]
         for target, phi in ((a, w.proj_left), (b, w.proj_right)):
             assert verify_ntg_hom(w.witness, target, phi) == []
             for wrong in _redirections(target, phi):
                 assert verify_ntg_hom(w.witness, target, wrong) != []
+            for key in phi:
+                partial = {k: img for k, img in phi.items() if k != key}
+                assert f"{key}: map is not total" in verify_ntg_hom(w.witness, target, partial)
+            # an input image that is not a vertex of the target is reported
+            # at the input and at the occurrence that passes it
+            for u in inputs:
+                sym, v = phi[u]
+                for img in ((sym, "absent"), ("absent", v), "absent"):
+                    problems = verify_ntg_hom(w.witness, target, {**phi, u: img})
+                    assert f"{u}: image is not a vertex of the target" in problems
+                    assert f"{u}: input maps outside the related definition" in problems
+                    outside += 1
+    assert outside > 50
+
+
+def _carrier_corpus():
+    """Specifications from every source the deciders see: the data files,
+    random tree-shaped, shared and cyclic ones, unfoldings, summary
+    witnesses, and a body whose input indices repeat."""
+    from conftest import DATA, load_rgs
+    from ntg import Input, NtgSignature, Output, Rgs
+    from ntg.graph import TermGraph
+
+    rng = random.Random(151)
+    specs = [load_rgs(p.name) for p in sorted(DATA.glob("*.rgs"))]
+    shared = [random_acyclic_rgs(rng) for _ in range(25)]
+    cyclic = [random_cyclic_rgs(rng) for _ in range(25)]
+    specs += [random_ntg(rng) for _ in range(25)] + shared + cyclic
+    specs += [unfold_to_ntg(r).rgs for r in shared] + [unfold_to_ntg(r, 2).rgs for r in cyclic]
+    specs += [nested_bisim(r, unroll_twice(r)).witness.witness for r in shared + cyclic]
+    twice = TermGraph(
+        {"o": Output(), "b": Input(2), "y": Input(1), "a": Input(2), "x": Input(1)},
+        {"o": ("x",), "b": (), "y": (), "a": (), "x": ()},
+        "o",
+    )
+    fix = specs[0]
+    sig = NtgSignature(fix.signature.atomic, {**fix.signature.nested, "dup": 2}, fix.root_symbol)
+    specs.append(Rgs(sig, {**fix.rec, "dup": twice}))
+    return specs
+
+
+def test_carrier_equals_the_sorted_reference():
+    from ntg.equivalence import _Carrier
+    from oracles import ReferenceCarrier
+
+    for r in _carrier_corpus():
+        ours, ref = _Carrier(r), ReferenceCarrier(r)
+        assert list(ours.rootof.items()) == list(ref.rootof.items())
+        assert ours.root == ref.root
+        assert ours.vertices() == ref.vertices()
+        for sym in list(r.rec) + ["absent"]:
+            assert ours.occurrence(sym) == ref.occurrence(sym)
+        for sym in r.rec:
+            assert ours.inputs(sym) == ref.inputs(sym)
+        for cv in ref.vertices():
+            assert ours.has(cv)
+            assert ours.lab(cv) == ref.lab(cv) and ours.args(cv) == ref.args(cv)
+        outside = (("absent", "o"), (r.root_symbol, "absent"), "ab", None)
+        assert not any(ours.has(cv) for cv in outside)
+
+
+def test_witness_reads_back():
+    from conftest import load_rgs
+    from ntg import parse_rgs, print_rgs
+
+    rng = random.Random(163)
+    n = load_rgs("n.rgs")
+    pairs = [(n, n)]
+    for _ in range(60):
+        r = (random_ntg, random_acyclic_rgs, random_cyclic_rgs)[len(pairs) % 3](rng)
+        pairs += [(r, unroll_twice(r)), (r, relabel_constant(rng, r))]
+    positives = 0
+    for a, b in pairs:
+        w = nested_bisim(a, b).witness
+        if w is None:
+            continue
+        positives += 1
+        doc = print_rgs(w.witness)
+        back = parse_rgs(doc)
+        assert print_rgs(back) == doc
+        assert nested_bisim(back, a).bisimilar and nested_bisim(back, b).bisimilar
+    assert positives >= 60

@@ -323,3 +323,23 @@ def test_reader_reads_what_the_grammar_reads():
             declined += ours is None and read is formats._read_rgs and text.startswith("atomic")
     # the fuzzed texts reach both sides of the reader
     assert accepted > 300 and declined > 300
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_rgs, "atomic c/0;\ndef r/0 {\n a: out(b);\n b: c;\n b: c;\n}\n", 5, "vertex 'b' defined twice"),
+    (parse_rgs, "atomic c/0;\ndef r/0 {\n a: out(b);\n b: in;\n}\n", 4, "'in' needs an index in a specification body"),
+    (parse_rgs, "atomic c/0;\ndef r/0 {\n a: out(b);\n b: d;\n}\n", 4, "unknown symbol 'd'"),
+    (parse_rgs, "atomic c/0;\ndef r/0 {\n a: out(b);\n b: c(a);\n}\n", 4, "label 'c' needs 0 arguments, found 1"),
+    (parse_rgs, "atomic c/0;\ndef r/0 {\n a: out(b);\n\n b: out(z);\n}\n", 5, "unknown vertex 'z'"),
+    (parse_fo, "tg {\n root a;\n a: out_r(b);\n a: c;\n}\n", 4, "vertex 'a' defined twice"),
+    (parse_fo, "tg {\n root a;\n a: out_r(b);\n b: in 1;\n}\n", 4, "'in' is binary in a first-order document"),
+    (parse_fo, "tg {\n root a;\n a: out_r(b, b);\n b: c;\n}\n", 3, "label 'out_r' needs 1 arguments, found 2"),
+    (parse_fo, "tg {\n root a;\n a: out_r(b);\n\n b: f(z);\n}\n", 5, "unknown vertex 'z'"),
+    (parse_fo, "tg {\n root z;\n a: out_r(b);\n b: c;\n}\n", 1, "unknown root vertex 'z'"),
+])
+def test_builders_name_each_error_with_its_line(parse, text, line, message):
+    # the builders hand their graphs over without a second check, so each
+    # error that the graph constructor would also find must be theirs
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.message) == (line, message)

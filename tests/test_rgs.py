@@ -29,7 +29,9 @@ from ntg import (
     validate_rgs,
 )
 from ntg.labels import CUT_SYMBOL
-from generators import random_acyclic_rgs, random_ntg
+from generators import (
+    fanout_family, random_acyclic_rgs, random_cyclic_rgs, random_ntg, unroll_twice,
+)
 
 
 def test_signature_invariants():
@@ -48,6 +50,54 @@ def test_signature_invariants():
 def test_validate_accepts_corpus(fix_n, fix_triv, fix_r0, fix_r1):
     for r in (fix_n, fix_triv, fix_r0, fix_r1):
         assert validate_rgs(r) == []
+
+
+def _with_unreachable_vertices(r):
+    """``r`` with two vertices in every body that its output cannot reach:
+    an occurrence of the root symbol, and an atomic vertex above it."""
+    sig = r.signature
+    rec = {}
+    for sym, body in r.rec.items():
+        lab = {**body.lab, "zz_occ": Nested(r.root_symbol, 0), "zz_top": Atomic("zz", 1)}
+        args = {**body.args, "zz_occ": (), "zz_top": ("zz_occ",)}
+        rec[sym] = TermGraph(lab, args, body.root)
+    return Rgs(NtgSignature({**sig.atomic, "zz": 1}, sig.nested, sig.root_symbol), rec)
+
+
+def _unfolding(unfold, r, depth):
+    """Everything ``unfold(r, depth)`` gives, with every dict in its order,
+    or what it raises."""
+    from ntg import print_rgs
+
+    try:
+        res = unfold(r, depth)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    sig = res.rgs.signature
+    bodies = [
+        (sym, list(g.lab.items()), list(g.args.items()), g.root) for sym, g in res.rgs.rec.items()
+    ]
+    return print_rgs(res.rgs), res.cuts, list(sig.atomic.items()), list(sig.nested.items()), bodies
+
+
+def test_unfold_equals_the_reference_unfolding():
+    from conftest import DATA, load_rgs
+    from oracles import reference_unfold
+
+    rng = random.Random(157)
+    specs = [load_rgs(p.name) for p in sorted(DATA.glob("*.rgs"))]
+    specs += [fanout_family(k) for k in (2, 4)]
+    for _ in range(25):
+        specs += [random_ntg(rng), random_acyclic_rgs(rng), random_cyclic_rgs(rng)]
+    specs += [unroll_twice(r) for r in specs[-6:]]
+    specs += [_with_unreachable_vertices(r) for r in specs[::3]]
+    cut = 0
+    for r in specs:
+        for depth in (None, 0, 1, 2, 3):
+            ours = _unfolding(unfold_to_ntg, r, depth)
+            assert ours == _unfolding(reference_unfold, r, depth)
+            cut += len(ours) > 2 and ours[1] > 0
+    assert cut > 100
 
 
 def _single_def(body):
