@@ -18,6 +18,7 @@ from .graph import (
     reachable,
     sub_term_graph,
     tg_bisimilar,
+    tg_bisimilar_explained,
     tg_collapse,
     tg_hom,
     tg_hom_explained,

@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import equivalence, firstorder, formats, rgs as rgs_mod
-from .graph import tg_bisimilar, tg_hom_explained
+from .graph import tg_bisimilar_explained, tg_hom_explained
 from .rgs import Cycle, MissingDepthError, is_ntg, unfold_to_ntg
 from .sntg import ntg_to_sntg, sntg_hom_explained
 
@@ -269,9 +269,18 @@ def _cmd_bisim(ns, stdout, stderr) -> int:
     if ns.method in ("firstorder", "both"):
         n1 = _load_ntg(ns.a, stderr, ns.depth)
         n2 = _load_ntg(ns.b, stderr, ns.depth)
-        verdicts["firstorder"] = tg_bisimilar(
-            firstorder.interpret(n1), firstorder.interpret(n2)
-        )
+        g1, g2 = firstorder.interpret(n1), firstorder.interpret(n2)
+        path = tg_bisimilar_explained(g1, g2)
+        verdicts["firstorder"] = path is None
+        if path is not None:
+            v, w = g1.root, g2.root
+            for k in path:
+                v, w = g1.args[v][k], g2.args[w][k]
+            print(
+                f"first-order counterexample: argument positions {list(path)} "
+                f"lead to {v} ({g1.lab[v]}) and {w} ({g2.lab[w]})",
+                file=stderr,
+            )
     if len(verdicts) == 2 and verdicts["nested"] != verdicts["firstorder"]:
         print(
             "oracle disagreement: "

@@ -144,7 +144,7 @@ def _carrier(n: Rgs):
                 lab[u] = lbl
                 args[u] = tuple(redirect(sym, body, w) for w in body.args[v])
             inner[u] = o
-    return TermGraph(lab, args, root), inner, depth
+    return TermGraph._prechecked(lab, args, root), inner, depth
 
 
 def interpret(n: Rgs) -> TermGraph:
@@ -177,7 +177,7 @@ def interpret(n: Rgs) -> TermGraph:
         lab[links[-1]] = ROOT_INPUT
         args[links[-1]] = (root,)
 
-    out = TermGraph(lab, args, root)
+    out = TermGraph._prechecked(lab, args, root)
     assert check_root_connected(out) is None, "interpretation must be root-connected"
     return out
 
@@ -467,7 +467,7 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
         if step == CLOSE:
             out_id = f"{scope.sym}:{scope.o}"
             scope.args[out_id] = (scope.memo[g.args[scope.o][0]],)
-            rec[scope.sym] = TermGraph(scope.lab, scope.args, out_id)
+            rec[scope.sym] = TermGraph._prechecked(scope.lab, scope.args, out_id)
             continue
         if v in scope.memo:
             continue

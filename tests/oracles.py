@@ -23,6 +23,8 @@ reference of ``unfold_to_ntg``.  None of them share search code with the
 library, except that ``two_path_collapse`` takes its plain path from
 ``tg_collapse``, whose block map is checked against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
+``refine_bisimilar``, the reference of the union-find pair closure of
+``tg_bisimilar``, runs it on the disjoint union of two graphs,
 ``closure_nested_hom`` runs the library's explicit closure, which shares
 nothing with the summary tabulation, and both witness builders fill their
 bodies through the library's ``_pair_witness``.
@@ -367,6 +369,26 @@ def depth_first_scope_inputs(g, anc, o):
             order.append(v)
         stack.extend(reversed(g.args[v]))
     return order
+
+
+def disjoint_union(g1, g2, tag1="1:", tag2="2:"):
+    """Tag and merge two graphs; returns (lab, args, root1, root2)."""
+    lab = {tag1 + v: g1.lab[v] for v in g1.lab}
+    args = {tag1 + v: tuple(tag1 + w for w in g1.args[v]) for v in g1.lab}
+    lab.update({tag2 + v: g2.lab[v] for v in g2.lab})
+    args.update({tag2 + v: tuple(tag2 + w for w in g2.args[v]) for v in g2.lab})
+    return lab, args, tag1 + g1.root, tag2 + g2.root
+
+
+def refine_bisimilar(g1, g2):
+    """Root bisimilarity as the library decided it before its pair
+    closure: refine the disjoint union with ``graph._refine`` and compare
+    the two root blocks."""
+    from ntg.graph import _refine
+
+    lab, args, r1, r2 = disjoint_union(g1, g2)
+    block = _refine(lab, args)
+    return block[r1] == block[r2]
 
 
 def gfp_bisimilar(g1, g2):

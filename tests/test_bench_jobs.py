@@ -86,3 +86,25 @@ def test_tiny_jobs_unfold_each_source_body_with_one_walk(monkeypatch):
     for job in jobs:
         job.run(ntg, workloads.Outcome())
     assert shared > 0
+
+
+def test_tiny_chain_jobs_refine_only_to_collapse(monkeypatch):
+    # tg_bisimilar decides by a union-find pair closure and never refines:
+    # each chain job refines once in tg_collapse and once in ntg_collapse
+    calls = []
+    refine = ntg.graph._refine
+
+    def counted_refine(lab, args):
+        calls.append(len(lab))
+        return refine(lab, args)
+
+    monkeypatch.setattr(ntg.graph, "_refine", counted_refine)
+    monkeypatch.setattr(ntg.firstorder, "_refine", counted_refine)
+    jobs, _ = workloads.WORKLOADS["flat-chains"](random.Random(1), True)
+    in_process = [job for job in jobs if not job.sub]
+    assert in_process
+    for job in in_process:
+        calls.clear()
+        data = job.run(ntg, workloads.Outcome())
+        assert job.check(ntg, data) is None
+        assert len(calls) == 2, calls

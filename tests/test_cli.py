@@ -130,6 +130,15 @@ def test_bisim_negative(tmp_path):
     assert "counterexample" in err
 
 
+def test_bisim_firstorder_negative_prints_its_path(tmp_path):
+    doc = tmp_path / "other.rgs"
+    doc.write_text("atomic c/0, d/0;\ndef r/0 { a: out(b); b: d; }\n")
+    code, out, err = run("bisim", path("triv.rgs"), str(doc), "--method", "both")
+    assert code == 1 and out.strip() == "not-bisimilar"
+    line = next(x for x in err.splitlines() if x.startswith("first-order counterexample"))
+    assert line == "first-order counterexample: argument positions [0] lead to r.b (c) and r.b (d)"
+
+
 def test_bisim_unfolds_shared_input():
     code, out, err = run("bisim", path("r0.rgs"), path("r0.rgs"), "--method", "both")
     assert code == 0

@@ -571,6 +571,28 @@ def test_carrier_matches_flattening_on_random_specifications():
     assert _assert_carrier_matches_flattening(_scope_local_cycles()) is None
 
 
+def test_unchecked_builds_pass_the_constructor_checks():
+    # _carrier, interpret and _read_back build through the unchecked
+    # TermGraph._prechecked; rebuilding each graph they return through the
+    # checking constructor must raise nothing and change nothing
+    from ntg.firstorder import _carrier
+
+    def assert_checked(g):
+        assert type(g.lab) is dict and type(g.args) is dict
+        h = TermGraph(g.lab, g.args, g.root)
+        assert (h.lab, h.args, h.root) == (g.lab, g.args, g.root)
+
+    rng = random.Random(103)
+    specs = [depth_family(k) for k in range(1, 25)]
+    specs += [f(rng) for _ in range(100) for f in (random_ntg, random_ungrounded_ntg)]
+    for n in specs:
+        assert_checked(_carrier(n)[0])
+        assert_checked(interpret(n))
+        for r in (represent(interpret(n)), ntg_collapse(n)):
+            for body in r.rec.values():
+                assert_checked(body)
+
+
 def test_carrier_rejects_like_the_structural_representation():
     rng = random.Random(101)
     reasons = Counter()

@@ -9,8 +9,10 @@ from ntg import (
     TermGraph,
     check_root_connected,
     make_graph,
+    reachable,
     sub_term_graph,
     tg_bisimilar,
+    tg_bisimilar_explained,
     tg_collapse,
     tg_hom,
     tg_hom_explained,
@@ -19,19 +21,22 @@ from ntg import (
 )
 from generators import chain_spec, mutate_ntg, random_ntg, random_quotient
 from ntg.firstorder import interpret
-from ntg.graph import _refine, disjoint_union
+from ntg.graph import _refine
 from oracles import (
     backtracking_tg_hom,
     brute_force_tg_hom,
+    disjoint_union,
     gfp_bisimilar,
     gfp_collapse_graph,
     moore_refine,
+    refine_bisimilar,
 )
 
 a0 = Atomic("a", 0)
 b0 = Atomic("b", 0)
 f2 = Atomic("f", 2)
 u1 = Atomic("u", 1)
+v1 = Atomic("v", 1)
 
 
 def graph_tree_fcc():
@@ -165,12 +170,18 @@ def test_refine_equals_moore_reference_on_cycles():
             q = found[0]
             assert _refine(q.lab, q.args) == moore_refine(q.lab, q.args)
             quotients += 1
-    labels = [a0, b0, u1, Atomic("v", 1), f2]
     for _ in range(60):
-        vs = [f"v{j}" for j in range(rng.randint(1, 25))]
-        lab = {v: rng.choice(labels) for v in vs}
-        args = {v: tuple(rng.choice(vs) for _ in range(lab[v].arity)) for v in vs}
+        lab, args = _random_cyclic(rng)
         assert _refine(lab, args) == moore_refine(lab, args)
+
+
+def _random_cyclic(rng, max_vertices=25):
+    """Labels and successors of a random graph, cycles and unreachable
+    vertices allowed."""
+    vs = [f"v{j}" for j in range(rng.randint(1, max_vertices))]
+    lab = {v: rng.choice([a0, b0, u1, v1, f2]) for v in vs}
+    args = {v: tuple(rng.choice(vs) for _ in range(lab[v].arity)) for v in vs}
+    return lab, args
 
 
 def test_collapse_long_chain():
@@ -213,6 +224,87 @@ def test_bisimilar_agrees_with_gfp_oracle():
         g1 = interpret(random_ntg(rng))
         g2 = interpret(random_ntg(rng))
         assert tg_bisimilar(g1, g2) == gfp_bisimilar(g1, g2)
+
+
+def _replay(g1, g2, path):
+    """The vertex pair that a counterexample's argument positions lead to."""
+    v, w = g1.root, g2.root
+    for k in path:
+        v, w = g1.args[v][k], g2.args[w][k]
+    return v, w
+
+
+def _renamed(rng, g):
+    names = list(g.lab)
+    rng.shuffle(names)
+    new = {v: f"w{j}" for j, v in enumerate(names)}
+    return TermGraph(
+        {new[v]: g.lab[v] for v in names},
+        {new[v]: tuple(new[w] for w in g.args[v]) for v in names},
+        new[g.root],
+    )
+
+
+def _relabeled(rng, g):
+    """``g`` with the label of one vertex that the root reaches swapped
+    for the other label of its arity; unchanged if the root reaches only
+    binary vertices."""
+    swap = {a0: b0, b0: a0, u1: v1, v1: u1}
+    lab = dict(g.lab)
+    candidates = [v for v in reachable(g, g.root) if lab[v] in swap]
+    if candidates:
+        v = rng.choice(candidates)
+        lab[v] = swap[lab[v]]
+    return TermGraph(lab, g.args, g.root)
+
+
+def test_bisimilar_agrees_with_refinement_and_gfp_on_cycles():
+    # half the pairs are bisimilar by construction (the collapse, or a
+    # renamed copy); the others are a random graph or a one-label change
+    rng = random.Random(29)
+    positive = 0
+    for i in range(2000):
+        lab, args = _random_cyclic(rng)
+        g1 = TermGraph(lab, args, rng.choice(list(lab)))
+        kind = i % 4
+        if kind == 0:
+            g2 = _renamed(rng, tg_collapse(g1)[0])
+        elif kind == 1:
+            g2 = _renamed(rng, g1)
+        elif kind == 2:
+            lab2, args2 = _random_cyclic(rng)
+            g2 = TermGraph(lab2, args2, rng.choice(list(lab2)))
+        else:
+            g2 = _relabeled(rng, _renamed(rng, g1))
+        path = tg_bisimilar_explained(g1, g2)
+        assert (path is None) == refine_bisimilar(g1, g2) == gfp_bisimilar(g1, g2)
+        assert tg_bisimilar(g1, g2) == (path is None) == tg_bisimilar(g2, g1)
+        if kind < 2:
+            assert path is None
+        if path is not None:
+            v, w = _replay(g1, g2, path)
+            assert g1.lab[v] != g2.lab[w]
+        positive += path is None
+    assert 900 <= positive <= 1200
+
+
+def test_bisimilar_on_long_cycles_of_coprime_lengths():
+    # the two roots meet every pair of cycle positions, so a closure over
+    # pairs would visit about 10**8 of them; union-find visits fewer pairs
+    # than the two cycles have vertices
+    def cycle(n, odd=None):
+        return make_graph("c0", {
+            f"c{j}": (v1 if j == odd else u1, [f"c{(j + 1) % n}"]) for j in range(n)
+        })
+
+    g1, g2 = cycle(10007), cycle(10009)
+    assert tg_bisimilar_explained(g1, g2) is None
+    odd = cycle(10009, odd=5000)
+    path = tg_bisimilar_explained(g1, odd)
+    assert path is not None
+    v, w = _replay(g1, odd, path)
+    assert g1.lab[v] != odd.lab[w] and w == "c5000"
+    assert not refine_bisimilar(g1, odd)
 
 
 def test_isomorphic_relabeled_copy():
