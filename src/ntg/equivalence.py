@@ -19,9 +19,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
-from .graph import TermGraph
+from .firstorder import interpret
+from .graph import TermGraph, tg_bisimilar
 from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     MissingDepthError,
@@ -748,57 +750,67 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     the argument.  As every body vertex is reachable from its output
     vertex, these clauses also map each body into one body.  A vertex
     missing from ``phi`` and an image that is not a vertex of ``n2`` are
-    reported, not looked up.
+    reported, not looked up.  One pass over each body, in symbol order,
+    reads its labels and successors directly, in linear time; the problems
+    come in the order of the clauses per vertex, body by body.
     """
     c1, c2 = _Carrier(n1), _Carrier(n2)
+    rec2 = n2.rec
     problems = []
     if phi.get(c1.root) != c2.root:
         problems.append("root definitions are not related")
-    for v in c1.vertices():
-        w = phi.get(v)
-        if w is None:
-            problems.append(f"{v}: map is not total")
-            continue
-        if not c2.has(w):
-            problems.append(f"{v}: image is not a vertex of the target")
-            continue
-        l1, l2 = c1.lab(v), c2.lab(w)
-        if isinstance(l1, Atomic):
-            if l1 != l2:
-                problems.append(f"{v}: atomic label not preserved")
-            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
-                problems.append(f"{v}: arguments not preserved")
-        elif isinstance(l1, Output):
-            if not isinstance(l2, Output):
-                problems.append(f"{v}: output vertex not mapped to an output vertex")
-            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
-                problems.append(f"{v}: output successor not preserved")
-        elif isinstance(l1, Input):
-            if not isinstance(l2, Input):
-                problems.append(f"{v}: input vertex not mapped to an input vertex")
-        else:  # nested occurrence: interface conditions
-            if not isinstance(l2, Nested):
-                problems.append(f"{v}: occurrence not mapped to an occurrence")
+    for sym in sorted(n1.rec):
+        lab1, args1 = n1.rec[sym].lab, n1.rec[sym].args
+        img = {v: phi.get((sym, v)) for v in lab1}
+
+        def kept(v, s2, x2) -> bool:  # whether the successors of v map onto those of (s2, x2)
+            return tuple(map(img.__getitem__, args1[v])) == tuple(zip(repeat(s2), rec2[s2].args[x2]))
+        for v, l1 in lab1.items():
+            w = img[v]
+            if w is None:
+                problems.append(f"{(sym, v)}: map is not total")
                 continue
-            if phi.get(c1.rootof[l1.name]) != c2.rootof[l2.name]:
-                problems.append(f"{v}: definition roots not related")
-            for u in c1.inputs(l1.name):
-                img = phi.get(u)
-                if img is None:
-                    problems.append(f"{u}: map is not total")
+            if not c2.has(w):
+                problems.append(f"{(sym, v)}: image is not a vertex of the target")
+                continue
+            s2, x2 = w
+            l2 = rec2[s2].lab[x2]
+            if isinstance(l1, Atomic):
+                if l1 != l2:
+                    problems.append(f"{(sym, v)}: atomic label not preserved")
+                elif not kept(v, s2, x2):
+                    problems.append(f"{(sym, v)}: arguments not preserved")
+            elif isinstance(l1, Output):
+                if not isinstance(l2, Output):
+                    problems.append(f"{(sym, v)}: output vertex not mapped to an output vertex")
+                elif not kept(v, s2, x2):
+                    problems.append(f"{(sym, v)}: output successor not preserved")
+            elif isinstance(l1, Input):
+                if not isinstance(l2, Input):
+                    problems.append(f"{(sym, v)}: input vertex not mapped to an input vertex")
+            else:  # nested occurrence: interface conditions
+                if not isinstance(l2, Nested):
+                    problems.append(f"{(sym, v)}: occurrence not mapped to an occurrence")
                     continue
-                if not (c2.has(img) and img[0] == l2.name and isinstance(c2.lab(img), Input)):
-                    # the redundancy remark: images of inputs stay inputs
-                    # of the related definition
-                    problems.append(f"{u}: input maps outside the related definition")
-                    continue
-                i = c1.lab(u).index
-                j = c2.lab(img).index
-                if j > l2.arity:
-                    problems.append(f"{u}: image input index exceeds arity")
-                    continue
-                if phi.get(c1.args(v)[i - 1]) != c2.args(w)[j - 1]:
-                    problems.append(f"{v}: interface clause fails at input {i}")
+                if phi.get(c1.rootof[l1.name]) != c2.rootof[l2.name]:
+                    problems.append(f"{(sym, v)}: definition roots not related")
+                for u in c1.inputs(l1.name):
+                    at = phi.get(u)
+                    if at is None:
+                        problems.append(f"{u}: map is not total")
+                        continue
+                    if not (c2.has(at) and at[0] == l2.name and isinstance(c2.lab(at), Input)):
+                        # the redundancy remark: images of inputs stay inputs
+                        # of the related definition
+                        problems.append(f"{u}: input maps outside the related definition")
+                        continue
+                    i = c1.lab(u).index
+                    j = c2.lab(at).index
+                    if j > l2.arity:
+                        problems.append(f"{u}: image input index exceeds arity")
+                        continue
+                    if img[args1[v][i - 1]] != (s2, rec2[s2].args[x2][j - 1]):
+                        problems.append(f"{(sym, v)}: interface clause fails at input {i}")
     return problems
 
 
@@ -933,24 +945,35 @@ class CrossCheckReport:
 def cross_check_theorems(a: Rgs, b: Rgs) -> CrossCheckReport:
     """Run independent deciders side by side.
 
-    For tree-shaped inputs the stack-based deciders must agree with the
-    closure over scoped graphs (bisimilarity) and the direct closure
-    (homomorphism existence); acyclic inputs are additionally compared
-    against their unfoldings.  Cyclic inputs have
+    Wherever the inputs unfold (tree-shaped or shared acyclic), the
+    stack-based bisimilarity must agree with the closure over the scoped
+    graphs of the unfoldings and, by the main theorem, with first-order
+    bisimilarity of their flattenings; tree-shaped inputs also compare
+    homomorphism existence with the direct closure.  Cyclic inputs have
     no finite unfolding: there a homomorphism must imply bisimilarity, and
     bisimilarity must not depend on the order of the arguments.  Any
     disagreement is an implementation bug.
     """
     _require_valid(a)
     _require_valid(b)
-    entries = []
-    ta, tb = is_ntg(a).ok, is_ntg(b).ok
-    if ta and tb:
-        scoped = sntg_bisimilar(ntg_to_sntg(a), ntg_to_sntg(b)) is not None
-        stacked = nested_bisim(a, b).bisimilar
-        entries.append(
-            ("bisimilarity equals stack-based bisimilarity", scoped, stacked, scoped == stacked)
-        )
+    tree = is_ntg(a).ok and is_ntg(b).ok
+    if not tree and _needs_depth(a, b):
+        hom = nested_hom(a, b).exists
+        bisim = nested_bisim(a, b).bisimilar
+        back = nested_bisim(b, a).bisimilar
+        return CrossCheckReport((
+            ("stack-based homomorphism implies stack-based bisimilarity", hom, bisim, bisim or not hom),
+            ("stack-based bisimilarity is symmetric", bisim, back, bisim == back),
+        ))
+    ua, ub = (a, b) if tree else (unfold_to_ntg(a).rgs, unfold_to_ntg(b).rgs)
+    stacked = nested_bisim(a, b).bisimilar
+    scoped = sntg_bisimilar(ntg_to_sntg(ua), ntg_to_sntg(ub)) is not None
+    flat = tg_bisimilar(interpret(ua), interpret(ub))
+    entries = [
+        ("bisimilarity equals stack-based bisimilarity", scoped, stacked, scoped == stacked),
+        ("flattened bisimilarity equals stack-based bisimilarity", flat, stacked, flat == stacked),
+    ]
+    if tree:
         hom_direct = ntg_hom(a, b) is not None
         hom_stacked = nested_hom(a, b).exists
         entries.append(
@@ -959,26 +982,6 @@ def cross_check_theorems(a: Rgs, b: Rgs) -> CrossCheckReport:
                 hom_direct,
                 hom_stacked,
                 hom_direct == hom_stacked,
-            )
-        )
-    elif _needs_depth(a, b):
-        hom = nested_hom(a, b).exists
-        bisim = nested_bisim(a, b).bisimilar
-        entries.append(
-            ("stack-based homomorphism implies stack-based bisimilarity", hom, bisim, bisim or not hom)
-        )
-        back = nested_bisim(b, a).bisimilar
-        entries.append(("stack-based bisimilarity is symmetric", bisim, back, bisim == back))
-    else:
-        ua, ub = unfold_to_ntg(a).rgs, unfold_to_ntg(b).rgs
-        stacked = nested_bisim(a, b).bisimilar
-        direct = ntg_bisimilar(ua, ub) is not None
-        entries.append(
-            (
-                "stack-based bisimilarity equals bisimilarity of the specified graphs",
-                stacked,
-                direct,
-                stacked == direct,
             )
         )
     return CrossCheckReport(tuple(entries))

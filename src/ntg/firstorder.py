@@ -511,8 +511,7 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
         raise NotRepresentableError("root definition has inputs")
     sig = NtgSignature(atomic, nested_sig, root.sym)
     n = Rgs(sig, rec)
-    bad = validate_rgs(n)
-    assert not bad, f"reconstruction is ill-formed: {bad[:1]}"
+    assert not validate_rgs(n), f"reconstruction is ill-formed: {validate_rgs(n)[:1]}"
     assert is_ntg(n).ok, "reconstruction is not tree-shaped"
     return n
 

@@ -82,14 +82,11 @@ def reachable(g: TermGraph, start: Vertex) -> list:
         raise KeyError(f"unknown vertex {start!r}")
     seen = {start}
     order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+    for v in order:  # the queue: a list read on while it grows
         for w in g.args[v]:
             if w not in seen:
                 seen.add(w)
                 order.append(w)
-                queue.append(w)
     return order
 
 
@@ -101,10 +98,10 @@ def sub_term_graph(g: TermGraph, v: Vertex) -> TermGraph:
 
 def check_root_connected(g: TermGraph) -> Optional[Vertex]:
     """None when every vertex is reachable from the root, else one witness."""
-    seen = set(reachable(g, g.root))
-    for v in g.lab:
-        if v not in seen:
-            return v
+    order = reachable(g, g.root)
+    if len(order) < len(g.lab):  # else the walk reached every vertex
+        seen = set(order)
+        return next(v for v in g.lab if v not in seen)
     return None
 
 

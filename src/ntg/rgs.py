@@ -11,12 +11,11 @@ by exactly one occurrence, no recursion).
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .graph import TermGraph, check_root_connected, reachable
+from .graph import TermGraph, reachable
 from .labels import CUT_SYMBOL, Atomic, Input, Nested, Output
 
 _RESERVED = {"o", "out", "in", "out_r", "in_r", "tg", "root", "def", "atomic"}
@@ -78,7 +77,8 @@ class Rgs:
 
     Immutable.  Each check result (``validate_rgs``, ``dependency_ars``,
     ``is_ntg`` and the tree check of the structural conversions) is
-    computed on first use and kept on the object it describes.
+    computed on first use and kept on the object it describes, and so is
+    the one walk of each body that these checks and the unfolding share.
     """
 
     signature: NtgSignature
@@ -93,6 +93,26 @@ class Rgs:
     @property
     def root_symbol(self) -> str:
         return self.signature.root_symbol
+
+    @cached_property
+    def _walks(self) -> Dict[str, Tuple[List[str], bool]]:
+        # per body: what its root reaches, in the order of ``reachable``
+        # (a list is the queue), and whether an edge leads back to the root
+        walks = {}
+        for sym, body in self.rec.items():
+            root, args = body.root, body.args
+            seen = {root}
+            order = [root]
+            into_root = False
+            for v in order:
+                for w in args[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                    elif w == root:
+                        into_root = True
+            walks[sym] = order, into_root
+        return walks
 
     @cached_property
     def _violations(self) -> Tuple["Violation", ...]:
@@ -130,60 +150,73 @@ def validate_rgs(r: Rgs) -> List[Violation]:
     Returns the empty list when the specification is well formed.  Symbol
     reachability is deliberately not checked here (the parser stays
     permissive); ``is_ntg`` reports unreachable symbols.  The check runs
-    once per specification; each call returns a fresh list.
+    once per specification; each call returns a fresh list.  It scans each
+    body's labels once and reads the one walk from its root that the
+    dependency steps share, in linear time, and sorts only the violations
+    found into the report's order: by body, condition, then vertex name.
     """
     return list(r._violations)
 
 
 def _check_bodies(r: Rgs) -> List[Violation]:
     out: List[Violation] = []
-    sig = r.signature
+    atomic, nested = r.signature.atomic, r.signature.nested
     for sym in sorted(r.rec):
         body = r.rec[sym]
-        arity = sig.nested[sym]
-        outputs = [v for v in body.lab if isinstance(body.lab[v], Output)]
+        lab, args, root = body.lab, body.args, body.root
+        arity = nested[sym]
+        outputs = []
+        bad = []  # (vertex, order at that vertex, message)
+        first_input: Dict[int, str] = {}
+        repeated = []  # input vertices whose index an earlier vertex has
+        for v, lbl in lab.items():
+            if isinstance(lbl, Atomic):
+                kind, known = "atomic", atomic.get(lbl.name)
+            elif isinstance(lbl, Nested):
+                kind, known = "nested", nested.get(lbl.name)
+            elif isinstance(lbl, Output):
+                outputs.append(v)
+                continue
+            elif isinstance(lbl, Input):
+                if first_input.setdefault(lbl.index, v) != v:
+                    repeated.append(v)
+                if lbl.index > arity:
+                    bad.append((v, 1, f"input index {lbl.index} exceeds arity {arity}"))
+                continue
+            else:
+                bad.append((v, 0, f"label {lbl} is not allowed in a body"))
+                continue
+            if known != lbl.arity:
+                why = "unknown {} symbol {!r}" if known is None else "{} symbol {!r} used at wrong arity"
+                bad.append((v, 0, why.format(kind, lbl.name)))
         if len(outputs) != 1:
             out.append(Violation(sym, None, f"body has {len(outputs)} output vertices, expected 1"))
         for v in outputs:
-            if v != body.root:
+            if v != root:
                 out.append(Violation(sym, v, "output vertex is not the body root"))
-        seen_inputs: Dict[int, str] = {}
-        for v in sorted(body.lab, key=str):
-            lbl = body.lab[v]
-            if isinstance(lbl, Atomic):
-                if lbl.name not in sig.atomic:
-                    out.append(Violation(sym, v, f"unknown atomic symbol {lbl.name!r}"))
-                elif sig.atomic[lbl.name] != lbl.arity:
-                    out.append(Violation(sym, v, f"atomic symbol {lbl.name!r} used at wrong arity"))
-            elif isinstance(lbl, Nested):
-                if lbl.name not in sig.nested:
-                    out.append(Violation(sym, v, f"unknown nested symbol {lbl.name!r}"))
-                elif sig.nested[lbl.name] != lbl.arity:
-                    out.append(Violation(sym, v, f"nested symbol {lbl.name!r} used at wrong arity"))
-            elif isinstance(lbl, Input):
-                if lbl.index in seen_inputs:
-                    out.append(Violation(sym, v, f"duplicate input index {lbl.index}"))
-                else:
-                    seen_inputs[lbl.index] = v
-                if lbl.index > arity:
-                    out.append(Violation(sym, v, f"input index {lbl.index} exceeds arity {arity}"))
-            elif isinstance(lbl, Output):
-                pass
-            else:
-                out.append(Violation(sym, v, f"label {lbl} is not allowed in a body"))
-        for j in range(1, arity + 1):
-            if j not in seen_inputs:
-                out.append(Violation(sym, None, f"missing input vertex for index {j}"))
-        witness = check_root_connected(body)
-        if witness is not None:
+        if bad or repeated:
+            pos = {v: k for k, v in enumerate(lab)}
+            for v in repeated:  # of two inputs with one index, the later reported is a duplicate
+                i = lab[v].index
+                first_input[i], dup = sorted((first_input[i], v), key=lambda u: (str(u), pos[u]))
+                bad.append((dup, 0, f"duplicate input index {i}"))
+            bad.sort(key=lambda e: (str(e[0]), pos[e[0]], e[1]))
+            out += [Violation(sym, v, msg) for v, _, msg in bad]
+        if len(first_input) != arity or bad:  # else the indices are 1 to arity
+            missing = [j for j in range(1, arity + 1) if j not in first_input]
+            out += [Violation(sym, None, f"missing input vertex for index {j}") for j in missing]
+        reached, into_root = r._walks[sym]
+        complete = len(reached) == len(lab)
+        if not complete:
+            seen = set(reached)
+            witness = next(v for v in lab if v not in seen)
             out.append(Violation(sym, witness, "body vertex unreachable from the output vertex"))
-        # Edges into the output vertex have no first-order reading; see
-        # the interpretation module.
-        out_set = set(outputs)
-        for v in sorted(body.lab, key=str):
-            for w in body.args[v]:
-                if w in out_set:
-                    out.append(Violation(sym, v, "edge into the output vertex"))
+        if into_root or not complete or outputs != [root]:
+            # Edges into the output vertex have no first-order reading (see the interpretation
+            # module).  The walk saw them unless it missed a vertex or another output.
+            out_set = set(outputs)
+            into = [v for v in lab for w in args[v] if w in out_set]
+            out += [Violation(sym, v, "edge into the output vertex") for v in sorted(into, key=str)]
     return out
 
 
@@ -216,16 +249,17 @@ class DependencyArs:
 
 def dependency_ars(r: Rgs) -> DependencyArs:
     """One step per occurrence of a nested-labeled vertex in some body;
-    built once per specification."""
+    built once per specification, from the walk of each body that
+    ``validate_rgs`` also reads."""
     return r._dependencies
 
 
 def _dependency_steps(r: Rgs) -> DependencyArs:
     steps = []
     for sym in sorted(r.rec):
-        body = r.rec[sym]
-        for v in reachable(body, body.root):
-            lbl = body.lab[v]
+        lab = r.rec[sym].lab
+        for v in r._walks[sym][0]:
+            lbl = lab[v]
             if isinstance(lbl, Nested):
                 steps.append(DepStep(sym, v, lbl.name))
     return DependencyArs(tuple(sorted(r.signature.nested)), r.root_symbol, tuple(steps))
@@ -272,14 +306,11 @@ class NtgResult:
 def _reachable_symbols(deps: DependencyArs) -> List[str]:
     seen = {deps.root}
     order = [deps.root]
-    queue = deque(order)
-    while queue:
-        s = queue.popleft()
-        for step in deps.steps_from(s):
+    for s in order:
+        for step in deps._by_source.get(s, ()):
             if step.target not in seen:
                 seen.add(step.target)
                 order.append(step.target)
-                queue.append(step.target)
     return order
 
 
@@ -315,15 +346,24 @@ def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
     """Decide whether the dependency structure restricted to the reachable
     symbols is a tree: acyclic, at most one step into each symbol, and all
     declared symbols reachable.  Without ``deps`` the answer is computed
-    once per specification; given ``deps``, it is computed from them."""
+    once per specification; given ``deps``, it is computed from them.
+    One walk over the steps accepts in linear time: it reaches every
+    declared symbol over one step fewer than it reaches, so each but the
+    root has exactly one step into it.  Only a rejected specification is
+    diagnosed: first a cycle, then a symbol introduced twice, then an
+    unreachable one."""
     return r._ntg if deps is None else _decide_ntg(r, deps)
 
 
 def _decide_ntg(r: Rgs, deps: DependencyArs) -> NtgResult:
+    order = _reachable_symbols(deps)
+    reach_set = set(order)
+    steps = sum(len(deps._by_source.get(s, ())) for s in order)
+    if steps == len(order) - 1 and reach_set.issuperset(r.signature.nested):
+        return NtgResult(True)
     cycle = _find_cycle(deps)
     if cycle is not None:
         return NtgResult(False, Cycle(cycle))
-    reach_set = set(_reachable_symbols(deps))
     incoming: Dict[str, List[DepStep]] = {}
     for step in deps.steps:
         if step.source in reach_set:
@@ -421,20 +461,13 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     new_rec: Dict[str, TermGraph] = {}
     new_nested: Dict[str, int] = {}
     cuts = 0
-    # per source symbol, walked once: its reachable occurrences, and
-    # whether its output vertex reaches every vertex of its body
-    walked: Dict[str, Tuple[List[str], bool]] = {}
+    steps = dependency_ars(r)._by_source  # per body, its reachable occurrences
 
-    queue = deque([(r.root_symbol, r.root_symbol, 0)])  # (instance name, symbol, level)
+    queue = [(r.root_symbol, r.root_symbol, 0)]  # (instance name, symbol, level)
     new_nested[r.root_symbol] = 0
-    while queue:
-        iname, sym, level = queue.popleft()
+    for iname, sym, level in queue:
         body = r.rec[sym]
-        if sym not in walked:
-            order = reachable(body, body.root)
-            occs = [v for v in order if isinstance(body.lab[v], Nested)]
-            walked[sym] = occs, len(order) == len(body)
-        occurrences, complete = walked[sym]
+        occurrences = [step.vertex for step in steps.get(sym, ())]
         prefix = iname + "/"
         lab = {}
         args = {}
@@ -457,7 +490,7 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
         # a renamed copy of a checked body, with occurrences relabelled at
         # their arity and cut ones nullary, needs no second check
         g = TermGraph._prechecked(lab, args, prefix + body.root)
-        if (cut and occurrences) or not complete:
+        if (cut and occurrences) or len(r._walks[sym][0]) < len(body):
             # drop the vertices that a placeholder or the source body cut off
             keep = set(reachable(g, g.root))
             g = TermGraph._prechecked(

@@ -79,86 +79,94 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     reachable from that definition's output vertex ("body-connected"),
     which rules out disconnected junk that the pointwise conditions alone
     cannot see.
+
+    One scan of the vertices and one walk per scope, linear in the size of
+    the structure and its ancestor chains; only the violations found are
+    sorted, into the report's order: by condition, then by vertex name.
     """
     g = s.tg
-    out: List[SntgViolation] = []
+    # per condition, in scan order: (the vertex it is reported by, violation)
+    roots, nested, arguments, defined, steps, outside, strays = [], [], [], [], [], [], []
 
-    def bad(cond, vs, msg):
-        out.append(SntgViolation(cond, tuple(vs), msg))
+    def bad(into, cond, vs, msg, at=None):
+        into.append((vs[0] if at is None else at, SntgViolation(cond, tuple(vs), msg)))
 
     root = g.root
     if not isinstance(g.lab[root], Nested):
-        bad("root", [root], "root vertex must carry a defined symbol")
+        bad(roots, "root", [root], "root vertex must carry a defined symbol")
     if s.anc[root] != ():
-        bad("root", [root], "root vertex must have an empty ancestor chain")
+        bad(roots, "root", [root], "root vertex must have an empty ancestor chain")
     if g.lab[root].arity != 0:
-        bad("root", [root], "root vertex must be nullary")
+        bad(roots, "root", [root], "root vertex must be nullary")
 
-    for v in sorted(g.lab, key=str):
+    occurrences, top = [], []
+    levels: Dict[int, list] = {}  # per ancestor chain object: distinct letters, chain, vertices
+    for v, lbl in g.lab.items():
         chain = s.anc[v]
-        letters = chain + (v,)
-        if len(set(letters)) != len(letters):
-            bad("nested", [v], "ancestor chain letters must be pairwise distinct")
-
-    for v in sorted(g.lab, key=str):
+        level = levels.get(id(chain))
+        if level is None:
+            level = levels[id(chain)] = [len(set(chain)) == len(chain), chain, []]
+        level[2].append(v)
+        if not level[0] or v in chain:
+            bad(nested, "nested", [v], "ancestor chain letters must be pairwise distinct")
         for w in g.args[v]:
-            if s.anc[w] != s.anc[v]:
-                bad("arguments", [v, w], "successor has a different ancestor chain")
-
-    for v in sorted(g.lab, key=str):
-        lbl = g.lab[v]
+            if s.anc[w] is not chain and s.anc[w] != chain:
+                bad(arguments, "arguments", [v, w], "successor has a different ancestor chain")
         if (v in s.call) != isinstance(lbl, Nested):
-            bad("defined", [v], "call must be defined exactly on defined-symbol vertices")
+            bad(defined, "defined", [v], "call must be defined exactly on defined-symbol vertices")
         if (v in s.ret) != isinstance(lbl, Input):
-            bad("defined", [v], "return must be defined exactly on input vertices")
+            bad(defined, "defined", [v], "return must be defined exactly on input vertices")
+        if isinstance(lbl, Nested) and v in s.call:
+            occurrences.append(v)
+        if not chain and v != root:
+            top.append(v)
 
     scopes: Dict[Vertex, List[Vertex]] = {}  # occurrence -> what its call target reaches
-    for v in sorted(g.lab, key=str):
-        lbl = g.lab[v]
-        if not isinstance(lbl, Nested) or v not in s.call:
-            continue
+    for v in occurrences:
         o = s.call[v]
         if not isinstance(g.lab[o], Output):
-            bad("step-into", [v, o], "call target is not an output vertex")
+            bad(steps, "step-into", [v, o], "call target is not an output vertex")
             continue
         if s.anc[o] != s.anc[v] + (v,):
-            bad("step-into", [v, o], "call target has the wrong ancestor chain")
+            bad(steps, "step-into", [v, o], "call target has the wrong ancestor chain")
         scope = scopes[v] = reachable(g, o)
         outputs = [u for u in scope if isinstance(g.lab[u], Output)]
         if outputs != [o]:
-            bad("step-into", [v, o], "call target is not the single output vertex of its scope")
+            bad(steps, "step-into", [v, o], "call target is not the single output vertex of its scope")
         by_index: Dict[int, List[Vertex]] = {}
         for u in scope:
             if isinstance(g.lab[u], Input):
                 by_index.setdefault(g.lab[u].index, []).append(u)
-        for j in range(1, lbl.arity + 1):
+        for j in range(1, g.lab[v].arity + 1):
             hits = by_index.pop(j, [])
             if len(hits) != 1:
-                bad("step-out", [v], f"scope has {len(hits)} vertices for input index {j}")
+                bad(steps, "step-out", [v], f"scope has {len(hits)} vertices for input index {j}")
                 continue
             b = hits[0]
             if b not in s.ret:
                 continue  # already reported under (defined)
             if g.args[v][j - 1] != s.ret[b]:
-                bad("step-out", [v, b], f"return of input {j} is not successor {j} of the occurrence")
+                msg = f"return of input {j} is not successor {j} of the occurrence"
+                bad(steps, "step-out", [v, b], msg)
         if by_index:
             j = sorted(by_index)[0]
-            bad("step-out", [v] + by_index[j], f"scope has an input with index {j} beyond the arity")
+            msg = f"scope has an input with index {j} beyond the arity"
+            bad(steps, "step-out", [v] + by_index[j], msg)
 
     # completeness: the vertices assigned to a definition level are exactly
     # the vertices its output can reach, and the top level holds only the root
-    levels: Dict[Tuple[Vertex, ...], List[Vertex]] = {}
-    for v in sorted(g.lab, key=str):
-        levels.setdefault(s.anc[v], []).append(v)
-    extra = [v for v in levels.get((), []) if v != root]
-    if extra:
-        bad("body-connected", extra, "vertices outside every definition")
+    if top:
+        bad(outside, "body-connected", sorted(top, key=str), "vertices outside every definition")
+    by_chain: Dict[Tuple[Vertex, ...], List[Vertex]] = {}
+    for _, chain, members in levels.values():
+        by_chain.setdefault(chain, []).extend(members)
     for v, scope in scopes.items():
-        level = set(levels.get(s.anc[v] + (v,), []))
-        stray = sorted(level.difference(scope), key=str)
+        stray = set(by_chain.get(s.anc[v] + (v,), [])).difference(scope)
         if stray:
-            bad("body-connected", stray, f"unreachable from the output vertex {s.call[v]}")
-    return out
+            msg = f"unreachable from the output vertex {s.call[v]}"
+            bad(strays, "body-connected", sorted(stray, key=str), msg, at=v)
+    sections = (roots, nested, arguments, defined, steps, outside, strays)
+    return [x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))]
 
 
 def ntg_to_sntg(n: Rgs) -> Sntg:

@@ -326,6 +326,95 @@ def mutate_ntg(rng: random.Random, r: Rgs, tries=40) -> Rgs:
     return r
 
 
+class Foreign:
+    """A label that no body may carry, at any arity."""
+
+    def __init__(self, arity: int):
+        self.arity = arity
+
+    def __str__(self):
+        return "foreign"
+
+
+def break_body(rng: random.Random, r: Rgs) -> Rgs:
+    """A copy of ``r`` with one body changed at random so that it may break
+    any body condition: a relabelled vertex (unknown or wrong-arity
+    symbols, inputs at any index, a second output, a foreign label), an
+    added vertex that its output cannot reach (named so that ``1`` and
+    ``"1"`` may meet), a redirected edge, or a moved root.  The result
+    need not be well formed."""
+    sym = rng.choice(sorted(r.rec))
+    body = r.rec[sym]
+    lab, args, root = dict(body.lab), dict(body.args), body.root
+    vs = list(lab)
+    v = rng.choice(vs)
+    arity = len(args[v])
+    op = rng.randrange(8)
+    if op == 0:
+        lab[v] = Atomic(rng.choice(sorted(ATOM_POOL) + ["zz"]), arity)
+    elif op == 1:
+        lab[v] = Nested(rng.choice(sorted(r.rec) + ["zz"]), arity)
+    elif op == 2 and arity == 0:
+        lab[v] = Input(rng.randrange(1, 4))
+    elif op == 3 and arity == 1:
+        lab[v] = Output()
+    elif op == 4:
+        lab[v] = Foreign(arity)
+    elif op == 5:
+        extra = rng.choice([1, "1", 2, "2", "zz"])
+        lab[extra], args[extra] = rng.choice(
+            [(Input(1), ()), (Atomic("ca", 0), ()), (Atomic("u0", 1), (root,)), (Output(), (v,))]
+        )
+    elif op == 6 and arity:
+        i = rng.randrange(arity)
+        args[v] = args[v][:i] + (rng.choice([root] + vs),) + args[v][i + 1:]
+    else:
+        root = rng.choice(vs)
+    return Rgs(r.signature, {**r.rec, sym: TermGraph(lab, args, root)})
+
+
+def break_structure(rng: random.Random, s):
+    """A copy of the structural representation ``s`` with one random
+    change that may break any of its conditions: a shortened, lengthened
+    or borrowed ancestor chain, a dropped, added or redirected call or
+    return link, a relabelled input, an edge redirected to any vertex or
+    to an output vertex, an added vertex, or a changed root."""
+    from ntg import Sntg
+
+    g = s.tg
+    lab, args, root = dict(g.lab), dict(g.args), g.root
+    call, ret, anc = dict(s.call), dict(s.ret), dict(s.anc)
+    vs = list(lab)
+    v = rng.choice(vs)
+    op = rng.randrange(10)
+    if op == 0:
+        anc[v] = anc[v][:-1]
+    elif op == 1:
+        anc[v] = anc[v] + (rng.choice(vs),)
+    elif op == 2:
+        anc[v] = anc[rng.choice(vs)]
+    elif op == 3:
+        links = rng.choice([call, ret])
+        if links:
+            del links[rng.choice(sorted(links, key=str))]
+    elif op == 4:
+        rng.choice([call, ret])[v] = rng.choice(vs)
+    elif op == 5 and not args[v]:
+        lab[v] = Input(rng.randrange(1, 4))
+    elif op == 6 and args[v]:
+        i = rng.randrange(len(args[v]))
+        outputs = [u for u in vs if isinstance(lab[u], Output)]
+        args[v] = args[v][:i] + (rng.choice(rng.choice([vs, outputs])),) + args[v][i + 1:]
+    elif op == 7:
+        extra = rng.choice(["zz", "x.y"])
+        lab[extra], args[extra], anc[extra] = Atomic("ca", 0), (), anc[rng.choice(vs)]
+    elif op == 8:
+        anc[root] = (v,)
+    else:
+        lab[root], args[root] = Atomic("u0", 1), (v,)
+    return Sntg(TermGraph(lab, args, root), call, ret, anc)
+
+
 def random_quotient(rng: random.Random, g: TermGraph):
     """A proper homomorphic image of ``g``: the smallest stable partition
     identifying one randomly chosen bisimilar pair, built by congruence

@@ -19,9 +19,16 @@ the quotient of an explicit relation by its stack pairs, as the references
 of the summary-based witness.  The carrier sorted by vertex name is the
 reference of the library's sort-free carrier and the carrier the closure
 oracles walk, and the unfolding that walks every instance twice is the
-reference of ``unfold_to_ntg``.  None of them share search code with the
-library, except that ``two_path_collapse`` takes its plain path from
-``tg_collapse``, whose block map is checked against ``moore_refine``,
+reference of ``unfold_to_ntg``.  The checks as they were before each
+became one linear pass, sorting every body's vertices and diagnosing
+every specification, are the references of the body checks of
+``validate_rgs``, of the dependency steps and verdict of ``is_ntg``, of
+``check_sntg`` and, on the reference carrier, of ``verify_ntg_hom``.
+None of them share search code with the library, except that the
+reference checks walk with the library's ``reachable``,
+``check_root_connected`` and ``_find_cycle``, ``two_path_collapse``
+takes its plain path from ``tg_collapse``, whose block map is checked
+against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
 ``refine_bisimilar``, the reference of the union-find pair closure of
 ``tg_bisimilar``, runs it on the disjoint union of two graphs,
@@ -74,6 +81,12 @@ class ReferenceCarrier:
     def args(self, cv):
         sym, v = cv
         return tuple((sym, w) for w in self.rgs.rec[sym].args[v])
+
+    def has(self, cv):
+        return (
+            isinstance(cv, tuple) and len(cv) == 2
+            and cv[0] in self.rgs.rec and cv[1] in self.rgs.rec[cv[0]].lab
+        )
 
     def occurrence(self, sym):
         return self._occ.get(sym)
@@ -829,3 +842,257 @@ def relation_witness(rel, r1, r2):
     assert not validate_rgs(witness), "relation does not induce a well-formed specification"
     assert is_ntg(witness).ok
     return witness
+
+
+def reference_check_bodies(r):
+    """The body checks of ``validate_rgs`` as the library wrote them
+    before they became one scan and one walk per body: each body's
+    vertices sorted by name for the label checks and again for the edges
+    into the output vertex, and a reachability walk of its own.  The
+    reference for the violations and their order."""
+    from ntg import Atomic, Input, Nested, Output, Violation
+    from ntg.graph import check_root_connected
+
+    out = []
+    sig = r.signature
+    for sym in sorted(r.rec):
+        body = r.rec[sym]
+        arity = sig.nested[sym]
+        outputs = [v for v in body.lab if isinstance(body.lab[v], Output)]
+        if len(outputs) != 1:
+            out.append(Violation(sym, None, f"body has {len(outputs)} output vertices, expected 1"))
+        for v in outputs:
+            if v != body.root:
+                out.append(Violation(sym, v, "output vertex is not the body root"))
+        seen_inputs = {}
+        for v in sorted(body.lab, key=str):
+            lbl = body.lab[v]
+            if isinstance(lbl, Atomic):
+                if lbl.name not in sig.atomic:
+                    out.append(Violation(sym, v, f"unknown atomic symbol {lbl.name!r}"))
+                elif sig.atomic[lbl.name] != lbl.arity:
+                    out.append(Violation(sym, v, f"atomic symbol {lbl.name!r} used at wrong arity"))
+            elif isinstance(lbl, Nested):
+                if lbl.name not in sig.nested:
+                    out.append(Violation(sym, v, f"unknown nested symbol {lbl.name!r}"))
+                elif sig.nested[lbl.name] != lbl.arity:
+                    out.append(Violation(sym, v, f"nested symbol {lbl.name!r} used at wrong arity"))
+            elif isinstance(lbl, Input):
+                if lbl.index in seen_inputs:
+                    out.append(Violation(sym, v, f"duplicate input index {lbl.index}"))
+                else:
+                    seen_inputs[lbl.index] = v
+                if lbl.index > arity:
+                    out.append(Violation(sym, v, f"input index {lbl.index} exceeds arity {arity}"))
+            elif isinstance(lbl, Output):
+                pass
+            else:
+                out.append(Violation(sym, v, f"label {lbl} is not allowed in a body"))
+        for j in range(1, arity + 1):
+            if j not in seen_inputs:
+                out.append(Violation(sym, None, f"missing input vertex for index {j}"))
+        witness = check_root_connected(body)
+        if witness is not None:
+            out.append(Violation(sym, witness, "body vertex unreachable from the output vertex"))
+        out_set = set(outputs)
+        for v in sorted(body.lab, key=str):
+            for w in body.args[v]:
+                if w in out_set:
+                    out.append(Violation(sym, v, "edge into the output vertex"))
+    return out
+
+
+def reference_dependency_steps(r):
+    """The dependency steps as the library built them before it walked
+    each body with a list for its queue: ``reachable`` on every body, then
+    its occurrences picked out.  The reference for the steps and their
+    order."""
+    from ntg import Nested
+    from ntg.rgs import DependencyArs, DepStep
+
+    steps = []
+    for sym in sorted(r.rec):
+        body = r.rec[sym]
+        for v in reachable(body, body.root):
+            lbl = body.lab[v]
+            if isinstance(lbl, Nested):
+                steps.append(DepStep(sym, v, lbl.name))
+    return DependencyArs(tuple(sorted(r.signature.nested)), r.root_symbol, tuple(steps))
+
+
+def reference_decide_ntg(r, deps):
+    """``is_ntg`` as the library decided it before one walk accepted: the
+    full ordered diagnosis on every specification, first the cycle met by
+    a depth-first walk, then the least symbol introduced twice, then the
+    least unreachable symbol.  The reference for verdicts and defects."""
+    from ntg import CoDetViolation, Cycle, NtgResult, UnreachableSymbol
+    from ntg.rgs import _find_cycle
+
+    cycle = _find_cycle(deps)
+    if cycle is not None:
+        return NtgResult(False, Cycle(cycle))
+    reach_set = {deps.root}
+    queue = deque([deps.root])
+    while queue:
+        for step in deps.steps_from(queue.popleft()):
+            if step.target not in reach_set:
+                reach_set.add(step.target)
+                queue.append(step.target)
+    incoming = {}
+    for step in deps.steps:
+        if step.source in reach_set:
+            incoming.setdefault(step.target, []).append(step)
+    for sym in sorted(incoming):
+        if len(incoming[sym]) > 1:
+            return NtgResult(False, CoDetViolation(sym, (incoming[sym][0], incoming[sym][1])))
+    for sym in sorted(r.signature.nested):
+        if sym not in reach_set:
+            return NtgResult(False, UnreachableSymbol(sym))
+    return NtgResult(True)
+
+
+def reference_check_sntg(s):
+    """``check_sntg`` as the library wrote it before it became one scan:
+    the vertices sorted by name once per condition, and each level's
+    vertices grouped by their ancestor chain.  The reference for the
+    violations and their order."""
+    from ntg import Input, Nested, Output, SntgViolation
+
+    g = s.tg
+    out: list = []
+
+    def bad(cond, vs, msg):
+        out.append(SntgViolation(cond, tuple(vs), msg))
+
+    root = g.root
+    if not isinstance(g.lab[root], Nested):
+        bad("root", [root], "root vertex must carry a defined symbol")
+    if s.anc[root] != ():
+        bad("root", [root], "root vertex must have an empty ancestor chain")
+    if g.lab[root].arity != 0:
+        bad("root", [root], "root vertex must be nullary")
+
+    for v in sorted(g.lab, key=str):
+        chain = s.anc[v]
+        letters = chain + (v,)
+        if len(set(letters)) != len(letters):
+            bad("nested", [v], "ancestor chain letters must be pairwise distinct")
+
+    for v in sorted(g.lab, key=str):
+        for w in g.args[v]:
+            if s.anc[w] != s.anc[v]:
+                bad("arguments", [v, w], "successor has a different ancestor chain")
+
+    for v in sorted(g.lab, key=str):
+        lbl = g.lab[v]
+        if (v in s.call) != isinstance(lbl, Nested):
+            bad("defined", [v], "call must be defined exactly on defined-symbol vertices")
+        if (v in s.ret) != isinstance(lbl, Input):
+            bad("defined", [v], "return must be defined exactly on input vertices")
+
+    scopes: dict = {}  # occurrence -> what its call target reaches
+    for v in sorted(g.lab, key=str):
+        lbl = g.lab[v]
+        if not isinstance(lbl, Nested) or v not in s.call:
+            continue
+        o = s.call[v]
+        if not isinstance(g.lab[o], Output):
+            bad("step-into", [v, o], "call target is not an output vertex")
+            continue
+        if s.anc[o] != s.anc[v] + (v,):
+            bad("step-into", [v, o], "call target has the wrong ancestor chain")
+        scope = scopes[v] = reachable(g, o)
+        outputs = [u for u in scope if isinstance(g.lab[u], Output)]
+        if outputs != [o]:
+            bad("step-into", [v, o], "call target is not the single output vertex of its scope")
+        by_index: dict = {}
+        for u in scope:
+            if isinstance(g.lab[u], Input):
+                by_index.setdefault(g.lab[u].index, []).append(u)
+        for j in range(1, lbl.arity + 1):
+            hits = by_index.pop(j, [])
+            if len(hits) != 1:
+                bad("step-out", [v], f"scope has {len(hits)} vertices for input index {j}")
+                continue
+            b = hits[0]
+            if b not in s.ret:
+                continue  # already reported under (defined)
+            if g.args[v][j - 1] != s.ret[b]:
+                bad("step-out", [v, b], f"return of input {j} is not successor {j} of the occurrence")
+        if by_index:
+            j = sorted(by_index)[0]
+            bad("step-out", [v] + by_index[j], f"scope has an input with index {j} beyond the arity")
+
+    # completeness: the vertices assigned to a definition level are exactly
+    # the vertices its output can reach, and the top level holds only the root
+    levels: dict = {}
+    for v in sorted(g.lab, key=str):
+        levels.setdefault(s.anc[v], []).append(v)
+    extra = [v for v in levels.get((), []) if v != root]
+    if extra:
+        bad("body-connected", extra, "vertices outside every definition")
+    for v, scope in scopes.items():
+        level = set(levels.get(s.anc[v] + (v,), []))
+        stray = sorted(level.difference(scope), key=str)
+        if stray:
+            bad("body-connected", stray, f"unreachable from the output vertex {s.call[v]}")
+    return out
+
+
+def reference_verify_ntg_hom(n1, n2, phi):
+    """``verify_ntg_hom`` as the library wrote it before it looped over
+    each body itself: through the carrier, with a vertex pair built for
+    every successor looked at.  The reference for the reported clauses
+    and their order."""
+    from ntg import Atomic, Input, Nested, Output
+
+    c1, c2 = ReferenceCarrier(n1), ReferenceCarrier(n2)
+    problems = []
+    if phi.get(c1.root) != c2.root:
+        problems.append("root definitions are not related")
+    for v in c1.vertices():
+        w = phi.get(v)
+        if w is None:
+            problems.append(f"{v}: map is not total")
+            continue
+        if not c2.has(w):
+            problems.append(f"{v}: image is not a vertex of the target")
+            continue
+        l1, l2 = c1.lab(v), c2.lab(w)
+        if isinstance(l1, Atomic):
+            if l1 != l2:
+                problems.append(f"{v}: atomic label not preserved")
+            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
+                problems.append(f"{v}: arguments not preserved")
+        elif isinstance(l1, Output):
+            if not isinstance(l2, Output):
+                problems.append(f"{v}: output vertex not mapped to an output vertex")
+            elif tuple(phi.get(x) for x in c1.args(v)) != c2.args(w):
+                problems.append(f"{v}: output successor not preserved")
+        elif isinstance(l1, Input):
+            if not isinstance(l2, Input):
+                problems.append(f"{v}: input vertex not mapped to an input vertex")
+        else:  # nested occurrence: interface conditions
+            if not isinstance(l2, Nested):
+                problems.append(f"{v}: occurrence not mapped to an occurrence")
+                continue
+            if phi.get(c1.rootof[l1.name]) != c2.rootof[l2.name]:
+                problems.append(f"{v}: definition roots not related")
+            for u in c1.inputs(l1.name):
+                img = phi.get(u)
+                if img is None:
+                    problems.append(f"{u}: map is not total")
+                    continue
+                if not (c2.has(img) and img[0] == l2.name and isinstance(c2.lab(img), Input)):
+                    # the redundancy remark: images of inputs stay inputs
+                    # of the related definition
+                    problems.append(f"{u}: input maps outside the related definition")
+                    continue
+                i = c1.lab(u).index
+                j = c2.lab(img).index
+                if j > l2.arity:
+                    problems.append(f"{u}: image input index exceeds arity")
+                    continue
+                if phi.get(c1.args(v)[i - 1]) != c2.args(w)[j - 1]:
+                    problems.append(f"{v}: interface clause fails at input {i}")
+    return problems

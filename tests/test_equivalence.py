@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     brute_force_ntg_hom,
     closure_nested_hom,
     closure_ntg_bisimilar,
+    reference_verify_ntg_hom,
     relation_witness,
     replay_path,
 )
@@ -738,6 +740,97 @@ def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
                     assert f"{u}: input maps outside the related definition" in problems
                     outside += 1
     assert outside > 50
+
+
+def _raise_an_input(rng, r):
+    """A copy of ``r`` in which one input vertex, if there is any, has an
+    index beyond the arity of its definition; no longer valid."""
+    from ntg import Input, Rgs
+    from ntg.graph import TermGraph
+
+    spots = [(sym, v) for sym in sorted(r.rec) for v, lbl in r.rec[sym].lab.items() if isinstance(lbl, Input)]
+    if not spots:
+        return r
+    sym, v = rng.choice(spots)
+    body = r.rec[sym]
+    lab = {**body.lab, v: Input(r.signature.nested[sym] + 1)}
+    return Rgs(r.signature, {**r.rec, sym: TermGraph(lab, body.args, body.root)})
+
+
+def test_verify_ntg_hom_equals_the_reference():
+    from ntg.equivalence import _Carrier
+
+    rng = random.Random(193)
+    cases = []
+    for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs) * 12:
+        r = make(rng)
+        for other in (r, unroll_twice(r), relabel_constant(rng, r)):
+            w = nested_bisim(r, other).witness
+            if w is not None:
+                cases += [(w.witness, r, w.proj_left), (w.witness, other, w.proj_right)]
+    kinds = set()
+    for n1, n2, phi in cases:
+        vertices = _Carrier(n2).vertices()
+        outside = [("absent", "o"), (n2.root_symbol, "absent"), "absent", "ab", 3, (1, 2, 3)]
+        for k in range(12):
+            wrong = dict(phi)
+            for _ in range(k % 3):
+                key = rng.choice(list(wrong))
+                choice = rng.randrange(4)
+                if choice == 0:
+                    del wrong[key]
+                else:
+                    wrong[key] = rng.choice(outside if choice == 1 else vertices)
+            for target in (n2, _raise_an_input(rng, n2)):
+                ours = verify_ntg_hom(n1, target, wrong)
+                assert ours == reference_verify_ntg_hom(n1, target, wrong)
+                kinds.update(re.sub(r"^.*\): |\d+", "", m) for m in ours)
+    assert kinds == {
+        "root definitions are not related",
+        "map is not total",
+        "image is not a vertex of the target",
+        "atomic label not preserved",
+        "arguments not preserved",
+        "output vertex not mapped to an output vertex",
+        "output successor not preserved",
+        "input vertex not mapped to an input vertex",
+        "occurrence not mapped to an occurrence",
+        "definition roots not related",
+        "input maps outside the related definition",
+        "image input index exceeds arity",
+        "interface clause fails at input ",
+    }
+
+
+def test_cross_checks_catch_a_decider_that_ignores_atomic_names(monkeypatch):
+    # tree-shaped and shared acyclic pairs that differ in one constant; a
+    # stack-based decider that ignores atomic names calls them bisimilar,
+    # and the independent entries must disagree, not raise
+    import ntg.equivalence
+    from ntg import Atomic, is_ntg
+
+    compatible = ntg.equivalence._compatible
+
+    def ignoring_names(l1, l2):
+        if isinstance(l1, Atomic) and isinstance(l2, Atomic):
+            return l1.arity == l2.arity
+        return compatible(l1, l2)
+
+    monkeypatch.setattr(ntg.equivalence, "_compatible", ignoring_names)
+    rng = random.Random(197)
+    shared = 0
+    for make in (random_ntg, random_acyclic_rgs) * 10:
+        r = make(rng)
+        other = relabel_constant(rng, r)
+        if other is r:
+            continue
+        shared += not is_ntg(r).ok
+        report = cross_check_theorems(r, other)
+        assert not report.all_agree, str(report)
+        assert ("bisimilarity equals stack-based bisimilarity", False, True, False) in report.entries
+        flat = "flattened bisimilarity equals stack-based bisimilarity"
+        assert (flat, False, True, False) in report.entries
+    assert shared >= 3
 
 
 def _carrier_corpus():

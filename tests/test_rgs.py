@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -30,7 +31,8 @@ from ntg import (
 )
 from ntg.labels import CUT_SYMBOL
 from generators import (
-    fanout_family, random_acyclic_rgs, random_cyclic_rgs, random_ntg, unroll_twice,
+    Foreign, break_body, fanout_family, random_acyclic_rgs, random_cyclic_rgs, random_ntg,
+    unroll_twice,
 )
 
 
@@ -393,3 +395,98 @@ def test_each_specification_is_checked_once(monkeypatch):
     assert sum(x is r for x in checked) == 1
     assert len({id(x) for x in checked}) == len(checked)
     assert any(x is shared for x in checked) == __debug__
+
+
+def _tied_names():
+    """A body whose vertices ``1`` and ``"1"``, and ``2`` and ``"2"``,
+    print alike and break conditions side by side."""
+    body = TermGraph(
+        {"o": Output(), "c": Atomic("c", 0), 1: Input(1), "1": Input(1), 2: Atomic("f", 1),
+         "2": Foreign(0)},
+        {"o": ("c",), "c": (), 1: (), "1": (), 2: ("o",), "2": ()},
+        "o",
+    )
+    return Rgs(NtgSignature({"c": 0, "f": 1}, {"r": 0}, "r"), {"r": body})
+
+
+def _check_corpus(seed):
+    """Specifications from the data files, random tree-shaped, shared and
+    cyclic ones and their unfoldings, and three chained body mutants of
+    each, all built fresh."""
+    from conftest import DATA, load_rgs
+
+    rng = random.Random(seed)
+    specs = [load_rgs(p.name) for p in sorted(DATA.glob("*.rgs"))] + [_tied_names()]
+    for _ in range(40):
+        specs += [random_ntg(rng), random_acyclic_rgs(rng), random_cyclic_rgs(rng)]
+        specs += [unfold_to_ntg(r, 2 if k == 2 else None).rgs for k, r in enumerate(specs[-3:])]
+    mutants = []
+    for r in specs:
+        for _ in range(3):
+            r = break_body(rng, r)
+            mutants.append(r)
+    return specs + mutants
+
+
+def test_body_checks_equal_the_sorted_reference():
+    from oracles import reference_check_bodies
+
+    kinds = set()
+    for r in _check_corpus(173):
+        ours = validate_rgs(r)
+        assert ours == reference_check_bodies(r)
+        kinds.update(re.sub(r"'[^']*'|\d+", "#", v.message) for v in ours)
+    assert kinds == {
+        "body has # output vertices, expected #",
+        "output vertex is not the body root",
+        "unknown atomic symbol #",
+        "atomic symbol # used at wrong arity",
+        "unknown nested symbol #",
+        "nested symbol # used at wrong arity",
+        "duplicate input index #",
+        "input index # exceeds arity #",
+        "label foreign is not allowed in a body",
+        "missing input vertex for index #",
+        "body vertex unreachable from the output vertex",
+        "edge into the output vertex",
+    }
+
+
+def test_dependency_checks_equal_the_reference():
+    from oracles import reference_decide_ntg, reference_dependency_steps
+
+    defects = set()
+    for r in _check_corpus(179):
+        deps = reference_dependency_steps(r)
+        assert dependency_ars(r) == deps
+        res = is_ntg(r)
+        assert res == reference_decide_ntg(r, deps)
+        defects.add(type(res.defect))
+    assert defects == {type(None), Cycle, CoDetViolation, UnreachableSymbol}
+
+
+def test_accepting_checks_run_no_diagnosis(monkeypatch):
+    # validate_rgs and is_ntg accept with one scan and one walk per body:
+    # neither the reachability helpers nor the cycle search may run
+    import ntg.rgs
+
+    rng = random.Random(181)
+    trees = [random_ntg(rng) for _ in range(20)]
+    shared = [random_acyclic_rgs(rng) for _ in range(20)]
+    unfolded = [unfold_to_ntg(r).rgs for r in trees + shared]
+    calls = []
+    for name in ("reachable", "check_root_connected", "_find_cycle"):
+        def counted(*args, _name=name, _f=getattr(ntg.rgs, name, None)):
+            calls.append(_name)
+            return _f(*args)
+
+        # ``raising=False``: the module need not import the helper at all
+        monkeypatch.setattr(ntg.rgs, name, counted, raising=False)
+    for r in trees + unfolded:
+        fresh = Rgs(r.signature, r.rec)  # no check result cached yet
+        assert validate_rgs(fresh) == [] and is_ntg(fresh).ok
+        assert calls == []
+    for r in shared:  # is_ntg rejects most of them, and only then diagnoses
+        assert validate_rgs(Rgs(r.signature, r.rec)) == []
+        assert calls == []
+    assert sum(not is_ntg(r).ok for r in shared) >= 5

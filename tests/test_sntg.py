@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,8 +14,8 @@ from ntg import (
     sntg_to_ntg,
     verify_sntg_hom,
 )
-from generators import random_ntg
-from oracles import brute_force_sntg_hom
+from generators import break_structure, random_acyclic_rgs, random_ntg
+from oracles import brute_force_sntg_hom, reference_check_sntg
 
 
 def test_conversion_counts_for_running_example(fix_n):
@@ -92,6 +93,51 @@ def test_check_rejects_disconnected_body_junk(fix_triv):
     anc["junk"] = anc[s.call[s.tg.root]]
     broken = Sntg(TermGraph(lab, args, s.tg.root), s.call, s.ret, anc)
     assert any(v.condition == "body-connected" for v in check_sntg(broken))
+
+
+def test_check_equals_the_sorted_reference(tree_corpus):
+    from ntg import nested_bisim, unfold_to_ntg
+    from generators import depth_family, relabel_constant
+
+    rng = random.Random(191)
+    randoms = []
+    for _ in range(40):
+        randoms += [random_ntg(rng), unfold_to_ntg(random_acyclic_rgs(rng)).rgs]
+    specs = tree_corpus + [depth_family(d) for d in (1, 5, 12)] + randoms
+    # and summary witnesses, whose vertices are built from pairs
+    specs += [w.witness for w in (
+        nested_bisim(n, relabel_constant(rng, n)).witness for n in randoms[::3]
+    ) if w is not None]
+    structures = [ntg_to_sntg(n) for n in specs]
+    kinds = set()
+    for s in list(structures):
+        for _ in range(4):
+            try:
+                s = break_structure(rng, s)
+            except ValueError:  # a link or chain to an unknown vertex
+                continue
+            structures.append(s)
+    for s in structures:
+        ours = check_sntg(s)
+        assert ours == reference_check_sntg(s)
+        kinds.update((v.condition, re.sub(r"\d+|(?<=vertex )\S+$", "#", v.message)) for v in ours)
+    assert kinds == {
+        ("root", "root vertex must carry a defined symbol"),
+        ("root", "root vertex must have an empty ancestor chain"),
+        ("root", "root vertex must be nullary"),
+        ("nested", "ancestor chain letters must be pairwise distinct"),
+        ("arguments", "successor has a different ancestor chain"),
+        ("defined", "call must be defined exactly on defined-symbol vertices"),
+        ("defined", "return must be defined exactly on input vertices"),
+        ("step-into", "call target is not an output vertex"),
+        ("step-into", "call target has the wrong ancestor chain"),
+        ("step-into", "call target is not the single output vertex of its scope"),
+        ("step-out", "scope has # vertices for input index #"),
+        ("step-out", "return of input # is not successor # of the occurrence"),
+        ("step-out", "scope has an input with index # beyond the arity"),
+        ("body-connected", "vertices outside every definition"),
+        ("body-connected", "unreachable from the output vertex #"),
+    }
 
 
 def test_roundtrip_on_corpus(tree_corpus):
