@@ -63,12 +63,10 @@ from .equivalence import (
     NestedHomResult,
     NtgIso,
     cross_check_theorems,
-    minimal_nested_self_bisimulation,
     nested_bisim,
     nested_hom,
     ntg_bisimilar,
     ntg_hom,
-    ntg_hom_explained,
     ntg_isomorphic,
     verify_nested_bisim,
     verify_ntg_hom,

@@ -304,16 +304,21 @@ def _load_fo(path: str, stderr):
     return firstorder.interpret(_load_ntg(path, stderr, decider=_HOM_DECIDER))
 
 
+def _refutation(res) -> str:
+    """The certificate of a "none" from ``nested_hom``, on one line."""
+    shown = res.conflict or (res.counterexample,)
+    return f"{' and '.join(map(str, shown))} ({res.reason})"
+
+
 def _cmd_hom(ns, stdout, stderr) -> int:
+    pairs = None
     if ns.level == "nested":
         res = equivalence.nested_hom(_load_rgs(ns.a), _load_rgs(ns.b))
-        print("hom" if res.exists else "none", file=stdout)
         if res.exists:
+            print("hom", file=stdout)
             return OK
-        shown = res.conflict or (res.counterexample,)
-        print(f"no homomorphism: {' and '.join(map(str, shown))} ({res.reason})", file=stderr)
-        return FAIL
-    if ns.level == "fo":
+        conflict = _refutation(res)
+    elif ns.level == "fo":
         g1 = _load_fo(ns.a, stderr)
         g2 = _load_fo(ns.b, stderr)
         phi, conflict = tg_hom_explained(g1, g2)
@@ -326,12 +331,11 @@ def _cmd_hom(ns, stdout, stderr) -> int:
     else:
         n1 = _load_ntg(ns.a, stderr, decider=_HOM_DECIDER)
         n2 = _load_ntg(ns.b, stderr, decider=_HOM_DECIDER)
-        phi, conflict = equivalence.ntg_hom_explained(n1, n2)
-        pairs = (
-            sorted((f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}") for a, b in phi.items())
-            if phi
-            else None
-        )
+        phi = equivalence.ntg_hom(n1, n2)
+        if phi is None:
+            conflict = _refutation(equivalence.nested_hom(n1, n2))
+        else:
+            pairs = sorted((f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}") for a, b in phi.items())
     if pairs is None:
         print("none", file=stdout)
         print(f"no homomorphism: {conflict}", file=stderr)

@@ -12,6 +12,7 @@ on some of its flattenings the plain first-order collapse merges such
 cycles across scopes and leaves the representing class.
 """
 
+import itertools
 import random
 
 from ntg import (
@@ -241,7 +242,9 @@ def relabel(r: Rgs, sym: str, v: str, name: str) -> Rgs:
 
 def relabel_constant(rng: random.Random, r: Rgs) -> Rgs:
     """A copy of ``r`` with one constant vertex, chosen at random, turned
-    into another constant of the pool; ``r`` itself when it has none."""
+    into another nullary atomic symbol of ``r``'s signature; ``r`` itself
+    when it has no constant vertex.  When the signature has no other
+    nullary symbol, a fresh one is added to it."""
     spots = [
         (sym, v)
         for sym in sorted(r.rec)
@@ -251,8 +254,16 @@ def relabel_constant(rng: random.Random, r: Rgs) -> Rgs:
     if not spots:
         return r
     sym, v = rng.choice(spots)
-    other = rng.choice([c for c in CONSTANTS if c != r.rec[sym].lab[v].name])
-    return relabel(r, sym, v, other)
+    sig = r.signature
+    name = r.rec[sym].lab[v].name
+    others = [c for c, ar in sig.atomic.items() if ar == 0 and c != name]
+    if others:
+        return relabel(r, sym, v, rng.choice(others))
+    taken = set(sig.atomic) | set(sig.nested)
+    fresh = next(f"c{k}" for k in itertools.count() if f"c{k}" not in taken)
+    atomic = {**sig.atomic, fresh: 0}
+    grown = Rgs(NtgSignature(atomic, dict(sig.nested), sig.root_symbol), r.rec)
+    return relabel(grown, sym, v, fresh)
 
 
 def split_shared_vertex(rng: random.Random, r: Rgs):

@@ -9,8 +9,9 @@ reference input order of the read-back, a backtracking enumeration of
 ancestor assignments, a whole-text scanner as the reference tokenizer,
 a replay of the explicit progression rules as the checker of the
 paths and runs of ``nested_bisim`` and ``nested_hom``, the explicit
-closure over stack-prefixed configurations with a functionality scan as
-the reference of the summary-based ``nested_hom``, and the flattening
+closure over stack-prefixed configurations as the reference of the
+relation expanded from the summaries and, with a functionality scan, of
+the summary-based ``nested_hom`` and its certificate, and the flattening
 built from the structural representation, with the collapse of that
 flattening read back, as the references of the carrier-based
 ``interpret`` and ``ntg_collapse``, and two witness builders for
@@ -32,9 +33,10 @@ against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
 ``refine_bisimilar``, the reference of the union-find pair closure of
 ``tg_bisimilar``, runs it on the disjoint union of two graphs,
-``closure_nested_hom`` runs the library's explicit closure, which shares
-nothing with the summary tabulation, and both witness builders fill their
-bodies through the library's ``_pair_witness``.
+the closure and ``replay_path`` apply the library's progression rules
+``_progressions``, which share nothing with the summary tabulation, and
+both witness builders fill their bodies through the library's
+``_pair_witness``.
 """
 
 import re
@@ -634,6 +636,60 @@ def replay_path(r1, r2, path, end=None):
     return None if path[-1] == end else "the path does not end at the given configuration"
 
 
+def closure(c1, c2, depth):
+    """Smallest config set containing the root pair and closed under the
+    progression rules, up to the optional stack-depth bound.
+
+    The explicit closure over stack-prefixed configurations that the
+    library decided with before its call/return summaries: exponential in
+    sharing, and on cyclic dependencies finite only under a ``depth``
+    bound.  Returns ``(configurations, bounded, clash)``, where ``clash``
+    is the first ``_Clash`` met, or None.
+    """
+    from ntg.equivalence import NestedConfig, _Clash, _progressions
+
+    root_cfg = NestedConfig((), c1.root, (), c2.root)
+    seen = {root_cfg}
+    queue = deque([root_cfg])
+    bounded = False
+    clash = None
+    while queue:
+        cfg = queue.popleft()
+        try:
+            children, pushes = _progressions(c1, c2, cfg)
+        except _Clash as e:
+            clash = e
+            break
+        if pushes and depth is not None and len(cfg.left_stack) + 1 > depth:
+            bounded = True
+            continue
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return seen, bounded, clash
+
+
+def closure_relation(r1, r2, depth=None):
+    """The closure of the root pair as a ``NestedBisimRelation``, bounded
+    when ``depth`` cut it; None on a clash.  The reference of
+    ``NestedBisimResult.relation``, which expands the summary tables."""
+    from ntg.equivalence import NestedBisimRelation
+
+    configs, bounded, clash = closure(ReferenceCarrier(r1), ReferenceCarrier(r2), depth)
+    if clash is not None:
+        return None
+    return NestedBisimRelation(frozenset(configs), depth if bounded else None)
+
+
+def context_of(c1, c2, left_stack, right_stack):
+    """The summary context of a configuration with these stacks: the pair
+    of symbols their innermost entries call, or None when they are empty."""
+    if not left_stack:
+        return None
+    return c1.lab(left_stack[-1]).name, c2.lab(right_stack[-1]).name
+
+
 ClosureHomResult = namedtuple("ClosureHomResult", "verdict mapping reason", defaults=(None, None))
 
 
@@ -647,14 +703,14 @@ def closure_nested_hom(r1, r2, depth=None):
     reaches the bound without a conflict stays ``"unknown_at_depth"``.
     """
     from ntg import MissingDepthError
-    from ntg.equivalence import _closure, _needs_depth, _require_valid
+    from ntg.equivalence import _needs_depth, _require_valid
 
     _require_valid(r1, "left specification")
     _require_valid(r2, "right specification")
     if depth is None and _needs_depth(r1, r2):
         raise MissingDepthError("cyclic dependencies require a depth bound")
     c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
-    configs, bounded, clash = _closure(c1, c2, depth)
+    configs, bounded, clash = closure(c1, c2, depth)
     if clash is not None:
         return ClosureHomResult("none", reason=clash.message)
     mapping = {}

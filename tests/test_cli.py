@@ -246,6 +246,22 @@ def test_hom_levels():
         assert code == 1 and "no homomorphism" in err, level
 
 
+def test_hom_ntg_prints_the_map_and_refutes_like_nested():
+    code, out, err = run("hom", path("chain_d.rgs"), path("chain_c.rgs"), "--level", "ntg")
+    assert (code, err) == (0, "")
+    assert out == (
+        "f.a1 -> f.a1\nf.a2 -> f.a2\nf.l -> f.l\nf.o -> f.o\nf.x1 -> f.x1\nf.x2 -> f.x2\n"
+        "r.cv1 -> r.cv\nr.cv2 -> r.cv\nr.fo -> r.fo\nr.o -> r.o\n"
+    )
+    refuted = run("hom", path("chain_c.rgs"), path("chain_d.rgs"), "--level", "ntg")
+    assert refuted == run("hom", path("chain_c.rgs"), path("chain_d.rgs"), "--level", "nested")
+    assert refuted == (
+        1, "none\n",
+        "no homomorphism: <r.cv ~ r.cv1> and <r.cv ~ r.cv2> "
+        "(a left configuration meets two right configurations)\n",
+    )
+
+
 def test_roundtrip_command():
     for name in ("n.rgs", "triv.rgs", "r0.rgs", "chain_b.rgs"):
         code, out, err = run("roundtrip", path(name))

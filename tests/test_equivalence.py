@@ -7,13 +7,15 @@ import pytest
 from ntg import (
     cross_check_theorems,
     dependency_height,
-    minimal_nested_self_bisimulation,
+    is_ntg,
     nested_bisim,
     nested_hom,
     ntg_bisimilar,
     ntg_hom,
-    ntg_hom_explained,
     ntg_isomorphic,
+    ntg_to_sntg,
+    print_rgs,
+    sntg_hom,
     unfold_to_ntg,
     verify_nested_bisim,
     verify_ntg_hom,
@@ -32,9 +34,13 @@ from generators import (
     unroll_twice,
 )
 from oracles import (
+    ReferenceCarrier,
     brute_force_ntg_hom,
+    closure,
     closure_nested_hom,
     closure_ntg_bisimilar,
+    closure_relation,
+    context_of,
     reference_verify_ntg_hom,
     relation_witness,
     replay_path,
@@ -56,16 +62,18 @@ def test_hom_chain_directions(sharing_chain):
 
 def test_hom_none_reports_conflict(sharing_chain):
     a, _, _, d = sharing_chain
-    phi, conflict = ntg_hom_explained(a, d)
-    assert phi is None and conflict is not None
+    assert ntg_hom(a, d) is None
+    res = nested_hom(a, d)
+    assert res.conflict is not None or res.counterexample is not None
+    _check_hom(a, d, res)
 
 
 def test_hom_chain_agrees_with_brute_force(sharing_chain):
+    # a homomorphism of tree-shaped specifications is forced from the root
+    # pair, so the first one the enumeration finds is the only one
     for n1 in sharing_chain:
         for n2 in sharing_chain:
-            ours = ntg_hom(n1, n2)
-            oracle = brute_force_ntg_hom(n1, n2)
-            assert (ours is None) == (oracle is None)
+            assert ntg_hom(n1, n2) == brute_force_ntg_hom(n1, n2)
 
 
 def test_hom_maps_input_to_smaller_arity(sharing_chain):
@@ -150,7 +158,7 @@ def test_nested_hom_identity(tree_corpus):
     for n in tree_corpus:
         res = nested_hom(n, n)
         assert res.exists
-        assert all(k == v for k, v in res.mapping.items())
+        assert all(v == w and key in (None, (v[0], v[0])) for (key, v), w in res.certificate.items())
 
 
 def test_nested_hom_chain_composite(sharing_chain):
@@ -166,14 +174,21 @@ def test_nested_hom_decides_cycles_without_depth(fix_r1):
     for left, right in ((fix_r1, unrolled), (unrolled, fix_r1)):
         res = nested_hom(left, right)
         assert res.verdict == "hom" and res.contexts == 3
-        # no finite mapping exists to build on cyclic input
-        assert res.mapping is None
+        # the certificate is finite also where the configurations are not;
+        # every bounded closure projects into it, and from depth 3, which
+        # enters all three contexts, onto it
+        for depth in range(1, 5):
+            configs, bounded, _ = closure(ReferenceCarrier(left), ReferenceCarrier(right), depth)
+            mapping = {(c.left_stack, c.left): (c.right_stack, c.right) for c in configs}
+            projected = _projected(left, right, mapping)
+            assert bounded and projected.items() <= res.certificate.items()
+            assert (projected == res.certificate) == (depth >= 3), depth
 
 
 def test_nested_relation_passes_independent_verifier(tree_corpus, fix_r0):
     pool = list(tree_corpus) + [fix_r0]
     for r in pool:
-        rel = minimal_nested_self_bisimulation(r)
+        rel = nested_bisim(r, r).relation
         assert verify_nested_bisim(rel, r, r) == []
     res = nested_bisim(fix_r0, unfold_to_ntg(fix_r0).rgs)
     assert verify_nested_bisim(res.relation, fix_r0, unfold_to_ntg(fix_r0).rgs) == []
@@ -182,7 +197,7 @@ def test_nested_relation_passes_independent_verifier(tree_corpus, fix_r0):
 def test_verifier_rejects_broken_relation(fix_triv):
     from ntg.equivalence import NestedBisimRelation
 
-    rel = minimal_nested_self_bisimulation(fix_triv)
+    rel = nested_bisim(fix_triv, fix_triv).relation
     smaller = NestedBisimRelation(
         frozenset(list(rel.configs)[:1]), None
     )
@@ -190,13 +205,13 @@ def test_verifier_rejects_broken_relation(fix_triv):
 
 
 def test_witness_from_diagonal_relation(fix_n):
-    rel = minimal_nested_self_bisimulation(fix_n)
+    rel = nested_bisim(fix_n, fix_n).relation
     witness = relation_witness(rel, fix_n, fix_n)
     assert ntg_isomorphic(witness, fix_n) is not None
 
 
 def test_witness_from_self_relation_equals_unfolding(fix_r0):
-    rel = minimal_nested_self_bisimulation(fix_r0)
+    rel = nested_bisim(fix_r0, fix_r0).relation
     witness = relation_witness(rel, fix_r0, fix_r0)
     assert ntg_isomorphic(witness, unfold_to_ntg(fix_r0).rgs) is not None
 
@@ -210,7 +225,7 @@ def test_witness_from_cross_relation_projects(sharing_chain):
 
 
 def test_witness_rejects_bounded_relation(fix_r1):
-    rel = minimal_nested_self_bisimulation(fix_r1, depth=3)
+    rel = closure_relation(fix_r1, fix_r1, depth=3)
     assert not rel.exact
     with pytest.raises(ValueError):
         relation_witness(rel, fix_r1, fix_r1)
@@ -320,9 +335,7 @@ def test_stack_depth_bound_for_pairs(fix_n, sharing_chain):
 
 
 def _closure_clash(r1, r2, depth):
-    from ntg.equivalence import _Carrier, _closure
-
-    return _closure(_Carrier(r1), _Carrier(r2), depth)[2]
+    return closure(ReferenceCarrier(r1), ReferenceCarrier(r2), depth)[2]
 
 
 def _random_pairs(rng, make, count):
@@ -355,6 +368,7 @@ def test_summaries_agree_with_closure_on_acyclic_pairs():
         assert res.bisimilar == (_closure_clash(a, b, None) is None)
         if res.bisimilar:
             assert res.path is None and res.path_length == 0
+            assert res.relation == closure_relation(a, b)
             assert verify_nested_bisim(res.relation, a, b) == []
         else:
             _check_negative(a, b, res)
@@ -402,7 +416,8 @@ def test_summaries_call_neither_closure_nor_progressions(monkeypatch):
 
     pairs = _random_pairs(random.Random(113), random_cyclic_rgs, 30)
     expected = [nested_bisim(a, b) for a, b in pairs]
-    monkeypatch.setattr(equivalence, "_closure", forbidden)
+    # the explicit closure lives only among the oracles, and it applies the
+    # library's progression rules
     monkeypatch.setattr(equivalence, "_progressions", forbidden)
     for (a, b), want in zip(pairs, expected):
         res = nested_bisim(a, b)
@@ -415,7 +430,7 @@ def test_shared_fanout_decides_without_the_relation(monkeypatch):
 
     f, g = fanout_family(80), fanout_family(80, "_b")
     negatives = [relabel(f, sym, v, "z") for sym, v in (("d0", "m"), ("d40", "kk"), ("d79", "kk"))]
-    monkeypatch.setattr(equivalence, "_closure", None)  # 2^80 configurations
+    monkeypatch.setattr(equivalence, "_expand", None)  # 2^80 configurations
     for other in [g] + negatives:
         start = time.perf_counter()
         res = nested_bisim(f, other)
@@ -425,6 +440,28 @@ def test_shared_fanout_decides_without_the_relation(monkeypatch):
         assert res.contexts == 81
         if path is not None:
             assert replay_path(f, other, path) is None
+
+
+def test_relation_expands_the_summaries_like_the_closure(tree_corpus, fix_r0):
+    rng = random.Random(117)
+    specs = list(tree_corpus) + [fix_r0, fanout_family(6), depth_family(12)]
+    specs += [make(rng) for make in (random_ntg, random_acyclic_rgs) * 20]
+    for r in specs:
+        rel = nested_bisim(r, r).relation
+        assert rel.exact and rel == closure_relation(r, r)
+        assert all(cfg.left == cfg.right and cfg.left_stack == cfg.right_stack for cfg in rel.configs)
+    f, g = fanout_family(6), fanout_family(6, "_b")
+    assert nested_bisim(f, g).relation == closure_relation(f, g)
+
+
+def test_deep_relation_without_recursion():
+    import sys
+
+    limit = sys.getrecursionlimit()
+    d = depth_family(1100)
+    rel = nested_bisim(d, d).relation
+    assert len(rel) == 7703 and rel.max_stack_depth() == 1100
+    assert sys.getrecursionlimit() == limit
 
 
 def test_deep_negative_path_without_recursion():
@@ -489,6 +526,19 @@ def _check_cyclic_against_closure(a, b, res):
     return decided
 
 
+def _projected(a, b, mapping):
+    """An explicit mapping ``(left stack, left vertex) -> (right stack,
+    right vertex)``, keyed by the context of each configuration instead of
+    its stacks; None for None."""
+    if mapping is None:
+        return None
+    c1, c2 = ReferenceCarrier(a), ReferenceCarrier(b)
+    projected = {}
+    for (ls, v), (rs, w) in mapping.items():
+        assert projected.setdefault((context_of(c1, c2, ls, rs), v), w) == w
+    return projected
+
+
 def test_nested_hom_agrees_with_closure_on_acyclic_pairs():
     rng = random.Random(131)
     pairs = []
@@ -500,7 +550,7 @@ def test_nested_hom_agrees_with_closure_on_acyclic_pairs():
         res = nested_hom(a, b)
         want = closure_nested_hom(a, b)
         assert res.verdict == want.verdict
-        assert res.mapping == want.mapping
+        assert res.certificate == _projected(a, b, want.mapping)
         _check_hom(a, b, res)
         verdicts.append(res.verdict)
     assert verdicts.count("hom") >= 100 and verdicts.count("none") >= 100
@@ -533,6 +583,8 @@ def test_nested_hom_functionality_decides_split_copies():
 
 
 def test_nested_hom_agrees_with_ntg_hom_on_tree_shaped_pairs():
+    # the propagation over the scoped graphs is the independent decider;
+    # ntg_hom reads its map off the certificate of nested_hom
     rng = random.Random(139)
     pairs = []
     for k in range(150):
@@ -541,7 +593,12 @@ def test_nested_hom_agrees_with_ntg_hom_on_tree_shaped_pairs():
     found = 0
     for a, b in _both_ways(pairs):
         res = nested_hom(a, b)
-        assert res.exists == (ntg_hom(a, b) is not None)
+        assert res.exists == (sntg_hom(ntg_to_sntg(a), ntg_to_sntg(b)) is not None)
+        phi = ntg_hom(a, b)
+        assert (phi is not None) == res.exists
+        if phi is not None:
+            assert phi == {v: w for (_, v), w in res.certificate.items()}
+            assert verify_ntg_hom(a, b, phi) == []
         _check_hom(a, b, res)
         found += res.exists
     assert found >= 100
@@ -563,6 +620,41 @@ def test_nested_hom_decides_cyclic_pairs():
     assert decided >= 200
 
 
+def test_engine_runs_without_the_progression_rules(monkeypatch, tree_corpus):
+    # the summary table gives every verdict and certificate; only the
+    # independent verify_nested_bisim applies the progression rules
+    from ntg import equivalence
+
+    rng = random.Random(151)
+    pairs = [(a, b) for a in tree_corpus for b in tree_corpus]
+    for k in range(20):
+        a = random_ntg(rng)
+        pairs.append((a, (a, relabel_constant(rng, a), random_ntg(rng))[k % 3]))
+        r = random_acyclic_rgs(rng)
+        pairs.append((r, (r, unroll_twice(r), relabel_constant(rng, r))[k % 3]))
+
+    def outcomes():
+        for a, b in pairs:
+            bis, hom = nested_bisim(a, b), nested_hom(a, b)
+            tree = is_ntg(a).ok and is_ntg(b).ok
+            yield (
+                bis.verdict, bis.relation, bis.witness is not None and print_rgs(bis.witness.witness),
+                hom.verdict, hom.certificate, hom.conflict,
+                ntg_hom(a, b) if tree else None, str(cross_check_theorems(a, b)),
+            )
+
+    expected = list(outcomes())
+    assert sum(out[0] == "bisimilar" for out in expected) >= 30
+    assert sum(out[3] == "hom" for out in expected) >= 20
+
+    def forbidden(*args):
+        raise AssertionError("the summary engine used the explicit rules")
+
+    monkeypatch.setattr(equivalence, "_progressions", forbidden)
+    assert list(outcomes()) == expected
+    assert all("DISAGREE" not in out[-1] for out in expected)
+
+
 def test_shared_fanout_hom_without_the_closure(monkeypatch):
     from ntg import equivalence
 
@@ -570,11 +662,15 @@ def test_shared_fanout_hom_without_the_closure(monkeypatch):
         raise AssertionError("nested_hom used the explicit closure")
 
     f, g = fanout_family(80), fanout_family(80, "_b")
-    monkeypatch.setattr(equivalence, "_closure", forbidden)  # 2^80 configurations
+    monkeypatch.setattr(equivalence, "_progressions", forbidden)
+    monkeypatch.setattr(equivalence, "_expand", forbidden)  # 2^80 configurations
     start = time.perf_counter()
     res = nested_hom(f, g)
+    certificate = res.certificate
     assert time.perf_counter() - start < 0.05
     assert res.verdict == "hom" and res.contexts <= 82
+    assert len(certificate) <= res.facts
+    assert all(key is None or key[0] == v[0] for key, v in certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +755,8 @@ def test_ntg_bisimilar_without_the_closure(monkeypatch):
 
     f = unfold_to_ntg(fanout_family(6)).rgs
     g = unfold_to_ntg(fanout_family(6, "_b")).rgs
-    monkeypatch.setattr(equivalence, "_closure", forbidden)
+    monkeypatch.setattr(equivalence, "_progressions", forbidden)
+    monkeypatch.setattr(equivalence, "_expand", forbidden)
     res = ntg_bisimilar(f, g)
     assert res is not None and len(res.witness.rec) == len(f.rec)
     assert ntg_bisimilar(f, relabel(g, "d0_b", "d0_b/m", "z")) is None
@@ -703,9 +800,7 @@ def test_witness_does_not_rest_on_asserts():
 def _redirections(target, phi):
     """Each map that sends one entry of ``phi`` to another vertex of
     ``target``, one with another label or in another definition."""
-    from ntg.equivalence import _Carrier
-
-    c = _Carrier(target)
+    c = ReferenceCarrier(target)
     for key, img in phi.items():
         for other in c.vertices():
             if other != img and (other[0] != img[0] or c.lab(other) != c.lab(img)):
@@ -758,8 +853,6 @@ def _raise_an_input(rng, r):
 
 
 def test_verify_ntg_hom_equals_the_reference():
-    from ntg.equivalence import _Carrier
-
     rng = random.Random(193)
     cases = []
     for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs) * 12:
@@ -770,7 +863,7 @@ def test_verify_ntg_hom_equals_the_reference():
                 cases += [(w.witness, r, w.proj_left), (w.witness, other, w.proj_right)]
     kinds = set()
     for n1, n2, phi in cases:
-        vertices = _Carrier(n2).vertices()
+        vertices = ReferenceCarrier(n2).vertices()
         outside = [("absent", "o"), (n2.root_symbol, "absent"), "absent", "ab", 3, (1, 2, 3)]
         for k in range(12):
             wrong = dict(phi)
@@ -802,6 +895,38 @@ def test_verify_ntg_hom_equals_the_reference():
     }
 
 
+def test_relabel_constant_stays_in_the_signature():
+    from conftest import DATA, load_rgs
+    from generators import CONSTANTS, relabel
+    from ntg import Atomic, validate_rgs
+
+    for p in sorted(DATA.glob("*.rgs")):
+        r = load_rgs(p.name)
+        for seed in range(8):
+            other = relabel_constant(random.Random(seed), r)
+            assert validate_rgs(other) == [], p.name
+            changed = [
+                (sym, v) for sym in r.rec for v, lbl in r.rec[sym].lab.items()
+                if other.rec[sym].lab[v] != lbl
+            ]
+            assert len(changed) == 1, p.name
+    # on specifications over the generators' pool the draw is the pool's
+    rng = random.Random(157)
+    for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs) * 10:
+        r = make(rng)
+        seed = rng.random()
+        spots = [
+            (sym, v) for sym in sorted(r.rec) for v in sorted(r.rec[sym].lab, key=str)
+            if isinstance(r.rec[sym].lab[v], Atomic) and r.rec[sym].lab[v].arity == 0
+        ]
+        if not spots:
+            continue
+        draw = random.Random(seed)
+        sym, v = draw.choice(spots)
+        want = relabel(r, sym, v, draw.choice([c for c in CONSTANTS if c != r.rec[sym].lab[v].name]))
+        assert relabel_constant(random.Random(seed), r) == want
+
+
 def test_cross_checks_catch_a_decider_that_ignores_atomic_names(monkeypatch):
     # tree-shaped and shared acyclic pairs that differ in one constant; a
     # stack-based decider that ignores atomic names calls them bisimilar,
@@ -830,6 +955,8 @@ def test_cross_checks_catch_a_decider_that_ignores_atomic_names(monkeypatch):
         assert ("bisimilarity equals stack-based bisimilarity", False, True, False) in report.entries
         flat = "flattened bisimilarity equals stack-based bisimilarity"
         assert (flat, False, True, False) in report.entries
+        hom = "homomorphism existence equals stack-based homomorphism existence"
+        assert (hom, False, True, False) in report.entries
     assert shared >= 3
 
 
@@ -861,15 +988,11 @@ def _carrier_corpus():
 
 def test_carrier_equals_the_sorted_reference():
     from ntg.equivalence import _Carrier
-    from oracles import ReferenceCarrier
 
     for r in _carrier_corpus():
         ours, ref = _Carrier(r), ReferenceCarrier(r)
         assert list(ours.rootof.items()) == list(ref.rootof.items())
         assert ours.root == ref.root
-        assert ours.vertices() == ref.vertices()
-        for sym in list(r.rec) + ["absent"]:
-            assert ours.occurrence(sym) == ref.occurrence(sym)
         for sym in r.rec:
             assert ours.inputs(sym) == ref.inputs(sym)
         for cv in ref.vertices():

@@ -24,7 +24,7 @@ from ntg import (
     dependency_height,
     is_ntg,
     make_graph,
-    minimal_nested_self_bisimulation,
+    nested_bisim,
     ntg_isomorphic,
     unfold_to_ntg,
     validate_rgs,
@@ -251,7 +251,7 @@ def test_unfold_path_count_matches_dependency_paths():
 
 
 def test_minimal_self_bisimulation_trivial(fix_triv):
-    rel = minimal_nested_self_bisimulation(fix_triv)
+    rel = nested_bisim(fix_triv, fix_triv).relation
     assert rel.exact and len(rel) == 2
     for cfg in rel.configs:
         assert cfg.left_stack == cfg.right_stack == ()
@@ -259,7 +259,7 @@ def test_minimal_self_bisimulation_trivial(fix_triv):
 
 
 def test_minimal_self_bisimulation_diagonal_with_bounded_depth(fix_n):
-    rel = minimal_nested_self_bisimulation(fix_n)
+    rel = nested_bisim(fix_n, fix_n).relation
     assert rel.exact
     assert rel.max_stack_depth() <= 2
     for cfg in rel.configs:
@@ -267,7 +267,7 @@ def test_minimal_self_bisimulation_diagonal_with_bounded_depth(fix_n):
 
 
 def test_minimal_self_bisimulation_r0_shares_body_states(fix_r0):
-    rel = minimal_nested_self_bisimulation(fix_r0)
+    rel = nested_bisim(fix_r0, fix_r0).relation
     stacks = {
         cfg.left_stack
         for cfg in rel.configs
@@ -282,7 +282,7 @@ def test_stack_depth_bounded_by_dependency_height():
     rng = random.Random(29)
     for _ in range(15):
         n = random_ntg(rng)
-        rel = minimal_nested_self_bisimulation(n)
+        rel = nested_bisim(n, n).relation
         assert rel.max_stack_depth() <= dependency_height(n)
 
 
