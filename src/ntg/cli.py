@@ -331,9 +331,9 @@ def _cmd_hom(ns, stdout, stderr) -> int:
     else:
         n1 = _load_ntg(ns.a, stderr, decider=_HOM_DECIDER)
         n2 = _load_ntg(ns.b, stderr, decider=_HOM_DECIDER)
-        phi = equivalence.ntg_hom(n1, n2)
+        phi, res = equivalence._ntg_hom(n1, n2)
         if phi is None:
-            conflict = _refutation(equivalence.nested_hom(n1, n2))
+            conflict = _refutation(res)
         else:
             pairs = sorted((f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}") for a, b in phi.items())
     if pairs is None:

@@ -641,16 +641,21 @@ def ntg_hom(n1: Rgs, n2: Rgs) -> Optional[Dict[CV, CV]]:
     tree-shaped specification is entered from one occurrence, so when every
     context is functional each left vertex lies in exactly one context.
     """
+    return _ntg_hom(n1, n2)[0]
+
+
+def _ntg_hom(n1: Rgs, n2: Rgs):
+    """``(ntg_hom(n1, n2), nested_hom(n1, n2))`` from one tabulation."""
     _require_ntg(n1, "left argument")
     _require_ntg(n2, "right argument")
     _merge_atomic(n1.signature, n2.signature)  # only for its ValueError on conflicting arities
-    certificate = nested_hom(n1, n2).certificate
-    if certificate is None:
-        return None
-    phi = {v1: v2 for (_, v1), v2 in certificate.items()}
-    assert len(phi) == len(certificate), "a left vertex lies in two contexts"
+    res = nested_hom(n1, n2)
+    if res.certificate is None:
+        return None, res
+    phi = {v1: v2 for (_, v1), v2 in res.certificate.items()}
+    assert len(phi) == len(res.certificate), "a left vertex lies in two contexts"
     assert not verify_ntg_hom(n1, n2, phi), "the certificate is not a homomorphism"
-    return phi
+    return phi, res
 
 
 def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:

@@ -8,6 +8,10 @@ a chain of exit vertices that grounds their nesting level at the root.
 Membership in the image class is characterized by the existence of a
 unique ancestor assignment, which also drives the inverse translation.
 
+Membership is one forward pass that keeps each vertex's innermost
+ancestor and checks the exit chains on the way; ``represent`` reads back
+from its result, and only a rejected graph is walked again, for a report.
+
 ``interpret`` and ``ntg_collapse`` share one carrier: the specification's
 own vertices under these rules, with constants left nullary.  The
 flattening adds the exit chains; the collapse never builds them, since a
@@ -16,11 +20,10 @@ chain is fixed by its constant's name and enclosing scopes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
-from .graph import TermGraph, _quotient, _refine, check_root_connected, reachable
+from .graph import TermGraph, _quotient, _refine, check_root_connected
 from .labels import Atomic, Input, Nested, Output
 from .rgs import (
     NtgSignature,
@@ -194,67 +197,80 @@ class AncestorFailure:
 _FO_LABELS = (Atomic, PrimedConst, Output, RootOutput, FoInput, RootInput)
 
 
-def infer_ancestors(g: TermGraph):
-    """Propagate the forced ancestor assignment from the root.
+def _propagate(g: TermGraph, end: Optional[Callable[[Vertex], Vertex]] = None):
+    """Propagate the forced ancestor assignment from the root, breadth-first.
 
     Output vertices push themselves onto the chain of their successor,
     ordinary symbols copy it, exit vertices pop one letter (their back-link
     must target exactly the popped letter), and root links must reach the
-    root at chain length one.  Returns ``(assignment, None)`` when a single
-    consistent assignment exists (it is then the only one), otherwise
-    ``(None, failure)``.
-
-    Every chain built this way extends the chain of its last letter, so a
-    popped chain is that letter's own chain and is shared, not copied;
-    only output vertices build a new chain.
+    root at chain length one.  Every chain extends the chain of its last
+    letter, so chains are equal iff their last letters are, and only those
+    are kept: ``(inner, depth, None)`` maps each vertex, in the order it is
+    reached, to its innermost ancestor (None at the root) and each output
+    vertex to its chain length; ``(None, None, failure)`` at the first
+    obstruction.  Given ``exit_chain_ends``'s ``end``, the pass also fails
+    at a root-output label away from the root and at a bad exit chain.
     """
-    if not isinstance(g.lab[g.root], RootOutput):
-        return None, AncestorFailure(g.root, "root is not labeled as the root output")
-    anc: Dict[Vertex, tuple] = {g.root: ()}
-    queue = deque([g.root])
+    lab, args, root = g.lab, g.args, g.root
+    if not isinstance(lab[root], RootOutput):
+        return None, None, AncestorFailure(root, "root is not labeled as the root output")
+    inner: Dict[Vertex, Optional[Vertex]] = {root: None}
+    depth: Dict[Vertex, int] = {}
+    order, unseen = [root], object()
 
-    def assign(v: Vertex, chain: tuple):
-        if v in anc:
-            if anc[v] is not chain and anc[v] != chain:
-                return AncestorFailure(v, "conflicting ancestor chains")
-            return None
-        anc[v] = chain
-        queue.append(v)
-        return None
+    def fail(v: Vertex, reason: str):
+        return None, None, AncestorFailure(v, reason)
 
-    while queue:
-        v = queue.popleft()
-        lbl = g.lab[v]
-        chain = anc[v]
-        if isinstance(lbl, (Output, RootOutput)):
-            err = assign(g.args[v][0], chain + (v,))
-        elif isinstance(lbl, (Atomic, PrimedConst)):
-            err = None
-            for w in g.args[v]:
-                err = err or assign(w, chain)
-        elif isinstance(lbl, FoInput):
-            if not chain:
-                return None, AncestorFailure(v, "exit vertex with an empty ancestor chain")
-            arg, back = g.args[v]
-            if back != chain[-1]:
-                return None, AncestorFailure(v, "back-link does not target the innermost ancestor")
-            if not isinstance(g.lab[back], Output):
-                return None, AncestorFailure(v, "back-link target is not an output vertex")
-            outer = anc[back]  # == chain[:-1]
-            err = assign(arg, outer) or assign(back, outer)
+    for v in order:  # the queue: a list read on while it grows
+        lbl, x, succ = lab[v], inner[v], args[v]  # x: the letter for v's successors
+        if isinstance(lbl, FoInput):
+            succ, back = succ[:1], succ[1]
+            if back != x:
+                return fail(v, "back-link does not target the innermost ancestor")
+            if not isinstance(lab[back], Output):
+                return fail(v, "back-link target is not an output vertex")
+            x = inner[back]  # the back-link's own chain is already x's
+        elif isinstance(lbl, (Output, RootOutput)):
+            if end is not None and v != root and isinstance(lbl, RootOutput):
+                return fail(v, "root-output label away from the root")
+            depth[v] = 0 if x is None else depth[x] + 1
+            x = v
+        elif isinstance(lbl, PrimedConst):
+            if end is not None and not isinstance(lab[end(succ[0])], RootInput):
+                return fail(v, "constant's exit chain does not end at a root link")
         elif isinstance(lbl, RootInput):
-            if chain != (g.root,):
-                return None, AncestorFailure(v, "root link not at chain length one")
-            if g.args[v][0] != g.root:
-                return None, AncestorFailure(v, "root link does not target the root")
-            err = None
-        else:
-            return None, AncestorFailure(v, f"label {lbl} has no first-order reading")
-        if err is not None:
-            return None, err
-    for v in g.lab:
-        if v not in anc:
-            return None, AncestorFailure(v, "unreachable from the root")
+            if x != root:
+                return fail(v, "root link not at chain length one")
+            if succ[0] != root:
+                return fail(v, "root link does not target the root")
+            continue
+        elif not isinstance(lbl, Atomic):
+            return fail(v, f"label {lbl} has no first-order reading")
+        for w in succ:
+            y = inner.get(w, unseen)
+            if y is unseen:
+                inner[w] = x
+                order.append(w)
+            elif y != x:
+                return fail(w, "conflicting ancestor chains")
+    if len(inner) < len(lab):
+        return fail(next(v for v in lab if v not in inner), "unreachable from the root")
+    return inner, depth, None
+
+
+def infer_ancestors(g: TermGraph):
+    """The forced ancestor assignment (see ``_propagate``): ``(assignment,
+    None)`` when a single consistent assignment exists (it is then the only
+    one), otherwise ``(None, failure)``.  All vertices below one output
+    vertex share one chain."""
+    inner, _, err = _propagate(g)
+    if err is not None:
+        return None, err
+    anc, below = {}, {None: ()}  # below: letter -> the chain of the vertices below it
+    for v, x in inner.items():  # a letter is reached before the vertices below it
+        if x not in below:
+            below[x] = anc[x] + (x,)
+        anc[v] = below[x]
     return anc, None
 
 
@@ -296,28 +312,28 @@ def exit_chain_ends(lab, args) -> Callable[[Vertex], Vertex]:
 
 
 def _member_ancestors(g: TermGraph):
-    """``(anc, None)`` when ``g`` represents a nested structure, with its
-    unique ancestor assignment; otherwise ``(None, obstruction)``."""
+    """``((inner, depth, end), None)`` when ``g`` represents a nested
+    structure: the assignment as ``_propagate`` keeps it and the exit-chain
+    walk, for the read-back.  Otherwise ``(None, obstruction)``, found by
+    the checks in a fixed order, wherever the one propagation stopped."""
+    end = exit_chain_ends(g.lab, g.args)
+    inner, depth, err = _propagate(g, end)
+    if err is None:
+        return (inner, depth, end), None
     witness = check_root_connected(g)
     if witness is not None:
         return None, AncestorFailure(witness, "not root-connected")
-    for v in g.lab:
-        if not isinstance(g.lab[v], _FO_LABELS):
-            return None, AncestorFailure(v, f"label {g.lab[v]} is not first-order")
-        if isinstance(g.lab[v], RootOutput) and v != g.root:
+    for v, lbl in g.lab.items():
+        if not isinstance(lbl, _FO_LABELS):
+            return None, AncestorFailure(v, f"label {lbl} is not first-order")
+        if isinstance(lbl, RootOutput) and v != g.root:
             return None, AncestorFailure(v, "root-output label away from the root")
-    anc, err = infer_ancestors(g)
-    if err is not None:
-        return None, err
-    end = exit_chain_ends(g.lab, g.args)
-    for v in g.lab:
-        if isinstance(g.lab[v], PrimedConst):
-            x = end(g.args[v][0])
-            if isinstance(g.lab[x], FoInput):
-                return None, AncestorFailure(x, "cyclic exit chain")
-            if not isinstance(g.lab[x], RootInput):
-                return None, AncestorFailure(v, "constant's exit chain does not end at a root link")
-    return anc, None
+    # after a propagation each exit vertex's argument lies one level up, so
+    # no exit chain is cyclic; one of them is what the pass stopped at
+    bad = (v for v, lbl in g.lab.items()
+           if isinstance(lbl, PrimedConst) and not isinstance(g.lab[end(g.args[v][0])], RootInput))
+    return None, _propagate(g)[2] or AncestorFailure(
+        next(bad), "constant's exit chain does not end at a root link")
 
 
 def rg_defect(g: TermGraph) -> Optional[AncestorFailure]:
@@ -330,17 +346,27 @@ def is_rg_member(g: TermGraph) -> bool:
 
 
 def check_fully_backlinked(g: TermGraph) -> bool:
-    """Every ancestor of every vertex is forward-reachable from it."""
-    anc, defect = _member_ancestors(g)
+    """Every ancestor of every vertex is forward-reachable from it.
+
+    Equivalently, every vertex reaches the root, the first letter of every
+    chain: the vertices below an output vertex ``o`` other than the root
+    are left only through exit vertices back-linked to ``o``, so a walk to
+    the root passes ``o``, and by induction every letter.  One reverse walk
+    from the root decides it in linear time."""
+    defect = rg_defect(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    for v in g.lab:
-        if not anc[v]:
-            continue
-        seen = set(reachable(g, v))
-        if not set(anc[v]) <= seen:
-            return False
-    return True
+    preds: Dict[Vertex, List[Vertex]] = {v: [] for v in g.lab}
+    for v, succ in g.args.items():
+        for w in succ:
+            preds[w].append(v)
+    reach, seen = [g.root], {g.root}
+    for v in reach:  # a list read on while it grows
+        for u in preds[v]:
+            if u not in seen:
+                seen.add(u)
+                reach.append(u)
+    return len(seen) == len(g.lab)
 
 
 class NotRepresentableError(ValueError):
@@ -367,14 +393,10 @@ def represent(g: TermGraph) -> Rgs:
     stack, so the whole read-back takes time linear in the graph (after
     the ancestor assignment) and no recursion, whatever the nesting depth.
     """
-    anc, defect = _member_ancestors(g)
+    member, defect = _member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    # Every chain of the assignment extends the chain of its last letter,
-    # so two vertices share a level exactly when their innermost ancestors
-    # agree; comparing those costs O(1) instead of O(depth).
-    inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
-    return _read_back(g, inner, {v: len(chain) for v, chain in anc.items()})
+    return _read_back(g, *member)
 
 
 class _Scope:
@@ -396,20 +418,20 @@ class _Scope:
 
 
 def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
-               depth: Mapping[Vertex, int]) -> Rgs:
+               depth: Mapping[Vertex, int], end=None) -> Rgs:
     """``represent`` for a member ``g``, or for a carrier's quotient (whose
     constants have no exit chains), given each vertex's innermost
-    enclosing output vertex ``inner`` and each output vertex's ``depth``."""
-    end = exit_chain_ends(g.lab, g.args)
+    enclosing output vertex ``inner``, each output vertex's ``depth`` and,
+    if walked already, the ``exit_chain_ends`` ``end``."""
+    end = end or exit_chain_ends(g.lab, g.args)
 
     def is_chain(v: Vertex) -> bool:
         return isinstance(g.lab[end(v)], RootInput)
 
     # inputs of each scope in first-visit order; a scope's walk reads the
     # input lists of the scopes it calls, which lie one level deeper
-    outputs = [v for v in g.lab if isinstance(g.lab[v], (Output, RootOutput))]
     inputs_of: Dict[Vertex, List[Vertex]] = {}
-    for o in sorted(outputs, key=depth.__getitem__, reverse=True):
+    for o in sorted(depth, key=depth.__getitem__, reverse=True):
         order: List[Vertex] = []
         seen = set()
         stack = [g.args[o][0]]

@@ -251,11 +251,12 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
 
 
 def _quotient(g: TermGraph, block: Mapping[Vertex, Vertex]) -> TermGraph:
-    """The graph on the block representatives, with successors mapped."""
+    """The graph on the block representatives, with successors mapped:
+    consistent by construction, so built without a second check."""
     reps = sorted(set(block.values()), key=str)
     lab = {r: g.lab[r] for r in reps}
     args = {r: tuple(block[w] for w in g.args[r]) for r in reps}
-    return TermGraph(lab, args, block[g.root])
+    return TermGraph._prechecked(lab, args, block[g.root])
 
 
 def tg_collapse(g: TermGraph):

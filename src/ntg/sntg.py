@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import TermGraph, reachable
@@ -59,6 +60,10 @@ class Sntg:
     def root(self) -> Vertex:
         return self.tg.root
 
+    @cached_property
+    def _violations(self) -> Tuple["SntgViolation", ...]:
+        return tuple(_check_sntg(self))
+
 
 @dataclass(frozen=True)
 class SntgViolation:
@@ -83,7 +88,13 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     One scan of the vertices and one walk per scope, linear in the size of
     the structure and its ancestor chains; only the violations found are
     sorted, into the report's order: by condition, then by vertex name.
+    The check runs once per structure, kept on it; each call returns a
+    fresh list.
     """
+    return list(s._violations)
+
+
+def _check_sntg(s: Sntg) -> List[SntgViolation]:
     g = s.tg
     # per condition, in scan order: (the vertex it is reported by, violation)
     roots, nested, arguments, defined, steps, outside, strays = [], [], [], [], [], [], []

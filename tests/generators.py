@@ -426,6 +426,37 @@ def break_structure(rng: random.Random, s):
     return Sntg(TermGraph(lab, args, root), call, ret, anc)
 
 
+def mutate_fo(rng: random.Random, g: TermGraph) -> TermGraph:
+    """A first-order graph one or two faults away from ``g``: an edge
+    redirected (once or twice), a label swapped for another of the same
+    arity (a first-order one or an occurrence label), an island vertex
+    added, or the root moved.  The result need not be a member."""
+    from ntg.firstorder import FO_INPUT, ROOT_INPUT, ROOT_OUTPUT, PrimedConst
+
+    lab, args, root = dict(g.lab), dict(g.args), g.root
+    vs = sorted(lab, key=str)
+    kind = rng.randrange(5)
+    if kind == 1:
+        v = rng.choice(vs)
+        same_arity = {
+            1: [PrimedConst("ca"), Atomic("u0", 1), Output(), ROOT_OUTPUT, ROOT_INPUT],
+            2: [FO_INPUT, Atomic("b0", 2)],
+        }.get(len(args[v]), [])
+        lab[v] = rng.choice(same_arity + [Nested("q", len(args[v]))])
+    elif kind == 2:
+        lab["island"] = rng.choice([PrimedConst("ca"), Atomic("u0", 1)])
+        args["island"] = (rng.choice(vs),)
+    elif kind == 3:
+        root = rng.choice(vs)
+    else:
+        for _ in range(1 + kind // 4):
+            v = rng.choice([v for v in vs if args[v]])
+            succ = list(args[v])
+            succ[rng.randrange(len(succ))] = rng.choice(vs)
+            args[v] = tuple(succ)
+    return TermGraph(lab, args, root)
+
+
 def random_quotient(rng: random.Random, g: TermGraph):
     """A proper homomorphic image of ``g``: the smallest stable partition
     identifying one randomly chosen bisimilar pair, built by congruence

@@ -25,9 +25,14 @@ became one linear pass, sorting every body's vertices and diagnosing
 every specification, are the references of the body checks of
 ``validate_rgs``, of the dependency steps and verdict of ``is_ntg``, of
 ``check_sntg`` and, on the reference carrier, of ``verify_ntg_hom``.
+Membership as it was before one propagation accepted members, with
+whole ancestor chains and its checks run in order on every graph, is the
+reference of ``infer_ancestors``, ``rg_defect`` and, through the
+library's read-back, ``represent``; a walk from every vertex is the
+reference of ``check_fully_backlinked``.
 None of them share search code with the library, except that the
 reference checks walk with the library's ``reachable``,
-``check_root_connected`` and ``_find_cycle``, ``two_path_collapse``
+``check_root_connected``, ``exit_chain_ends`` and ``_find_cycle``, ``two_path_collapse``
 takes its plain path from ``tg_collapse``, whose block map is checked
 against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
@@ -1152,3 +1157,122 @@ def reference_verify_ntg_hom(n1, n2, phi):
                 if phi.get(c1.args(v)[i - 1]) != c2.args(w)[j - 1]:
                     problems.append(f"{v}: interface clause fails at input {i}")
     return problems
+
+
+def reference_infer_ancestors(g):
+    """``infer_ancestors`` as the library wrote it before its pass kept
+    only each chain's last letter: every vertex gets its whole ancestor
+    chain, and chains are compared in full wherever two meet.  The
+    reference for the chains and for the failures, in their order."""
+    from ntg.firstorder import AncestorFailure, FoInput, PrimedConst, RootInput, RootOutput
+    from ntg.labels import Atomic, Output
+
+    if not isinstance(g.lab[g.root], RootOutput):
+        return None, AncestorFailure(g.root, "root is not labeled as the root output")
+    anc = {g.root: ()}
+    queue = deque([g.root])
+
+    def assign(v, chain):
+        if v in anc:
+            if anc[v] != chain:
+                return AncestorFailure(v, "conflicting ancestor chains")
+            return None
+        anc[v] = chain
+        queue.append(v)
+        return None
+
+    while queue:
+        v = queue.popleft()
+        lbl = g.lab[v]
+        chain = anc[v]
+        if isinstance(lbl, (Output, RootOutput)):
+            err = assign(g.args[v][0], chain + (v,))
+        elif isinstance(lbl, (Atomic, PrimedConst)):
+            err = None
+            for w in g.args[v]:
+                err = err or assign(w, chain)
+        elif isinstance(lbl, FoInput):
+            if not chain:
+                return None, AncestorFailure(v, "exit vertex with an empty ancestor chain")
+            arg, back = g.args[v]
+            if back != chain[-1]:
+                return None, AncestorFailure(v, "back-link does not target the innermost ancestor")
+            if not isinstance(g.lab[back], Output):
+                return None, AncestorFailure(v, "back-link target is not an output vertex")
+            err = assign(arg, chain[:-1]) or assign(back, chain[:-1])
+        elif isinstance(lbl, RootInput):
+            if chain != (g.root,):
+                return None, AncestorFailure(v, "root link not at chain length one")
+            if g.args[v][0] != g.root:
+                return None, AncestorFailure(v, "root link does not target the root")
+            err = None
+        else:
+            return None, AncestorFailure(v, f"label {lbl} has no first-order reading")
+        if err is not None:
+            return None, err
+    for v in g.lab:
+        if v not in anc:
+            return None, AncestorFailure(v, "unreachable from the root")
+    return anc, None
+
+
+def reference_member_ancestors(g):
+    """Membership as the library wrote it before one propagation accepted
+    members: ``check_root_connected``, a label scan, the chain propagation
+    of ``reference_infer_ancestors`` and a scan of every constant's exit
+    chain, in that order on every graph.  ``(anc, None)`` or ``(None,
+    obstruction)``: the reference of ``rg_defect``'s reports."""
+    from ntg.firstorder import (
+        _FO_LABELS, AncestorFailure, FoInput, PrimedConst, RootInput, RootOutput,
+        exit_chain_ends,
+    )
+    from ntg.graph import check_root_connected
+
+    witness = check_root_connected(g)
+    if witness is not None:
+        return None, AncestorFailure(witness, "not root-connected")
+    for v in g.lab:
+        if not isinstance(g.lab[v], _FO_LABELS):
+            return None, AncestorFailure(v, f"label {g.lab[v]} is not first-order")
+        if isinstance(g.lab[v], RootOutput) and v != g.root:
+            return None, AncestorFailure(v, "root-output label away from the root")
+    anc, err = reference_infer_ancestors(g)
+    if err is not None:
+        return None, err
+    end = exit_chain_ends(g.lab, g.args)
+    for v in g.lab:
+        if isinstance(g.lab[v], PrimedConst):
+            x = end(g.args[v][0])
+            if isinstance(g.lab[x], FoInput):
+                return None, AncestorFailure(x, "cyclic exit chain")
+            if not isinstance(g.lab[x], RootInput):
+                return None, AncestorFailure(v, "constant's exit chain does not end at a root link")
+    return anc, None
+
+
+def reference_check_fully_backlinked(g):
+    """``check_fully_backlinked`` by definition: one breadth-first walk from
+    every vertex, which must reach every letter of its ancestor chain."""
+    anc, defect = reference_member_ancestors(g)
+    if defect is not None:
+        raise ValueError(f"not a representing graph: {defect}")
+    for v in g.lab:
+        if anc[v] and not set(anc[v]) <= set(reachable(g, v)):
+            return False
+    return True
+
+
+def reference_represent(g):
+    """``represent`` on the reference membership: the library's read-back
+    given the innermost letter and the length of every vertex's chain."""
+    from ntg.firstorder import _read_back
+
+    anc, defect = reference_member_ancestors(g)
+    if defect is not None:
+        raise ValueError(f"not a representing graph: {defect}")
+    from ntg.firstorder import RootOutput
+    from ntg.labels import Output
+
+    inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
+    outputs = (v for v in anc if isinstance(g.lab[v], (Output, RootOutput)))
+    return _read_back(g, inner, {v: len(anc[v]) for v in outputs})

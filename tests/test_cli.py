@@ -262,6 +262,19 @@ def test_hom_ntg_prints_the_map_and_refutes_like_nested():
     )
 
 
+def test_hom_ntg_tabulates_each_pair_once(monkeypatch):
+    # the map and the refutation are read off one nested_hom result
+    import ntg.equivalence
+
+    calls = []
+    tabulate = ntg.equivalence._tabulate
+    monkeypatch.setattr(ntg.equivalence, "_tabulate", lambda *a: calls.append(a) or tabulate(*a))
+    for a, b, code in (("chain_d.rgs", "chain_c.rgs", 0), ("chain_c.rgs", "chain_d.rgs", 1)):
+        calls.clear()
+        assert run("hom", path(a), path(b))[0] == code
+        assert len(calls) == 1
+
+
 def test_roundtrip_command():
     for name in ("n.rgs", "triv.rgs", "r0.rgs", "chain_b.rgs"):
         code, out, err = run("roundtrip", path(name))

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from ntg import (
 from generators import (
     chain_spec,
     depth_family,
+    mutate_fo,
     mutate_ntg,
     random_acyclic_rgs,
     random_cyclic_rgs,
@@ -46,6 +48,10 @@ from oracles import (
     enumerate_ancestor_assignments,
     flat_collapse,
     moore_refine,
+    reference_check_fully_backlinked,
+    reference_infer_ancestors,
+    reference_member_ancestors,
+    reference_represent,
     sntg_interpret,
     two_path_collapse,
 )
@@ -588,6 +594,7 @@ def test_unchecked_builds_pass_the_constructor_checks():
     for n in specs:
         assert_checked(_carrier(n)[0])
         assert_checked(interpret(n))
+        assert_checked(tg_collapse(interpret(n))[0])
         for r in (represent(interpret(n)), ntg_collapse(n)):
             for body in r.rec.values():
                 assert_checked(body)
@@ -689,3 +696,86 @@ def test_collapse_without_self_checks():
         for n in [depth_family(6)] + [random_ungrounded_ntg(random.Random(s)) for s in range(20)]
     )
     assert done.stdout == expected
+
+
+# every obstruction membership can report; the label reasons are shown
+# without the label
+_REACHABLE_REASONS = {
+    "not root-connected",
+    "label is not first-order",
+    "root-output label away from the root",
+    "root is not labeled as the root output",
+    "conflicting ancestor chains",
+    "back-link does not target the innermost ancestor",
+    "back-link target is not an output vertex",
+    "root link not at chain length one",
+    "root link does not target the root",
+    "label has no first-order reading",  # infer_ancestors only: the label scan comes first
+    "unreachable from the root",  # infer_ancestors only: root-connectedness comes first
+    "constant's exit chain does not end at a root link",
+}
+
+
+def test_membership_equals_the_reference():
+    # the one-pass membership reports what the ordered checks over whole
+    # ancestor chains report, and infer_ancestors builds the same chains.
+    # The reference has two more reasons, which no graph reaches: only the
+    # root has an empty chain, and after a propagation each exit vertex's
+    # argument lies one level up, so no exit chain is cyclic
+    rng = random.Random(191)
+    reasons = set()
+    for i in range(600):
+        g = interpret((random_ntg, random_ungrounded_ntg)[i % 2](rng))
+        for h in (g, tg_collapse(g)[0], mutate_fo(rng, g), mutate_fo(rng, g)):
+            defect = rg_defect(h)
+            assert defect == reference_member_ancestors(h)[1]
+            found = infer_ancestors(h)
+            assert found == reference_infer_ancestors(h)
+            reasons.update(x.reason for x in (defect, found[1]) if x is not None)
+    assert {re.sub(r"^label .* (is|has) ", r"label \1 ", r) for r in reasons} == _REACHABLE_REASONS
+
+
+def test_represent_equals_the_reference(tree_corpus):
+    rng = random.Random(193)
+    specs = tree_corpus + [depth_family(d) for d in range(1, 16)]
+    specs += [f(rng) for _ in range(60) for f in (random_ntg, random_ungrounded_ntg)]
+    for n in specs:
+        g = interpret(n)
+        for h in (g, tg_collapse(g)[0]):
+            (ours, err), (ref, ref_err) = _outcome(represent, h), _outcome(reference_represent, h)
+            assert err == ref_err
+            assert ours is None or print_rgs(ours) == print_rgs(ref)
+
+
+def test_fully_backlinked_equals_the_reference():
+    rng = random.Random(5)
+    specs = [random_ntg(rng) for _ in range(400)] + [random_ungrounded_ntg(rng) for _ in range(400)]
+    verdicts = Counter()
+    for n in specs + [_scope_local_cycles()]:
+        g = interpret(n)
+        verdict = check_fully_backlinked(g)
+        assert verdict == reference_check_fully_backlinked(g)
+        verdicts[verdict] += 1
+    assert verdicts[False] >= 100 and verdicts[True] >= 600  # 131 and 670
+
+
+def test_accepting_membership_runs_no_diagnosis(monkeypatch, tree_corpus):
+    # a member is accepted by one propagation, and the back-link check is
+    # one reverse walk from the root: no root-connectedness check and no
+    # reachability walk from any vertex may run
+    import ntg.firstorder
+    import ntg.graph
+
+    flats = [interpret(n) for n in tree_corpus + [depth_family(62)]]
+
+    def refuse(*args):
+        raise AssertionError("a whole-graph walk ran")
+
+    for name in ("check_root_connected", "reachable"):
+        monkeypatch.setattr(ntg.firstorder, name, refuse, raising=False)
+    monkeypatch.setattr(ntg.graph, "reachable", refuse)
+    for n, g in zip(tree_corpus + [depth_family(62)], flats):
+        assert is_rg_member(g)
+        assert check_fully_backlinked(g) in (True, False)
+        assert ntg_isomorphic(n, represent(g)) is not None
+    assert check_fully_backlinked(flats[-1])

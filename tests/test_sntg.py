@@ -14,7 +14,7 @@ from ntg import (
     sntg_to_ntg,
     verify_sntg_hom,
 )
-from generators import break_structure, random_acyclic_rgs, random_ntg
+from generators import break_structure, depth_family, random_acyclic_rgs, random_ntg
 from oracles import brute_force_sntg_hom, reference_check_sntg
 
 
@@ -213,3 +213,21 @@ def test_bisimilar_distinguishes_constants(fix_triv):
     s1 = ntg_to_sntg(fix_triv)
     s2 = ntg_to_sntg(other)
     assert sntg_bisimilar(s1, s2) is None
+
+
+def test_round_trip_checks_the_structure_once(monkeypatch, tree_corpus):
+    # the violations are kept on the structure: the check at the end of
+    # ntg_to_sntg and the input check of sntg_to_ntg share one scan
+    import ntg.sntg
+
+    calls = []
+    scan = ntg.sntg._check_sntg
+    monkeypatch.setattr(ntg.sntg, "_check_sntg", lambda s: calls.append(s) or scan(s))
+    for n in tree_corpus + [depth_family(12)]:
+        calls.clear()
+        s = ntg_to_sntg(n)
+        sntg_to_ntg(s)
+        assert len(calls) == 1
+        first = check_sntg(s)
+        first.append("changed by the caller")
+        assert check_sntg(s) == [] and len(calls) == 1
