@@ -4,14 +4,15 @@ Stack-based comparison pairs vertices under the stacks of occurrence
 vertices they are nested under, so it works for shared and cyclic
 dependencies as well as tree-shaped ones, where it is the homomorphism
 and bisimilarity of the paper.  One engine, the call/return summary
-table, decides bisimilarity and homomorphism existence exactly, and every
-certificate is read off it: the path to a clash, the runs of a
-functionality conflict, the witness of a positive bisimilarity verdict
-(also that of ``ntg_bisimilar``), the homomorphism certificate (also the
-map of ``ntg_hom``) and, on acyclic input, the explicit relation.  Only
-the independent ``verify_nested_bisim`` applies the progression rules
-configuration by configuration, and only isomorphism walks tree-shaped
-bodies directly.
+table ``_tabulate``, gives every nested comparison: it decides
+bisimilarity, homomorphism existence and, of tree-shaped specifications,
+isomorphism exactly, and every certificate is read off it: the path to
+a clash, the runs of a functionality conflict, the witness of a positive
+bisimilarity verdict (also that of ``ntg_bisimilar``), the homomorphism
+certificate (also the map of ``ntg_hom``), the isomorphism of
+``ntg_isomorphic`` (a bijective homomorphism) and, on acyclic input, the
+explicit relation.  Only the independent ``verify_nested_bisim`` applies
+the progression rules configuration by configuration.
 """
 
 from __future__ import annotations
@@ -764,82 +765,37 @@ class NtgIso:
 def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     """Equality up to renaming of defined symbols, renaming of vertices,
     and a per-symbol permutation of input indices applied consistently to
-    input labels and occurrence successor order."""
+    input labels and occurrence successor order.
+
+    An isomorphism is a homomorphism that is a bijection, so this reads
+    the summary tables that decide ``nested_hom``.  Every definition of a
+    tree-shaped specification is entered from one occurrence, so with no
+    clash the reached pairs form a homomorphism when there are as many of
+    them as ``n1`` has vertices, one per left vertex; it is an isomorphism
+    when it is also a bijection onto the vertices of ``n2``.  The contexts
+    then pair the defined symbols, and the exits of each context, the
+    pairs of input indices, are its input permutation.  One tabulation,
+    polynomial like ``nested_hom``; specifications of different sizes are
+    told apart before it.
+    """
     _require_ntg(n1, "left argument")
     _require_ntg(n2, "right argument")
-    if len(n1.signature.nested) != len(n2.signature.nested):
+    size = sum(map(len, n1.rec.values()))
+    if size != sum(map(len, n2.rec.values())):
         return None
-    c1, c2 = _Carrier(n1), _Carrier(n2)
-    symbol_map: Dict[str, str] = {}
-    vertex_map: Dict[CV, CV] = {}
-    input_perm: Dict[str, Dict[int, int]] = {}
-
-    def pair_bodies(f1: str, f2: str):
-        # a generator: it yields each callee pair it needs paired first and
-        # receives that verdict back, so nesting depth costs no recursion
-        if n1.signature.nested[f1] != n2.signature.nested[f2]:
-            return False
-        if len(n1.rec[f1]) != len(n2.rec[f2]):
-            return False
-        perm: Dict[int, int] = {}
-        fwd: Dict[CV, CV] = {}
-        bwd: Dict[CV, CV] = {}
-        queue = deque([(c1.rootof[f1], c2.rootof[f2])])
-        while queue:
-            v, w = queue.popleft()
-            if v in fwd or w in bwd:
-                if fwd.get(v) != w or bwd.get(w) != v:
-                    return False
-                continue
-            l1, l2 = c1.lab(v), c2.lab(w)
-            if not _compatible(l1, l2):
-                return False
-            fwd[v] = w
-            bwd[w] = v
-            if isinstance(l1, (Atomic, Output)):
-                queue.extend(zip(c1.args(v), c2.args(w)))
-            elif isinstance(l1, Input):
-                # bijectivity of the permutation is checked after the walk
-                if perm.setdefault(l1.index, l2.index) != l2.index:
-                    return False
-            else:  # nested occurrence
-                g1, g2 = l1.name, l2.name
-                if l1.arity != l2.arity:
-                    return False
-                if symbol_map.setdefault(g1, g2) != g2:
-                    return False
-                if not (yield g1, g2):
-                    return False
-                sub = input_perm[g1]
-                for i in range(1, l1.arity + 1):
-                    queue.append((c1.args(v)[i - 1], c2.args(w)[sub[i] - 1]))
-        m = n1.signature.nested[f1]
-        if sorted(perm) != list(range(1, m + 1)) or sorted(perm.values()) != list(
-            range(1, m + 1)
-        ):
-            return False
-        input_perm[f1] = perm
-        vertex_map.update(fwd)
-        return True
-
-    symbol_map[n1.root_symbol] = n2.root_symbol
-    stack = [pair_bodies(n1.root_symbol, n2.root_symbol)]
-    verdict = None
-    while stack:
-        try:
-            callee = stack[-1].send(verdict)
-        except StopIteration as done:
-            stack.pop()
-            verdict = done.value
-        else:
-            stack.append(pair_bodies(*callee))
-            verdict = None
-    if not verdict:
+    fields, clash = _summarize(n1, n2)
+    contexts = fields["_contexts"]
+    if clash is not None or sum(len(ctx.reached) for ctx in contexts.values()) != size:
         return None
-    if len(symbol_map) != len(n1.signature.nested):
+    vertex_map = {v1: v2 for ctx in contexts.values() for v1, v2 in ctx.reached}
+    if len(set(vertex_map.values())) != size:  # then no left vertex is in two pairs
         return None
-    if len(set(symbol_map.values())) != len(symbol_map):
-        return None
+    symbol_map = {n1.root_symbol: n2.root_symbol}
+    input_perm: Dict[str, Dict[int, int]] = {n1.root_symbol: {}}
+    for key, ctx in contexts.items():
+        if key is not None:
+            symbol_map[key[0]] = key[1]
+            input_perm[key[0]] = {i: j for i, j in ctx.exits}
     return NtgIso(symbol_map, vertex_map, input_perm)
 
 

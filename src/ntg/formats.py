@@ -418,14 +418,6 @@ def _definition_order(r: Rgs, deps: Optional[DependencyArs] = None) -> List[str]
     return order + sorted(s for s in r.signature.nested if s not in seen)
 
 
-def _label_text(lbl) -> str:
-    if isinstance(lbl, Output):
-        return "out"
-    if isinstance(lbl, Input):
-        return f"in {lbl.index}"
-    return lbl.name
-
-
 def print_rgs(r: Rgs) -> str:
     """Deterministic document: definitions in dependency breadth-first
     order, vertices renamed in discovery order."""
@@ -439,9 +431,8 @@ def print_rgs(r: Rgs) -> str:
         names = {v: f"v{i}" for i, v in enumerate(order)}
         lines = []
         for v in order:
-            label = _label_text(body.lab[v])
             succ = ", ".join(names[w] for w in body.args[v])
-            lines.append(f"  {names[v]}: {label}" + (f"({succ})" if succ else "") + ";")
+            lines.append(f"  {names[v]}: {body.lab[v]}" + (f"({succ})" if succ else "") + ";")
         out.append(f"def {sym}/{r.signature.nested[sym]} {{")
         out.extend(lines)
         out.append("}")
@@ -522,19 +513,8 @@ def print_fo(g: TermGraph) -> str:
     names = {v: f"n{i}" for i, v in enumerate(order)}
     lines = [f"tg {{", f"  root {names[g.root]};"]
     for v in order:
-        lbl = g.lab[v]
-        if isinstance(lbl, RootOutput):
-            text = "out_r"
-        elif isinstance(lbl, Output):
-            text = "out"
-        elif isinstance(lbl, FoInput):
-            text = "in"
-        elif isinstance(lbl, RootInput):
-            text = "in_r"
-        else:
-            text = lbl.name
         succ = ", ".join(names[w] for w in g.args[v])
-        lines.append(f"  {names[v]}: {text}" + (f"({succ})" if succ else "") + ";")
+        lines.append(f"  {names[v]}: {g.lab[v]}" + (f"({succ})" if succ else "") + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

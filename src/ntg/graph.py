@@ -364,26 +364,15 @@ def tg_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
 def tg_isomorphic(g1: TermGraph, g2: TermGraph) -> Optional[Dict[Vertex, Vertex]]:
     """The unique root-preserving isomorphism, or None.
 
-    Because successors are ordered, isomorphism of rooted term graphs
-    reduces to one synchronized walk from the root pair plus a
-    bijectivity check.
+    An isomorphism is a homomorphism that is a bijection, and successors
+    are ordered, so it is the map of ``tg_hom_explained`` when that map is
+    a bijection onto the vertices of ``g2``: one propagation and one
+    check, linear in the graphs; graphs of different sizes are told apart
+    before it.
     """
     if len(g1) != len(g2):
         return None
-    fwd: Dict[Vertex, Vertex] = {}
-    bwd: Dict[Vertex, Vertex] = {}
-    queue = deque([(g1.root, g2.root)])
-    while queue:
-        v, w = queue.popleft()
-        if v in fwd or w in bwd:
-            if fwd.get(v) != w or bwd.get(w) != v:
-                return None
-            continue
-        if g1.lab[v] != g2.lab[w]:
-            return None
-        fwd[v] = w
-        bwd[w] = v
-        queue.extend(zip(g1.args[v], g2.args[w]))
-    if len(fwd) != len(g1):
+    phi = tg_hom_explained(g1, g2)[0]
+    if phi is None or len(set(phi.values())) != len(g2):
         return None
-    return fwd
+    return phi

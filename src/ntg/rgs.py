@@ -342,17 +342,16 @@ def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def is_ntg(r: Rgs, deps: Optional[DependencyArs] = None) -> NtgResult:
+def is_ntg(r: Rgs) -> NtgResult:
     """Decide whether the dependency structure restricted to the reachable
     symbols is a tree: acyclic, at most one step into each symbol, and all
-    declared symbols reachable.  Without ``deps`` the answer is computed
-    once per specification; given ``deps``, it is computed from them.
-    One walk over the steps accepts in linear time: it reaches every
-    declared symbol over one step fewer than it reaches, so each but the
-    root has exactly one step into it.  Only a rejected specification is
-    diagnosed: first a cycle, then a symbol introduced twice, then an
-    unreachable one."""
-    return r._ntg if deps is None else _decide_ntg(r, deps)
+    declared symbols reachable.  The answer is computed once per
+    specification and kept on it.  One walk over the steps accepts in
+    linear time: it reaches every declared symbol over one step fewer than
+    it reaches, so each but the root has exactly one step into it.  Only a
+    rejected specification is diagnosed: first a cycle, then a symbol
+    introduced twice, then an unreachable one."""
+    return r._ntg
 
 
 def _decide_ntg(r: Rgs, deps: DependencyArs) -> NtgResult:

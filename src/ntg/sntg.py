@@ -61,8 +61,12 @@ class Sntg:
         return self.tg.root
 
     @cached_property
-    def _violations(self) -> Tuple["SntgViolation", ...]:
-        return tuple(_check_sntg(self))
+    def _scan(self) -> Tuple[Tuple["SntgViolation", ...], Dict[Vertex, List[Vertex]]]:
+        # the violations, and what the call target of each occurrence
+        # vertex reaches, in the order of ``reachable``, where that target
+        # is an output vertex
+        violations, scopes = _check_sntg(self)
+        return tuple(violations), scopes
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,14 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     One scan of the vertices and one walk per scope, linear in the size of
     the structure and its ancestor chains; only the violations found are
     sorted, into the report's order: by condition, then by vertex name.
-    The check runs once per structure, kept on it; each call returns a
+    The check runs once per structure, kept on it with the scopes it
+    walked, which ``sntg_to_ntg`` cuts into bodies; each call returns a
     fresh list.
     """
-    return list(s._violations)
+    return list(s._scan[0])
 
 
-def _check_sntg(s: Sntg) -> List[SntgViolation]:
+def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]]]:
     g = s.tg
     # per condition, in scan order: (the vertex it is reported by, violation)
     roots, nested, arguments, defined, steps, outside, strays = [], [], [], [], [], [], []
@@ -177,7 +182,7 @@ def _check_sntg(s: Sntg) -> List[SntgViolation]:
             msg = f"unreachable from the output vertex {s.call[v]}"
             bad(strays, "body-connected", sorted(stray, key=str), msg, at=v)
     sections = (roots, nested, arguments, defined, steps, outside, strays)
-    return [x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))]
+    return [x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))], scopes
 
 
 def ntg_to_sntg(n: Rgs) -> Sntg:
@@ -243,7 +248,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     inputs are scanned in breadth-first order from the definition's output
     vertex, each taking the least index that is still free.
     """
-    problems = check_sntg(s)
+    problems, scopes = s._scan
     if problems:
         raise ValueError("invalid structural representation: " + str(problems[0]))
     g = s.tg
@@ -267,7 +272,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
         arity = g.lab[w].arity
         nested_sig[sym] = arity
         o = s.call[w]
-        body_vertices = reachable(g, o)
+        body_vertices = scopes[w]  # the check walked every scope of a valid structure
         body_lab: Dict[Vertex, object] = {}
         body_args: Dict[Vertex, tuple] = {}
         assigned: Dict[Vertex, int] = {}
@@ -292,7 +297,9 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
             else:
                 body_lab[v] = lbl
             body_args[v] = g.args[v]
-        rec[sym] = TermGraph(body_lab, body_args, o)
+        # a valid structure keeps every argument inside its scope, and the
+        # relabeling keeps every arity
+        rec[sym] = TermGraph._prechecked(body_lab, body_args, o)
 
     root_sym = sym_of[g.root]
     sig = NtgSignature(atomic, nested_sig, root_sym)

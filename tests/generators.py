@@ -297,6 +297,36 @@ def split_shared_vertex(rng: random.Random, r: Rgs):
     return split
 
 
+def permute_inputs(rng: random.Random, r: Rgs):
+    """An isomorphic copy of ``r``: each definition's input indices
+    permuted at random, applied to its input labels and to the successor
+    order of every occurrence of it, with every vertex renamed.  Returns
+    ``(copy, perm)``, ``perm[sym]`` mapping each input index of ``sym`` in
+    ``r`` to its index in the copy."""
+    perm = {}
+    for sym, arity in r.signature.nested.items():
+        image = list(range(1, arity + 1))
+        rng.shuffle(image)
+        perm[sym] = dict(zip(range(1, arity + 1), image))
+    rec = {}
+    for sym, body in r.rec.items():
+        lab, args = {}, {}
+        for v, lbl in body.lab.items():
+            ws = body.args[v]
+            if isinstance(lbl, Input):
+                lbl = Input(perm[sym][lbl.index])
+            elif isinstance(lbl, Nested):
+                moved = [None] * len(ws)
+                for i, w in enumerate(ws, 1):
+                    moved[perm[lbl.name][i] - 1] = w
+                ws = moved
+            lab[f"p{v}"], args[f"p{v}"] = lbl, tuple(f"p{w}" for w in ws)
+        rec[sym] = TermGraph(lab, args, f"p{body.root}")
+    copy = Rgs(r.signature, rec)
+    assert not validate_rgs(copy)
+    return copy, perm
+
+
 def mutate_ntg(rng: random.Random, r: Rgs, tries=40) -> Rgs:
     """A near-copy: one label swap, argument swap or edge redirect,
     revalidated so the result is again a tree-shaped specification."""

@@ -29,7 +29,10 @@ Membership as it was before one propagation accepted members, with
 whole ancestor chains and its checks run in order on every graph, is the
 reference of ``infer_ancestors``, ``rg_defect`` and, through the
 library's read-back, ``represent``; a walk from every vertex is the
-reference of ``check_fully_backlinked``.
+reference of ``check_fully_backlinked``.  Synchronized bijective walks,
+of two graphs and of each pair of bodies, are the references of
+``tg_isomorphic`` and ``ntg_isomorphic``, which read the homomorphism
+engines.
 None of them share search code with the library, except that the
 reference checks walk with the library's ``reachable``,
 ``check_root_connected``, ``exit_chain_ends`` and ``_find_cycle``, ``two_path_collapse``
@@ -41,7 +44,8 @@ against ``moore_refine``,
 the closure and ``replay_path`` apply the library's progression rules
 ``_progressions``, which share nothing with the summary tabulation, and
 both witness builders fill their bodies through the library's
-``_pair_witness``.
+``_pair_witness``, and the isomorphism walk of bodies compares labels
+with the library's ``_compatible``.
 """
 
 import re
@@ -1276,3 +1280,104 @@ def reference_represent(g):
     inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
     outputs = (v for v in anc if isinstance(g.lab[v], (Output, RootOutput)))
     return _read_back(g, inner, {v: len(anc[v]) for v in outputs})
+
+
+def reference_tg_isomorphic(g1, g2):
+    """``tg_isomorphic`` as the library wrote it before it read the
+    homomorphism: one synchronized walk from the root pair, keeping the
+    map and its inverse, plus a totality check."""
+    if len(g1) != len(g2):
+        return None
+    fwd, bwd = {}, {}
+    queue = deque([(g1.root, g2.root)])
+    while queue:
+        v, w = queue.popleft()
+        if v in fwd or w in bwd:
+            if fwd.get(v) != w or bwd.get(w) != v:
+                return None
+            continue
+        if g1.lab[v] != g2.lab[w]:
+            return None
+        fwd[v] = w
+        bwd[w] = v
+        queue.extend(zip(g1.args[v], g2.args[w]))
+    if len(fwd) != len(g1):
+        return None
+    return fwd
+
+
+def reference_ntg_isomorphic(n1, n2):
+    """``ntg_isomorphic`` as the library wrote it before it read the
+    summary tables: a bijective walk of each pair of bodies, from their
+    roots, that pairs the callee bodies of an occurrence pair first and
+    then the occurrences' arguments through the callee's input
+    permutation.  Walks nested bodies with an explicit stack of
+    generators, so nesting depth costs no recursion.  For valid
+    tree-shaped specifications."""
+    from ntg import NtgIso
+    from ntg.labels import Atomic, Output, _compatible
+
+    if len(n1.signature.nested) != len(n2.signature.nested):
+        return None
+    c1, c2 = ReferenceCarrier(n1), ReferenceCarrier(n2)
+    symbol_map, vertex_map, input_perm = {}, {}, {}
+
+    def pair_bodies(f1, f2):
+        # yields each callee pair it needs paired first and receives that
+        # verdict back
+        if n1.signature.nested[f1] != n2.signature.nested[f2]:
+            return False
+        if len(n1.rec[f1]) != len(n2.rec[f2]):
+            return False
+        perm, fwd, bwd = {}, {}, {}
+        queue = deque([(c1.rootof[f1], c2.rootof[f2])])
+        while queue:
+            v, w = queue.popleft()
+            if v in fwd or w in bwd:
+                if fwd.get(v) != w or bwd.get(w) != v:
+                    return False
+                continue
+            l1, l2 = c1.lab(v), c2.lab(w)
+            if not _compatible(l1, l2):
+                return False
+            fwd[v] = w
+            bwd[w] = v
+            if isinstance(l1, (Atomic, Output)):
+                queue.extend(zip(c1.args(v), c2.args(w)))
+            elif isinstance(l1, Input):
+                # bijectivity of the permutation is checked after the walk
+                if perm.setdefault(l1.index, l2.index) != l2.index:
+                    return False
+            else:  # nested occurrence
+                g1, g2 = l1.name, l2.name
+                if l1.arity != l2.arity or symbol_map.setdefault(g1, g2) != g2:
+                    return False
+                if not (yield g1, g2):
+                    return False
+                sub = input_perm[g1]
+                for i in range(1, l1.arity + 1):
+                    queue.append((c1.args(v)[i - 1], c2.args(w)[sub[i] - 1]))
+        indices = list(range(1, n1.signature.nested[f1] + 1))
+        if sorted(perm) != indices or sorted(perm.values()) != indices:
+            return False
+        input_perm[f1] = perm
+        vertex_map.update(fwd)
+        return True
+
+    symbol_map[n1.root_symbol] = n2.root_symbol
+    stack = [pair_bodies(n1.root_symbol, n2.root_symbol)]
+    verdict = None
+    while stack:
+        try:
+            callee = stack[-1].send(verdict)
+        except StopIteration as done:
+            stack.pop()
+            verdict = done.value
+        else:
+            stack.append(pair_bodies(*callee))
+            verdict = None
+    if not verdict or len(symbol_map) != len(n1.signature.nested):
+        return None
+    if len(set(symbol_map.values())) != len(symbol_map):
+        return None
+    return NtgIso(symbol_map, vertex_map, input_perm)

@@ -15,16 +15,18 @@ from ntg import (
     ntg_isomorphic,
     ntg_to_sntg,
     print_rgs,
+    represent,
     sntg_hom,
     unfold_to_ntg,
     verify_nested_bisim,
     verify_ntg_hom,
 )
-from ntg.firstorder import ntg_collapse
+from ntg.firstorder import interpret, ntg_collapse
 from generators import (
     depth_family,
     fanout_family,
     mutate_ntg,
+    permute_inputs,
     random_acyclic_rgs,
     random_cyclic_rgs,
     random_ntg,
@@ -41,6 +43,7 @@ from oracles import (
     closure_ntg_bisimilar,
     closure_relation,
     context_of,
+    reference_ntg_isomorphic,
     reference_verify_ntg_hom,
     relation_witness,
     replay_path,
@@ -306,6 +309,30 @@ def test_isomorphism_accepts_input_permutation():
     # but swapping only the occurrence arguments is not an isomorphism
     n3 = Rgs(sig, {"r": make_graph("o", swapped_base), "f": body12})
     assert ntg_isomorphic(n1, n3) is None
+
+
+def test_isomorphism_agrees_with_the_reference_walk():
+    # each specification against its read-back, collapse, mutants and
+    # input-permuted copies, in both directions
+    rng = random.Random(43)
+    verdicts, permuted = set(), 0
+    for _ in range(250):
+        n = random_ntg(rng)
+        copy, perm = permute_inputs(rng, n)
+        found = ntg_isomorphic(n, copy)
+        assert found is not None and found.input_perm == perm
+        others = [
+            copy, represent(interpret(n)), ntg_collapse(n), mutate_ntg(rng, n),
+            mutate_ntg(rng, copy), permute_inputs(rng, mutate_ntg(rng, n))[0],
+        ]
+        for m in others:
+            for a, b in ((n, m), (m, n)):
+                iso = ntg_isomorphic(a, b)
+                assert iso == reference_ntg_isomorphic(a, b)
+                verdicts.add(iso is not None)
+                if iso is not None:
+                    permuted += any(i != j for p in iso.input_perm.values() for i, j in p.items())
+    assert verdicts == {True, False} and permuted > 0
 
 
 def test_isomorphism_rejects_label_changes(fix_n):

@@ -29,6 +29,7 @@ from oracles import (
     gfp_bisimilar,
     gfp_collapse_graph,
     moore_refine,
+    reference_tg_isomorphic,
     refine_bisimilar,
 )
 
@@ -322,6 +323,35 @@ def test_isomorphic_not_fooled_by_argument_order():
     g = make_graph("r", {"r": (f2, ["x", "y"]), "x": (a0, []), "y": (b0, [])})
     h = make_graph("r", {"r": (f2, ["y", "x"]), "x": (a0, []), "y": (b0, [])})
     assert tg_isomorphic(g, h) is None
+
+
+def test_isomorphic_agrees_with_the_reference_walk_on_cycles():
+    # half the graphs are cut down to what their root reaches, so that a
+    # renamed copy is isomorphic; the others keep their unreachable
+    # vertices, and a collapse, a relabeled copy or a random graph are
+    # isomorphic at times
+    rng = random.Random(37)
+    isomorphic = 0
+    for i in range(2000):
+        lab, args = _random_cyclic(rng)
+        g1 = TermGraph(lab, args, rng.choice(list(lab)))
+        if rng.random() < 0.5:
+            g1 = sub_term_graph(g1, g1.root)
+        kind = i % 4
+        if kind == 0:
+            g2 = _renamed(rng, g1)
+        elif kind == 1:
+            g2 = tg_collapse(g1)[0]
+        elif kind == 2:
+            g2 = _relabeled(rng, _renamed(rng, g1))
+        else:
+            lab2, args2 = _random_cyclic(rng, max_vertices=4)
+            g2 = TermGraph(lab2, args2, rng.choice(list(lab2)))
+        for a, b in ((g1, g2), (g2, g1)):
+            iso = tg_isomorphic(a, b)
+            assert iso == reference_tg_isomorphic(a, b)
+            isomorphic += iso is not None
+    assert 800 <= isomorphic <= 3200
 
 
 def test_sub_term_graph_always_root_connected_property():

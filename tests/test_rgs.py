@@ -326,13 +326,6 @@ def test_validate_rgs_returns_a_fresh_list(fix_n):
     assert validate_rgs(bad)
 
 
-def test_is_ntg_reads_the_dependencies_it_is_given(fix_n, fix_r1):
-    assert is_ntg(fix_n).ok
-    foreign = is_ntg(fix_n, dependency_ars(fix_r1))
-    assert not foreign.ok and isinstance(foreign.defect, Cycle)
-    assert is_ntg(fix_n).ok and is_ntg(fix_n, dependency_ars(fix_n)).ok
-
-
 _VERDICTS = r"""
 import pathlib, sys
 from ntg import *

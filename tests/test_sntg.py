@@ -231,3 +231,18 @@ def test_round_trip_checks_the_structure_once(monkeypatch, tree_corpus):
         first = check_sntg(s)
         first.append("changed by the caller")
         assert check_sntg(s) == [] and len(calls) == 1
+
+
+def test_round_trip_walks_each_scope_once(monkeypatch, tree_corpus):
+    # sntg_to_ntg cuts its bodies from the scopes the check walked
+    import ntg.sntg
+
+    calls = []
+    walk = ntg.sntg.reachable
+    monkeypatch.setattr(ntg.sntg, "reachable", lambda g, v: calls.append(v) or walk(g, v))
+    rng = random.Random(47)
+    for n in tree_corpus + [depth_family(12)] + [random_ntg(rng) for _ in range(10)]:
+        calls.clear()
+        back = sntg_to_ntg(ntg_to_sntg(n))
+        assert len(calls) == len(n.rec) == len(back.rec)
+        assert ntg_isomorphic(n, back) is not None
