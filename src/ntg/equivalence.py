@@ -47,7 +47,10 @@ class _Carrier:
 
     Building it touches only the body roots, so the deciders that walk it
     pay nothing per vertex before they start.  A body's inputs are listed
-    on first use.
+    on first use.  The summary tabulation, its witness and
+    ``verify_ntg_hom`` read the bodies' ``lab`` and ``args`` maps
+    directly; only the progression rules of ``verify_nested_bisim`` ask
+    ``lab`` and ``args`` here, one vertex at a time.
     """
 
     def __init__(self, r: Rgs):
@@ -63,13 +66,6 @@ class _Carrier:
     def args(self, cv: CV) -> Tuple[CV, ...]:
         sym, v = cv
         return tuple((sym, w) for w in self.rgs.rec[sym].args[v])
-
-    def has(self, cv) -> bool:
-        """Whether ``cv``, which may be any object, is a vertex here."""
-        return (
-            isinstance(cv, tuple) and len(cv) == 2
-            and cv[0] in self.rgs.rec and cv[1] in self.rgs.rec[cv[0]].lab
-        )
 
     def inputs(self, sym: str) -> List[CV]:
         """The input vertices of ``sym``'s body by index; only repeated
@@ -236,49 +232,65 @@ class _Context:
 def _tabulate(c1: _Carrier, c2: _Carrier):
     """Summaries of every context reachable from the root pair.
 
-    Returns ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
+    Reads each body's ``lab`` and ``args`` maps directly, and asks
+    ``_compatible`` once per pair of label objects met.  Returns
+    ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
     reason)``, where ``via`` is the calling frame when the clash depends on
     the caller (an exit that the caller's arity cannot take), else None.
     """
+    body1 = {sym: (g.lab, g.args) for sym, g in c1.rgs.rec.items()}
+    body2 = {sym: (g.lab, g.args) for sym, g in c2.rgs.rec.items()}
+    compatible: Dict[Tuple[int, int], bool] = {}  # by the ids of two label objects
     contexts: Dict[Optional[tuple], _Context] = {None: _Context(None)}
-    work = deque()
-
-    def reach(key, pair, pointer):
-        seen = contexts[key].reached
-        if pair not in seen:
-            seen[pair] = pointer
-            work.append((key, pair))
+    start = (c1.root, c2.root)
+    contexts[None].reached[start] = (1, None, None, None)
+    work = deque([(None, start)])
 
     def ret(key, occ, callee, ij):
         """Continue the call at ``occ`` of context ``key`` after ``callee``
         exits through ``ij``; returns a clash reason or None."""
+        (s1, x1), (s2, x2) = occ
+        a1, a2 = body1[s1][1][x1], body2[s2][1][x2]
         i, j = ij
-        a1, a2 = c1.args(occ[0]), c2.args(occ[1])
         if i > len(a1) or j > len(a2):
             return "input index exceeds the calling occurrence's arity"
-        sub = contexts[callee]
-        length = contexts[key].reached[occ][0] + sub.reached[sub.exits[ij]][0] + 1
-        reach(key, (a1[i - 1], a2[j - 1]), (length, occ, callee, ij))
+        seen = contexts[key].reached
+        pair = ((s1, a1[i - 1]), (s2, a2[j - 1]))
+        if pair not in seen:
+            sub = contexts[callee]
+            seen[pair] = (seen[occ][0] + sub.reached[sub.exits[ij]][0] + 1, occ, callee, ij)
+            work.append((key, pair))
         return None
 
-    reach(None, (c1.root, c2.root), (1, None, None, None))
     while work:
         key, pair = work.popleft()
         ctx = contexts[key]
-        v1, v2 = pair
-        l1, l2 = c1.lab(v1), c2.lab(v2)
-        if not _compatible(l1, l2):
+        (s1, x1), (s2, x2) = pair
+        lab1, args1 = body1[s1]
+        lab2, args2 = body2[s2]
+        l1, l2 = lab1[x1], lab2[x2]
+        ids = (id(l1), id(l2))
+        ok = compatible.get(ids)
+        if ok is None:
+            ok = compatible[ids] = _compatible(l1, l2)
+        if not ok:
             return contexts, (key, pair, None, f"labels {l1} and {l2} do not match")
         if isinstance(l1, (Atomic, Output)):
-            step = (ctx.reached[pair][0] + 1, pair, None, None)
-            for child in zip(c1.args(v1), c2.args(v2)):
-                reach(key, child, step)
+            seen = ctx.reached
+            step = (seen[pair][0] + 1, pair, None, None)
+            for w1, w2 in zip(args1[x1], args2[x2]):
+                child = ((s1, w1), (s2, w2))
+                if child not in seen:
+                    seen[child] = step
+                    work.append((key, child))
         elif isinstance(l1, Nested):
             callee = (l1.name, l2.name)
             sub = contexts.get(callee)
             if sub is None:
                 sub = contexts[callee] = _Context((key, pair))
-                reach(callee, (c1.rootof[l1.name], c2.rootof[l2.name]), (1, None, None, None))
+                entry = (c1.rootof[l1.name], c2.rootof[l2.name])
+                sub.reached[entry] = (1, None, None, None)
+                work.append((callee, entry))
             sub.callers.append((key, pair))
             for ij, w in sub.exits.items():
                 reason = ret(key, pair, callee, ij)
@@ -374,21 +386,31 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     One definition ``f_g`` per context, entered at its entry pair; one
     vertex ``v|w`` per reached pair; one input per exit, numbered in the
     order the exits were found.  An occurrence pair passes, for each exit
-    of its callee, the argument pair at that exit's input indices.
+    of its callee, the argument pair at that exit's input indices.  Every
+    pair of a context lies in the two bodies it entered, so a pair is read
+    as ``(context key, left vertex, right vertex)`` straight from the
+    bodies' ``lab`` and ``args`` maps.
     """
     # the witness carries left labels, so the left arity wins a conflict
     atomic = {**c2.rgs.signature.atomic, **c1.rgs.signature.atomic}
     roots = (c1.rgs.root_symbol, c2.rgs.root_symbol)
     sym_name = _uniquify(contexts, lambda key: "_".join(key or roots), avoid=atomic)
+    rec1, rec2 = c1.rgs.rec, c2.rgs.rec
 
     def labels(item):
-        _, (v1, v2) = item
-        return c1.lab(v1), c2.lab(v2)
+        key, x1, x2 = item
+        s1, s2 = key or roots
+        return rec1[s1].lab[x1], rec2[s2].lab[x2]
+
+    def succs(item):
+        key, x1, x2 = item
+        s1, s2 = key or roots
+        return rec1[s1].args[x1], rec2[s2].args[x2]
 
     arity, entry = _pair_witness(
-        [(key, u) for key, ctx in contexts.items() for u in ctx.exits.values()],
+        [(key, u1[1], u2[1]) for key, ctx in contexts.items() for u1, u2 in ctx.exits.values()],
         labels,
-        lambda item: (c1.args(item[1][0]), c2.args(item[1][1])),
+        succs,
         lambda item: item[0],
         lambda item: tuple(lbl.name for lbl in labels(item)),
         sym_name.__getitem__,
@@ -398,13 +420,14 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     proj_right: Dict[CV, CV] = {}
     for key, ctx in contexts.items():
         sym = sym_name[key]
+        s1, s2 = key or roots
         # vertex ids need only be unique within their own body
-        vid = _uniquify(ctx.reached, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
+        vid = _uniquify([(u1[1], u2[1]) for u1, u2 in ctx.reached], lambda xy: f"{xy[0]}|{xy[1]}")
         lab, args = {}, {}
-        for pair, v in vid.items():
-            lab[v], succ = entry((key, pair))
-            args[v] = tuple(vid[q] for q in succ)
-            proj_left[(sym, v)], proj_right[(sym, v)] = pair
+        for (x1, x2), v in vid.items():
+            lab[v], succ = entry((key, x1, x2))
+            args[v] = tuple(map(vid.__getitem__, succ))
+            proj_left[(sym, v)], proj_right[(sym, v)] = (s1, x1), (s2, x2)
         rec[sym] = TermGraph(lab, args, next(iter(vid.values())))  # the entry pair came first
     nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
     witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
@@ -671,10 +694,11 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     maps to an input of the image's callee whose argument is the image of
     the argument.  As every body vertex is reachable from its output
     vertex, these clauses also map each body into one body.  A vertex
-    missing from ``phi`` and an image that is not a vertex of ``n2`` are
-    reported, not looked up.  One pass over each body, in symbol order,
-    reads its labels and successors directly, in linear time; the problems
-    come in the order of the clauses per vertex, body by body.
+    missing from ``phi`` and an image that is not a vertex of ``n2``,
+    whatever object it is, are reported, not looked up.  One pass over
+    each body, in symbol order, reads its labels and successors directly,
+    in linear time; the problems come in the order of the clauses per
+    vertex, body by body.
     """
     c1, c2 = _Carrier(n1), _Carrier(n2)
     rec2 = n2.rec
@@ -692,11 +716,11 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
             if w is None:
                 problems.append(f"{(sym, v)}: map is not total")
                 continue
-            if not c2.has(w):
+            l2 = _label_at(rec2, w)
+            if l2 is None:
                 problems.append(f"{(sym, v)}: image is not a vertex of the target")
                 continue
             s2, x2 = w
-            l2 = rec2[s2].lab[x2]
             if isinstance(l1, Atomic):
                 if l1 != l2:
                     problems.append(f"{(sym, v)}: atomic label not preserved")
@@ -721,19 +745,29 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
                     if at is None:
                         problems.append(f"{u}: map is not total")
                         continue
-                    if not (c2.has(at) and at[0] == l2.name and isinstance(c2.lab(at), Input)):
+                    l_at = _label_at(rec2, at)
+                    if not (isinstance(l_at, Input) and at[0] == l2.name):
                         # the redundancy remark: images of inputs stay inputs
                         # of the related definition
                         problems.append(f"{u}: input maps outside the related definition")
                         continue
-                    i = c1.lab(u).index
-                    j = c2.lab(at).index
+                    i = n1.rec[u[0]].lab[u[1]].index
+                    j = l_at.index
                     if j > l2.arity:
                         problems.append(f"{u}: image input index exceeds arity")
                         continue
                     if img[args1[v][i - 1]] != (s2, rec2[s2].args[x2][j - 1]):
                         problems.append(f"{(sym, v)}: interface clause fails at input {i}")
     return problems
+
+
+def _label_at(rec: Dict[str, TermGraph], cv):
+    """The label of ``cv``, which may be any object, in the bodies ``rec``;
+    None when it is not a vertex there."""
+    try:
+        return rec[cv[0]].lab[cv[1]] if isinstance(cv, tuple) and len(cv) == 2 else None
+    except (TypeError, KeyError):  # an unhashable or absent part
+        return None
 
 
 def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:

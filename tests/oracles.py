@@ -32,7 +32,9 @@ library's read-back, ``represent``; a walk from every vertex is the
 reference of ``check_fully_backlinked``.  Synchronized bijective walks,
 of two graphs and of each pair of bodies, are the references of
 ``tg_isomorphic`` and ``ntg_isomorphic``, which read the homomorphism
-engines.
+engines.  The tabulation as it was before it read the bodies directly,
+asking the carrier for every label and successor tuple, is the reference
+of the summary tables of ``_tabulate``.
 None of them share search code with the library, except that the
 reference checks walk with the library's ``reachable``,
 ``check_root_connected``, ``exit_chain_ends`` and ``_find_cycle``, ``two_path_collapse``
@@ -44,8 +46,9 @@ against ``moore_refine``,
 the closure and ``replay_path`` apply the library's progression rules
 ``_progressions``, which share nothing with the summary tabulation, and
 both witness builders fill their bodies through the library's
-``_pair_witness``, and the isomorphism walk of bodies compares labels
-with the library's ``_compatible``.
+``_pair_witness``, the isomorphism walk of bodies and the reference
+tabulation compare labels with the library's ``_compatible``, and the
+reference tabulation fills the library's ``_Context`` records.
 """
 
 import re
@@ -689,6 +692,78 @@ def closure_relation(r1, r2, depth=None):
     if clash is not None:
         return None
     return NestedBisimRelation(frozenset(configs), depth if bounded else None)
+
+
+def reference_tabulate(c1, c2):
+    """``ntg.equivalence._tabulate`` as the library wrote it before it read
+    the bodies directly: every label and successor tuple asked of the
+    carriers, and ``_compatible`` called for every pair popped.  The
+    reference for the summary tables, item by item and in order.
+
+    Summaries of every context reachable from the root pair.
+
+    Returns ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
+    reason)``, where ``via`` is the calling frame when the clash depends on
+    the caller (an exit that the caller's arity cannot take), else None.
+    """
+    from ntg.equivalence import _Context
+    from ntg.labels import Output, _compatible
+
+    contexts = {None: _Context(None)}
+    work = deque()
+
+    def reach(key, pair, pointer):
+        seen = contexts[key].reached
+        if pair not in seen:
+            seen[pair] = pointer
+            work.append((key, pair))
+
+    def ret(key, occ, callee, ij):
+        """Continue the call at ``occ`` of context ``key`` after ``callee``
+        exits through ``ij``; returns a clash reason or None."""
+        i, j = ij
+        a1, a2 = c1.args(occ[0]), c2.args(occ[1])
+        if i > len(a1) or j > len(a2):
+            return "input index exceeds the calling occurrence's arity"
+        sub = contexts[callee]
+        length = contexts[key].reached[occ][0] + sub.reached[sub.exits[ij]][0] + 1
+        reach(key, (a1[i - 1], a2[j - 1]), (length, occ, callee, ij))
+        return None
+
+    reach(None, (c1.root, c2.root), (1, None, None, None))
+    while work:
+        key, pair = work.popleft()
+        ctx = contexts[key]
+        v1, v2 = pair
+        l1, l2 = c1.lab(v1), c2.lab(v2)
+        if not _compatible(l1, l2):
+            return contexts, (key, pair, None, f"labels {l1} and {l2} do not match")
+        if isinstance(l1, (Atomic, Output)):
+            step = (ctx.reached[pair][0] + 1, pair, None, None)
+            for child in zip(c1.args(v1), c2.args(v2)):
+                reach(key, child, step)
+        elif isinstance(l1, Nested):
+            callee = (l1.name, l2.name)
+            sub = contexts.get(callee)
+            if sub is None:
+                sub = contexts[callee] = _Context((key, pair))
+                reach(callee, (c1.rootof[l1.name], c2.rootof[l2.name]), (1, None, None, None))
+            sub.callers.append((key, pair))
+            for ij, w in sub.exits.items():
+                reason = ret(key, pair, callee, ij)
+                if reason:
+                    return contexts, (callee, w, (key, pair), reason)
+        else:  # two inputs: an exit of this context
+            if key is None:
+                return contexts, (key, pair, None, "input vertex reached outside any call")
+            ij = (l1.index, l2.index)
+            if ij not in ctx.exits:
+                ctx.exits[ij] = pair
+                for caller in ctx.callers:
+                    reason = ret(*caller, key, ij)
+                    if reason:
+                        return contexts, (key, pair, caller, reason)
+    return contexts, None
 
 
 def context_of(c1, c2, left_stack, right_stack):

@@ -1014,7 +1014,7 @@ def _carrier_corpus():
 
 
 def test_carrier_equals_the_sorted_reference():
-    from ntg.equivalence import _Carrier
+    from ntg.equivalence import _Carrier, _label_at
 
     for r in _carrier_corpus():
         ours, ref = _Carrier(r), ReferenceCarrier(r)
@@ -1023,10 +1023,14 @@ def test_carrier_equals_the_sorted_reference():
         for sym in r.rec:
             assert ours.inputs(sym) == ref.inputs(sym)
         for cv in ref.vertices():
-            assert ours.has(cv)
+            assert _label_at(r.rec, cv) is ref.lab(cv)
             assert ours.lab(cv) == ref.lab(cv) and ours.args(cv) == ref.args(cv)
-        outside = (("absent", "o"), (r.root_symbol, "absent"), "ab", None)
-        assert not any(ours.has(cv) for cv in outside)
+        outside = (
+            ("absent", "o"), (r.root_symbol, "absent"), "ab", None, [r.root_symbol, "o"],
+            ([r.root_symbol], "o"), (r.root_symbol, ["o"]), (r.root_symbol, "o", "x"),
+        )
+        assert not any(ref.has(cv) for cv in outside[:4])
+        assert all(_label_at(r.rec, cv) is None for cv in outside)
 
 
 def test_witness_reads_back():
@@ -1050,3 +1054,109 @@ def test_witness_reads_back():
         assert print_rgs(back) == doc
         assert nested_bisim(back, a).bisimilar and nested_bisim(back, b).bisimilar
     assert positives >= 60
+
+
+def _arity_clash_specs():
+    """Hand-built pairs whose tables end in the clashes that valid input
+    never reaches: an exit through an input index beyond the calling
+    occurrence's arity, found when the exit is first met and when a later
+    caller enters the finished callee, and an input vertex in the root
+    body.  Input indices beyond a body's arity make them invalid, so they
+    go to the tabulation directly."""
+    from ntg import Atomic, Input, Nested, NtgSignature, Output, Rgs
+    from ntg.graph import make_graph
+
+    def spec(root_body, f_index):
+        sig = NtgSignature({"c": 0, "g": 2, "h": 1}, {"main": 0, "f": 1}, "main")
+        f = make_graph("o", {"o": (Output(), ["i"]), "i": (Input(f_index), [])})
+        return Rgs(sig, {"main": make_graph("o", root_body), "f": f})
+
+    c = (Atomic("c", 0), [])
+    once = {"o": (Output(), ["x"]), "x": (Nested("f", 1), ["k"]), "k": c}
+    late = {
+        "o": (Output(), ["a"]), "a": (Atomic("g", 2), ["x", "h1"]),
+        "x": (Nested("f", 2), ["k", "k"]), "h1": (Atomic("h", 1), ["h2"]),
+        "h2": (Atomic("h", 1), ["h3"]), "h3": (Atomic("h", 1), ["y"]),
+        "y": (Nested("f", 1), ["k"]), "k": c,
+    }
+    outside = {"o": (Output(), ["i"]), "i": (Input(1), [])}
+    return [
+        (spec(once, 2), spec(once, 1)),
+        (spec(late, 2), spec(late, 2)),
+        (spec(outside, 1), spec(outside, 1)),
+    ]
+
+
+def test_tabulation_equals_the_reference_tables():
+    # the tables read straight off the bodies are the accessor-based ones,
+    # item by item and in order, clashes included
+    from ntg.equivalence import _Carrier, _tabulate
+    from oracles import reference_tabulate
+
+    rng = random.Random(211)
+    pairs = []
+    for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs) * 20:
+        r = make(rng)
+        pairs += [(r, r), (r, relabel_constant(rng, r)), (r, permute_inputs(rng, r)[0]), (r, make(rng))]
+    for k in range(1, 7):
+        pairs += [(fanout_family(k), fanout_family(k, "_b")), (fanout_family(k), fanout_family(k + 1))]
+        pairs += [(depth_family(k), depth_family(k)), (depth_family(k), depth_family(k + 1))]
+    pairs += _arity_clash_specs()
+    reasons = []
+    for a, b in pairs:
+        c1, c2 = _Carrier(a), _Carrier(b)
+        contexts, clash = _tabulate(c1, c2)
+        ref_contexts, ref_clash = reference_tabulate(ReferenceCarrier(a), ReferenceCarrier(b))
+        assert clash == ref_clash
+        assert list(contexts) == list(ref_contexts)
+        for key, ctx in contexts.items():
+            ref = ref_contexts[key]
+            assert list(ctx.reached.items()) == list(ref.reached.items())
+            assert list(ctx.exits.items()) == list(ref.exits.items())
+            assert ctx.callers == ref.callers and ctx.opener == ref.opener
+            # the witness roots every body at the first pair reached
+            entry = (c1.root, c2.root) if key is None else (c1.rootof[key[0]], c2.rootof[key[1]])
+            assert next(iter(ctx.reached)) == entry
+        if clash is not None:
+            reasons.append((clash[3], clash[2] is not None))
+    assert len(reasons) >= 60
+    assert any(reason.startswith("labels ") for reason, _ in reasons)
+    arity = "input index exceeds the calling occurrence's arity"
+    assert reasons[-3:] == [(arity, True), (arity, True), ("input vertex reached outside any call", False)]
+
+
+def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
+    # the engine remembers label tests per pair of label objects, but each
+    # test goes through _compatible: a fault injected there decides
+    import ntg.equivalence
+    from ntg import Atomic
+
+    compatible = ntg.equivalence._compatible
+
+    def ignoring_names(l1, l2):
+        if isinstance(l1, Atomic) and isinstance(l2, Atomic):
+            return l1.arity == l2.arity
+        return compatible(l1, l2)
+
+    rng = random.Random(223)
+    pairs = []
+    for _ in range(12):
+        r = random_cyclic_rgs(rng)
+        other = relabel_constant(rng, r)
+        if other is not r and not nested_bisim(r, other).bisimilar:
+            assert nested_hom(r, other).verdict == "none"
+            pairs.append((r, other))
+    assert len(pairs) >= 6
+    monkeypatch.setattr(ntg.equivalence, "_compatible", ignoring_names)
+    for r, other in pairs:
+        assert nested_bisim(r, other).verdict == "bisimilar"
+        assert nested_hom(r, other).verdict == "hom"
+
+
+def test_verify_ntg_hom_reports_unhashable_images(fix_n):
+    phi = ntg_hom(fix_n, fix_n)
+    for key in phi:
+        absent = verify_ntg_hom(fix_n, fix_n, {**phi, key: ("absent", "v")})
+        assert f"{key}: image is not a vertex of the target" in absent
+        for bad in ((["s"], "v"), ("n", ["v"]), (key[0], [key[1]]), ([key[0]], key[1])):
+            assert verify_ntg_hom(fix_n, fix_n, {**phi, key: bad}) == absent
