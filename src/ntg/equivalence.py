@@ -42,44 +42,19 @@ from .sntg import ntg_to_sntg, sntg_bisimilar, sntg_hom
 CV = Tuple[str, str]  # (symbol, body vertex)
 
 
-class _Carrier:
-    """Disjoint union of all definition bodies of one specification.
+def _entry(r: Rgs, sym: str) -> CV:
+    """The output vertex of ``sym``'s body, where a call of ``sym`` enters."""
+    return sym, r.rec[sym].root
 
-    Building it touches only the body roots, so the deciders that walk it
-    pay nothing per vertex before they start.  A body's inputs are listed
-    on first use.  The summary tabulation, its witness and
-    ``verify_ntg_hom`` read the bodies' ``lab`` and ``args`` maps
-    directly; only the progression rules of ``verify_nested_bisim`` ask
-    ``lab`` and ``args`` here, one vertex at a time.
-    """
 
-    def __init__(self, r: Rgs):
-        self.rgs = r
-        self.rootof: Dict[str, CV] = {sym: (sym, body.root) for sym, body in r.rec.items()}
-        self.root: CV = self.rootof[r.root_symbol]
-        self._inputs: Dict[str, List[CV]] = {}
-
-    def lab(self, cv: CV):
-        sym, v = cv
-        return self.rgs.rec[sym].lab[v]
-
-    def args(self, cv: CV) -> Tuple[CV, ...]:
-        sym, v = cv
-        return tuple((sym, w) for w in self.rgs.rec[sym].args[v])
-
-    def inputs(self, sym: str) -> List[CV]:
-        """The input vertices of ``sym``'s body by index; only repeated
-        indices (an invalid body) are ordered by vertex name."""
-        ins = self._inputs.get(sym)
-        if ins is None:
-            by_index: Dict[int, List[str]] = {}
-            for v, lbl in self.rgs.rec[sym].lab.items():
-                if isinstance(lbl, Input):
-                    by_index.setdefault(lbl.index, []).append(v)
-            ins = self._inputs[sym] = [
-                (sym, v) for i in sorted(by_index) for v in sorted(by_index[i], key=str)
-            ]
-        return ins
+def _inputs(r: Rgs, sym: str) -> List[CV]:
+    """The input vertices of ``sym``'s body by index; only repeated
+    indices (an invalid body) are ordered by vertex name."""
+    by_index: Dict[int, List[str]] = {}
+    for v, lbl in r.rec[sym].lab.items():
+        if isinstance(lbl, Input):
+            by_index.setdefault(lbl.index, []).append(v)
+    return [(sym, v) for i in sorted(by_index) for v in sorted(by_index[i], key=str)]
 
 
 def _require_valid(r: Rgs, what: str = "specification"):
@@ -140,44 +115,46 @@ class NestedBisimRelation:
         return max((len(c.left_stack) for c in self.configs), default=0)
 
 
-def _progressions(c1: _Carrier, c2: _Carrier, cfg: NestedConfig):
+def _progressions(r1: Rgs, r2: Rgs, cfg: NestedConfig):
     """Successor configurations forced by the local progression rules.
 
     Returns (children, pushes) where pushes flags the call rule, or raises
     _Clash when no rule applies.
     """
-    l1, l2 = c1.lab(cfg.left), c2.lab(cfg.right)
+    (s1, x1), (s2, x2) = cfg.left, cfg.right
+    g1, g2 = r1.rec[s1], r2.rec[s2]
+    l1, l2 = g1.lab[x1], g2.lab[x2]
     if not _compatible(l1, l2):
         raise _Clash(cfg, f"labels {l1} and {l2} do not match")
     if isinstance(l1, Atomic):
         return [
-            NestedConfig(cfg.left_stack, x, cfg.right_stack, y)
-            for x, y in zip(c1.args(cfg.left), c2.args(cfg.right))
+            NestedConfig(cfg.left_stack, (s1, w1), cfg.right_stack, (s2, w2))
+            for w1, w2 in zip(g1.args[x1], g2.args[x2])
         ], False
     if isinstance(l1, Output):
-        (x,) = c1.args(cfg.left)
-        (y,) = c2.args(cfg.right)
-        return [NestedConfig(cfg.left_stack, x, cfg.right_stack, y)], False
+        (w1,) = g1.args[x1]
+        (w2,) = g2.args[x2]
+        return [NestedConfig(cfg.left_stack, (s1, w1), cfg.right_stack, (s2, w2))], False
     if isinstance(l1, Nested):
         child = NestedConfig(
             cfg.left_stack + (cfg.left,),
-            c1.rootof[l1.name],
+            _entry(r1, l1.name),
             cfg.right_stack + (cfg.right,),
-            c2.rootof[l2.name],
+            _entry(r2, l2.name),
         )
         return [child], True
     # both inputs: pop one stack letter and continue at the argument
     if not cfg.left_stack or not cfg.right_stack:
         raise _Clash(cfg, "input vertex reached outside any call")
-    t1, t2 = cfg.left_stack[-1], cfg.right_stack[-1]
-    a1, a2 = c1.args(t1), c2.args(t2)
+    (t1, o1), (t2, o2) = cfg.left_stack[-1], cfg.right_stack[-1]
+    a1, a2 = r1.rec[t1].args[o1], r2.rec[t2].args[o2]
     if l1.index > len(a1) or l2.index > len(a2):
         raise _Clash(cfg, "input index exceeds the calling occurrence's arity")
     child = NestedConfig(
         cfg.left_stack[:-1],
-        a1[l1.index - 1],
+        (t1, a1[l1.index - 1]),
         cfg.right_stack[:-1],
-        a2[l2.index - 1],
+        (t2, a2[l2.index - 1]),
     )
     return [child], False
 
@@ -229,7 +206,7 @@ class _Context:
         self.opener = opener  # the first caller; None for the root context
 
 
-def _tabulate(c1: _Carrier, c2: _Carrier):
+def _tabulate(r1: Rgs, r2: Rgs):
     """Summaries of every context reachable from the root pair.
 
     Reads each body's ``lab`` and ``args`` maps directly, and asks
@@ -238,11 +215,11 @@ def _tabulate(c1: _Carrier, c2: _Carrier):
     reason)``, where ``via`` is the calling frame when the clash depends on
     the caller (an exit that the caller's arity cannot take), else None.
     """
-    body1 = {sym: (g.lab, g.args) for sym, g in c1.rgs.rec.items()}
-    body2 = {sym: (g.lab, g.args) for sym, g in c2.rgs.rec.items()}
+    body1 = {sym: (g.lab, g.args) for sym, g in r1.rec.items()}
+    body2 = {sym: (g.lab, g.args) for sym, g in r2.rec.items()}
     compatible: Dict[Tuple[int, int], bool] = {}  # by the ids of two label objects
     contexts: Dict[Optional[tuple], _Context] = {None: _Context(None)}
-    start = (c1.root, c2.root)
+    start = (_entry(r1, r1.root_symbol), _entry(r2, r2.root_symbol))
     contexts[None].reached[start] = (1, None, None, None)
     work = deque([(None, start)])
 
@@ -288,7 +265,7 @@ def _tabulate(c1: _Carrier, c2: _Carrier):
             sub = contexts.get(callee)
             if sub is None:
                 sub = contexts[callee] = _Context((key, pair))
-                entry = (c1.rootof[l1.name], c2.rootof[l2.name])
+                entry = (_entry(r1, l1.name), _entry(r2, l2.name))
                 sub.reached[entry] = (1, None, None, None)
                 work.append((callee, entry))
             sub.callers.append((key, pair))
@@ -380,7 +357,7 @@ class BisimWitness:
     proj_right: Dict[CV, CV]
 
 
-def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
+def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
     """The witness of a positive verdict, read off its summary tables.
 
     One definition ``f_g`` per context, entered at its entry pair; one
@@ -392,10 +369,10 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     bodies' ``lab`` and ``args`` maps.
     """
     # the witness carries left labels, so the left arity wins a conflict
-    atomic = {**c2.rgs.signature.atomic, **c1.rgs.signature.atomic}
-    roots = (c1.rgs.root_symbol, c2.rgs.root_symbol)
+    atomic = {**r2.signature.atomic, **r1.signature.atomic}
+    roots = (r1.root_symbol, r2.root_symbol)
     sym_name = _uniquify(contexts, lambda key: "_".join(key or roots), avoid=atomic)
-    rec1, rec2 = c1.rgs.rec, c2.rgs.rec
+    rec1, rec2 = r1.rec, r2.rec
 
     def labels(item):
         key, x1, x2 = item
@@ -432,8 +409,8 @@ def _summary_witness(c1: _Carrier, c2: _Carrier, contexts) -> BisimWitness:
     nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
     witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
     assert not validate_rgs(witness), "constructed witness is ill-formed"
-    assert not verify_ntg_hom(witness, c1.rgs, proj_left), "left projection fails"
-    assert not verify_ntg_hom(witness, c2.rgs, proj_right), "right projection fails"
+    assert not verify_ntg_hom(witness, r1, proj_left), "left projection fails"
+    assert not verify_ntg_hom(witness, r2, proj_right), "right projection fails"
     return BisimWitness(witness, proj_left, proj_right)
 
 
@@ -473,7 +450,7 @@ class _SummaryResult:
     contexts: int = 0  # pairs of entered symbols tabulated, plus the root context
     facts: int = 0  # vertex pairs reached and exits found, over all contexts
     path_length: int = 0  # configurations on ``path``; 0 without a clash
-    _carriers: tuple = field(default=(), repr=False, compare=False)
+    _specs: tuple = field(default=(), repr=False, compare=False)  # (r1, r2)
     _contexts: Optional[dict] = field(default=None, repr=False, compare=False)  # the tables
     _trace: Optional[tuple] = field(default=None, repr=False, compare=False)  # (frames, key)
 
@@ -494,12 +471,11 @@ def _summarize(r1: Rgs, r2: Rgs):
     """
     _require_valid(r1, "left specification")
     _require_valid(r2, "right specification")
-    c1, c2 = _Carrier(r1), _Carrier(r2)
-    contexts, clash = _tabulate(c1, c2)
+    contexts, clash = _tabulate(r1, r2)
     fields = dict(
         contexts=len(contexts),
         facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),
-        _carriers=(c1, c2),
+        _specs=(r1, r2),
         _contexts=contexts,
     )
     if clash is None:
@@ -526,7 +502,7 @@ class NestedBisimResult(_SummaryResult):
         verdict on acyclic specifications, expanded from the summary tables
         on first access; None otherwise.  It lists every configuration with
         its explicit stacks, so it is exponential in sharing."""
-        if not self.bisimilar or _needs_depth(*(c.rgs for c in self._carriers)):
+        if not self.bisimilar or _needs_depth(*self._specs):
             return None
         return NestedBisimRelation(_expand(self._contexts), None)
 
@@ -536,7 +512,7 @@ class NestedBisimResult(_SummaryResult):
         onto both inputs are homomorphisms, read off the summary tables on
         first access; None otherwise.  Polynomial like the verdict, also
         on shared and cyclic input."""
-        return _summary_witness(*self._carriers, self._contexts) if self.bisimilar else None
+        return _summary_witness(*self._specs, self._contexts) if self.bisimilar else None
 
 
 def nested_bisim(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedBisimResult:
@@ -626,9 +602,8 @@ def verify_nested_bisim(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> List[str]
     every membership obligation is re-derived from the definition.
     Bounded relations are only required to be closed below their bound.
     """
-    c1, c2 = _Carrier(r1), _Carrier(r2)
     problems = []
-    root_cfg = NestedConfig((), c1.root, (), c2.root)
+    root_cfg = NestedConfig((), _entry(r1, r1.root_symbol), (), _entry(r2, r2.root_symbol))
     if root_cfg not in rel.configs:
         problems.append("root configuration missing")
     found = []  # (configuration, problem), in set order
@@ -637,7 +612,7 @@ def verify_nested_bisim(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> List[str]
             found.append((cfg, "stacks have different lengths"))
             continue
         try:
-            children, pushes = _progressions(c1, c2, cfg)
+            children, pushes = _progressions(r1, r2, cfg)
         except _Clash as e:
             found.append((cfg, e.message))
             continue
@@ -700,10 +675,10 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     in linear time; the problems come in the order of the clauses per
     vertex, body by body.
     """
-    c1, c2 = _Carrier(n1), _Carrier(n2)
     rec2 = n2.rec
+    inputs: Dict[str, List[CV]] = {}  # by callee, listed on first use
     problems = []
-    if phi.get(c1.root) != c2.root:
+    if phi.get(_entry(n1, n1.root_symbol)) != _entry(n2, n2.root_symbol):
         problems.append("root definitions are not related")
     for sym in sorted(n1.rec):
         lab1, args1 = n1.rec[sym].lab, n1.rec[sym].args
@@ -738,9 +713,12 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
                 if not isinstance(l2, Nested):
                     problems.append(f"{(sym, v)}: occurrence not mapped to an occurrence")
                     continue
-                if phi.get(c1.rootof[l1.name]) != c2.rootof[l2.name]:
+                if phi.get(_entry(n1, l1.name)) != _entry(n2, l2.name):
                     problems.append(f"{(sym, v)}: definition roots not related")
-                for u in c1.inputs(l1.name):
+                ins = inputs.get(l1.name)
+                if ins is None:
+                    ins = inputs[l1.name] = _inputs(n1, l1.name)
+                for u in ins:
                     at = phi.get(u)
                     if at is None:
                         problems.append(f"{u}: map is not total")

@@ -349,6 +349,7 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
 
     symbol = {name: Atomic(name, ar) for name, ar in atomic.items()}
     symbol.update((name, Nested(name, ar)) for name, ar in nested.items())
+    inputs: Dict[int, Input] = {}  # one label object per index
     rec: Dict[str, TermGraph] = {}
     pending: List[Violation] = []
     for name, (_, body_lines, def_line) in defs.items():
@@ -366,7 +367,7 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
             elif lvalue == "in":
                 if nat is None:
                     raise ParseError(line, "'in' needs an index in a specification body")
-                label = Input(nat)
+                label = inputs.get(nat) or inputs.setdefault(nat, Input(nat))
             elif lvalue in symbol:
                 label = symbol[lvalue]
             else:
@@ -528,7 +529,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(value, graph_name: str = "G") -> str:
+def export_dot(value) -> str:
     """Render a specification, a structural representation or a
     first-order graph as a DOT digraph.
 
@@ -537,11 +538,11 @@ def export_dot(value, graph_name: str = "G") -> str:
     is deterministic.
     """
     if isinstance(value, Rgs):
-        return _dot_rgs(value, graph_name)
+        return _dot_rgs(value)
     if isinstance(value, Sntg):
-        return _dot_sntg(value, graph_name)
+        return _dot_sntg(value)
     if isinstance(value, TermGraph):
-        return _dot_fo(value, graph_name)
+        return _dot_fo(value)
     raise TypeError(f"cannot render {type(value).__name__}")
 
 
@@ -561,7 +562,7 @@ def _dot_label(lbl) -> str:
     return lbl.name
 
 
-def _dot_rgs(r: Rgs, graph_name: str) -> str:
+def _dot_rgs(r: Rgs) -> str:
     deps = dependency_ars(r)
     order = _definition_order(r, deps)
     body_order = {sym: _body_discovery_order(r.rec[sym]) for sym in order}
@@ -569,7 +570,7 @@ def _dot_rgs(r: Rgs, graph_name: str) -> str:
     for ci, sym in enumerate(order):
         for vi, v in enumerate(body_order[sym]):
             node[(sym, v)] = f"c{ci}_v{vi}"
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph G {"]
     lines.append('  __start__ [shape=point, label=""];')
     lines.append(f'  __root__ [label="{_dot_escape(r.root_symbol)}", shape=diamond];')
     lines.append("  __start__ -> __root__;")
@@ -604,7 +605,7 @@ def _dot_rgs(r: Rgs, graph_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_sntg(s: Sntg, graph_name: str) -> str:
+def _dot_sntg(s: Sntg) -> str:
     g = s.tg
     order = sorted(g.lab, key=str)
     node = {v: f"n{i}" for i, v in enumerate(order)}
@@ -617,7 +618,7 @@ def _dot_sntg(s: Sntg, graph_name: str) -> str:
             scopes.setdefault(chain[-1], []).append(v)
         else:
             top.append(v)
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph G {"]
     lines.append('  __start__ [shape=point, label=""];')
     lines.append(f"  __start__ -> {node[g.root]};")
     for v in top:
@@ -642,10 +643,10 @@ def _dot_sntg(s: Sntg, graph_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dot_fo(g: TermGraph, graph_name: str) -> str:
+def _dot_fo(g: TermGraph) -> str:
     order = _body_discovery_order(g)
     node = {v: f"n{i}" for i, v in enumerate(order)}
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph G {"]
     lines.append('  __start__ [shape=point, label=""];')
     lines.append(f"  __start__ -> {node[g.root]};")
     for v in order:

@@ -212,26 +212,19 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     # process symbols in dependency order so ancestor chains are available
     order = _reachable_symbols(deps)
 
-    sym_anc: Dict[str, tuple] = {}
     for sym in order:
         occ = occ_vertex[sym]
-        parent_chain = anc[occ]
-        chain = parent_chain + (occ,)
-        sym_anc[sym] = chain
+        chain = anc[occ] + (occ,)
         body = n.rec[sym]
-        for v in body.lab:
-            lab[vid(sym, v)] = body.lab[v]
-            args[vid(sym, v)] = tuple(vid(sym, w) for w in body.args[v])
-            anc[vid(sym, v)] = chain
-        call[occ] = vid(sym, body.root)
-
-    for sym in order:
-        body = n.rec[sym]
-        occ = occ_vertex[sym]
-        for v in body.lab:
-            lbl = body.lab[v]
+        for v, lbl in body.lab.items():
+            u = vid(sym, v)
+            lab[u] = lbl
+            args[u] = tuple(vid(sym, w) for w in body.args[v])
+            anc[u] = chain
             if isinstance(lbl, Input):
-                ret[vid(sym, v)] = args[occ][lbl.index - 1]
+                # the occurrence's body came earlier, so its arguments exist
+                ret[u] = args[occ][lbl.index - 1]
+        call[occ] = vid(sym, body.root)
 
     tg = TermGraph(lab, args, root_vertex)
     s = Sntg(tg, call, ret, anc)

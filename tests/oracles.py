@@ -65,8 +65,9 @@ class ReferenceCarrier:
     built as the library built it before its carrier became sort-free:
     every body's vertices sorted by name, inputs then stably sorted by
     index, and the occurrence map built up front.  The reference of
-    ``ntg.equivalence._Carrier``, and the carrier of the closure oracles
-    here, so they share no carrier code with the library."""
+    ``ntg.equivalence._entry`` and ``_inputs``, and the carrier of the
+    closure oracles here, so they share no carrier code with the
+    library."""
 
     def __init__(self, r):
         self.rgs = r
@@ -634,13 +635,13 @@ def replay_path(r1, r2, path, end=None):
         return "the path does not start at the root configuration"
     for k in range(1, len(path)):
         try:
-            children, _ = _progressions(c1, c2, path[k - 1])
+            children, _ = _progressions(r1, r2, path[k - 1])
         except _Clash:
             return f"configuration {k - 1} already clashes"
         if path[k] not in children:
             return f"configuration {k} is not a successor of configuration {k - 1}"
     try:
-        _progressions(c1, c2, path[-1])
+        _progressions(r1, r2, path[-1])
     except _Clash:
         return None if end is None else "the last configuration clashes"
     if end is None:
@@ -668,7 +669,7 @@ def closure(c1, c2, depth):
     while queue:
         cfg = queue.popleft()
         try:
-            children, pushes = _progressions(c1, c2, cfg)
+            children, pushes = _progressions(c1.rgs, c2.rgs, cfg)
         except _Clash as e:
             clash = e
             break

@@ -145,9 +145,8 @@ def test_bisim_unfolds_shared_input():
 
 
 def test_bisim_cyclic_without_depth():
-    for depth in ([], ["--depth", "4"]):
-        code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"), *depth)
-        assert code == 0 and out.strip() == "bisimilar"
+    code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"))
+    assert code == 0 and out.strip() == "bisimilar"
     # the first-order method flattens a finite unfolding, which a cyclic
     # specification does not have
     code, out, err = run("bisim", path("r1.rgs"), path("r1.rgs"), "--method", "both")
@@ -163,7 +162,7 @@ def test_bisim_cyclic_without_depth():
     ["hom", "{r1}", "{r1}", "--level", "sntg"],
     ["hom", "{r1}", "{r1}", "--level", "fo"],
     ["bisim", "{r1}", "{r1}", "--method", "firstorder"],
-    ["bisim", "{r1}", "{r1}", "--method", "both", "--depth", "3"],
+    ["bisim", "{r1}", "{r1}", "--method", "both"],
 ], ids=" ".join)
 def test_cyclic_input_points_to_the_nested_method(argv):
     # no depth makes a cyclic specification tree-shaped, so the hint names
@@ -232,10 +231,12 @@ def test_clashing_vertex_names_exit_2(tmp_path):
         assert code == 2 and out == "" and "a.b.c is ambiguous" in err, cmd
 
 
-def test_shared_input_cut_by_depth_is_not_called_cyclic():
+def test_bisim_depth_is_a_usage_error(capsys):
+    # the nested method is exact and the first-order one unfolds shared
+    # input in full, so bisim takes no depth
     code, out, err = run("bisim", path("r0.rgs"), path("r0.rgs"), "--method", "both", "--depth", "0")
     assert code == 2 and out == ""
-    assert "cut at depth 0" in err and "cyclic" not in err
+    assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
 
 
 def test_hom_levels():

@@ -836,7 +836,7 @@ def _redirections(target, phi):
 
 def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
     from conftest import load_rgs
-    from ntg.equivalence import _Carrier
+    from ntg.equivalence import _inputs
 
     pairs = [(fix_r0, fix_r0), (fix_r0, unfold_to_ntg(fix_r0).rgs), (fix_r1, load_rgs("r1_unrolled.rgs"))]
     rng = random.Random(149)
@@ -844,7 +844,7 @@ def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
     outside = 0
     for a, b in pairs:
         w = nested_bisim(a, b).witness
-        inputs = [u for sym in w.witness.rec for u in _Carrier(w.witness).inputs(sym)]
+        inputs = [u for sym in w.witness.rec for u in _inputs(w.witness, sym)]
         for target, phi in ((a, w.proj_left), (b, w.proj_right)):
             assert verify_ntg_hom(w.witness, target, phi) == []
             for wrong in _redirections(target, phi):
@@ -1013,18 +1013,17 @@ def _carrier_corpus():
     return specs
 
 
-def test_carrier_equals_the_sorted_reference():
-    from ntg.equivalence import _Carrier, _label_at
+def test_entries_and_inputs_equal_the_sorted_reference():
+    from ntg.equivalence import _entry, _inputs, _label_at
 
     for r in _carrier_corpus():
-        ours, ref = _Carrier(r), ReferenceCarrier(r)
-        assert list(ours.rootof.items()) == list(ref.rootof.items())
-        assert ours.root == ref.root
+        ref = ReferenceCarrier(r)
+        assert [(sym, _entry(r, sym)) for sym in r.rec] == list(ref.rootof.items())
+        assert _entry(r, r.root_symbol) == ref.root
         for sym in r.rec:
-            assert ours.inputs(sym) == ref.inputs(sym)
+            assert _inputs(r, sym) == ref.inputs(sym)
         for cv in ref.vertices():
             assert _label_at(r.rec, cv) is ref.lab(cv)
-            assert ours.lab(cv) == ref.lab(cv) and ours.args(cv) == ref.args(cv)
         outside = (
             ("absent", "o"), (r.root_symbol, "absent"), "ab", None, [r.root_symbol, "o"],
             ([r.root_symbol], "o"), (r.root_symbol, ["o"]), (r.root_symbol, "o", "x"),
@@ -1090,7 +1089,7 @@ def _arity_clash_specs():
 def test_tabulation_equals_the_reference_tables():
     # the tables read straight off the bodies are the accessor-based ones,
     # item by item and in order, clashes included
-    from ntg.equivalence import _Carrier, _tabulate
+    from ntg.equivalence import _entry, _tabulate
     from oracles import reference_tabulate
 
     rng = random.Random(211)
@@ -1104,8 +1103,7 @@ def test_tabulation_equals_the_reference_tables():
     pairs += _arity_clash_specs()
     reasons = []
     for a, b in pairs:
-        c1, c2 = _Carrier(a), _Carrier(b)
-        contexts, clash = _tabulate(c1, c2)
+        contexts, clash = _tabulate(a, b)
         ref_contexts, ref_clash = reference_tabulate(ReferenceCarrier(a), ReferenceCarrier(b))
         assert clash == ref_clash
         assert list(contexts) == list(ref_contexts)
@@ -1115,8 +1113,8 @@ def test_tabulation_equals_the_reference_tables():
             assert list(ctx.exits.items()) == list(ref.exits.items())
             assert ctx.callers == ref.callers and ctx.opener == ref.opener
             # the witness roots every body at the first pair reached
-            entry = (c1.root, c2.root) if key is None else (c1.rootof[key[0]], c2.rootof[key[1]])
-            assert next(iter(ctx.reached)) == entry
+            s1, s2 = key or (a.root_symbol, b.root_symbol)
+            assert next(iter(ctx.reached)) == (_entry(a, s1), _entry(b, s2))
         if clash is not None:
             reasons.append((clash[3], clash[2] is not None))
     assert len(reasons) >= 60

@@ -33,6 +33,15 @@ def test_parse_resolves_root_default():
     assert r.root_symbol == "r"  # first nullary definition
 
 
+def test_parse_shares_one_input_label_per_index():
+    r = parse_rgs(
+        "atomic c/0, p/2;\ndef f/2 { a: out(b); b: p(x, y); x: in 1; y: in 2; }\n"
+        "def g/1 { a: out(x); x: in 1; }\ndef r/0 { a: out(b); b: f(k, m); k: c; m: g(k); }\n"
+    )
+    assert r.rec["f"].lab["x"] is r.rec["g"].lab["x"]
+    assert r.rec["f"].lab["y"].index == 2
+
+
 def test_parse_rejects_two_outputs():
     with pytest.raises(ValidationError) as exc:
         parse_rgs("atomic c/0;\ndef r/0 { a: out(b); b: out(k); k: c; }\n")
