@@ -4,7 +4,8 @@
 Instead of a map from symbols to bodies, a nested term graph can be given
 as a single enriched term graph: call links step into a definition,
 return links step back out to the matching argument, and every vertex
-carries the chain of occurrence vertices it is nested under.
+points to the innermost occurrence vertex it is nested under; following
+the pointers spells out its chain of enclosing occurrences.
 """
 
 import pathlib
@@ -37,12 +38,12 @@ for v in sorted(s.call.values(), key=str):
 # The well-formedness conditions are independently checkable; a single
 # fault shows up under the condition it breaks.
 print("\nconditions hold:", check_sntg(s) == [])
-broken_anc = dict(s.anc)
+broken_inner = dict(s.inner)
 victim = next(v for v in sorted(s.anc, key=str) if len(s.anc[v]) == 2)
-broken_anc[victim] = broken_anc[victim][:-1]
+broken_inner[victim] = s.inner[s.inner[victim]]  # its grandparent
 from ntg import Sntg
 
-broken = Sntg(s.tg, s.call, s.ret, broken_anc)
+broken = Sntg(s.tg, s.call, s.ret, broken_inner)
 print("after shortening one ancestor chain:")
 for violation in check_sntg(broken)[:3]:
     print("  ", violation)

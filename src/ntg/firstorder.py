@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
-from .graph import TermGraph, _quotient, _refine, check_root_connected
+from .graph import TermGraph, _ancestor_chains, _quotient, _refine, check_root_connected
 from .labels import Atomic, Input, Nested, Output
 from .rgs import (
     NtgSignature,
@@ -266,12 +266,7 @@ def infer_ancestors(g: TermGraph):
     inner, _, err = _propagate(g)
     if err is not None:
         return None, err
-    anc, below = {}, {None: ()}  # below: letter -> the chain of the vertices below it
-    for v, x in inner.items():  # a letter is reached before the vertices below it
-        if x not in below:
-            below[x] = anc[x] + (x,)
-        anc[v] = below[x]
-    return anc, None
+    return _ancestor_chains(inner), None
 
 
 def exit_chain_ends(lab, args) -> Callable[[Vertex], Vertex]:

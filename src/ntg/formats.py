@@ -610,14 +610,10 @@ def _dot_sntg(s: Sntg) -> str:
     order = sorted(g.lab, key=str)
     node = {v: f"n{i}" for i, v in enumerate(order)}
     # group bodies by the occurrence vertex that opens them
-    scopes: Dict[str, List[str]] = {}
-    top: List[str] = []
+    scopes: Dict[Optional[str], List[str]] = {}
     for v in order:
-        chain = s.anc[v]
-        if chain:
-            scopes.setdefault(chain[-1], []).append(v)
-        else:
-            top.append(v)
+        scopes.setdefault(s.inner[v], []).append(v)
+    top = scopes.pop(None, [])
     lines = ["digraph G {"]
     lines.append('  __start__ [shape=point, label=""];')
     lines.append(f"  __start__ -> {node[g.root]};")

@@ -105,6 +105,21 @@ def check_root_connected(g: TermGraph) -> Optional[Vertex]:
     return None
 
 
+def _ancestor_chains(inner: Mapping[Vertex, Optional[Vertex]]) -> Dict[Vertex, Tuple[Vertex, ...]]:
+    """Each vertex's ancestor chain, outermost first, from the acyclic map
+    ``inner`` of innermost ancestors (None at the top level); the vertices
+    below one letter share one tuple."""
+    below: Dict[Optional[Vertex], Tuple[Vertex, ...]] = {None: ()}  # letter -> chain below it
+    for x in inner.values():
+        path = []
+        while x not in below:
+            path.append(x)
+            x = inner[x]
+        for x in reversed(path):
+            below[x] = below[inner[x]] + (x,)
+    return {v: below[x] for v, x in inner.items()}
+
+
 @dataclass(frozen=True)
 class HomConflict:
     """First obstruction met while propagating a homomorphism candidate."""

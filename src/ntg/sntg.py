@@ -4,8 +4,8 @@ The bodies of a tree-shaped specification are combined into a single
 (non-root-connected) term graph enriched with three maps: ``call`` sends
 every occurrence of a defined symbol to the output vertex heading its
 definition, ``ret`` sends every input vertex to the occurrence successor
-it stands for, and ``anc`` records for every vertex the chain of
-occurrence vertices it is nested under.
+it stands for, and ``inner`` sends every vertex to the innermost
+occurrence vertex it is nested under, the last letter of its chain.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import TermGraph, reachable
+from .graph import TermGraph, _ancestor_chains, reachable
 from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     NtgSignature,
@@ -33,28 +33,42 @@ Vertex = str
 
 @dataclass(frozen=True)
 class Sntg:
-    """Enriched term graph: ``tg`` plus call, return and ancestor maps."""
+    """Enriched term graph: ``tg`` plus call, return and innermost-ancestor
+    maps.  ``inner`` is None at the top level and has no cycle, so the
+    letters of every ancestor chain are pairwise distinct."""
 
     tg: TermGraph
     call: Mapping[Vertex, Vertex]
     ret: Mapping[Vertex, Vertex]
-    anc: Mapping[Vertex, Tuple[Vertex, ...]]
+    inner: Mapping[Vertex, Optional[Vertex]]
 
     def __post_init__(self):
         object.__setattr__(self, "call", dict(self.call))
         object.__setattr__(self, "ret", dict(self.ret))
-        object.__setattr__(self, "anc", {v: tuple(a) for v, a in self.anc.items()})
-        vs = set(self.tg.lab)
+        object.__setattr__(self, "inner", dict(self.inner))
+        vs = self.tg.lab
         for name, mapping in (("call", self.call), ("ret", self.ret)):
             for k, v in mapping.items():
                 if k not in vs or v not in vs:
                     raise ValueError(f"{name} map mentions unknown vertex {k!r} or {v!r}")
-        if set(self.anc) != vs:
+        if self.inner.keys() != vs.keys():
             raise ValueError("ancestor map must be total")
-        for v, chain in self.anc.items():
-            for u in chain:
-                if u not in vs:
-                    raise ValueError(f"ancestor chain of {v!r} mentions unknown vertex {u!r}")
+        done = {None}  # vertices whose pointers lead to the top level
+        for v in vs:
+            path = set()
+            while v not in done:
+                if v not in vs:
+                    raise ValueError(f"ancestor pointer to unknown vertex {v!r}")
+                if v in path:
+                    raise ValueError(f"ancestor pointers form a cycle through {v!r}")
+                path.add(v)
+                v = self.inner[v]
+            done |= path
+
+    @cached_property
+    def anc(self) -> Dict[Vertex, Tuple[Vertex, ...]]:
+        """The ancestor chains, outermost letter first, built on first read."""
+        return _ancestor_chains(self.inner)
 
     @property
     def root(self) -> Vertex:
@@ -89,8 +103,9 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     which rules out disconnected junk that the pointwise conditions alone
     cannot see.
 
-    One scan of the vertices and one walk per scope, linear in the size of
-    the structure and its ancestor chains; only the violations found are
+    Chains are compared by their last letters, and the constructor rejects
+    repeated letters.  One scan of the vertices and one walk per scope,
+    linear in the size of the structure; only the violations found are
     sorted, into the report's order: by condition, then by vertex name.
     The check runs once per structure, kept on it with the scopes it
     walked, which ``sntg_to_ntg`` cuts into bodies; each call returns a
@@ -100,9 +115,9 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
 
 
 def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]]]:
-    g = s.tg
+    g, inner = s.tg, s.inner
     # per condition, in scan order: (the vertex it is reported by, violation)
-    roots, nested, arguments, defined, steps, outside, strays = [], [], [], [], [], [], []
+    roots, arguments, defined, steps, outside, strays = [], [], [], [], [], []
 
     def bad(into, cond, vs, msg, at=None):
         into.append((vs[0] if at is None else at, SntgViolation(cond, tuple(vs), msg)))
@@ -110,23 +125,18 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
     root = g.root
     if not isinstance(g.lab[root], Nested):
         bad(roots, "root", [root], "root vertex must carry a defined symbol")
-    if s.anc[root] != ():
+    if inner[root] is not None:
         bad(roots, "root", [root], "root vertex must have an empty ancestor chain")
     if g.lab[root].arity != 0:
         bad(roots, "root", [root], "root vertex must be nullary")
 
-    occurrences, top = [], []
-    levels: Dict[int, list] = {}  # per ancestor chain object: distinct letters, chain, vertices
+    occurrences = []
+    levels: Dict[Optional[Vertex], List[Vertex]] = {}  # innermost ancestor -> the vertices below it
     for v, lbl in g.lab.items():
-        chain = s.anc[v]
-        level = levels.get(id(chain))
-        if level is None:
-            level = levels[id(chain)] = [len(set(chain)) == len(chain), chain, []]
-        level[2].append(v)
-        if not level[0] or v in chain:
-            bad(nested, "nested", [v], "ancestor chain letters must be pairwise distinct")
+        x = inner[v]
+        levels.setdefault(x, []).append(v)
         for w in g.args[v]:
-            if s.anc[w] is not chain and s.anc[w] != chain:
+            if inner[w] != x:
                 bad(arguments, "arguments", [v, w], "successor has a different ancestor chain")
         if (v in s.call) != isinstance(lbl, Nested):
             bad(defined, "defined", [v], "call must be defined exactly on defined-symbol vertices")
@@ -134,8 +144,6 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
             bad(defined, "defined", [v], "return must be defined exactly on input vertices")
         if isinstance(lbl, Nested) and v in s.call:
             occurrences.append(v)
-        if not chain and v != root:
-            top.append(v)
 
     scopes: Dict[Vertex, List[Vertex]] = {}  # occurrence -> what its call target reaches
     for v in occurrences:
@@ -143,7 +151,7 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
         if not isinstance(g.lab[o], Output):
             bad(steps, "step-into", [v, o], "call target is not an output vertex")
             continue
-        if s.anc[o] != s.anc[v] + (v,):
+        if inner[o] != v:
             bad(steps, "step-into", [v, o], "call target has the wrong ancestor chain")
         scope = scopes[v] = reachable(g, o)
         outputs = [u for u in scope if isinstance(g.lab[u], Output)]
@@ -171,17 +179,15 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
 
     # completeness: the vertices assigned to a definition level are exactly
     # the vertices its output can reach, and the top level holds only the root
+    top = [v for v in levels.get(None, ()) if v != root]
     if top:
         bad(outside, "body-connected", sorted(top, key=str), "vertices outside every definition")
-    by_chain: Dict[Tuple[Vertex, ...], List[Vertex]] = {}
-    for _, chain, members in levels.values():
-        by_chain.setdefault(chain, []).extend(members)
     for v, scope in scopes.items():
-        stray = set(by_chain.get(s.anc[v] + (v,), [])).difference(scope)
+        stray = set(levels.get(v, ())).difference(scope)
         if stray:
             msg = f"unreachable from the output vertex {s.call[v]}"
             bad(strays, "body-connected", sorted(stray, key=str), msg, at=v)
-    sections = (roots, nested, arguments, defined, steps, outside, strays)
+    sections = (roots, arguments, defined, steps, outside, strays)
     return [x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))], scopes
 
 
@@ -191,7 +197,7 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     A fresh root vertex stands for the (implicit) occurrence of the root
     symbol.  Every occurrence vertex is linked to its definition's output
     vertex, every input vertex back to the matching occurrence successor,
-    and ancestor chains record the call path from the root vertex.
+    and every vertex of a body to the occurrence the body is copied for.
     """
     deps = _tree_dependencies(n)
 
@@ -203,31 +209,28 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     args: Dict[Vertex, tuple] = {root_vertex: ()}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
-    anc: Dict[Vertex, tuple] = {root_vertex: ()}
+    inner: Dict[Vertex, Optional[Vertex]] = {root_vertex: None}
 
     occ_vertex: Dict[str, Vertex] = {n.root_symbol: root_vertex}
     for step in deps.steps:
         occ_vertex[step.target] = vid(step.source, step.vertex)
 
-    # process symbols in dependency order so ancestor chains are available
-    order = _reachable_symbols(deps)
-
-    for sym in order:
+    # symbols in dependency order: an occurrence's arguments exist before
+    # the inputs of its callee link back to them
+    for sym in _reachable_symbols(deps):
         occ = occ_vertex[sym]
-        chain = anc[occ] + (occ,)
         body = n.rec[sym]
         for v, lbl in body.lab.items():
             u = vid(sym, v)
             lab[u] = lbl
             args[u] = tuple(vid(sym, w) for w in body.args[v])
-            anc[u] = chain
+            inner[u] = occ
             if isinstance(lbl, Input):
-                # the occurrence's body came earlier, so its arguments exist
                 ret[u] = args[occ][lbl.index - 1]
         call[occ] = vid(sym, body.root)
 
     tg = TermGraph(lab, args, root_vertex)
-    s = Sntg(tg, call, ret, anc)
+    s = Sntg(tg, call, ret, inner)
     assert not check_sntg(s), "conversion produced an invalid structure"
     return s
 
@@ -247,8 +250,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     g = s.tg
 
     atomic: Dict[str, int] = {}
-    for v in g.lab:
-        lbl = g.lab[v]
+    for lbl in g.lab.values():
         if isinstance(lbl, Atomic):
             if atomic.setdefault(lbl.name, lbl.arity) != lbl.arity:
                 raise ValueError(f"atomic symbol {lbl.name!r} used at two arities")
@@ -272,13 +274,9 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
         free = list(range(1, arity + 1))
         for v in body_vertices:
             if isinstance(g.lab[v], Input):
-                target = s.ret[v]
-                candidates = [
-                    j for j in free if g.args[w][j - 1] == target
-                ]
-                if not candidates:
+                j = next((j for j in free if g.args[w][j - 1] == s.ret[v]), None)
+                if j is None:
                     raise ValueError(f"return link of {v!r} matches no free successor of {w!r}")
-                j = candidates[0]
                 free.remove(j)
                 assigned[v] = j
         for v in body_vertices:
@@ -294,9 +292,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
         # relabeling keeps every arity
         rec[sym] = TermGraph._prechecked(body_lab, body_args, o)
 
-    root_sym = sym_of[g.root]
-    sig = NtgSignature(atomic, nested_sig, root_sym)
-    n = Rgs(sig, rec)
+    n = Rgs(NtgSignature(atomic, nested_sig, sym_of[g.root]), rec)
     bad = validate_rgs(n)
     if bad:
         raise ValueError("reconstruction is not well-formed: " + str(bad[0]))
@@ -351,7 +347,9 @@ def sntg_hom(s1: Sntg, s2: Sntg) -> Optional[Dict[Vertex, Vertex]]:
 
 
 def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[str]:
-    """Re-check the structure-respecting-morphism conditions for ``phi``."""
+    """Re-check the structure-respecting-morphism conditions for ``phi``.
+    Chains are compared by their last letters: by induction on chain
+    length, that preserves all chains iff comparing them whole does."""
     problems = []
     if phi.get(s1.root) != s2.root:
         problems.append("root not mapped to root")
@@ -360,7 +358,7 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
         if w is None:
             problems.append(f"{v}: map is not total")
             continue
-        if tuple(phi.get(a) for a in s1.anc[v]) != s2.anc[w]:
+        if phi.get(s1.inner[v]) != s2.inner[w]:
             problems.append(f"{v}: ancestor chain not preserved")
         l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
         if isinstance(l1, Atomic):
@@ -392,9 +390,7 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
     start = (s1.root, s2.root)
     seen = {start}
     order = [start]
-    queue = deque([start])
-    while queue:
-        v, w = queue.popleft()
+    for v, w in order:  # the queue: a list read on while it grows
         l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
         if not _compatible(l1, l2):
             return None
@@ -408,37 +404,35 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
             if child not in seen:
                 seen.add(child)
                 order.append(child)
-                queue.append(child)
 
-    if any(len(s1.anc[v]) != len(s2.anc[w]) for v, w in order):
-        return None
     vid = _uniquify(order, lambda pair: f"({pair[0]},{pair[1]})")
-    # the inputs of each definition pair are numbered in discovery order
+    # the inputs of each definition pair are numbered in discovery order; a
+    # pair lies in the scope the pair of its innermost ancestors opened
     _, entry = _pair_witness(
         [pair for pair in order if isinstance(s1.tg.lab[pair[0]], Input)],
         lambda pair: (s1.tg.lab[pair[0]], s2.tg.lab[pair[1]]),
         lambda pair: (s1.tg.args[pair[0]], s2.tg.args[pair[1]]),
-        lambda pair: (s1.anc[pair[0]], s2.anc[pair[1]]),
-        lambda pair: (s1.anc[pair[0]] + (pair[0],), s2.anc[pair[1]] + (pair[1],)),
-        lambda key: f"{s1.tg.lab[key[0][-1]].name}&{s2.tg.lab[key[1][-1]].name}",
+        lambda pair: (s1.inner[pair[0]], s2.inner[pair[1]]),
+        lambda pair: pair,
+        lambda key: f"{s1.tg.lab[key[0]].name}&{s2.tg.lab[key[1]].name}",
     )
 
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
-    anc: Dict[Vertex, tuple] = {}
+    inner: Dict[Vertex, Optional[Vertex]] = {}
     for v, w in order:
         label, succ = entry((v, w))
         x = vid[(v, w)]
-        anc[x] = tuple(vid[a] for a in zip(s1.anc[v], s2.anc[w]))
+        inner[x] = vid.get((s1.inner[v], s2.inner[w]))  # None at the root pair
         lab[x] = label
         args[x] = tuple(vid[q] for q in succ)
         if isinstance(label, Nested):
             call[x] = vid[(s1.call[v], s2.call[w])]
         elif isinstance(label, Input):
             ret[x] = vid[(s1.ret[v], s2.ret[w])]
-    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, anc)
+    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, inner)
     if check_sntg(witness):
         return None
     proj1 = {vid[pair]: pair[0] for pair in order}

@@ -416,24 +416,26 @@ def break_body(rng: random.Random, r: Rgs) -> Rgs:
 
 def break_structure(rng: random.Random, s):
     """A copy of the structural representation ``s`` with one random
-    change that may break any of its conditions: a shortened, lengthened
-    or borrowed ancestor chain, a dropped, added or redirected call or
-    return link, a relabelled input, an edge redirected to any vertex or
-    to an output vertex, an added vertex, or a changed root."""
+    change that may break any of its conditions: an innermost-ancestor
+    pointer moved to the grandparent, to any vertex or to another
+    vertex's ancestor, a dropped, added or redirected call or return link,
+    a relabelled input, an edge redirected to any vertex or to an output
+    vertex, an added vertex, or a changed root.  A pointer cycle raises
+    ``ValueError``."""
     from ntg import Sntg
 
     g = s.tg
     lab, args, root = dict(g.lab), dict(g.args), g.root
-    call, ret, anc = dict(s.call), dict(s.ret), dict(s.anc)
+    call, ret, inner = dict(s.call), dict(s.ret), dict(s.inner)
     vs = list(lab)
     v = rng.choice(vs)
     op = rng.randrange(10)
     if op == 0:
-        anc[v] = anc[v][:-1]
+        inner[v] = inner.get(inner[v])  # None stays None
     elif op == 1:
-        anc[v] = anc[v] + (rng.choice(vs),)
+        inner[v] = rng.choice(vs)
     elif op == 2:
-        anc[v] = anc[rng.choice(vs)]
+        inner[v] = inner[rng.choice(vs)]
     elif op == 3:
         links = rng.choice([call, ret])
         if links:
@@ -448,12 +450,12 @@ def break_structure(rng: random.Random, s):
         args[v] = args[v][:i] + (rng.choice(rng.choice([vs, outputs])),) + args[v][i + 1:]
     elif op == 7:
         extra = rng.choice(["zz", "x.y"])
-        lab[extra], args[extra], anc[extra] = Atomic("ca", 0), (), anc[rng.choice(vs)]
+        lab[extra], args[extra], inner[extra] = Atomic("ca", 0), (), inner[rng.choice(vs)]
     elif op == 8:
-        anc[root] = (v,)
+        inner[root] = v
     else:
         lab[root], args[root] = Atomic("u0", 1), (v,)
-    return Sntg(TermGraph(lab, args, root), call, ret, anc)
+    return Sntg(TermGraph(lab, args, root), call, ret, inner)
 
 
 def mutate_fo(rng: random.Random, g: TermGraph) -> TermGraph:

@@ -25,6 +25,8 @@ became one linear pass, sorting every body's vertices and diagnosing
 every specification, are the references of the body checks of
 ``validate_rgs``, of the dependency steps and verdict of ``is_ntg``, of
 ``check_sntg`` and, on the reference carrier, of ``verify_ntg_hom``.
+The chains ``ntg_to_sntg`` stored before a structure kept only innermost
+ancestors are the reference of the chains ``Sntg.anc`` spells out.
 Membership as it was before one propagation accepted members, with
 whole ancestor chains and its checks run in order on every graph, is the
 reference of ``infer_ancestors``, ``rg_defect`` and, through the
@@ -1090,6 +1092,26 @@ def reference_decide_ntg(r, deps):
         if sym not in reach_set:
             return NtgResult(False, UnreachableSymbol(sym))
     return NtgResult(True)
+
+
+def reference_ancestor_chains(n):
+    """The ancestor chains of ``ntg_to_sntg(n)`` as the library stored them
+    before ``Sntg`` kept only innermost ancestors: symbol by symbol in
+    dependency order, every vertex of a body gets the chain of the
+    occurrence the body is copied for, with that occurrence appended."""
+    from ntg.rgs import _reachable_symbols, _tree_dependencies
+
+    deps = _tree_dependencies(n)
+    occ_vertex = {n.root_symbol: "root"}
+    for step in deps.steps:
+        occ_vertex[step.target] = f"{step.source}.{step.vertex}"
+    anc = {"root": ()}
+    for sym in _reachable_symbols(deps):
+        occ = occ_vertex[sym]
+        chain = anc[occ] + (occ,)
+        for v in n.rec[sym].lab:
+            anc[f"{sym}.{v}"] = chain
+    return anc
 
 
 def reference_check_sntg(s):

@@ -15,7 +15,7 @@ from ntg import (
     verify_sntg_hom,
 )
 from generators import break_structure, depth_family, random_acyclic_rgs, random_ntg
-from oracles import brute_force_sntg_hom, reference_check_sntg
+from oracles import brute_force_sntg_hom, reference_ancestor_chains, reference_check_sntg
 
 
 def test_conversion_counts_for_running_example(fix_n):
@@ -47,20 +47,64 @@ def _mutate(s: Sntg, **overrides) -> Sntg:
         "tg": s.tg,
         "call": dict(s.call),
         "ret": dict(s.ret),
-        "anc": dict(s.anc),
+        "inner": dict(s.inner),
     }
     parts.update(overrides)
     return Sntg(**parts)
 
 
-def test_fault_injection_shortened_ancestor(fix_n):
-    s = ntg_to_sntg(fix_n)
+def _to_grandparent(s: Sntg) -> Sntg:
+    # the first vertex two levels down, moved up one level
     victim = next(v for v in sorted(s.anc, key=str) if len(s.anc[v]) >= 2)
-    anc = dict(s.anc)
-    anc[victim] = anc[victim][:-1]
-    broken = _mutate(s, anc=anc)
+    return _mutate(s, inner={**s.inner, victim: s.inner[s.inner[victim]]})
+
+
+def test_fault_injection_shortened_ancestor(fix_n):
+    broken = _to_grandparent(ntg_to_sntg(fix_n))
     conditions = {v.condition for v in check_sntg(broken)}
-    assert conditions & {"arguments", "step-into", "nested"}
+    assert conditions & {"arguments", "step-into"}
+
+
+def test_constructor_rejects_bad_ancestor_pointers(fix_n):
+    s = ntg_to_sntg(fix_n)
+    occ = next(v for v in sorted(s.call, key=str) if s.inner[v] is not None)
+    out = s.call[occ]  # one level below occ
+    for bad, match in [
+        ({occ: out}, "cycle"),
+        ({occ: occ}, "cycle"),
+        ({out: "zz"}, "unknown vertex 'zz'"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            _mutate(s, inner={**s.inner, **bad})
+    partial = dict(s.inner)
+    del partial[out]
+    with pytest.raises(ValueError, match="total"):
+        _mutate(s, inner=partial)
+
+
+def test_chains_are_the_chains_stored_before(tree_corpus):
+    rng = random.Random(53)
+    specs = tree_corpus + [random_ntg(rng) for _ in range(60)] + [depth_family(d) for d in (1, 12, 40)]
+    for n in specs:
+        s = ntg_to_sntg(n)
+        assert s.anc == reference_ancestor_chains(n)
+        below = {}  # the vertices below one letter share one tuple
+        for v, chain in s.anc.items():
+            assert below.setdefault(s.inner[v], chain) is chain
+
+
+def test_no_stage_builds_the_chains():
+    from ntg import export_dot
+
+    s = ntg_to_sntg(depth_family(200))
+    assert check_sntg(s) == []
+    sntg_to_ntg(s)
+    phi = sntg_hom(s, s)
+    assert verify_sntg_hom(s, s, phi) == []
+    witness = sntg_bisimilar(s, s)
+    export_dot(s)
+    export_dot(witness)
+    assert "anc" not in s.__dict__ and "anc" not in witness.__dict__
 
 
 def test_fault_injection_dropped_return(fix_n):
@@ -89,9 +133,9 @@ def test_check_rejects_disconnected_body_junk(fix_triv):
 
     lab["junk"] = Atomic("c", 0)
     args["junk"] = ()
-    anc = dict(s.anc)
-    anc["junk"] = anc[s.call[s.tg.root]]
-    broken = Sntg(TermGraph(lab, args, s.tg.root), s.call, s.ret, anc)
+    inner = dict(s.inner)
+    inner["junk"] = inner[s.call[s.tg.root]]
+    broken = Sntg(TermGraph(lab, args, s.tg.root), s.call, s.ret, inner)
     assert any(v.condition == "body-connected" for v in check_sntg(broken))
 
 
@@ -114,7 +158,7 @@ def test_check_equals_the_sorted_reference(tree_corpus):
         for _ in range(4):
             try:
                 s = break_structure(rng, s)
-            except ValueError:  # a link or chain to an unknown vertex
+            except ValueError:  # a link to an unknown vertex, or a pointer cycle
                 continue
             structures.append(s)
     for s in structures:
@@ -125,7 +169,6 @@ def test_check_equals_the_sorted_reference(tree_corpus):
         ("root", "root vertex must carry a defined symbol"),
         ("root", "root vertex must have an empty ancestor chain"),
         ("root", "root vertex must be nullary"),
-        ("nested", "ancestor chain letters must be pairwise distinct"),
         ("arguments", "successor has a different ancestor chain"),
         ("defined", "call must be defined exactly on defined-symbol vertices"),
         ("defined", "return must be defined exactly on input vertices"),
@@ -157,12 +200,8 @@ def test_roundtrip_on_random(tree_corpus):
 
 
 def test_sntg_to_ntg_rejects_broken_input(fix_n):
-    s = ntg_to_sntg(fix_n)
-    anc = dict(s.anc)
-    victim = next(v for v in sorted(s.anc, key=str) if len(s.anc[v]) >= 2)
-    anc[victim] = anc[victim][:-1]
     with pytest.raises(ValueError):
-        sntg_to_ntg(_mutate(s, anc=anc))
+        sntg_to_ntg(_to_grandparent(ntg_to_sntg(fix_n)))
 
 
 def test_hom_identity(fix_n):
