@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graph import TermGraph, _ancestor_chains, _quotient, _refine, check_root_connected
-from .labels import Atomic, Input, Nested, Output
+from .labels import OUTPUT, Atomic, Input, Nested, Output
 from .rgs import (
     NtgSignature,
     Rgs,
@@ -404,7 +404,7 @@ class _Scope:
         self.sym = sym
         self.o = o
         self.index_of = {b: j for j, b in enumerate(inputs, start=1)}
-        self.lab: Dict[Vertex, object] = {f"{sym}:{o}": Output()}
+        self.lab: Dict[Vertex, object] = {f"{sym}:{o}": OUTPUT}
         self.args: Dict[Vertex, tuple] = {}
         # graph vertex -> body vertex standing for it.  Shared within the
         # body: all argument edges to one output vertex yield one
@@ -454,6 +454,7 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
             )
 
     counter = [0]
+    shared: Dict[object, object] = {}  # one label per constant name and per input index
     nested_sig: Dict[str, int] = {}
     rec: Dict[str, TermGraph] = {}
     taken = {
@@ -518,10 +519,11 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
             work.extend((VISIT, scope, w, None) for w in reversed(g.args[v]))
         elif isinstance(lbl, PrimedConst):
             note_atomic(lbl.name, 0)
-            scope.lab[vid] = Atomic(lbl.name, 0)
+            scope.lab[vid] = shared.get(lbl.name) or shared.setdefault(lbl.name, Atomic(lbl.name, 0))
             scope.args[vid] = ()
         else:
-            scope.lab[vid] = Input(scope.index_of[v])
+            j = scope.index_of[v]
+            scope.lab[vid] = shared.get(j) or shared.setdefault(j, Input(j))
             scope.args[vid] = ()
 
     if inputs_of[g.root]:

@@ -120,6 +120,15 @@ def _ancestor_chains(inner: Mapping[Vertex, Optional[Vertex]]) -> Dict[Vertex, T
     return {v: below[x] for v, x in inner.items()}
 
 
+def _label_of(g: TermGraph, w) -> Optional[object]:
+    """The label of ``w``, which may be any object, in ``g``; None when it
+    is not a vertex of ``g``."""
+    try:
+        return g.lab.get(w)
+    except TypeError:  # unhashable
+        return None
+
+
 @dataclass(frozen=True)
 class HomConflict:
     """First obstruction met while propagating a homomorphism candidate."""
@@ -160,17 +169,24 @@ def tg_hom(g1: TermGraph, g2: TermGraph) -> Optional[Dict[Vertex, Vertex]]:
 
 
 def verify_tg_hom(g1, g2, phi) -> Optional[tuple]:
-    """Re-check a homomorphism witness; None when valid, else (vertex, why)."""
+    """Re-check a homomorphism witness; None when valid, else (vertex, why)
+    for the first vertex at fault.  A vertex missing from ``phi``, also
+    as a successor, and an image that is not a vertex of ``g2``, whatever
+    object it is, are reported, not looked up."""
     if phi.get(g1.root) != g2.root:
         return g1.root, "root not mapped to root"
     for v in g1.lab:
         w = phi.get(v)
         if w is None:
             return v, "map is not total"
-        if g1.lab[v] != g2.lab[w]:
+        l2 = _label_of(g2, w)
+        if l2 is None:
+            return v, "image is not a vertex of the target"
+        if g1.lab[v] != l2:
             return v, "label not preserved"
-        if tuple(phi[x] for x in g1.args[v]) != g2.args[w]:
-            return v, "arguments not preserved"
+        if tuple(phi.get(x) for x in g1.args[v]) != g2.args[w]:
+            missing = [x for x in g1.args[v] if x not in phi]
+            return (missing[0], "map is not total") if missing else (v, "arguments not preserved")
     return None
 
 

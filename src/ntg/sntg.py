@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import TermGraph, _ancestor_chains, reachable
+from .graph import TermGraph, _ancestor_chains, _label_of, reachable
 from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     NtgSignature,
@@ -112,6 +112,12 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     fresh list.
     """
     return list(s._scan[0])
+
+
+def _require_valid(s: Sntg, what: str):
+    problems = s._scan[0]
+    if problems:
+        raise ValueError(f"invalid {what}: {problems[0]}")
 
 
 def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]]]:
@@ -244,10 +250,8 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     inputs are scanned in breadth-first order from the definition's output
     vertex, each taking the least index that is still free.
     """
-    problems, scopes = s._scan
-    if problems:
-        raise ValueError("invalid structural representation: " + str(problems[0]))
-    g = s.tg
+    _require_valid(s, "structural representation")
+    g, scopes = s.tg, s._scan[1]
 
     atomic: Dict[str, int] = {}
     for lbl in g.lab.values():
@@ -311,7 +315,10 @@ class SntgConflict:
 
 def sntg_hom_explained(s1: Sntg, s2: Sntg):
     """Propagate the unique homomorphism candidate from the root pair
-    through arguments, call and return links, then verify it in full."""
+    through arguments, call and return links, then verify it in full.
+    An invalid structure raises ``ValueError`` naming its first violation."""
+    _require_valid(s1, "left structural representation")
+    _require_valid(s2, "right structural representation")
     phi: Dict[Vertex, Vertex] = {}
     queue = deque([(s1.root, s2.root)])
     while queue:
@@ -349,7 +356,9 @@ def sntg_hom(s1: Sntg, s2: Sntg) -> Optional[Dict[Vertex, Vertex]]:
 def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[str]:
     """Re-check the structure-respecting-morphism conditions for ``phi``.
     Chains are compared by their last letters: by induction on chain
-    length, that preserves all chains iff comparing them whole does."""
+    length, that preserves all chains iff comparing them whole does.  A
+    vertex missing from ``phi`` and an image that is not a vertex of
+    ``s2``, whatever object it is, are reported, not looked up."""
     problems = []
     if phi.get(s1.root) != s2.root:
         problems.append("root not mapped to root")
@@ -358,9 +367,12 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
         if w is None:
             problems.append(f"{v}: map is not total")
             continue
+        l1, l2 = s1.tg.lab[v], _label_of(s2.tg, w)
+        if l2 is None:
+            problems.append(f"{v}: image is not a vertex of the target")
+            continue
         if phi.get(s1.inner[v]) != s2.inner[w]:
             problems.append(f"{v}: ancestor chain not preserved")
-        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
         if isinstance(l1, Atomic):
             if l1 != l2:
                 problems.append(f"{v}: atomic label not preserved")
@@ -386,7 +398,10 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
 
 def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
     """Closure over vertex pairs from the root pair; on success returns the
-    witness structure over pairs whose projections are homomorphisms."""
+    witness structure over pairs whose projections are homomorphisms.
+    An invalid structure raises ``ValueError`` naming its first violation."""
+    _require_valid(s1, "left structural representation")
+    _require_valid(s2, "right structural representation")
     start = (s1.root, s2.root)
     seen = {start}
     order = [start]

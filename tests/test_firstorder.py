@@ -735,6 +735,20 @@ def test_membership_equals_the_reference():
     assert {re.sub(r"^label .* (is|has) ", r"label \1 ", r) for r in reasons} == _REACHABLE_REASONS
 
 
+def test_read_back_shares_equal_labels(tree_corpus):
+    # one label object per constant, input index and output, as the
+    # parsers give, so label memos keyed by object id hit on read-backs too
+    from ntg import parse_fo, parse_rgs
+
+    for n in tree_corpus + [depth_family(6)]:
+        n = parse_rgs(print_rgs(n))  # which shares each atomic label
+        for back in (represent(parse_fo(print_fo(interpret(n)))), ntg_collapse(n)):
+            seen = {}
+            for body in back.rec.values():
+                for lbl in body.lab.values():
+                    assert seen.setdefault(lbl, lbl) is lbl, lbl
+
+
 def test_represent_equals_the_reference(tree_corpus):
     rng = random.Random(193)
     specs = tree_corpus + [depth_family(d) for d in range(1, 16)]

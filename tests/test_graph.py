@@ -110,6 +110,19 @@ def test_hom_conflict_reports_label_clash():
     assert phi is None and conflict.reason.startswith("label")
 
 
+def test_verify_tg_hom_reports_partial_maps_and_foreign_images():
+    g = make_graph("a", {"a": (u1, ["b"]), "b": (a0, [])})
+    assert verify_tg_hom(g, g, {"a": "a"}) == ("b", "map is not total")
+    # the image of the first vertex listed in lab is looked at first
+    h = make_graph("b", {"a": (u1, ["b"]), "b": (v1, ["a"])})
+    for image in ["zz", ["x"], ("b",)]:
+        assert verify_tg_hom(h, h, {"b": "b", "a": image}) == ("a", "image is not a vertex of the target")
+    # every report the check gave before stays
+    assert verify_tg_hom(g, g, {"a": "a", "b": "b"}) is None
+    assert verify_tg_hom(g, g, {"a": "b", "b": "b"}) == ("a", "root not mapped to root")
+    assert verify_tg_hom(g, g, {"a": "a", "b": "a"}) == ("a", "arguments not preserved")
+
+
 def test_collapse_already_minimal():
     g = graph_shared_fcc()
     collapsed, q = tg_collapse(g)

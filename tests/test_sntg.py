@@ -228,6 +228,39 @@ def test_hom_agrees_with_brute_force_on_chain(sharing_chain):
             assert (ours is None) == (oracle is None), (i, j)
 
 
+def test_verify_sntg_hom_reports_partial_maps_and_foreign_images(fix_n):
+    s = ntg_to_sntg(fix_n)
+    ident = {v: v for v in s.tg.lab}
+    victim = sorted(s.ret, key=str)[0]
+    for image in ["zz", ["x"]]:
+        problems = verify_sntg_hom(s, s, {**ident, victim: image})
+        assert f"{victim}: image is not a vertex of the target" in problems
+    del ident[victim]
+    assert f"{victim}: map is not total" in verify_sntg_hom(s, s, ident)
+
+
+def test_deciders_refuse_invalid_structures(tree_corpus):
+    rng = random.Random(5)
+    good = [ntg_to_sntg(n) for n in tree_corpus]
+    broken = []
+    for s in good * 60:
+        try:
+            b = break_structure(rng, s)
+        except ValueError:  # a link to an unknown vertex, or a pointer cycle
+            continue
+        if check_sntg(b):
+            broken.append((b, s))
+    assert len(broken) > 300
+    for b, s in broken:
+        first = f"invalid left structural representation: {check_sntg(b)[0]}"
+        for decide in (sntg_hom, sntg_bisimilar):
+            with pytest.raises(ValueError) as left:
+                decide(b, s)
+            assert str(left.value) == first
+            with pytest.raises(ValueError, match="^invalid right structural representation: "):
+                decide(s, b)
+
+
 def test_bisimilar_diagonal(fix_n):
     s = ntg_to_sntg(fix_n)
     witness = sntg_bisimilar(s, s)
