@@ -28,6 +28,7 @@ from .labels import OUTPUT, Atomic, Input, Nested, Output
 from .rgs import (
     NtgSignature,
     Rgs,
+    _flat_names,
     _reachable_symbols,
     _tree_dependencies,
     is_ntg,
@@ -103,61 +104,62 @@ def _carrier(n: Rgs):
     each vertex to its innermost enclosing output vertex (None at the
     root output), ``depth`` each output vertex to its nesting depth.
 
-    Linear time; invalid or not tree-shaped input raises the same
-    ``ValueError`` as in ``ntg_to_sntg`` (``rgs._tree_dependencies``).
+    Built once per specification and kept on it (``Rgs._carrier``), where
+    ``interpret`` and ``ntg_collapse`` share it and read it only.  Linear
+    time; invalid or not tree-shaped input raises the same ``ValueError``
+    as in ``ntg_to_sntg`` (``rgs._tree_dependencies``).
     """
     deps = _tree_dependencies(n)
-
-    out_of = {sym: f"{sym}.{body.root}" for sym, body in n.rec.items()}
-    intro = {step.target: step for step in deps.steps}
-    root = out_of[n.root_symbol]
+    rec, order = n.rec, _reachable_symbols(deps)
+    # per body, each vertex's name in the carrier: its own flat name, or
+    # for an occurrence its callee's output vertex's
+    names = {sym: _flat_names(sym, rec[sym].lab) for sym in order}
+    intro = {}
+    for step in deps.steps:
+        names[step.source][step.vertex] = names[step.target][rec[step.target].root]
+        intro[step.target] = step
+    root = names[n.root_symbol][rec[n.root_symbol].root]
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     inner: Dict[Vertex, Optional[Vertex]] = {}
     depth: Dict[Vertex, int] = {root: 0}
 
-    def redirect(sym: str, body: TermGraph, v: Vertex) -> Vertex:
-        lbl = body.lab[v]
-        return out_of[lbl.name] if isinstance(lbl, Nested) else f"{sym}.{v}"
-
-    for sym in _reachable_symbols(deps):
-        body = n.rec[sym]
-        o = out_of[sym]
+    for sym in order:
+        body, name = rec[sym], names[sym]
+        o = name[body.root]
         if sym != n.root_symbol:
             step = intro[sym]
-            caller = n.rec[step.source]
-            actual = [redirect(step.source, caller, w) for w in caller.args[step.vertex]]
-            inner[o] = out_of[step.source]
-            depth[o] = depth[inner[o]] + 1
+            caller, at = names[step.source], rec[step.source]
+            actual = [caller[w] for w in at.args[step.vertex]]
+            x = inner[o] = caller[at.root]
+            depth[o] = depth[x] + 1
         else:
             actual, inner[o] = [], None
-        for v in body.lab:
-            lbl = body.lab[v]
+        succ = name.__getitem__
+        for v, lbl in body.lab.items():
             if isinstance(lbl, Nested):
                 continue
-            u = f"{sym}.{v}"
-            if isinstance(lbl, Output):
-                lab[u] = ROOT_OUTPUT if u == root else lbl
-                args[u] = (redirect(sym, body, body.args[v][0]),)
-                continue
+            u = name[v]
             if isinstance(lbl, Input):
                 lab[u] = FO_INPUT
                 args[u] = (actual[lbl.index - 1], o)
             else:
-                lab[u] = lbl
-                args[u] = tuple(redirect(sym, body, w) for w in body.args[v])
-            inner[u] = o
+                lab[u] = ROOT_OUTPUT if u == root else lbl
+                args[u] = tuple(map(succ, body.args[v]))
+            if u != o:
+                inner[u] = o
     return TermGraph._prechecked(lab, args, root), inner, depth
 
 
 def interpret(n: Rgs) -> TermGraph:
     """Flatten a tree-shaped specification into a first-order term graph.
 
-    The carrier of ``n`` (see ``_carrier``) in which each constant becomes
-    unary, its successor heading a chain of exit vertices, one per
-    enclosing scope, innermost first, ending in a link back to the root.
+    The carrier of ``n`` (see ``_carrier``), which ``ntg_collapse`` shares,
+    copied with each constant made unary, its successor heading a chain of
+    exit vertices, one per enclosing scope, innermost first, ending in a
+    link back to the root.
     """
-    c, inner, _ = _carrier(n)
+    c, inner, _ = n._carrier
     root = c.root
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
@@ -539,10 +541,10 @@ def ntg_collapse(n: Rgs) -> Rgs:
     """Maximally shared form of a tree-shaped specification.
 
     One run of the refinement engine on the carrier (see ``_carrier``),
-    keyed by each vertex's arguments and innermost enclosing output
-    vertex, then the quotient and the read-back; the flattening is never
-    built.  Idempotent up to isomorphism, and bisimilar inputs collapse to
-    isomorphic results.
+    which ``interpret`` shares, keyed by each vertex's arguments and
+    innermost enclosing output vertex, then the quotient and the
+    read-back; the flattening is never built.  Idempotent up to
+    isomorphism, and bisimilar inputs collapse to isomorphic results.
 
     The innermost output vertex keeps scopes apart.  Plain refinement can
     merge equally-shaped cycles across scope levels when those cycles
@@ -562,7 +564,7 @@ def ntg_collapse(n: Rgs) -> Rgs:
     This costs O(m log m) time for the m vertices and edges of ``n``,
     whose flattening can have Θ(m²) vertices on deep nesting.
     """
-    c, inner, depth = _carrier(n)
+    c, inner, depth = n._carrier
     seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
     block = _refine(c.lab, seqs)
     q = _quotient(c, block)

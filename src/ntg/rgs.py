@@ -31,6 +31,13 @@ def _check_symbol_name(name: str):
         raise ValueError(f"symbol name {name!r} is reserved")
 
 
+def _flat_names(sym: str, vertices) -> Dict[object, str]:
+    """The name ``<sym>.<v>`` of each vertex ``v`` of ``sym``'s body in the
+    glued graphs: the structural representation, the flattening and the
+    carrier they share."""
+    return {v: f"{sym}.{v}" for v in vertices}
+
+
 def _uniquify(keys, fmt, avoid=()):
     """Deterministic readable names for ``keys``: ``fmt(key)``, primed
     until it is clear of ``avoid``, of reserved names and of the names
@@ -78,7 +85,9 @@ class Rgs:
     Immutable.  Each check result (``validate_rgs``, ``dependency_ars``,
     ``is_ntg`` and the tree check of the structural conversions) is
     computed on first use and kept on the object it describes, and so is
-    the one walk of each body that these checks and the unfolding share.
+    the one walk of each body that these checks and the unfolding share,
+    and the carrier (``firstorder._carrier``) that ``interpret`` and
+    ``ntg_collapse`` share and never change.
     """
 
     signature: NtgSignature
@@ -129,6 +138,10 @@ class Rgs:
     @cached_property
     def _tree_defect(self) -> Optional[str]:
         return _tree_check(self)
+
+    @cached_property
+    def _carrier(self):
+        return firstorder._carrier(self)
 
 
 @dataclass(frozen=True)
@@ -220,7 +233,7 @@ def _check_bodies(r: Rgs) -> List[Violation]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepStep:
     """One dependency step, induced by one occurrence vertex."""
 
@@ -393,12 +406,14 @@ def _tree_check(n: Rgs) -> Optional[str]:
         return "invalid specification: " + str(bad[0])
     if not n._ntg.ok:
         return f"not a tree-shaped specification: {n._ntg.defect}"
+    if not any("." in sym for sym in n.rec):
+        return None  # two symbols yield one name only if one extends the other by a dot
     owner: Dict[str, str] = {}
     for sym, body in n.rec.items():
-        for v in body.lab:
-            other = owner.setdefault(f"{sym}.{v}", sym)
+        for name in _flat_names(sym, body.lab).values():
+            other = owner.setdefault(name, sym)
             if other != sym:
-                return f"vertex name {sym}.{v} is ambiguous: definitions {other} and {sym} both yield it"
+                return f"vertex name {name} is ambiguous: definitions {other} and {sym} both yield it"
     return None
 
 
@@ -543,3 +558,8 @@ def _pair_witness(inputs, lab, args, scope, callee, name):
         return l1, tuple(zip(a1, a2))
 
     return {key: len(us) for key, us in inputs_of.items()}, entry
+
+
+# The first-order module builds on this one, and builds the carrier that
+# ``Rgs._carrier`` keeps; imported last, once the names it imports exist.
+from . import firstorder  # noqa: E402

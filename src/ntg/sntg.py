@@ -22,6 +22,7 @@ from .rgs import (
     Rgs,
     is_ntg,
     validate_rgs,
+    _flat_names,
     _pair_witness,
     _reachable_symbols,
     _tree_dependencies,
@@ -207,33 +208,30 @@ def ntg_to_sntg(n: Rgs) -> Sntg:
     """
     deps = _tree_dependencies(n)
 
-    def vid(sym: str, v: Vertex) -> Vertex:
-        return f"{sym}.{v}"
-
     root_vertex = "root"
     lab: Dict[Vertex, object] = {root_vertex: Nested(n.root_symbol, 0)}
     args: Dict[Vertex, tuple] = {root_vertex: ()}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
     inner: Dict[Vertex, Optional[Vertex]] = {root_vertex: None}
-
     occ_vertex: Dict[str, Vertex] = {n.root_symbol: root_vertex}
-    for step in deps.steps:
-        occ_vertex[step.target] = vid(step.source, step.vertex)
 
     # symbols in dependency order: an occurrence's arguments exist before
     # the inputs of its callee link back to them
     for sym in _reachable_symbols(deps):
         occ = occ_vertex[sym]
         body = n.rec[sym]
+        name = _flat_names(sym, body.lab)
+        for step in deps.steps_from(sym):
+            occ_vertex[step.target] = name[step.vertex]
         for v, lbl in body.lab.items():
-            u = vid(sym, v)
+            u = name[v]
             lab[u] = lbl
-            args[u] = tuple(vid(sym, w) for w in body.args[v])
+            args[u] = tuple(map(name.__getitem__, body.args[v]))
             inner[u] = occ
             if isinstance(lbl, Input):
                 ret[u] = args[occ][lbl.index - 1]
-        call[occ] = vid(sym, body.root)
+        call[occ] = name[body.root]
 
     tg = TermGraph(lab, args, root_vertex)
     s = Sntg(tg, call, ret, inner)
@@ -358,7 +356,12 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
     Chains are compared by their last letters: by induction on chain
     length, that preserves all chains iff comparing them whole does.  A
     vertex missing from ``phi`` and an image that is not a vertex of
-    ``s2``, whatever object it is, are reported, not looked up."""
+    ``s2``, whatever object it is, are reported, not looked up.  An
+    invalid ``s1`` is reported alone, by its first ``check_sntg``
+    violation: its links need not be defined where the checks read them."""
+    invalid = s1._scan[0]
+    if invalid:
+        return [f"invalid left structural representation: {invalid[0]}"]
     problems = []
     if phi.get(s1.root) != s2.root:
         problems.append("root not mapped to root")

@@ -27,6 +27,9 @@ every specification, are the references of the body checks of
 ``check_sntg`` and, on the reference carrier, of ``verify_ntg_hom``.
 The chains ``ntg_to_sntg`` stored before a structure kept only innermost
 ancestors are the reference of the chains ``Sntg.anc`` spells out.
+The carrier as it was glued before each body's vertices were named once,
+one name formatted per edge, is the reference of the carrier that
+``interpret`` and ``ntg_collapse`` share.
 Membership as it was before one propagation accepted members, with
 whole ancestor chains and its checks run in order on every graph, is the
 reference of ``infer_ancestors``, ``rg_defect`` and, through the
@@ -1112,6 +1115,62 @@ def reference_ancestor_chains(n):
         for v in n.rec[sym].lab:
             anc[f"{sym}.{v}"] = chain
     return anc
+
+
+def reference_carrier(n):
+    """``firstorder._carrier`` as the library wrote it before it named each
+    body's vertices once: one ``redirect`` call, and one name formatted,
+    per edge.  The reference of the carrier that ``interpret`` and
+    ``ntg_collapse`` share."""
+    from typing import Dict, Optional
+
+    from ntg.firstorder import FO_INPUT, ROOT_OUTPUT
+    from ntg.labels import Output
+    from ntg.rgs import _reachable_symbols, _tree_dependencies
+
+    Vertex = str
+    deps = _tree_dependencies(n)
+
+    out_of = {sym: f"{sym}.{body.root}" for sym, body in n.rec.items()}
+    intro = {step.target: step for step in deps.steps}
+    root = out_of[n.root_symbol]
+    lab: Dict[Vertex, object] = {}
+    args: Dict[Vertex, tuple] = {}
+    inner: Dict[Vertex, Optional[Vertex]] = {}
+    depth: Dict[Vertex, int] = {root: 0}
+
+    def redirect(sym: str, body: TermGraph, v: Vertex) -> Vertex:
+        lbl = body.lab[v]
+        return out_of[lbl.name] if isinstance(lbl, Nested) else f"{sym}.{v}"
+
+    for sym in _reachable_symbols(deps):
+        body = n.rec[sym]
+        o = out_of[sym]
+        if sym != n.root_symbol:
+            step = intro[sym]
+            caller = n.rec[step.source]
+            actual = [redirect(step.source, caller, w) for w in caller.args[step.vertex]]
+            inner[o] = out_of[step.source]
+            depth[o] = depth[inner[o]] + 1
+        else:
+            actual, inner[o] = [], None
+        for v in body.lab:
+            lbl = body.lab[v]
+            if isinstance(lbl, Nested):
+                continue
+            u = f"{sym}.{v}"
+            if isinstance(lbl, Output):
+                lab[u] = ROOT_OUTPUT if u == root else lbl
+                args[u] = (redirect(sym, body, body.args[v][0]),)
+                continue
+            if isinstance(lbl, Input):
+                lab[u] = FO_INPUT
+                args[u] = (actual[lbl.index - 1], o)
+            else:
+                lab[u] = lbl
+                args[u] = tuple(redirect(sym, body, w) for w in body.args[v])
+            inner[u] = o
+    return TermGraph._prechecked(lab, args, root), inner, depth
 
 
 def reference_check_sntg(s):

@@ -48,6 +48,7 @@ from oracles import (
     enumerate_ancestor_assignments,
     flat_collapse,
     moore_refine,
+    reference_carrier,
     reference_check_fully_backlinked,
     reference_infer_ancestors,
     reference_member_ancestors,
@@ -575,6 +576,70 @@ def test_carrier_matches_flattening_on_random_specifications():
         assert _assert_carrier_matches_flattening(random_ntg(rng)) is None
         assert _assert_carrier_matches_flattening(random_ungrounded_ntg(rng)) is None
     assert _assert_carrier_matches_flattening(_scope_local_cycles()) is None
+
+
+def _assert_carrier_is_the_reference(n):
+    """The kept carrier of ``n`` is the one glued before each body's
+    vertices were named once, item by item and in order, or both raise
+    one error, which is returned."""
+    got, err = _outcome(lambda r: r._carrier, n)
+    ref, ref_err = _outcome(reference_carrier, n)
+    assert err == ref_err
+    if err is not None:
+        return err
+    (g, inner, depth), (h, ref_inner, ref_depth) = got, ref
+    assert g.root == h.root
+    for mine, theirs in ((g.lab, h.lab), (g.args, h.args), (inner, ref_inner), (depth, ref_depth)):
+        assert list(mine.items()) == list(theirs.items())
+    return None
+
+
+def test_carrier_equals_the_reference_carrier():
+    from conftest import DATA, load_rgs
+
+    errors = [_assert_carrier_is_the_reference(load_rgs(p.name)) for p in sorted(DATA.glob("*.rgs"))]
+    assert errors.count(None) >= 5 and len(set(errors)) > 2
+    for d in range(1, 40):
+        assert _assert_carrier_is_the_reference(depth_family(d)) is None
+    for k in range(30):
+        assert _assert_carrier_is_the_reference(chain_spec(k, "r")) is None
+    rng = random.Random(89)
+    for _ in range(300):
+        assert _assert_carrier_is_the_reference(random_ntg(rng)) is None
+        assert _assert_carrier_is_the_reference(random_ungrounded_ntg(rng)) is None
+    for _ in range(50):
+        _assert_carrier_is_the_reference(_redirect_one_edge(rng, random_ntg(rng)))
+
+
+def test_interpret_and_collapse_build_one_carrier(monkeypatch):
+    import ntg.firstorder
+
+    built = []
+    glue = ntg.firstorder._carrier
+    monkeypatch.setattr(ntg.firstorder, "_carrier", lambda n: built.append(n) or glue(n))
+    n = depth_family(12)
+    ntg_to_sntg(n)
+    assert built == [] and "_carrier" not in vars(n)  # the structural form keeps none
+    first = interpret(n)
+    ntg_collapse(n)
+    again = interpret(n)
+    assert len(built) == 1 and built[0] is n
+    assert (again.lab, again.args, again.root) == (first.lab, first.args, first.root)
+
+
+def test_flattening_shares_no_dict_with_the_kept_carrier():
+    from conftest import load_rgs
+
+    for n in (depth_family(9), chain_spec(12, "r"), load_rgs("n.rgs")):
+        g = interpret(n)
+        c, inner, depth = n._carrier
+        kept = [list(m.items()) for m in (c.lab, c.args, inner, depth)]
+        flat = [list(g.lab.items()), list(g.args.items())]
+        assert {id(g.lab), id(g.args)}.isdisjoint(map(id, (c.lab, c.args, inner, depth)))
+        ntg_collapse(n)
+        assert [list(m.items()) for m in (g.lab, g.args)] == flat
+        assert [list(m.items()) for m in (c.lab, c.args, inner, depth)] == kept
+        assert n._carrier[0] is c
 
 
 def test_unchecked_builds_pass_the_constructor_checks():

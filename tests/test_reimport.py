@@ -26,3 +26,20 @@ def test_reimport_releases_the_previous_copy():
     finally:
         _drop_ntg_modules()
         sys.modules.update(saved)
+
+
+def test_a_previous_copy_keeps_working_after_a_reimport():
+    # a specification of one copy of the package is flattened and collapsed
+    # by that copy's first-order module, whatever copy is imported later
+    text = (DATA / "n.rgs").read_text()
+    saved = _drop_ntg_modules()
+    try:
+        old = importlib.import_module("ntg")
+        _drop_ntg_modules()
+        new = importlib.import_module("ntg")
+        n = old.parse_rgs(text)
+        assert old.print_fo(old.interpret(n)) == new.print_fo(new.interpret(new.parse_rgs(text)))
+        assert old.print_rgs(old.ntg_collapse(n)) == new.print_rgs(new.ntg_collapse(new.parse_rgs(text)))
+    finally:
+        _drop_ntg_modules()
+        sys.modules.update(saved)

@@ -239,6 +239,31 @@ def test_verify_sntg_hom_reports_partial_maps_and_foreign_images(fix_n):
     assert f"{victim}: map is not total" in verify_sntg_hom(s, s, ident)
 
 
+def test_verify_sntg_hom_reports_an_invalid_left_structure(fix_n, tree_corpus):
+    # a left structure without a call or return link where the checks
+    # read one is reported by its first violation, not looked up
+    s = ntg_to_sntg(fix_n)
+    ident = {v: v for v in s.tg.lab}
+    for v in [*s.call, *s.ret]:  # one call or return link dropped
+        b = _mutate(s, call={u: w for u, w in s.call.items() if u != v},
+                    ret={u: w for u, w in s.ret.items() if u != v})
+        assert verify_sntg_hom(b, s, ident) == [f"invalid left structural representation: {check_sntg(b)[0]}"]
+    rng = random.Random(9)
+    checked = 0
+    for s in [ntg_to_sntg(n) for n in tree_corpus] * 40:
+        try:
+            b = break_structure(rng, s)
+        except ValueError:  # a link to an unknown vertex, or a pointer cycle
+            continue
+        if not check_sntg(b):
+            continue
+        checked += 1
+        first = f"invalid left structural representation: {check_sntg(b)[0]}"
+        assert verify_sntg_hom(b, s, {v: v for v in b.tg.lab}) == [first]
+        assert isinstance(verify_sntg_hom(s, b, {v: v for v in s.tg.lab}), list)
+    assert checked > 150
+
+
 def test_deciders_refuse_invalid_structures(tree_corpus):
     rng = random.Random(5)
     good = [ntg_to_sntg(n) for n in tree_corpus]
