@@ -35,6 +35,7 @@ from .rgs import (
     validate_rgs,
     _find_cycle,
     _pair_witness,
+    _require,
     _uniquify,
 )
 from .sntg import ntg_to_sntg, sntg_bisimilar, sntg_hom
@@ -55,19 +56,6 @@ def _inputs(r: Rgs, sym: str) -> List[CV]:
         if isinstance(lbl, Input):
             by_index.setdefault(lbl.index, []).append(v)
     return [(sym, v) for i in sorted(by_index) for v in sorted(by_index[i], key=str)]
-
-
-def _require_valid(r: Rgs, what: str = "specification"):
-    bad = validate_rgs(r)
-    if bad:
-        raise ValueError(f"invalid {what}: " + "; ".join(str(v) for v in bad))
-
-
-def _require_ntg(r: Rgs, what: str = "argument"):
-    _require_valid(r, what)
-    res = is_ntg(r)
-    if not res.ok:
-        raise ValueError(f"{what} is not tree-shaped: {res.defect}")
 
 
 def _merge_atomic(s1: NtgSignature, s2: NtgSignature) -> Dict[str, int]:
@@ -469,8 +457,8 @@ def _summarize(r1: Rgs, r2: Rgs):
     the tables among them, and on a clash the fields that describe it and
     trace its path, else None.
     """
-    _require_valid(r1, "left specification")
-    _require_valid(r2, "right specification")
+    _require(r1, "left specification")
+    _require(r2, "right specification")
     contexts, clash = _tabulate(r1, r2)
     fields = dict(
         contexts=len(contexts),
@@ -645,8 +633,8 @@ def ntg_hom(n1: Rgs, n2: Rgs) -> Optional[Dict[CV, CV]]:
 
 def _ntg_hom(n1: Rgs, n2: Rgs):
     """``(ntg_hom(n1, n2), nested_hom(n1, n2))`` from one tabulation."""
-    _require_ntg(n1, "left argument")
-    _require_ntg(n2, "right argument")
+    _require(n1, "left argument", tree=True)
+    _require(n2, "right argument", tree=True)
     _merge_atomic(n1.signature, n2.signature)  # only for its ValueError on conflicting arities
     res = nested_hom(n1, n2)
     if res.certificate is None:
@@ -752,8 +740,8 @@ def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:
     """Bisimilarity of two tree-shaped specifications: the witness of
     ``nested_bisim``, a tree-shaped specification whose projections are
     homomorphisms, or None."""
-    _require_ntg(n1, "left argument")
-    _require_ntg(n2, "right argument")
+    _require(n1, "left argument", tree=True)
+    _require(n2, "right argument", tree=True)
     _merge_atomic(n1.signature, n2.signature)  # only for its ValueError on conflicting arities
     found = nested_bisim(n1, n2).witness
     assert found is None or is_ntg(found.witness).ok, "witness is not tree-shaped"
@@ -790,8 +778,8 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     polynomial like ``nested_hom``; specifications of different sizes are
     told apart before it.
     """
-    _require_ntg(n1, "left argument")
-    _require_ntg(n2, "right argument")
+    _require(n1, "left argument", tree=True)
+    _require(n2, "right argument", tree=True)
     size = sum(map(len, n1.rec.values()))
     if size != sum(map(len, n2.rec.values())):
         return None
@@ -843,8 +831,8 @@ def cross_check_theorems(a: Rgs, b: Rgs) -> CrossCheckReport:
     bisimilarity must not depend on the order of the arguments.  Any
     disagreement is an implementation bug.
     """
-    _require_valid(a)
-    _require_valid(b)
+    _require(a, "specification")
+    _require(b, "specification")
     tree = is_ntg(a).ok and is_ntg(b).ok
     if not tree and _needs_depth(a, b):
         hom = nested_hom(a, b).exists

@@ -21,6 +21,7 @@ chain is fixed by its constant's name and enclosing scopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graph import TermGraph, _ancestor_chains, _quotient, _refine, check_root_connected
@@ -29,10 +30,10 @@ from .rgs import (
     NtgSignature,
     Rgs,
     _flat_names,
+    _namer,
     _reachable_symbols,
     _tree_dependencies,
     is_ntg,
-    symbol_name_ok,
     validate_rgs,
 )
 
@@ -455,20 +456,16 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
                 f"symbol {name!r} occurs both as a constant and with arity {arity}"
             )
 
-    counter = [0]
     shared: Dict[object, object] = {}  # one label per constant name and per input index
     nested_sig: Dict[str, int] = {}
     rec: Dict[str, TermGraph] = {}
-    taken = {
-        lbl.name for lbl in g.lab.values() if isinstance(lbl, (Atomic, PrimedConst))
-    }
+    # the scopes are named d0, d1, ... in one sequence, passing over the
+    # names of the atomic symbols
+    new_name = _namer(lbl.name for lbl in g.lab.values() if isinstance(lbl, (Atomic, PrimedConst)))
+    scope_names = (f"d{k}" for k in count())
 
     def open_scope(o: Vertex) -> _Scope:
-        while True:
-            sym = f"d{counter[0]}"
-            counter[0] += 1
-            if sym not in taken and symbol_name_ok(sym):
-                break
+        sym = new_name(scope_names)
         nested_sig[sym] = len(inputs_of[o])
         return _Scope(sym, o, inputs_of[o])
 

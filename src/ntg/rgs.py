@@ -11,12 +11,18 @@ by exactly one occurrence, no recursion).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from itertools import accumulate, count, repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .graph import TermGraph, reachable
 from .labels import CUT_SYMBOL, Atomic, Input, Nested, Output
+
+# where ``Rgs._carrier`` finds the first-order module of its own copy of
+# the package, even after a later import has replaced ``sys.modules``
+_package = sys.modules[__package__]
 
 _RESERVED = {"o", "out", "in", "out_r", "in_r", "tg", "root", "def", "atomic"}
 _RESERVED_RE = re.compile(r"^i_?\d+$")
@@ -38,19 +44,27 @@ def _flat_names(sym: str, vertices) -> Dict[object, str]:
     return {v: f"{sym}.{v}" for v in vertices}
 
 
+def _namer(taken: Iterable[str] = ()) -> Callable[[Iterable[str]], str]:
+    """A function that gives each call the first of its (endless) candidate
+    names that is clear of ``taken``, of reserved names and of the names it
+    gave before; an iterator shared by calls numbers them in one sequence."""
+    given = set(taken)
+
+    def name(candidates: Iterable[str]) -> str:
+        for c in candidates:
+            if c not in given and symbol_name_ok(c):
+                given.add(c)
+                return c
+
+    return name
+
+
 def _uniquify(keys, fmt, avoid=()):
     """Deterministic readable names for ``keys``: ``fmt(key)``, primed
     until it is clear of ``avoid``, of reserved names and of the names
     already given."""
-    names = {}
-    taken = set(avoid)
-    for key in keys:
-        name = fmt(key)
-        while name in taken or not symbol_name_ok(name):
-            name += "'"
-        names[key] = name
-        taken.add(name)
-    return names
+    name = _namer(avoid)
+    return {key: name(accumulate(repeat("'"), initial=fmt(key))) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -83,7 +97,7 @@ class Rgs:
     """A specification: signature plus one definition body per nested symbol.
 
     Immutable.  Each check result (``validate_rgs``, ``dependency_ars``,
-    ``is_ntg`` and the tree check of the structural conversions) is
+    ``is_ntg`` and the flat-name check of the structural conversions) is
     computed on first use and kept on the object it describes, and so is
     the one walk of each body that these checks and the unfolding share,
     and the carrier (``firstorder._carrier``) that ``interpret`` and
@@ -136,12 +150,27 @@ class Rgs:
         return _decide_ntg(self, self._dependencies)
 
     @cached_property
-    def _tree_defect(self) -> Optional[str]:
-        return _tree_check(self)
+    def _name_clash(self) -> Optional[str]:
+        # Two definitions yield one name only if one symbol extends the other
+        # by a dot, and two vertices of one body only if one of them is not a
+        # ``str`` (``1`` and ``"1"``), so most specifications build no names.
+        if not any("." in sym for sym in self.rec) and all(
+            set(map(type, body.lab)) == {str} for body in self.rec.values()
+        ):
+            return None
+        owner: Dict[str, Tuple[str, object]] = {}
+        for sym, body in self.rec.items():
+            for v, name in _flat_names(sym, body.lab).items():
+                other = owner.setdefault(name, (sym, v))
+                if other[0] != sym:
+                    return f"vertex name {name} is ambiguous: definitions {other[0]} and {sym} both yield it"
+                if other[1] != v:
+                    return f"vertex name {name} is ambiguous: vertices {other[1]!r} and {v!r} of definition {sym}"
+        return None
 
     @cached_property
     def _carrier(self):
-        return firstorder._carrier(self)
+        return _package.firstorder._carrier(self)
 
 
 @dataclass(frozen=True)
@@ -327,32 +356,40 @@ def _reachable_symbols(deps: DependencyArs) -> List[str]:
     return order
 
 
-def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
-    """The first dependency cycle met by a depth-first walk from the root
-    symbol, as the path of symbols that closes it, or None.
+def _depth_first(deps: DependencyArs) -> Tuple[Optional[Tuple[str, ...]], List[str]]:
+    """The depth-first walk of the dependency steps from the root symbol:
+    ``(cycle, finished)``, the first cycle met as the path of symbols that
+    closes it, or None, and the symbols in the order the walk finished
+    them, each after all it depends on (complete only without a cycle).
 
     The walk keeps its path on an explicit stack, so a back edge to a
     symbol on that stack yields the cycle from that symbol onwards.
     """
+    by_source = deps._by_source
     on_path = {deps.root}
-    done = set()
-    stack = [(deps.root, iter(deps.steps_from(deps.root)))]
+    done: Dict[str, None] = {}  # the finished symbols, in order
+    stack = [(deps.root, iter(by_source.get(deps.root, ())))]
     while stack:
         node, it = stack[-1]
         for step in it:
             nxt = step.target
             if nxt in on_path:
                 path = [sym for sym, _ in stack]
-                return tuple(path[path.index(nxt):]) + (nxt,)
+                return tuple(path[path.index(nxt):]) + (nxt,), list(done)
             if nxt not in done:
                 on_path.add(nxt)
-                stack.append((nxt, iter(deps.steps_from(nxt))))
+                stack.append((nxt, iter(by_source.get(nxt, ()))))
                 break
         else:
             on_path.discard(node)
-            done.add(node)
+            done[node] = None
             stack.pop()
-    return None
+    return None, list(done)
+
+
+def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
+    """The first dependency cycle of the walk ``_depth_first``, or None."""
+    return _depth_first(deps)[0]
 
 
 def is_ntg(r: Rgs) -> NtgResult:
@@ -389,32 +426,25 @@ def _decide_ntg(r: Rgs, deps: DependencyArs) -> NtgResult:
     return NtgResult(True)
 
 
-def _tree_dependencies(n: Rgs) -> DependencyArs:
-    """The dependency steps of ``n``, after a ``ValueError`` on the first
-    violation when ``n`` is invalid or not tree-shaped, or when two of its
-    vertices share the name ``<symbol>.<vertex>`` that the structural
-    representation and the flattening give them."""
-    defect = n._tree_defect
-    if defect is not None:
-        raise ValueError(defect)
-    return n._dependencies
-
-
-def _tree_check(n: Rgs) -> Optional[str]:
-    bad = n._violations
+def _require(r, what: str, tree: bool = False):
+    """A ``ValueError`` naming ``r``, a specification or a structural
+    representation, as ``what`` and its first violation or, with ``tree``,
+    its dependency defect; reads the check results kept on ``r``."""
+    bad = r._violations
     if bad:
-        return "invalid specification: " + str(bad[0])
-    if not n._ntg.ok:
-        return f"not a tree-shaped specification: {n._ntg.defect}"
-    if not any("." in sym for sym in n.rec):
-        return None  # two symbols yield one name only if one extends the other by a dot
-    owner: Dict[str, str] = {}
-    for sym, body in n.rec.items():
-        for name in _flat_names(sym, body.lab).values():
-            other = owner.setdefault(name, sym)
-            if other != sym:
-                return f"vertex name {name} is ambiguous: definitions {other} and {sym} both yield it"
-    return None
+        raise ValueError(f"invalid {what}: {bad[0]}")
+    if tree and not r._ntg.ok:
+        raise ValueError(f"not a tree-shaped {what}: {r._ntg.defect}")
+
+
+def _tree_dependencies(n: Rgs) -> DependencyArs:
+    """The dependency steps of ``n``, after a ``ValueError`` when ``n`` is
+    invalid or not tree-shaped, or when two of its vertices share the name
+    ``<symbol>.<vertex>`` in the glued graphs."""
+    _require(n, "specification", tree=True)
+    if n._name_clash is not None:
+        raise ValueError(n._name_clash)
+    return n._dependencies
 
 
 class MissingDepthError(ValueError):
@@ -424,27 +454,17 @@ class MissingDepthError(ValueError):
 def dependency_height(r: Rgs) -> int:
     """Length in steps of the longest dependency path from the root symbol.
 
-    Only defined for acyclic dependency structures.
+    Folded over the symbols in the order the walk that finds cycles
+    finishes them; a cycle, which has no longest path, raises ValueError.
     """
     deps = dependency_ars(r)
-    # explicit stack of (symbol, remaining steps, best so far); a symbol in
-    # progress reads as height 0, which guards against accidental cycles
-    memo: Dict[str, int] = {r.root_symbol: 0}
-    stack = [[r.root_symbol, iter(deps.steps_from(r.root_symbol)), 0]]
-    while stack:
-        frame = stack[-1]
-        for step in frame[1]:
-            if step.target not in memo:
-                memo[step.target] = 0
-                stack.append([step.target, iter(deps.steps_from(step.target)), 0])
-                break
-            frame[2] = max(frame[2], 1 + memo[step.target])
-        else:
-            stack.pop()
-            memo[frame[0]] = frame[2]
-            if stack:
-                stack[-1][2] = max(stack[-1][2], 1 + frame[2])
-    return memo[r.root_symbol]
+    cycle, finished = _depth_first(deps)
+    if cycle is not None:
+        raise ValueError(f"cyclic dependencies have no height: {Cycle(cycle)}")
+    height: Dict[str, int] = {}
+    for sym in finished:
+        height[sym] = max((1 + height[s.target] for s in deps._by_source.get(sym, ())), default=0)
+    return height[r.root_symbol]
 
 
 @dataclass(frozen=True)
@@ -461,7 +481,10 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     """Duplicate shared definitions until each symbol is introduced once.
 
     Every reachable access path through the dependency structure becomes
-    its own symbol, so the result's dependencies form a tree.  For acyclic
+    its own symbol, so the result's dependencies form a tree.  The root
+    symbol keeps its name; the copies of a symbol ``f`` are named ``f@1``,
+    ``f@2`` and so on in breadth-first order, each name passing over those
+    of the root symbol, of the atomic symbols and of earlier copies.  For acyclic
     input this is exact; cyclic input needs ``depth`` and calls nested
     deeper than that are replaced by the nullary placeholder, yielding a
     truncated, non-semantic result meant for inspection only.
@@ -471,7 +494,8 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     if depth is None and _find_cycle(dependency_ars(r)) is not None:
         raise MissingDepthError("cyclic dependencies require an unfold depth")
 
-    counters: Dict[str, int] = {}
+    new_name = _namer([r.root_symbol, *r.signature.atomic])
+    copy_names: Dict[str, Iterator[str]] = {}
     new_rec: Dict[str, TermGraph] = {}
     new_nested: Dict[str, int] = {}
     cuts = 0
@@ -496,8 +520,9 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
                 continue
             lbl = body.lab[v]
             target = lbl.name
-            counters[target] = counters.get(target, 0) + 1
-            child = f"{target}@{counters[target]}"
+            if target not in copy_names:
+                copy_names[target] = map("{}@{}".format, repeat(target), count(1))
+            child = new_name(copy_names[target])
             lab[prefix + v] = Nested(child, lbl.arity)
             new_nested[child] = lbl.arity
             queue.append((child, target, level + 1))
@@ -558,8 +583,3 @@ def _pair_witness(inputs, lab, args, scope, callee, name):
         return l1, tuple(zip(a1, a2))
 
     return {key: len(us) for key, us in inputs_of.items()}, entry
-
-
-# The first-order module builds on this one, and builds the carrier that
-# ``Rgs._carrier`` keeps; imported last, once the names it imports exist.
-from . import firstorder  # noqa: E402

@@ -20,11 +20,10 @@ from .labels import Atomic, Input, Nested, Output, _compatible
 from .rgs import (
     NtgSignature,
     Rgs,
-    is_ntg,
-    validate_rgs,
     _flat_names,
     _pair_witness,
     _reachable_symbols,
+    _require,
     _tree_dependencies,
     _uniquify,
 )
@@ -83,6 +82,10 @@ class Sntg:
         violations, scopes = _check_sntg(self)
         return tuple(violations), scopes
 
+    @property
+    def _violations(self) -> Tuple["SntgViolation", ...]:
+        return self._scan[0]
+
 
 @dataclass(frozen=True)
 class SntgViolation:
@@ -112,13 +115,7 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     walked, which ``sntg_to_ntg`` cuts into bodies; each call returns a
     fresh list.
     """
-    return list(s._scan[0])
-
-
-def _require_valid(s: Sntg, what: str):
-    problems = s._scan[0]
-    if problems:
-        raise ValueError(f"invalid {what}: {problems[0]}")
+    return list(s._violations)
 
 
 def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]]]:
@@ -248,7 +245,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     inputs are scanned in breadth-first order from the definition's output
     vertex, each taking the least index that is still free.
     """
-    _require_valid(s, "structural representation")
+    _require(s, "structural representation")
     g, scopes = s.tg, s._scan[1]
 
     atomic: Dict[str, int] = {}
@@ -295,12 +292,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
         rec[sym] = TermGraph._prechecked(body_lab, body_args, o)
 
     n = Rgs(NtgSignature(atomic, nested_sig, sym_of[g.root]), rec)
-    bad = validate_rgs(n)
-    if bad:
-        raise ValueError("reconstruction is not well-formed: " + str(bad[0]))
-    res = is_ntg(n)
-    if not res.ok:
-        raise ValueError(f"reconstruction is not tree-shaped: {res.defect}")
+    _require(n, "reconstruction", tree=True)
     return n
 
 
@@ -315,8 +307,8 @@ def sntg_hom_explained(s1: Sntg, s2: Sntg):
     """Propagate the unique homomorphism candidate from the root pair
     through arguments, call and return links, then verify it in full.
     An invalid structure raises ``ValueError`` naming its first violation."""
-    _require_valid(s1, "left structural representation")
-    _require_valid(s2, "right structural representation")
+    _require(s1, "left structural representation")
+    _require(s2, "right structural representation")
     phi: Dict[Vertex, Vertex] = {}
     queue = deque([(s1.root, s2.root)])
     while queue:
@@ -359,7 +351,7 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
     ``s2``, whatever object it is, are reported, not looked up.  An
     invalid ``s1`` is reported alone, by its first ``check_sntg``
     violation: its links need not be defined where the checks read them."""
-    invalid = s1._scan[0]
+    invalid = s1._violations
     if invalid:
         return [f"invalid left structural representation: {invalid[0]}"]
     problems = []
@@ -403,8 +395,8 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
     """Closure over vertex pairs from the root pair; on success returns the
     witness structure over pairs whose projections are homomorphisms.
     An invalid structure raises ``ValueError`` naming its first violation."""
-    _require_valid(s1, "left structural representation")
-    _require_valid(s2, "right structural representation")
+    _require(s1, "left structural representation")
+    _require(s2, "right structural representation")
     start = (s1.root, s2.root)
     seen = {start}
     order = [start]

@@ -14,6 +14,25 @@ def load_rgs(name: str) -> Rgs:
     return parse_rgs((DATA / name).read_text())
 
 
+# Valid documents on which a bare per-symbol counter would name an unfolded
+# copy after a symbol that is already there: the root ``f@1`` calls ``f``
+# once or twice, or an atomic symbol ``f@1`` sits beside a shared ``f``.
+COPY_NAME_CLASHES = {
+    "root-called-once": (
+        "atomic app/2, c/0, d/0;\nroot f@1;\n"
+        "def f@1/0 { o: out(a); a: app(x, k); x: f; k: d; }\ndef f/0 { o: out(k); k: c; }\n"
+    ),
+    "root-called-twice": (
+        "atomic app/2, c/0;\nroot f@1;\n"
+        "def f@1/0 { o: out(a); a: app(x, y); x: f; y: f; }\ndef f/0 { o: out(k); k: c; }\n"
+    ),
+    "atomic": (
+        "atomic app/2, f@1/0;\nroot r;\n"
+        "def r/0 { o: out(a); a: app(x, y); x: f; y: f; }\ndef f/0 { o: out(k); k: f@1; }\n"
+    ),
+}
+
+
 @pytest.fixture(scope="session")
 def fix_n():
     return load_rgs("n.rgs")

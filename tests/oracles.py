@@ -39,7 +39,10 @@ of two graphs and of each pair of bodies, are the references of
 ``tg_isomorphic`` and ``ntg_isomorphic``, which read the homomorphism
 engines.  The tabulation as it was before it read the bodies directly,
 asking the carrier for every label and successor tuple, is the reference
-of the summary tables of ``_tabulate``.
+of the summary tables of ``_tabulate``.  The priming loop and the
+``d<k>`` counter the library ran before one namer made every name are
+the references of the names of witnesses, of ``sntg_to_ntg`` and of the
+read-back.
 None of them share search code with the library, except that the
 reference checks walk with the library's ``reachable``,
 ``check_root_connected``, ``exit_chain_ends`` and ``_find_cycle``, ``two_path_collapse``
@@ -58,7 +61,7 @@ reference tabulation fills the library's ``_Context`` records.
 
 import re
 from collections import deque, namedtuple
-from itertools import product
+from itertools import count, islice, product
 
 from ntg import verify_ntg_hom, verify_sntg_hom, verify_tg_hom
 from ntg.graph import TermGraph, reachable
@@ -126,7 +129,9 @@ def reference_unfold(r, depth=None):
     source body once per call: per instance, one walk of the source body
     for its occurrences, a checked copy, a walk of that copy and a second
     checked copy of what it reaches.  The reference for printed results
-    and cut counts."""
+    and cut counts.  It numbers the copies of each symbol with a bare
+    counter, so it differs from the library only where a copy's name is
+    the root symbol's or an atomic symbol's."""
     from ntg import MissingDepthError, NtgSignature, Rgs, UnfoldResult, dependency_ars
     from ntg.rgs import _find_cycle
 
@@ -181,6 +186,30 @@ def reference_unfold(r, depth=None):
         atomic[CUT_SYMBOL] = 0
     sig = NtgSignature(atomic, new_nested, r.root_symbol)
     return UnfoldResult(Rgs(sig, new_rec), cuts)
+
+
+def reference_uniquify(keys, fmt, avoid=()):
+    """``rgs._uniquify`` as the library wrote it before one namer made
+    every name: one loop that primes ``fmt(key)`` until it is clear.  The
+    reference for the names of witnesses and of ``sntg_to_ntg``."""
+    from ntg.rgs import symbol_name_ok
+
+    names = {}
+    taken = set(avoid)
+    for key in keys:
+        name = fmt(key)
+        while name in taken or not symbol_name_ok(name):
+            name += "'"
+        names[key] = name
+        taken.add(name)
+    return names
+
+
+def reference_scope_names(n, atomic):
+    """The first ``n`` of ``d0, d1, ...`` that are not in ``atomic``: the
+    symbols ``represent`` read back, in the order it opened their scopes,
+    as its own counter named them before one namer made every name."""
+    return list(islice((f"d{k}" for k in count() if f"d{k}" not in atomic), n))
 
 
 def brute_force_tg_hom(g1, g2):
@@ -793,10 +822,11 @@ def closure_nested_hom(r1, r2, depth=None):
     reaches the bound without a conflict stays ``"unknown_at_depth"``.
     """
     from ntg import MissingDepthError
-    from ntg.equivalence import _needs_depth, _require_valid
+    from ntg.equivalence import _needs_depth
+    from ntg.rgs import _require
 
-    _require_valid(r1, "left specification")
-    _require_valid(r2, "right specification")
+    _require(r1, "left specification")
+    _require(r2, "right specification")
     if depth is None and _needs_depth(r1, r2):
         raise MissingDepthError("cyclic dependencies require a depth bound")
     c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
@@ -831,13 +861,12 @@ def closure_ntg_bisimilar(n1, n2):
     bodies at once.  The reference for verdicts, printed witnesses and
     projections.
     """
-    from ntg.equivalence import (
-        BisimWitness, _compatible, _merge_atomic, _pair_witness, _require_ntg, _uniquify,
-    )
+    from ntg.equivalence import BisimWitness, _compatible, _merge_atomic, _pair_witness
+    from ntg.rgs import _require, _uniquify
     from ntg import Atomic, Input, Nested, NtgSignature, Output, Rgs, is_ntg, validate_rgs
 
-    _require_ntg(n1, "left argument")
-    _require_ntg(n2, "right argument")
+    _require(n1, "left argument", tree=True)
+    _require(n2, "right argument", tree=True)
     atomic = _merge_atomic(n1.signature, n2.signature)
     c1, c2 = ReferenceCarrier(n1), ReferenceCarrier(n2)
 
@@ -925,9 +954,8 @@ def relation_witness(rel, r1, r2):
     relation, which is exponential in sharing, where the library reads the
     call/return summaries.
     """
-    from ntg.equivalence import (
-        NestedConfig, _merge_atomic, _pair_witness, _uniquify, verify_nested_bisim,
-    )
+    from ntg.equivalence import NestedConfig, _merge_atomic, _pair_witness, verify_nested_bisim
+    from ntg.rgs import _uniquify
     from ntg import Input, NtgSignature, Output, Rgs, is_ntg, validate_rgs
 
     if not rel.exact:

@@ -231,6 +231,34 @@ def test_clashing_vertex_names_exit_2(tmp_path):
         assert code == 2 and out == "" and "a.b.c is ambiguous" in err, cmd
 
 
+@pytest.mark.parametrize("case", ["root-called-once", "root-called-twice", "atomic"])
+def test_unfolded_copy_names_clear_of_other_symbols(tmp_path, case):
+    # a copy once took the name of the root or of an atomic symbol, and
+    # the unfolding was refused as not tree-shaped or its signature as
+    # declaring one symbol twice
+    from conftest import COPY_NAME_CLASHES
+
+    doc = tmp_path / "clash.rgs"
+    doc.write_text(COPY_NAME_CLASHES[case])
+    code, out, err = run("collapse", str(doc))
+    assert code == 0 and out and "error" not in err
+    code, out, err = run("bisim", str(doc), str(doc), "--method", "both")
+    assert (code, out) == (0, "bisimilar\n") and "error" not in err
+
+
+def test_represent_runs_the_membership_pass_once(monkeypatch):
+    import ntg.firstorder
+
+    calls = []
+    member = ntg.firstorder._member_ancestors
+    monkeypatch.setattr(ntg.firstorder, "_member_ancestors", lambda g: calls.append(g) or member(g))
+    code, out, err = run("represent", path("n_flattened.fo"))
+    assert code == 0 and out.startswith("atomic") and len(calls) == 1
+    calls.clear()
+    code, out, err = run("represent", path("n.rgs"))
+    assert code == 2 and calls == []  # not a first-order document: refused by the parser
+
+
 def test_bisim_depth_is_a_usage_error(capsys):
     # the nested method is exact and the first-order one unfolds shared
     # input in full, so bisim takes no depth

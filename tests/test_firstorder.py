@@ -698,6 +698,23 @@ def test_clashing_vertex_names_are_refused():
     assert _assert_carrier_matches_flattening(n)[0] is ValueError
 
 
+def test_vertices_of_one_body_whose_names_print_alike_are_refused():
+    # vertices 1 and "1" of r would both be named r.1: the flattening lost
+    # the constant c and sent both arguments of p to d
+    from ntg import NtgSignature, Rgs, is_ntg, validate_rgs
+
+    body = TermGraph(
+        {"o": Output(), "p": Atomic("f", 2), 1: Atomic("c", 0), "1": Atomic("d", 0)},
+        {"o": ("p",), "p": (1, "1"), 1: (), "1": ()},
+        "o",
+    )
+    n = Rgs(NtgSignature({"f": 2, "c": 0, "d": 0}, {"r": 0}, "r"), {"r": body})
+    assert validate_rgs(n) == [] and is_ntg(n).ok
+    for f in (interpret, ntg_collapse, ntg_to_sntg):
+        with pytest.raises(ValueError, match="^vertex name r.1 is ambiguous: vertices 1 and '1' of definition r"):
+            f(n)
+
+
 def test_collapse_refines_only_the_specification(monkeypatch):
     # the collapse refines the specification's own vertices, not the
     # flattening: at depth 400 the specification has 2,803 vertices, 400

@@ -506,3 +506,86 @@ def test_accepting_checks_run_no_diagnosis(monkeypatch):
         assert validate_rgs(Rgs(r.signature, r.rec)) == []
         assert calls == []
     assert sum(not is_ntg(r).ok for r in shared) >= 5
+
+
+@pytest.mark.parametrize("case, symbols", [
+    ("root-called-once", ["f@1", "f@2"]),
+    ("root-called-twice", ["f@1", "f@2", "f@3"]),
+    ("atomic", ["r", "f@2", "f@3"]),
+])
+def test_unfolded_copies_pass_over_the_root_and_atomic_symbols(case, symbols):
+    # a bare counter named a copy f@1 after the root symbol or an atomic
+    # symbol: the root body was overwritten, or the signature refused
+    from conftest import COPY_NAME_CLASHES
+    from ntg import cross_check_theorems, parse_rgs
+
+    a = parse_rgs(COPY_NAME_CLASHES[case])
+    u = unfold_to_ntg(a).rgs
+    assert validate_rgs(u) == [] and is_ntg(u).ok
+    assert list(u.signature.nested) == symbols and u.root_symbol == a.root_symbol
+    assert nested_bisim(a, u).bisimilar
+    assert cross_check_theorems(a, a).all_agree and cross_check_theorems(a, u).all_agree
+
+
+def test_dependency_height_refuses_cycles(fix_r1):
+    with pytest.raises(ValueError, match=r"^cyclic dependencies have no height: cycle g ~> g$"):
+        dependency_height(fix_r1)
+    rng = random.Random(191)
+    for _ in range(40):
+        with pytest.raises(ValueError, match="cycle"):
+            dependency_height(random_cyclic_rgs(rng))
+
+
+def test_dependency_height_is_the_longest_path():
+    rng = random.Random(193)
+    specs = [fanout_family(5)] + [f(rng) for _ in range(60) for f in (random_ntg, random_acyclic_rgs)]
+    for r in specs:
+        steps = dependency_ars(r).steps
+
+        def longest(sym):  # every path from sym, enumerated
+            return max((1 + longest(s.target) for s in steps if s.source == sym), default=0)
+
+        assert dependency_height(r) == longest(r.root_symbol)
+
+
+def test_generated_names_equal_the_counters_they_replace(monkeypatch):
+    # the one namer gives the witnesses, sntg_to_ntg and the read-back the
+    # names their own loops gave (unfold_to_ntg is checked against the
+    # reference unfolding above)
+    import ntg.equivalence
+    import ntg.sntg
+    from conftest import DATA, load_rgs
+    from ntg import (
+        interpret, ntg_collapse, ntg_to_sntg, parse_rgs, print_rgs, represent, sntg_bisimilar, sntg_to_ntg,
+    )
+    from oracles import reference_scope_names, reference_uniquify
+    from generators import random_ungrounded_ntg
+
+    rng = random.Random(197)
+    specs = [load_rgs(p.name) for p in sorted(DATA.glob("*.rgs"))]
+    # scopes read back are named d1 and d3, passing over the atomic d0 and d2
+    specs.append(parse_rgs(
+        "atomic d0/0, d2/1;\nroot r;\ndef r/0 { o: out(a); a: d2(x); x: f; }\ndef f/0 { o: out(k); k: d0; }\n"
+    ))
+    specs += [f(rng) for _ in range(200) for f in (random_ntg, random_ungrounded_ntg, random_acyclic_rgs)]
+    acyclic = [r for r in specs if not isinstance(is_ntg(r).defect, Cycle)]
+    trees = [r if is_ntg(r).ok else unfold_to_ntg(r).rgs for r in acyclic]
+    pairs = [(n, ntg_collapse(n)) for n in trees]  # bisimilar, so each pair has a witness
+    assert len(pairs) > 600
+
+    def names():
+        out = []
+        for n, m in pairs:
+            w = nested_bisim(n, m).witness
+            s = sntg_bisimilar(ntg_to_sntg(n), ntg_to_sntg(m))
+            out += [print_rgs(w.witness), sorted(w.proj_left.items()), sorted(s.tg.lab.items())]
+            out.append(print_rgs(sntg_to_ntg(ntg_to_sntg(n))))
+        return out
+
+    for n in trees:
+        for r in (represent(interpret(n)), ntg_collapse(n)):
+            assert list(r.signature.nested) == reference_scope_names(len(r.rec), r.signature.atomic)
+    ours = names()
+    for module in (ntg.equivalence, ntg.sntg):
+        monkeypatch.setattr(module, "_uniquify", reference_uniquify)
+    assert names() == ours
