@@ -349,12 +349,14 @@ def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
     """The witness of a positive verdict, read off its summary tables.
 
     One definition ``f_g`` per context, entered at its entry pair; one
-    vertex ``v|w`` per reached pair; one input per exit, numbered in the
-    order the exits were found.  An occurrence pair passes, for each exit
-    of its callee, the argument pair at that exit's input indices.  Every
-    pair of a context lies in the two bodies it entered, so a pair is read
-    as ``(context key, left vertex, right vertex)`` straight from the
-    bodies' ``lab`` and ``args`` maps.
+    vertex ``v|w`` per reached pair, after the names of its two vertices in
+    their bodies (an unfolded copy keeps its body's vertex names), primed
+    only where two pairs of one context format alike; one input per exit,
+    numbered in the order the exits were found.  An occurrence pair
+    passes, for each exit of its callee, the argument pair at that exit's
+    input indices.  Every pair of a context lies in the two bodies it
+    entered, so a pair is read as ``(context key, left vertex, right
+    vertex)`` straight from the bodies' ``lab`` and ``args`` maps.
     """
     # the witness carries left labels, so the left arity wins a conflict
     atomic = {**r2.signature.atomic, **r1.signature.atomic}
@@ -386,8 +388,11 @@ def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
     for key, ctx in contexts.items():
         sym = sym_name[key]
         s1, s2 = key or roots
-        # vertex ids need only be unique within their own body
-        vid = _uniquify([(u1[1], u2[1]) for u1, u2 in ctx.reached], lambda xy: f"{xy[0]}|{xy[1]}")
+        # vertex ids need only be unique within their own body; two pairs
+        # format alike only when a vertex name holds a ``|``
+        vid = {(x1, x2): f"{x1}|{x2}" for (_, x1), (_, x2) in ctx.reached}
+        if len(set(vid.values())) < len(vid):
+            vid = _uniquify(vid, vid.__getitem__)
         lab, args = {}, {}
         for (x1, x2), v in vid.items():
             lab[v], succ = entry((key, x1, x2))

@@ -21,7 +21,7 @@ chain is fixed by its constant's name and enclosing scopes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count, repeat
 from typing import Callable, Dict, List, Mapping, Optional
 
 from .graph import TermGraph, _ancestor_chains, _quotient, _refine, check_root_connected
@@ -158,10 +158,18 @@ def interpret(n: Rgs) -> TermGraph:
     The carrier of ``n`` (see ``_carrier``), which ``ntg_collapse`` shares,
     copied with each constant made unary, its successor heading a chain of
     exit vertices, one per enclosing scope, innermost first, ending in a
-    link back to the root.
+    link back to the root.  The links of the constant ``v`` are named
+    ``v#e1``, ``v#e2``, … and ``v#er``, primed where a carrier vertex's
+    name has a ``#`` and they would meet another name.
     """
     c, inner, _ = n._carrier
     root = c.root
+    # the links ``<v>#e<k>`` and ``<v>#er`` of the chains of distinct
+    # vertices differ, and they are clear of the carrier's names unless one
+    # of those has a ``#``; only then are they primed until they are clear
+    # (one scan of the joined names, as a scan per name costs three times
+    # as much)
+    new_name = _namer(c.lab) if "#" in "".join(c.lab) else None
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     for v, lbl in c.lab.items():
@@ -176,6 +184,8 @@ def interpret(n: Rgs) -> TermGraph:
             outs.append(o)
             o = inner[o]
         links = [f"{v}#e{k}" for k in range(1, len(outs) + 1)] + [f"{v}#er"]
+        if new_name is not None:
+            links = [new_name(accumulate(repeat("'"), initial=x)) for x in links]
         args[v] = (links[0],)
         for k, o in enumerate(outs):
             lab[links[k]] = FO_INPUT

@@ -281,6 +281,12 @@ class DependencyArs:
         return list(self._by_source.get(sym, ()))
 
     @cached_property
+    def _walk(self) -> Tuple[Optional[Tuple[str, ...]], Tuple[str, ...]]:
+        # the one depth-first walk that finding cycles, the height, the
+        # diagnosis of ``is_ntg`` and the unfolding all read
+        return _depth_first(self)
+
+    @cached_property
     def _by_source(self) -> Dict[str, List[DepStep]]:
         # built once on first use, so each lookup costs only its own steps
         index: Dict[str, List[DepStep]] = {}
@@ -356,14 +362,15 @@ def _reachable_symbols(deps: DependencyArs) -> List[str]:
     return order
 
 
-def _depth_first(deps: DependencyArs) -> Tuple[Optional[Tuple[str, ...]], List[str]]:
+def _depth_first(deps: DependencyArs) -> Tuple[Optional[Tuple[str, ...]], Tuple[str, ...]]:
     """The depth-first walk of the dependency steps from the root symbol:
     ``(cycle, finished)``, the first cycle met as the path of symbols that
     closes it, or None, and the symbols in the order the walk finished
     them, each after all it depends on (complete only without a cycle).
 
     The walk keeps its path on an explicit stack, so a back edge to a
-    symbol on that stack yields the cycle from that symbol onwards.
+    symbol on that stack yields the cycle from that symbol onwards.  It
+    runs once per dependency structure: ``DependencyArs._walk`` keeps it.
     """
     by_source = deps._by_source
     on_path = {deps.root}
@@ -375,7 +382,7 @@ def _depth_first(deps: DependencyArs) -> Tuple[Optional[Tuple[str, ...]], List[s
             nxt = step.target
             if nxt in on_path:
                 path = [sym for sym, _ in stack]
-                return tuple(path[path.index(nxt):]) + (nxt,), list(done)
+                return tuple(path[path.index(nxt):]) + (nxt,), tuple(done)
             if nxt not in done:
                 on_path.add(nxt)
                 stack.append((nxt, iter(by_source.get(nxt, ()))))
@@ -384,12 +391,12 @@ def _depth_first(deps: DependencyArs) -> Tuple[Optional[Tuple[str, ...]], List[s
             on_path.discard(node)
             done[node] = None
             stack.pop()
-    return None, list(done)
+    return None, tuple(done)
 
 
 def _find_cycle(deps: DependencyArs) -> Optional[Tuple[str, ...]]:
     """The first dependency cycle of the walk ``_depth_first``, or None."""
-    return _depth_first(deps)[0]
+    return deps._walk[0]
 
 
 def is_ntg(r: Rgs) -> NtgResult:
@@ -458,7 +465,7 @@ def dependency_height(r: Rgs) -> int:
     finishes them; a cycle, which has no longest path, raises ValueError.
     """
     deps = dependency_ars(r)
-    cycle, finished = _depth_first(deps)
+    cycle, finished = deps._walk
     if cycle is not None:
         raise ValueError(f"cyclic dependencies have no height: {Cycle(cycle)}")
     height: Dict[str, int] = {}
@@ -484,10 +491,13 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     its own symbol, so the result's dependencies form a tree.  The root
     symbol keeps its name; the copies of a symbol ``f`` are named ``f@1``,
     ``f@2`` and so on in breadth-first order, each name passing over those
-    of the root symbol, of the atomic symbols and of earlier copies.  For acyclic
-    input this is exact; cyclic input needs ``depth`` and calls nested
-    deeper than that are replaced by the nullary placeholder, yielding a
-    truncated, non-semantic result meant for inspection only.
+    of the root symbol, of the atomic symbols and of earlier copies.  Each
+    copy is a fresh copy of its body's ``lab`` and ``args`` maps under the
+    body's own vertex names, which are local to a body; only its reachable
+    occurrences are relabelled or cut.  For acyclic input this is exact;
+    cyclic input needs ``depth`` and calls nested deeper than that are
+    replaced by the nullary placeholder, yielding a truncated, non-semantic
+    result meant for inspection only.
     """
     if depth is not None and depth < 0:
         raise ValueError(f"unfold depth must not be negative, got {depth}")
@@ -506,29 +516,26 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     for iname, sym, level in queue:
         body = r.rec[sym]
         occurrences = [step.vertex for step in steps.get(sym, ())]
-        prefix = iname + "/"
-        lab = {}
-        args = {}
-        for v in body.lab:
-            lab[prefix + v] = body.lab[v]
-            args[prefix + v] = tuple(prefix + w for w in body.args[v])
+        # vertex names are local to a body, so a copy keeps its body's
+        lab = dict(body.lab)
+        args = dict(body.args)
         cut = depth is not None and level + 1 > depth
         for v in occurrences:
             if cut:
-                lab[prefix + v] = Atomic(CUT_SYMBOL, 0)
-                args[prefix + v] = ()
+                lab[v] = Atomic(CUT_SYMBOL, 0)
+                args[v] = ()
                 continue
-            lbl = body.lab[v]
+            lbl = lab[v]
             target = lbl.name
             if target not in copy_names:
                 copy_names[target] = map("{}@{}".format, repeat(target), count(1))
             child = new_name(copy_names[target])
-            lab[prefix + v] = Nested(child, lbl.arity)
+            lab[v] = Nested(child, lbl.arity)
             new_nested[child] = lbl.arity
             queue.append((child, target, level + 1))
-        # a renamed copy of a checked body, with occurrences relabelled at
-        # their arity and cut ones nullary, needs no second check
-        g = TermGraph._prechecked(lab, args, prefix + body.root)
+        # a copy of a checked body, with occurrences relabelled at their
+        # arity and cut ones nullary, needs no second check
+        g = TermGraph._prechecked(lab, args, body.root)
         if (cut and occurrences) or len(r._walks[sym][0]) < len(body):
             # drop the vertices that a placeholder or the source body cut off
             keep = set(reachable(g, g.root))
@@ -564,22 +571,30 @@ def _pair_witness(inputs, lab, args, scope, callee, name):
     pairs keep the left label and pair their successors position by
     position; the input pairs of each scope are numbered from 1; an
     occurrence pair takes, for each input pair of its callee, the two
-    actual arguments at that pair's input indices.
+    actual arguments at that pair's input indices.  One ``Input`` label
+    is built per index, and one ``Nested`` label and its argument
+    positions per callee key, whatever the number of pairs that use them.
     """
     inputs_of: Dict[tuple, list] = {}
     for u in inputs:
         inputs_of.setdefault(scope(u), []).append(u)
-    index = {u: j for us in inputs_of.values() for j, u in enumerate(us, start=1)}
+    numbered = [Input(j) for j in range(1, max(map(len, inputs_of.values()), default=0) + 1)]
+    index = {u: numbered[j] for us in inputs_of.values() for j, u in enumerate(us)}
+    calls: Dict[tuple, tuple] = {}  # per callee key: its label and its exits' argument positions
+
+    def call(key):
+        ins = [lab(u) for u in inputs_of.get(key, ())]
+        calls[key] = Nested(name(key), len(ins)), tuple((i.index - 1, j.index - 1) for i, j in ins)
+        return calls[key]
 
     def entry(p):
         (l1, _), (a1, a2) = lab(p), args(p)
         if isinstance(l1, Input):
-            return Input(index[p]), ()
+            return index[p], ()
         if isinstance(l1, Nested):
             key = callee(p)
-            ins = [lab(u) for u in inputs_of.get(key, ())]
-            succ = tuple((a1[i.index - 1], a2[j.index - 1]) for i, j in ins)
-            return Nested(name(key), len(ins)), succ
+            label, positions = calls.get(key) or call(key)
+            return label, tuple([(a1[i], a2[j]) for i, j in positions])
         return l1, tuple(zip(a1, a2))
 
     return {key: len(us) for key, us in inputs_of.items()}, entry

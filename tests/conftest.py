@@ -4,6 +4,9 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# the helper modules' asserts (the oracles' witness checks among them) run
+# also under ``python -O``, as the test modules' own asserts do
+pytest.register_assert_rewrite("oracles", "generators")
 
 from ntg import Rgs, parse_fo, parse_rgs
 

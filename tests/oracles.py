@@ -129,9 +129,11 @@ def reference_unfold(r, depth=None):
     source body once per call: per instance, one walk of the source body
     for its occurrences, a checked copy, a walk of that copy and a second
     checked copy of what it reaches.  The reference for printed results
-    and cut counts.  It numbers the copies of each symbol with a bare
-    counter, so it differs from the library only where a copy's name is
-    the root symbol's or an atomic symbol's."""
+    and cut counts.  It names each vertex ``v`` of a copy ``<copy>/<v>``,
+    where the library keeps ``v``, and numbers the copies of each symbol
+    with a bare counter, so apart from vertex names it differs from the
+    library only where a copy's name is the root symbol's or an atomic
+    symbol's."""
     from ntg import MissingDepthError, NtgSignature, Rgs, UnfoldResult, dependency_ars
     from ntg.rgs import _find_cycle
 

@@ -786,7 +786,7 @@ def test_ntg_bisimilar_without_the_closure(monkeypatch):
     monkeypatch.setattr(equivalence, "_expand", forbidden)
     res = ntg_bisimilar(f, g)
     assert res is not None and len(res.witness.rec) == len(f.rec)
-    assert ntg_bisimilar(f, relabel(g, "d0_b", "d0_b/m", "z")) is None
+    assert ntg_bisimilar(f, relabel(g, "d0_b", "m", "z")) is None
 
 
 def test_witness_vertex_ids_are_unique_per_body():
@@ -794,6 +794,50 @@ def test_witness_vertex_ids_are_unique_per_body():
     assert res is not None
     assert not any("'" in v for body in res.witness.rec.values() for v in body.lab)
     assert not any("'" in v for _, v in res.proj_left)
+
+
+def test_witness_primes_pairs_that_format_alike():
+    # the pairs ("a|b", "c") and ("a", "b|c") of one context both format
+    # as "a|b|c", so the namer primes the later one
+    from ntg import Atomic, NtgSignature, Output, Rgs, make_graph
+    from ntg.rgs import _uniquify
+
+    def spec(x, y):
+        return Rgs(NtgSignature({"f": 2, "c": 0}, {"r": 0}, "r"), {"r": make_graph("o", {
+            "o": (Output(), ["p"]), "p": (Atomic("f", 2), [x, y]),
+            x: (Atomic("c", 0), []), y: (Atomic("c", 0), []),
+        })})
+
+    left, right = spec("a|b", "a"), spec("c", "b|c")
+    w = ntg_bisimilar(left, right)
+    assert w is not None
+    pairs = [("o", "o"), ("p", "p"), ("a|b", "c"), ("a", "b|c")]
+    names = _uniquify(pairs, lambda xy: f"{xy[0]}|{xy[1]}")
+    assert list(names.values()) == ["o|o", "p|p", "a|b|c", "a|b|c'"]
+    (body,) = w.witness.rec.values()
+    assert list(body.lab) == list(names.values())
+    assert {v: x for (_, v), (_, x) in w.proj_left.items()} == {
+        name: x for (x, _), name in names.items()
+    }
+
+
+def test_one_dependency_walk_per_specification(monkeypatch):
+    # finding cycles, the height, the diagnosis of is_ntg, _needs_depth and
+    # the unfolding all read the one walk kept on the dependency steps
+    import ntg.rgs
+
+    walked = []
+    depth_first = ntg.rgs._depth_first
+
+    def counted(deps):
+        walked.append(deps)
+        return depth_first(deps)
+
+    monkeypatch.setattr(ntg.rgs, "_depth_first", counted)
+    a = fanout_family(4)
+    assert cross_check_theorems(a, a).all_agree
+    assert not is_ntg(a).ok and dependency_height(a) == 4
+    assert len(walked) == 1
 
 
 def test_witness_does_not_rest_on_asserts():

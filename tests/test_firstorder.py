@@ -126,6 +126,24 @@ def test_interpret_depth_two_constant_chain():
     assert g.args[root_link] == (g.root,)
 
 
+def test_interpret_chain_names_clear_of_carrier_names():
+    # the vertex "k#er" has the name that the exit chain of "k" would take
+    from ntg import NtgSignature, Rgs, make_graph
+
+    sig = NtgSignature({"f": 2, "c": 0, "d": 0}, {"r": 0}, "r")
+    r = Rgs(sig, {"r": make_graph("o", {
+        "o": (Output(), ["p"]),
+        "p": (Atomic("f", 2), ["k", "k#er"]),
+        "k": (Atomic("c", 0), []),
+        "k#er": (Atomic("d", 0), []),
+    })})
+    g = interpret(r)
+    assert len(g) == 6
+    assert census(g) == {"out_r": 1, "f": 1, "const": 2, "in_r": 2}
+    assert is_rg_member(g)
+    assert ntg_isomorphic(represent(g), r) is not None
+
+
 def test_interpret_matches_hand_encoded_figure(fix_n, n_flattened):
     assert tg_isomorphic(interpret(fix_n), n_flattened) is not None
 

@@ -43,3 +43,12 @@ def test_a_previous_copy_keeps_working_after_a_reimport():
     finally:
         _drop_ntg_modules()
         sys.modules.update(saved)
+
+
+def test_helper_modules_have_their_asserts_rewritten():
+    # rewritten asserts run also under ``python -O``, which drops the
+    # plain asserts of modules imported outside pytest's rewriting
+    import generators
+    import oracles
+
+    assert all("@py_builtins" in vars(m) for m in (generators, oracles))

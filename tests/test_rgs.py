@@ -66,9 +66,10 @@ def _with_unreachable_vertices(r):
     return Rgs(NtgSignature({**sig.atomic, "zz": 1}, sig.nested, sig.root_symbol), rec)
 
 
-def _unfolding(unfold, r, depth):
+def _unfolding(unfold, r, depth, vertex=lambda sym, v: v):
     """Everything ``unfold(r, depth)`` gives, with every dict in its order,
-    or what it raises."""
+    or what it raises; each vertex ``v`` of a body ``sym`` is read as
+    ``vertex(sym, v)``."""
     from ntg import print_rgs
 
     try:
@@ -76,10 +77,19 @@ def _unfolding(unfold, r, depth):
     except ValueError as e:
         return type(e).__name__, str(e)
     sig = res.rgs.signature
-    bodies = [
-        (sym, list(g.lab.items()), list(g.args.items()), g.root) for sym, g in res.rgs.rec.items()
-    ]
+    bodies = []
+    for sym, g in res.rgs.rec.items():
+        lab = [(vertex(sym, v), lbl) for v, lbl in g.lab.items()]
+        args = [(vertex(sym, v), tuple(vertex(sym, w) for w in ws)) for v, ws in g.args.items()]
+        bodies.append((sym, lab, args, vertex(sym, g.root)))
     return print_rgs(res.rgs), res.cuts, list(sig.atomic.items()), list(sig.nested.items()), bodies
+
+
+def _drop_copy_prefix(sym, v):
+    """A vertex ``<sym>/<v>`` of the reference unfolding's body ``sym`` as
+    the vertex ``v`` it copies; one-to-one within each body."""
+    assert v.startswith(sym + "/"), (sym, v)
+    return v[len(sym) + 1:]
 
 
 def test_unfold_equals_the_reference_unfolding():
@@ -97,7 +107,7 @@ def test_unfold_equals_the_reference_unfolding():
     for r in specs:
         for depth in (None, 0, 1, 2, 3):
             ours = _unfolding(unfold_to_ntg, r, depth)
-            assert ours == _unfolding(reference_unfold, r, depth)
+            assert ours == _unfolding(reference_unfold, r, depth, _drop_copy_prefix)
             cut += len(ours) > 2 and ours[1] > 0
     assert cut > 100
 
@@ -230,6 +240,22 @@ def test_unfold_duplicates_shared_definition(fix_r0):
     copies = [s for s in res.rgs.signature.nested if s.startswith("f2@")]
     assert len(copies) == 2
     assert ntg_isomorphic(res.rgs, unfold_to_ntg(res.rgs).rgs) is not None
+
+
+def test_unfolded_copies_share_no_dict_with_their_source(fix_n, fix_r0, fix_r1):
+    # each copy keeps its body's vertex names in maps of its own, also
+    # where nothing in it is relabelled
+    rng = random.Random(29)
+    specs = [(fix_n, None), (fix_r0, None), (fix_r1, 2), (fanout_family(3), None)]
+    specs += [(random_acyclic_rgs(rng), None) for _ in range(10)]
+    for r, depth in specs:
+        res = unfold_to_ntg(r, depth)
+        maps = [m for body in r.rec.values() for m in (body.lab, body.args)]
+        maps += [m for body in res.rgs.rec.values() for m in (body.lab, body.args)]
+        assert len({id(m) for m in maps}) == len(maps)
+        for sym, copy in res.rgs.rec.items():
+            body = r.rec[sym.partition("@")[0]]
+            assert copy.root == body.root and set(copy.lab) <= set(body.lab)
 
 
 def test_unfold_cyclic_needs_depth(fix_r1):
