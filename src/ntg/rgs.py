@@ -572,20 +572,13 @@ def _pair_witness(inputs, lab, args, scope, callee, name):
     position; the input pairs of each scope are numbered from 1; an
     occurrence pair takes, for each input pair of its callee, the two
     actual arguments at that pair's input indices.  One ``Input`` label
-    is built per index, and one ``Nested`` label and its argument
-    positions per callee key, whatever the number of pairs that use them.
+    is built per index and shared by the input pairs that take it.
     """
     inputs_of: Dict[tuple, list] = {}
     for u in inputs:
         inputs_of.setdefault(scope(u), []).append(u)
     numbered = [Input(j) for j in range(1, max(map(len, inputs_of.values()), default=0) + 1)]
     index = {u: numbered[j] for us in inputs_of.values() for j, u in enumerate(us)}
-    calls: Dict[tuple, tuple] = {}  # per callee key: its label and its exits' argument positions
-
-    def call(key):
-        ins = [lab(u) for u in inputs_of.get(key, ())]
-        calls[key] = Nested(name(key), len(ins)), tuple((i.index - 1, j.index - 1) for i, j in ins)
-        return calls[key]
 
     def entry(p):
         (l1, _), (a1, a2) = lab(p), args(p)
@@ -593,8 +586,9 @@ def _pair_witness(inputs, lab, args, scope, callee, name):
             return index[p], ()
         if isinstance(l1, Nested):
             key = callee(p)
-            label, positions = calls.get(key) or call(key)
-            return label, tuple([(a1[i], a2[j]) for i, j in positions])
+            ins = [lab(u) for u in inputs_of.get(key, ())]
+            succ = tuple((a1[i.index - 1], a2[j.index - 1]) for i, j in ins)
+            return Nested(name(key), len(ins)), succ
         return l1, tuple(zip(a1, a2))
 
     return {key: len(us) for key, us in inputs_of.items()}, entry
