@@ -167,72 +167,91 @@ def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
 # the stack under it, so the closure is tabulated once per such pair in
 # the style of Reps, Horwitz and Sagiv (POPL 1995): the vertex pairs it
 # reaches at its own level, and the input-index pairs through which it
-# returns.  The tables are polynomial in the two specifications whatever
-# their sharing or recursion, so the verdict is exact in every case.  A
-# homomorphism asks in addition that each context be functional, which the
-# same tables answer.
+# returns.  A context's pairs lie in its two entered bodies, so the tables
+# key them by their two body vertices alone.  The tables are polynomial in
+# the two specifications whatever their sharing or recursion, so the
+# verdict is exact in every case.  A homomorphism asks in addition that
+# each context be functional, which the same tables answer.
 # ---------------------------------------------------------------------------
 
 
 class _Context:
-    """The summary of one pair of entered symbols (``None``: the root pair).
+    """The summary of one pair of entered symbols, ``syms``; the root
+    pair's context is keyed None.
 
-    ``reached`` maps each vertex pair at this level to its first-discovery
-    pointer ``(length, previous pair, callee, exit)``: ``length`` counts
-    the configurations from the entry pair through this one, ``previous``
-    is None at the entry pair, and ``callee`` and ``exit`` are set when the
-    pair was reached by returning from the call at ``previous``.  ``exits``
-    maps each input-index pair to the input pair first found with it.
+    A context's pairs lie in its two entered bodies, whose ``lab`` and
+    ``args`` maps are ``bodies``, so each pair is the two body vertices
+    ``(x1, x2)``.  ``reached`` maps each vertex pair at this level to its
+    first-discovery pointer ``(length, previous pair, callee, exit)``:
+    ``length`` counts the configurations from the entry pair through this
+    one, ``previous`` is None at the entry pair, and ``callee`` and
+    ``exit`` are set when the pair was reached by returning from the call
+    at ``previous``.  ``exits`` maps each input-index pair to the input
+    pair first found with it.
     """
 
-    __slots__ = ("reached", "exits", "callers", "opener")
+    __slots__ = ("syms", "bodies", "reached", "exits", "callers", "opener")
 
-    def __init__(self, opener):
-        self.reached: Dict[tuple, tuple] = {}
+    def __init__(self, r1: Rgs, r2: Rgs, syms: Tuple[str, str], opener):
+        g1, g2 = r1.rec[syms[0]], r2.rec[syms[1]]
+        self.syms = syms
+        self.bodies = (g1.lab, g1.args, g2.lab, g2.args)
+        self.reached: Dict[tuple, tuple] = {(g1.root, g2.root): (1, None, None, None)}
         self.exits: Dict[Tuple[int, int], tuple] = {}
         self.callers: List[tuple] = []  # (context key, occurrence pair)
         self.opener = opener  # the first caller; None for the root context
+
+    def cv(self, pair) -> Tuple[CV, CV]:
+        """The pair ``(x1, x2)`` of this context as carrier vertices."""
+        s1, s2 = self.syms
+        return (s1, pair[0]), (s2, pair[1])
+
+    def cv_reached(self) -> List[Tuple[CV, CV]]:
+        """The reached pairs as carrier vertices, in discovery order."""
+        s1, s2 = self.syms
+        return [((s1, x1), (s2, x2)) for x1, x2 in self.reached]
 
 
 def _tabulate(r1: Rgs, r2: Rgs):
     """Summaries of every context reachable from the root pair.
 
-    Reads each body's ``lab`` and ``args`` maps directly, and asks
-    ``_compatible`` once per pair of label objects met.  Returns
-    ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
+    Reads the ``lab`` and ``args`` maps of each context's two bodies
+    directly, and asks ``_compatible`` once per pair of label objects met.
+    Returns ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
     reason)``, where ``via`` is the calling frame when the clash depends on
     the caller (an exit that the caller's arity cannot take), else None.
     """
-    body1 = {sym: (g.lab, g.args) for sym, g in r1.rec.items()}
-    body2 = {sym: (g.lab, g.args) for sym, g in r2.rec.items()}
     compatible: Dict[Tuple[int, int], bool] = {}  # by the ids of two label objects
-    contexts: Dict[Optional[tuple], _Context] = {None: _Context(None)}
-    start = (_entry(r1, r1.root_symbol), _entry(r2, r2.root_symbol))
-    contexts[None].reached[start] = (1, None, None, None)
-    work = deque([(None, start)])
+    contexts: Dict[Optional[tuple], _Context] = {}
+    work = deque()  # (context key, context, pair)
+
+    def enter(key, syms, opener):
+        ctx = contexts[key] = _Context(r1, r2, syms, opener)
+        work.append((key, ctx, next(iter(ctx.reached))))
+        return ctx
 
     def ret(key, occ, callee, ij):
         """Continue the call at ``occ`` of context ``key`` after ``callee``
         exits through ``ij``; returns a clash reason or None."""
-        (s1, x1), (s2, x2) = occ
-        a1, a2 = body1[s1][1][x1], body2[s2][1][x2]
+        ctx = contexts[key]
+        _, args1, _, args2 = ctx.bodies
+        a1, a2 = args1[occ[0]], args2[occ[1]]
         i, j = ij
         if i > len(a1) or j > len(a2):
             return "input index exceeds the calling occurrence's arity"
-        seen = contexts[key].reached
-        pair = ((s1, a1[i - 1]), (s2, a2[j - 1]))
+        seen = ctx.reached
+        pair = (a1[i - 1], a2[j - 1])
         if pair not in seen:
             sub = contexts[callee]
             seen[pair] = (seen[occ][0] + sub.reached[sub.exits[ij]][0] + 1, occ, callee, ij)
-            work.append((key, pair))
+            work.append((key, ctx, pair))
         return None
 
+    enter(None, (r1.root_symbol, r2.root_symbol), None)
     while work:
-        key, pair = work.popleft()
-        ctx = contexts[key]
-        (s1, x1), (s2, x2) = pair
-        lab1, args1 = body1[s1]
-        lab2, args2 = body2[s2]
+        key, ctx, pair = work.popleft()
+        lab1, args1, lab2, args2 = ctx.bodies
+        x1, x2 = pair
         l1, l2 = lab1[x1], lab2[x2]
         ids = (id(l1), id(l2))
         ok = compatible.get(ids)
@@ -243,19 +262,15 @@ def _tabulate(r1: Rgs, r2: Rgs):
         if isinstance(l1, (Atomic, Output)):
             seen = ctx.reached
             step = (seen[pair][0] + 1, pair, None, None)
-            for w1, w2 in zip(args1[x1], args2[x2]):
-                child = ((s1, w1), (s2, w2))
+            for child in zip(args1[x1], args2[x2]):
                 if child not in seen:
                     seen[child] = step
-                    work.append((key, child))
+                    work.append((key, ctx, child))
         elif isinstance(l1, Nested):
             callee = (l1.name, l2.name)
             sub = contexts.get(callee)
             if sub is None:
-                sub = contexts[callee] = _Context((key, pair))
-                entry = (_entry(r1, l1.name), _entry(r2, l2.name))
-                sub.reached[entry] = (1, None, None, None)
-                work.append((callee, entry))
+                sub = enter(callee, callee, (key, pair))
             sub.callers.append((key, pair))
             for ij, w in sub.exits.items():
                 reason = ret(key, pair, callee, ij)
@@ -294,32 +309,36 @@ def _rebuild_path(contexts, frames, key, pair) -> List[NestedConfig]:
     ls, rs = (), ()
     for k, occ in frames:
         segments.append((k, occ, ls, rs))
-        ls, rs = ls + (occ[0],), rs + (occ[1],)
+        o1, o2 = contexts[k].cv(occ)
+        ls, rs = ls + (o1,), rs + (o2,)
     segments.append((key, pair, ls, rs))
     backwards = []
     while segments:
         k, cur, ls, rs = segments.pop()
-        reached = contexts[k].reached
+        ctx = contexts[k]
+        s1, s2 = ctx.syms
+        reached = ctx.reached
         while True:
-            backwards.append(NestedConfig(ls, cur[0], rs, cur[1]))
+            backwards.append(NestedConfig(ls, (s1, cur[0]), rs, (s2, cur[1])))
             _, prev, callee, ij = reached[cur]
             if prev is None:
                 break
             if callee is not None:
                 segments.append((k, prev, ls, rs))
                 exit_pair = contexts[callee].exits[ij]
-                segments.append((callee, exit_pair, ls + (prev[0],), rs + (prev[1],)))
+                segments.append((callee, exit_pair, ls + ((s1, prev[0]),), rs + ((s2, prev[1]),)))
                 break
             cur = prev
     backwards.reverse()
     return backwards
 
 
-def _config(frames, pair) -> NestedConfig:
-    """The configuration of ``pair`` under the stacks of ``frames``."""
-    return NestedConfig(
-        tuple(occ[0] for _, occ in frames), pair[0], tuple(occ[1] for _, occ in frames), pair[1]
-    )
+def _config(contexts, frames, key, pair) -> NestedConfig:
+    """The configuration of ``pair`` of context ``key`` under the stacks of
+    ``frames``."""
+    occs = [contexts[k].cv(occ) for k, occ in frames]
+    v1, v2 = contexts[key].cv(pair)
+    return NestedConfig(tuple(o1 for o1, _ in occs), v1, tuple(o2 for _, o2 in occs), v2)
 
 
 def _functionality_conflict(contexts):
@@ -329,10 +348,10 @@ def _functionality_conflict(contexts):
     context is functional."""
     for key, ctx in contexts.items():
         image = {}
-        for v1, v2 in ctx.reached:
-            w = image.setdefault(v1, v2)
-            if w != v2:
-                return key, (v1, w), (v1, v2)
+        for x1, x2 in ctx.reached:
+            w = image.setdefault(x1, x2)
+            if w != x2:
+                return key, (x1, w), (x1, x2)
     return None
 
 
@@ -351,54 +370,32 @@ def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
     One definition ``f_g`` per context, entered at its entry pair; one
     vertex ``v|w`` per reached pair, after the names of its two vertices in
     their bodies (an unfolded copy keeps its body's vertex names), primed
-    only where two pairs of one context format alike; one input per exit,
-    numbered in the order the exits were found.  An occurrence pair
-    passes, for each exit of its callee, the argument pair at that exit's
-    input indices.  Every pair of a context lies in the two bodies it
-    entered, so a pair is read as ``(context key, left vertex, right
-    vertex)`` straight from the bodies' ``lab`` and ``args`` maps.
+    only where two pairs of one context format alike.  Each context's
+    pairs ``(x1, x2)`` lie in its two entered bodies and are walked against
+    their ``lab`` and ``args`` maps, with no callback per pair.  The
+    context's inputs are numbered from its exits, in the order they were
+    found, and an occurrence pair passes, for each exit of its callee
+    context, the argument pair at that exit's input indices.
     """
     # the witness carries left labels, so the left arity wins a conflict
     atomic = {**r2.signature.atomic, **r1.signature.atomic}
-    roots = (r1.root_symbol, r2.root_symbol)
-    sym_name = _uniquify(contexts, lambda key: "_".join(key or roots), avoid=atomic)
-    rec1, rec2 = r1.rec, r2.rec
-
-    def labels(item):
-        key, x1, x2 = item
-        s1, s2 = key or roots
-        return rec1[s1].lab[x1], rec2[s2].lab[x2]
-
-    def succs(item):
-        key, x1, x2 = item
-        s1, s2 = key or roots
-        return rec1[s1].args[x1], rec2[s2].args[x2]
-
-    arity, entry = _pair_witness(
-        [(key, u1[1], u2[1]) for key, ctx in contexts.items() for u1, u2 in ctx.exits.values()],
-        labels,
-        succs,
-        lambda item: item[0],
-        lambda item: tuple(lbl.name for lbl in labels(item)),
-        sym_name.__getitem__,
-    )
+    sym_name = _uniquify(contexts, lambda key: "_".join(contexts[key].syms), avoid=atomic)
+    scopes = {key: (*ctx.bodies, list(ctx.exits.values())) for key, ctx in contexts.items()}
+    arity, body = _pair_witness(scopes, lambda p, l1, l2: (l1.name, l2.name), sym_name.__getitem__)
     rec: Dict[str, TermGraph] = {}
     proj_left: Dict[CV, CV] = {}
     proj_right: Dict[CV, CV] = {}
     for key, ctx in contexts.items():
         sym = sym_name[key]
-        s1, s2 = key or roots
+        s1, s2 = ctx.syms
         # vertex ids need only be unique within their own body; two pairs
         # format alike only when a vertex name holds a ``|``
-        vid = {(x1, x2): f"{x1}|{x2}" for (_, x1), (_, x2) in ctx.reached}
+        vid = {(x1, x2): f"{x1}|{x2}" for x1, x2 in ctx.reached}
         if len(set(vid.values())) < len(vid):
             vid = _uniquify(vid, vid.__getitem__)
-        lab, args = {}, {}
+        rec[sym] = TermGraph(*body(key, vid), next(iter(vid.values())))  # the entry pair came first
         for (x1, x2), v in vid.items():
-            lab[v], succ = entry((key, x1, x2))
-            args[v] = tuple(map(vid.__getitem__, succ))
             proj_left[(sym, v)], proj_right[(sym, v)] = (s1, x1), (s2, x2)
-        rec[sym] = TermGraph(lab, args, next(iter(vid.values())))  # the entry pair came first
     nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
     witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
     assert not validate_rgs(witness), "constructed witness is ill-formed"
@@ -416,7 +413,7 @@ def _expand(contexts) -> frozenset:
     calls = {key: [] for key in contexts}  # caller key -> [(callee key, occurrence pair)]
     for key, ctx in contexts.items():
         for caller, occ in ctx.callers:
-            calls[caller].append((key, occ))
+            calls[caller].append((key, contexts[caller].cv(occ)))
     waiting = {key: len(ctx.callers) for key, ctx in contexts.items()}
     stacks = {None: [((), ())]}
     ready = [None]
@@ -424,7 +421,7 @@ def _expand(contexts) -> frozenset:
     while ready:
         key = ready.pop()
         pairs = stacks.pop(key)
-        reached = contexts[key].reached
+        reached = contexts[key].cv_reached()  # once per context, shared by its stack pairs
         configs.extend(NestedConfig(ls, v1, rs, v2) for ls, rs in pairs for v1, v2 in reached)
         for callee, (o1, o2) in calls[key]:
             stacks.setdefault(callee, []).extend((ls + (o1,), rs + (o2,)) for ls, rs in pairs)
@@ -451,8 +448,11 @@ class _SummaryResult:
     def path(self) -> Optional[List[NestedConfig]]:
         """The configurations from the root pair to ``counterexample``,
         each a successor of the one before; None without a clash."""
-        cfg = self.counterexample
-        return None if cfg is None else _rebuild_path(self._contexts, *self._trace, (cfg.left, cfg.right))
+        return None if self.counterexample is None else self._run(self.counterexample)
+
+    def _run(self, cfg: NestedConfig) -> List[NestedConfig]:
+        # cfg lies in the context that ``_trace`` names, as its two body vertices
+        return _rebuild_path(self._contexts, *self._trace, (cfg.left[1], cfg.right[1]))
 
 
 def _summarize(r1: Rgs, r2: Rgs):
@@ -478,7 +478,7 @@ def _summarize(r1: Rgs, r2: Rgs):
     length = contexts[key].reached[pair][0]
     length += sum(contexts[k].reached[occ][0] for k, occ in frames)
     return fields, dict(
-        counterexample=_config(frames, pair), reason=reason, path_length=length,
+        counterexample=_config(contexts, frames, key, pair), reason=reason, path_length=length,
         _trace=(frames, key),
     )
 
@@ -536,11 +536,7 @@ class NestedHomResult(_SummaryResult):
     def runs(self) -> Optional[Tuple[List[NestedConfig], List[NestedConfig]]]:
         """For a ``conflict``: the two runs of configurations from the root
         pair to its two configurations; None otherwise."""
-        if self.conflict is None:
-            return None
-        return tuple(
-            _rebuild_path(self._contexts, *self._trace, (cfg.left, cfg.right)) for cfg in self.conflict
-        )
+        return None if self.conflict is None else tuple(map(self._run, self.conflict))
 
     @cached_property
     def certificate(self) -> Optional[Dict[tuple, CV]]:
@@ -552,7 +548,7 @@ class NestedHomResult(_SummaryResult):
         context does.  Polynomial, also on shared and cyclic input."""
         if not self.exists:
             return None
-        return {(key, v1): v2 for key, ctx in self._contexts.items() for v1, v2 in ctx.reached}
+        return {(key, v1): v2 for key, ctx in self._contexts.items() for v1, v2 in ctx.cv_reached()}
 
 
 def nested_hom(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedHomResult:
@@ -583,7 +579,7 @@ def nested_hom(r1: Rgs, r2: Rgs, depth: Optional[int] = None) -> NestedHomResult
     frames = _frames(contexts, key, None)
     return NestedHomResult(
         "none", reason="a left configuration meets two right configurations",
-        conflict=(_config(frames, first), _config(frames, second)),
+        conflict=(_config(contexts, frames, key, first), _config(contexts, frames, key, second)),
         _trace=(frames, key), **fields,
     )
 
@@ -792,7 +788,7 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     contexts = fields["_contexts"]
     if clash is not None or sum(len(ctx.reached) for ctx in contexts.values()) != size:
         return None
-    vertex_map = {v1: v2 for ctx in contexts.values() for v1, v2 in ctx.reached}
+    vertex_map = {v1: v2 for ctx in contexts.values() for v1, v2 in ctx.cv_reached()}
     if len(set(vertex_map.values())) != size:  # then no left vertex is in two pairs
         return None
     symbol_map = {n1.root_symbol: n2.root_symbol}

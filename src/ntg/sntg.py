@@ -416,28 +416,30 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
                 order.append(child)
 
     vid = _uniquify(order, lambda pair: f"({pair[0]},{pair[1]})")
-    # the inputs of each definition pair are numbered in discovery order; a
-    # pair lies in the scope the pair of its innermost ancestors opened
-    _, entry = _pair_witness(
-        [pair for pair in order if isinstance(s1.tg.lab[pair[0]], Input)],
-        lambda pair: (s1.tg.lab[pair[0]], s2.tg.lab[pair[1]]),
-        lambda pair: (s1.tg.args[pair[0]], s2.tg.args[pair[1]]),
-        lambda pair: (s1.inner[pair[0]], s2.inner[pair[1]]),
-        lambda pair: pair,
+    # a pair lies in the scope the pair of its innermost ancestors opened,
+    # and the inputs of each scope are numbered in discovery order
+    in_scope: Dict[tuple, Dict[tuple, Vertex]] = {}  # scope key -> pair -> witness vertex
+    for (v, w), x in vid.items():
+        in_scope.setdefault((s1.inner[v], s2.inner[w]), {})[(v, w)] = x
+    maps = (s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args)
+    _, body = _pair_witness(
+        {key: (*maps, [p for p in ids if isinstance(maps[0][p[0]], Input)])
+         for key, ids in in_scope.items()},
+        lambda pair, l1, l2: pair,
         lambda key: f"{s1.tg.lab[key[0]].name}&{s2.tg.lab[key[1]].name}",
     )
+    built = {key: body(key, ids) for key, ids in in_scope.items()}  # scope key -> (lab, args)
 
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
     inner: Dict[Vertex, Optional[Vertex]] = {}
-    for v, w in order:
-        label, succ = entry((v, w))
-        x = vid[(v, w)]
-        inner[x] = vid.get((s1.inner[v], s2.inner[w]))  # None at the root pair
-        lab[x] = label
-        args[x] = tuple(vid[q] for q in succ)
+    for v, w in order:  # the witness lists its vertices in discovery order
+        x, scope = vid[(v, w)], (s1.inner[v], s2.inner[w])
+        inner[x] = vid.get(scope)  # None at the root pair
+        lab[x] = label = built[scope][0][x]
+        args[x] = built[scope][1][x]
         if isinstance(label, Nested):
             call[x] = vid[(s1.call[v], s2.call[w])]
         elif isinstance(label, Input):

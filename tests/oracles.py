@@ -38,8 +38,12 @@ reference of ``check_fully_backlinked``.  Synchronized bijective walks,
 of two graphs and of each pair of bodies, are the references of
 ``tg_isomorphic`` and ``ntg_isomorphic``, which read the homomorphism
 engines.  The tabulation as it was before it read the bodies directly,
-asking the carrier for every label and successor tuple, is the reference
-of the summary tables of ``_tabulate``.  The priming loop and the
+asking the carrier for every label and successor tuple and keying every
+pair by its two carrier vertices, is the reference of the summary tables
+of ``_tabulate``.  The witness builders as they were before they took
+each scope's two sides' maps, reading every pair through callbacks, are
+the references of the witnesses of ``nested_bisim`` and
+``sntg_bisimilar``.  The priming loop and the
 ``d<k>`` counter the library ran before one namer made every name are
 the references of the names of witnesses, of ``sntg_to_ntg`` and of the
 read-back.
@@ -53,10 +57,9 @@ against ``moore_refine``,
 ``tg_bisimilar``, runs it on the disjoint union of two graphs,
 the closure and ``replay_path`` apply the library's progression rules
 ``_progressions``, which share nothing with the summary tabulation, and
-both witness builders fill their bodies through the library's
-``_pair_witness``, the isomorphism walk of bodies and the reference
-tabulation compare labels with the library's ``_compatible``, and the
-reference tabulation fills the library's ``_Context`` records.
+the isomorphism walk of bodies, the reference tabulation and the
+reference closure of ``sntg_bisimilar`` compare labels with the library's
+``_compatible``.
 """
 
 import re
@@ -731,11 +734,25 @@ def closure_relation(r1, r2, depth=None):
     return NestedBisimRelation(frozenset(configs), depth if bounded else None)
 
 
+class ReferenceContext:
+    """A summary record as ``reference_tabulate`` fills it: the fields of
+    ``ntg.equivalence._Context``, with every pair a pair of carrier
+    vertices ``((s1, x1), (s2, x2))``."""
+
+    def __init__(self, opener):
+        self.reached = {}
+        self.exits = {}
+        self.callers = []  # (context key, occurrence pair)
+        self.opener = opener  # the first caller; None for the root context
+
+
 def reference_tabulate(c1, c2):
     """``ntg.equivalence._tabulate`` as the library wrote it before it read
     the bodies directly: every label and successor tuple asked of the
-    carriers, and ``_compatible`` called for every pair popped.  The
-    reference for the summary tables, item by item and in order.
+    carriers, ``_compatible`` called for every pair popped, and every pair
+    a pair of carrier vertices ``((s1, x1), (s2, x2))``.  The reference for
+    the summary tables, item by item and in order, once each pair is keyed
+    by its two body vertices.
 
     Summaries of every context reachable from the root pair.
 
@@ -743,10 +760,9 @@ def reference_tabulate(c1, c2):
     reason)``, where ``via`` is the calling frame when the clash depends on
     the caller (an exit that the caller's arity cannot take), else None.
     """
-    from ntg.equivalence import _Context
     from ntg.labels import Output, _compatible
 
-    contexts = {None: _Context(None)}
+    contexts = {None: ReferenceContext(None)}
     work = deque()
 
     def reach(key, pair, pointer):
@@ -783,7 +799,7 @@ def reference_tabulate(c1, c2):
             callee = (l1.name, l2.name)
             sub = contexts.get(callee)
             if sub is None:
-                sub = contexts[callee] = _Context((key, pair))
+                sub = contexts[callee] = ReferenceContext((key, pair))
                 reach(callee, (c1.rootof[l1.name], c2.rootof[l2.name]), (1, None, None, None))
             sub.callers.append((key, pair))
             for ij, w in sub.exits.items():
@@ -801,6 +817,159 @@ def reference_tabulate(c1, c2):
                     if reason:
                         return contexts, (key, pair, caller, reason)
     return contexts, None
+
+
+def reference_pair_witness(inputs, lab, args, scope, callee, name):
+    """``ntg.rgs._pair_witness`` as the library wrote it before it took
+    each scope's two sides' maps: every pair read through callbacks.
+
+    ``inputs`` lists the input pairs in the order their indices follow.
+    ``lab(p)`` and ``args(p)`` give a pair's two labels and two successor
+    tuples, ``scope(p)`` the key of the scope ``p`` lies in, ``callee(p)``
+    the key of the scope an occurrence pair opens, and ``name(key)`` that
+    scope's symbol.
+
+    Returns ``(arity, entry)``.  ``arity`` maps each scope key with inputs
+    to their number.  ``entry(p)`` is a reached pair's label and its
+    successors, as pairs of the two sides' vertices: atomic and output
+    pairs keep the left label and pair their successors position by
+    position; the input pairs of each scope are numbered from 1; an
+    occurrence pair takes, for each input pair of its callee, the two
+    actual arguments at that pair's input indices.
+    """
+    inputs_of = {}
+    for u in inputs:
+        inputs_of.setdefault(scope(u), []).append(u)
+    numbered = [Input(j) for j in range(1, max(map(len, inputs_of.values()), default=0) + 1)]
+    index = {u: numbered[j] for us in inputs_of.values() for j, u in enumerate(us)}
+
+    def entry(p):
+        (l1, _), (a1, a2) = lab(p), args(p)
+        if isinstance(l1, Input):
+            return index[p], ()
+        if isinstance(l1, Nested):
+            key = callee(p)
+            ins = [lab(u) for u in inputs_of.get(key, ())]
+            succ = tuple((a1[i.index - 1], a2[j.index - 1]) for i, j in ins)
+            return Nested(name(key), len(ins)), succ
+        return l1, tuple(zip(a1, a2))
+
+    return {key: len(us) for key, us in inputs_of.items()}, entry
+
+
+def reference_summary_witness(r1, r2, contexts):
+    """``ntg.equivalence._summary_witness`` as the library wrote it before
+    its tables keyed each pair by its two body vertices: it reads the
+    tables of ``reference_tabulate``, repacks every pair as ``(context
+    key, left vertex, right vertex)`` and reads it through the callbacks
+    of ``reference_pair_witness``, looking both bodies up per call.  The
+    reference for the printed witness and both projections, in order.
+
+    One definition ``f_g`` per context, entered at its entry pair; one
+    vertex ``v|w`` per reached pair, primed only where two pairs of one
+    context format alike; one input per exit, numbered in the order the
+    exits were found.
+    """
+    from ntg.equivalence import BisimWitness
+    from ntg.rgs import _uniquify
+    from ntg import NtgSignature, Rgs, validate_rgs
+
+    atomic = {**r2.signature.atomic, **r1.signature.atomic}
+    roots = (r1.root_symbol, r2.root_symbol)
+    sym_name = _uniquify(contexts, lambda key: "_".join(key or roots), avoid=atomic)
+    rec1, rec2 = r1.rec, r2.rec
+
+    def labels(item):
+        key, x1, x2 = item
+        s1, s2 = key or roots
+        return rec1[s1].lab[x1], rec2[s2].lab[x2]
+
+    def succs(item):
+        key, x1, x2 = item
+        s1, s2 = key or roots
+        return rec1[s1].args[x1], rec2[s2].args[x2]
+
+    arity, entry = reference_pair_witness(
+        [(key, u1[1], u2[1]) for key, ctx in contexts.items() for u1, u2 in ctx.exits.values()],
+        labels,
+        succs,
+        lambda item: item[0],
+        lambda item: tuple(lbl.name for lbl in labels(item)),
+        sym_name.__getitem__,
+    )
+    rec = {}
+    proj_left = {}
+    proj_right = {}
+    for key, ctx in contexts.items():
+        sym = sym_name[key]
+        s1, s2 = key or roots
+        vid = {(x1, x2): f"{x1}|{x2}" for (_, x1), (_, x2) in ctx.reached}
+        if len(set(vid.values())) < len(vid):
+            vid = _uniquify(vid, vid.__getitem__)
+        lab, args = {}, {}
+        for (x1, x2), v in vid.items():
+            lab[v], succ = entry((key, x1, x2))
+            args[v] = tuple(map(vid.__getitem__, succ))
+            proj_left[(sym, v)], proj_right[(sym, v)] = (s1, x1), (s2, x2)
+        rec[sym] = TermGraph(lab, args, next(iter(vid.values())))
+    nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
+    witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
+    assert not validate_rgs(witness), "constructed witness is ill-formed"
+    assert not verify_ntg_hom(witness, r1, proj_left), "left projection fails"
+    assert not verify_ntg_hom(witness, r2, proj_right), "right projection fails"
+    return BisimWitness(witness, proj_left, proj_right)
+
+
+def reference_sntg_bisimilar(s1, s2):
+    """``ntg.sntg.sntg_bisimilar`` as the library wrote it before
+    ``_pair_witness`` took each scope's two sides' maps: every pair of the
+    closure read through the callbacks of ``reference_pair_witness``.  The
+    reference for the witness structure, map by map and in order.
+    """
+    from ntg.labels import Output, _compatible
+    from ntg.rgs import _uniquify
+    from ntg.sntg import Sntg, check_sntg
+
+    start = (s1.root, s2.root)
+    seen = {start}
+    order = [start]
+    for v, w in order:
+        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
+        if not _compatible(l1, l2):
+            return None
+        if isinstance(l1, (Atomic, Output)):
+            children = list(zip(s1.tg.args[v], s2.tg.args[w]))
+        elif isinstance(l1, Nested):
+            children = [(s1.call[v], s2.call[w])]
+        else:
+            children = [(s1.ret[v], s2.ret[w])]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+
+    vid = _uniquify(order, lambda pair: f"({pair[0]},{pair[1]})")
+    _, entry = reference_pair_witness(
+        [pair for pair in order if isinstance(s1.tg.lab[pair[0]], Input)],
+        lambda pair: (s1.tg.lab[pair[0]], s2.tg.lab[pair[1]]),
+        lambda pair: (s1.tg.args[pair[0]], s2.tg.args[pair[1]]),
+        lambda pair: (s1.inner[pair[0]], s2.inner[pair[1]]),
+        lambda pair: pair,
+        lambda key: f"{s1.tg.lab[key[0]].name}&{s2.tg.lab[key[1]].name}",
+    )
+    lab, args, call, ret, inner = {}, {}, {}, {}, {}
+    for v, w in order:
+        label, succ = entry((v, w))
+        x = vid[(v, w)]
+        inner[x] = vid.get((s1.inner[v], s2.inner[w]))
+        lab[x] = label
+        args[x] = tuple(vid[q] for q in succ)
+        if isinstance(label, Nested):
+            call[x] = vid[(s1.call[v], s2.call[w])]
+        elif isinstance(label, Input):
+            ret[x] = vid[(s1.ret[v], s2.ret[w])]
+    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, inner)
+    return None if check_sntg(witness) else witness
 
 
 def context_of(c1, c2, left_stack, right_stack):
@@ -863,7 +1032,7 @@ def closure_ntg_bisimilar(n1, n2):
     bodies at once.  The reference for verdicts, printed witnesses and
     projections.
     """
-    from ntg.equivalence import BisimWitness, _compatible, _merge_atomic, _pair_witness
+    from ntg.equivalence import BisimWitness, _compatible, _merge_atomic
     from ntg.rgs import _require, _uniquify
     from ntg import Atomic, Input, Nested, NtgSignature, Output, Rgs, is_ntg, validate_rgs
 
@@ -910,7 +1079,7 @@ def closure_ntg_bisimilar(n1, n2):
     sym_keys += [(l1.name, l2.name) for l1, l2 in map(labels, order) if isinstance(l1, Nested)]
     sym_name = _uniquify(dict.fromkeys(sym_keys), lambda key: f"{key[0]}_{key[1]}", avoid=atomic)
     pair_name = _uniquify(order, lambda pair: f"{pair[0][1]}|{pair[1][1]}")
-    arity, entry = _pair_witness(
+    arity, entry = reference_pair_witness(
         [pair for pair in order if isinstance(c1.lab(pair[0]), Input)],
         labels,
         lambda pair: (c1.args(pair[0]), c2.args(pair[1])),
@@ -956,7 +1125,7 @@ def relation_witness(rel, r1, r2):
     relation, which is exponential in sharing, where the library reads the
     call/return summaries.
     """
-    from ntg.equivalence import NestedConfig, _merge_atomic, _pair_witness, verify_nested_bisim
+    from ntg.equivalence import NestedConfig, _merge_atomic, verify_nested_bisim
     from ntg.rgs import _uniquify
     from ntg import Input, NtgSignature, Output, Rgs, is_ntg, validate_rgs
 
@@ -985,7 +1154,7 @@ def relation_witness(rel, r1, r2):
     # inputs are numbered by their two indices within each stack pair
     inputs = [cfg for cfg in configs if all(isinstance(lbl, Input) for lbl in labels(cfg))]
     inputs.sort(key=lambda cfg: (c1.lab(cfg.left).index, c2.lab(cfg.right).index, str(cfg)))
-    arity, entry = _pair_witness(
+    arity, entry = reference_pair_witness(
         inputs,
         labels,
         lambda cfg: (c1.args(cfg.left), c2.args(cfg.right)),

@@ -21,6 +21,7 @@ from ntg import (
     verify_nested_bisim,
     verify_ntg_hom,
 )
+from ntg.equivalence import NestedConfig
 from ntg.firstorder import interpret, ntg_collapse
 from generators import (
     depth_family,
@@ -1130,10 +1131,42 @@ def _arity_clash_specs():
     ]
 
 
+def _keyed_by_body_vertices(a, b, ref_contexts, ref_clash):
+    """The reference tables and clash with every pair ``((s1, x1), (s2,
+    x2))`` keyed by its two body vertices, after checking that ``s1`` and
+    ``s2`` are the two symbols of the pair's context."""
+    roots = (a.root_symbol, b.root_symbol)
+
+    def strip(key, pair):
+        if pair is None:
+            return None
+        (s1, x1), (s2, x2) = pair
+        assert (s1, s2) == (key or roots)
+        return x1, x2
+
+    def frame(link):
+        return None if link is None else (link[0], strip(*link))
+
+    tables = {}
+    for key, ref in ref_contexts.items():
+        reached = [
+            (strip(key, pair), (n, strip(key, prev), callee, ij))
+            for pair, (n, prev, callee, ij) in ref.reached.items()
+        ]
+        exits = [(ij, strip(key, pair)) for ij, pair in ref.exits.items()]
+        tables[key] = (reached, exits, list(map(frame, ref.callers)), frame(ref.opener))
+    if ref_clash is not None:
+        key, pair, via, reason = ref_clash
+        ref_clash = (key, strip(key, pair), frame(via), reason)
+    return tables, ref_clash
+
+
 def test_tabulation_equals_the_reference_tables():
     # the tables read straight off the bodies are the accessor-based ones,
-    # item by item and in order, clashes included
-    from ntg.equivalence import _entry, _tabulate
+    # item by item and in order, clashes included; every reference pair
+    # lies in its context's two entered bodies, so keyed by its two body
+    # vertices it is the library's pair
+    from ntg.equivalence import _tabulate
     from oracles import reference_tabulate
 
     rng = random.Random(211)
@@ -1149,22 +1182,162 @@ def test_tabulation_equals_the_reference_tables():
     for a, b in pairs:
         contexts, clash = _tabulate(a, b)
         ref_contexts, ref_clash = reference_tabulate(ReferenceCarrier(a), ReferenceCarrier(b))
+        tables, ref_clash = _keyed_by_body_vertices(a, b, ref_contexts, ref_clash)
         assert clash == ref_clash
-        assert list(contexts) == list(ref_contexts)
+        assert list(contexts) == list(tables)
         for key, ctx in contexts.items():
-            ref = ref_contexts[key]
-            assert list(ctx.reached.items()) == list(ref.reached.items())
-            assert list(ctx.exits.items()) == list(ref.exits.items())
-            assert ctx.callers == ref.callers and ctx.opener == ref.opener
+            reached, exits, callers, opener = tables[key]
+            assert ctx.syms == (key or (a.root_symbol, b.root_symbol))
+            assert list(ctx.reached.items()) == reached
+            assert list(ctx.exits.items()) == exits
+            assert ctx.callers == callers and ctx.opener == opener
             # the witness roots every body at the first pair reached
-            s1, s2 = key or (a.root_symbol, b.root_symbol)
-            assert next(iter(ctx.reached)) == (_entry(a, s1), _entry(b, s2))
+            s1, s2 = ctx.syms
+            assert next(iter(ctx.reached)) == (a.rec[s1].root, b.rec[s2].root)
         if clash is not None:
             reasons.append((clash[3], clash[2] is not None))
     assert len(reasons) >= 60
     assert any(reason.startswith("labels ") for reason, _ in reasons)
     arity = "input index exceeds the calling occurrence's arity"
     assert reasons[-3:] == [(arity, True), (arity, True), ("input vertex reached outside any call", False)]
+
+
+def _table_corpus():
+    """Seeded pairs: tree-shaped, shared and cyclic specifications and
+    unfolded pairs, each against itself and against partners from
+    ``unroll_twice``, ``permute_inputs``, ``split_shared_vertex`` (both
+    ways) and, for negatives, ``relabel_constant``, also unrolled, so that
+    the two sides' symbols differ."""
+    rng = random.Random(227)
+    pairs = []
+    for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs) * 20:
+        r = make(rng)
+        changed = relabel_constant(rng, r)
+        partners = [r, unroll_twice(r), permute_inputs(rng, r)[0], changed, unroll_twice(changed)]
+        split = split_shared_vertex(rng, r)
+        if split is not None:
+            partners.append(split)
+            pairs.append((split, r))
+        pairs += [(r, other) for other in partners]
+        if make is random_acyclic_rgs:
+            u = unfold_to_ntg(r).rgs
+            pairs += [(u, unfold_to_ntg(other).rgs) for other in partners]
+    return pairs
+
+
+def _reference_config(tables, key, via, pair):
+    """The configuration of ``pair`` of context ``key`` of the reference
+    tables, and its calling frames, as the library read them before its
+    tables keyed pairs by their two body vertices."""
+    frames = []
+    link = via if via is not None else tables[key].opener
+    while link is not None:
+        frames.append(link)
+        link = tables[link[0]].opener
+    frames.reverse()
+    stacks = tuple(occ[0] for _, occ in frames), tuple(occ[1] for _, occ in frames)
+    return NestedConfig(stacks[0], pair[0], stacks[1], pair[1]), frames
+
+
+def test_summary_witness_equals_the_reference_witness():
+    # the witness walked against each context's two bodies is the one the
+    # callbacks built from the accessor-based tables: the same printed
+    # specification and the same projections, in order; the structural
+    # witness is unchanged map by map
+    from ntg.sntg import sntg_bisimilar
+    from oracles import reference_sntg_bisimilar, reference_summary_witness, reference_tabulate
+
+    def maps(s):
+        return None if s is None else [
+            list(m.items()) for m in (s.tg.lab, s.tg.args, s.call, s.ret, s.inner)
+        ] + [s.tg.root]
+
+    positives = trees = 0
+    for a, b in _table_corpus():
+        res = nested_bisim(a, b)
+        tables, clash = reference_tabulate(ReferenceCarrier(a), ReferenceCarrier(b))
+        assert res.bisimilar == (clash is None)
+        if is_ntg(a).ok and is_ntg(b).ok:
+            trees += 1
+            s1, s2 = ntg_to_sntg(a), ntg_to_sntg(b)
+            assert maps(sntg_bisimilar(s1, s2)) == maps(reference_sntg_bisimilar(s1, s2))
+        if clash is not None:
+            assert res.witness is None
+            continue
+        positives += 1
+        old, new = reference_summary_witness(a, b, tables), res.witness
+        assert print_rgs(new.witness) == print_rgs(old.witness)
+        assert list(new.proj_left.items()) == list(old.proj_left.items())
+        assert list(new.proj_right.items()) == list(old.proj_right.items())
+    assert positives >= 300 and trees >= 200
+
+
+def test_certificates_read_off_the_tables_are_unchanged():
+    # every certificate and counter read off the tables keyed by body
+    # vertices is the one read off the accessor-based reference tables
+    from ntg.equivalence import _needs_depth
+    from oracles import reference_tabulate
+
+    seen = {"clash": 0, "conflict": 0, "hom": 0, "relation": 0, "iso": 0}
+    for a, b in _table_corpus():
+        tables, clash = reference_tabulate(ReferenceCarrier(a), ReferenceCarrier(b))
+        bis, hom = nested_bisim(a, b), nested_hom(a, b)
+        facts = sum(len(ctx.reached) + len(ctx.exits) for ctx in tables.values())
+        for res in (bis, hom):
+            assert (res.contexts, res.facts) == (len(tables), facts)
+        tree = is_ntg(a).ok and is_ntg(b).ok
+        if clash is not None:
+            seen["clash"] += 1
+            key, pair, via, reason = clash
+            cfg, frames = _reference_config(tables, key, via, pair)
+            length = tables[key].reached[pair][0] + sum(tables[k].reached[occ][0] for k, occ in frames)
+            for res in (bis, hom):
+                assert (res.counterexample, res.reason, res.path_length) == (cfg, reason, length)
+                assert len(res.path) == length and res.path[-1] == cfg
+                assert replay_path(a, b, res.path) is None
+            assert bis.witness is None and hom.certificate is None
+            if tree:
+                assert ntg_hom(a, b) is None and ntg_isomorphic(a, b) is None
+            continue
+        assert (bis.counterexample, bis.path, bis.path_length) == (None, None, 0)
+        certificate = {(key, v1): v2 for key, ctx in tables.items() for v1, v2 in ctx.reached}
+        conflict = None
+        for key, ctx in tables.items():
+            image = {}
+            for v1, v2 in ctx.reached:
+                if conflict is None and image.setdefault(v1, v2) != v2:
+                    conflict = key, (v1, image[v1]), (v1, v2)
+        if conflict is None:
+            seen["hom"] += 1
+            assert hom.verdict == "hom" and list(hom.certificate.items()) == list(certificate.items())
+        else:
+            seen["conflict"] += 1
+            key, first, second = conflict
+            assert hom.conflict == tuple(_reference_config(tables, key, None, p)[0] for p in (first, second))
+            for run, cfg in zip(hom.runs, hom.conflict):
+                assert run[-1] == cfg and replay_path(a, b, run, end=cfg) is None
+        if _needs_depth(a, b):
+            assert bis.relation is None
+        else:
+            seen["relation"] += 1
+            assert bis.relation == closure_relation(a, b)
+        if tree:
+            phi = ntg_hom(a, b)
+            want = None if conflict else {v1: v2 for (_, v1), v2 in certificate.items()}
+            assert phi == want and (phi is None or list(phi) == list(want))
+            iso = ntg_isomorphic(a, b)
+            size = sum(map(len, a.rec.values()))
+            vertex_map = {v1: v2 for ctx in tables.values() for v1, v2 in ctx.reached}
+            if (size != sum(map(len, b.rec.values())) or len(set(vertex_map.values())) != size
+                    or sum(len(ctx.reached) for ctx in tables.values()) != size):
+                assert iso is None
+            else:
+                seen["iso"] += 1
+                syms = [key or (a.root_symbol, b.root_symbol) for key in tables]
+                assert list(iso.vertex_map.items()) == list(vertex_map.items())
+                assert list(iso.symbol_map.items()) == syms
+                assert iso.input_perm == {s1: dict(list(ctx.exits)) for (s1, _), ctx in zip(syms, tables.values())}
+    assert min(seen.values()) >= 40, seen
 
 
 def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
