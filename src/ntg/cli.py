@@ -52,11 +52,16 @@ def _load_rgs(path: str):
 
 
 def _load_ntg(path: str, stderr, decider: str = "bisim --method nested"):
-    """Parse and, when the dependencies are acyclic but shared, unfold.
+    """Parse and, when the dependencies are acyclic but shared, unfold."""
+    return _tree_shaped(_load_rgs(path), path, stderr, decider)
+
+
+def _tree_shaped(r, path: str, stderr, decider: str = "bisim --method nested"):
+    """``r``, read from ``path``, or, when its dependencies are acyclic but
+    shared, its unfolding.
 
     Cyclic input has no tree-shaped form at any depth, so it is refused
     with a pointer to ``decider``, the command that decides it."""
-    r = _load_rgs(path)
     res = is_ntg(r)
     if res.ok:
         return r
@@ -257,8 +262,8 @@ def _cmd_bisim(ns, stdout, stderr) -> int:
         if not res.bisimilar:
             print(f"counterexample: {res.counterexample} ({res.reason})", file=stderr)
     if ns.method in ("firstorder", "both"):
-        n1 = _load_ntg(ns.a, stderr)
-        n2 = _load_ntg(ns.b, stderr)
+        n1 = _tree_shaped(r1, ns.a, stderr)
+        n2 = _tree_shaped(r2, ns.b, stderr)
         g1, g2 = firstorder.interpret(n1), firstorder.interpret(n2)
         path = tg_bisimilar_explained(g1, g2)
         verdicts["firstorder"] = path is None

@@ -34,7 +34,6 @@ from .rgs import (
     unfold_to_ntg,
     validate_rgs,
     _find_cycle,
-    _pair_witness,
     _require,
     _uniquify,
 )
@@ -371,32 +370,48 @@ def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
     vertex ``v|w`` per reached pair, after the names of its two vertices in
     their bodies (an unfolded copy keeps its body's vertex names), primed
     only where two pairs of one context format alike.  Each context's
-    pairs ``(x1, x2)`` lie in its two entered bodies and are walked against
-    their ``lab`` and ``args`` maps, with no callback per pair.  The
-    context's inputs are numbered from its exits, in the order they were
-    found, and an occurrence pair passes, for each exit of its callee
-    context, the argument pair at that exit's input indices.
+    pairs ``(x1, x2)`` lie in its two entered bodies and are walked once
+    against their ``lab`` and ``args`` maps.  The context's input pairs are
+    numbered by its exits, in the order they were found; an occurrence
+    pair passes, for each exit ``(i, j)`` of its callee context, the
+    argument pair at those indices; every other pair keeps the left label
+    and pairs its successors position by position.
     """
     # the witness carries left labels, so the left arity wins a conflict
     atomic = {**r2.signature.atomic, **r1.signature.atomic}
     sym_name = _uniquify(contexts, lambda key: "_".join(contexts[key].syms), avoid=atomic)
-    scopes = {key: (*ctx.bodies, list(ctx.exits.values())) for key, ctx in contexts.items()}
-    arity, body = _pair_witness(scopes, lambda p, l1, l2: (l1.name, l2.name), sym_name.__getitem__)
+    numbered = [Input(j) for j in range(1, max(len(ctx.exits) for ctx in contexts.values()) + 1)]
     rec: Dict[str, TermGraph] = {}
     proj_left: Dict[CV, CV] = {}
     proj_right: Dict[CV, CV] = {}
     for key, ctx in contexts.items():
         sym = sym_name[key]
         s1, s2 = ctx.syms
+        lab1, args1, lab2, args2 = ctx.bodies
+        number = dict(zip(ctx.exits.values(), numbered))
         # vertex ids need only be unique within their own body; two pairs
         # format alike only when a vertex name holds a ``|``
         vid = {(x1, x2): f"{x1}|{x2}" for x1, x2 in ctx.reached}
         if len(set(vid.values())) < len(vid):
             vid = _uniquify(vid, vid.__getitem__)
-        rec[sym] = TermGraph(*body(key, vid), next(iter(vid.values())))  # the entry pair came first
-        for (x1, x2), v in vid.items():
+        at = vid.__getitem__
+        lab, args = {}, {}
+        for p, v in vid.items():
+            x1, x2 = p
+            l1 = lab1[x1]
+            if isinstance(l1, Input):
+                lab[v], args[v] = number[p], ()
+            elif isinstance(l1, Nested):
+                callee = (l1.name, lab2[x2].name)
+                exits = contexts[callee].exits
+                a1, a2 = args1[x1], args2[x2]
+                lab[v] = Nested(sym_name[callee], len(exits))
+                args[v] = tuple(at((a1[i - 1], a2[j - 1])) for i, j in exits)
+            else:
+                lab[v], args[v] = l1, tuple(map(at, zip(args1[x1], args2[x2])))
             proj_left[(sym, v)], proj_right[(sym, v)] = (s1, x1), (s2, x2)
-    nested = {sym_name[key]: arity.get(key, 0) for key in contexts}
+        rec[sym] = TermGraph(lab, args, next(iter(vid.values())))  # the entry pair came first
+    nested = {sym_name[key]: len(ctx.exits) for key, ctx in contexts.items()}
     witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
     assert not validate_rgs(witness), "constructed witness is ill-formed"
     assert not verify_ntg_hom(witness, r1, proj_left), "left projection fails"

@@ -259,14 +259,16 @@ def _read_rgs(text: str):
 
 
 def _read_fo(text: str):
-    """``(root, lines)`` as ``_grammar_fo`` gives them, or None."""
+    """``(root, line, lines)`` as ``_grammar_fo`` gives them, or None."""
     m = _TG_RE.match(text)
     if m is None:
         return None
-    body = _read_lines(text, m.end(), 1, 0)
+    at = m.start(1)
+    line = 1 + text.count("\n", 0, at)
+    body = _read_lines(text, m.end(), line, at)
     if body is None or _END_RE.match(text, body[1]) is None:
         return None
-    return m.group(1), body[0]
+    return m.group(1), line, body[0]
 
 
 def parse_rgs(text: str) -> Rgs:
@@ -351,7 +353,6 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
     symbol.update((name, Nested(name, ar)) for name, ar in nested.items())
     inputs: Dict[int, Input] = {}  # one label object per index
     rec: Dict[str, TermGraph] = {}
-    pending: List[Violation] = []
     for name, (_, body_lines, def_line) in defs.items():
         if not body_lines:
             raise ParseError(def_line, f"definition {name!r} has an empty body")
@@ -382,21 +383,16 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
             for sid in succ:
                 if sid not in lab:
                     raise ParseError(line, f"unknown vertex {sid!r}")
-        if len(out_vertices) == 1:
-            root = out_vertices[0]
-        else:
-            pending.append(
-                Violation(name, None, f"body has {len(out_vertices)} output vertices, expected 1")
-            )
-            root = out_vertices[0] if out_vertices else body_lines[0][0]
+        # a body without exactly one output vertex is reported by validate_rgs
+        root = out_vertices[0] if out_vertices else body_lines[0][0]
         rec[name] = TermGraph._prechecked(lab, args, root)
 
     try:
         sig = NtgSignature(atomic, nested, declared_root)
         r = Rgs(sig, rec)
     except ValueError as e:
-        raise ValidationError(pending + [Violation(None, None, str(e))])
-    problems = pending + validate_rgs(r)
+        raise ValidationError([Violation(None, None, str(e))])
+    problems = validate_rgs(r)
     if problems:
         raise ValidationError(problems)
     return r
@@ -451,21 +447,21 @@ def parse_fo(text: str) -> TermGraph:
 
 
 def _grammar_fo(text: str):
-    """The token grammar of a first-order document: the root vertex and
-    the vertex statements."""
+    """The token grammar of a first-order document: the root vertex, the
+    line of its name and the vertex statements."""
     toks = _Tokens(text)
     toks.expect("tg")
     toks.expect("{")
     toks.expect("root")
-    root, _ = toks.expect_kind("name", "a vertex name")
+    root, root_line = toks.expect_kind("name", "a vertex name")
     toks.expect(";")
     body_lines = _parse_lines(toks, "}")
     if toks.peek()[0] != "eof":
         raise ParseError(toks.peek()[2], f"unexpected {toks.peek()[1]!r}")
-    return root, body_lines
+    return root, root_line, body_lines
 
 
-def _build_fo(root: str, body_lines) -> TermGraph:
+def _build_fo(root: str, root_line: int, body_lines) -> TermGraph:
     """The first-order graph that read statements describe, after the
     checks that need all of them."""
     lab: Dict[str, object] = {}
@@ -492,7 +488,7 @@ def _build_fo(root: str, body_lines) -> TermGraph:
             if sid not in lab:
                 raise ParseError(line, f"unknown vertex {sid!r}")
     if root not in lab:
-        raise ParseError(1, f"unknown root vertex {root!r}")
+        raise ParseError(root_line, f"unknown root vertex {root!r}")
 
     # recover constant labels: unary symbol whose successor chain of exit
     # vertices grounds out at a root link

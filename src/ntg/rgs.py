@@ -554,51 +554,3 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     sig = NtgSignature(atomic, new_nested, r.root_symbol)
     return UnfoldResult(Rgs(sig, new_rec), cuts)
 
-
-def _pair_witness(scopes, callee, name):
-    """The bodies of a witness that relates two structures pair by pair,
-    as the bisimilarity deciders build it.
-
-    ``scopes`` maps each scope key to ``(lab1, args1, lab2, args2,
-    inputs)``: the label and successor maps of its two sides and its input
-    pairs ``(x1, x2)`` in the order of their indices.  An occurrence pair
-    ``p`` labelled ``l1`` and ``l2`` opens scope ``callee(p, l1, l2)``,
-    whose symbol is ``name(key)``.
-
-    Returns ``(arity, body)``: the number of inputs of each scope that has
-    any, and ``body(key, vid)``, the ``lab`` and ``args`` maps of the
-    witness vertices ``vid[p]`` of the pairs ``p`` of scope ``key``, in
-    the order of ``vid``.  Atomic and output pairs keep the left label and
-    pair their successors position by position; input pairs are numbered
-    from 1 per scope, with one ``Input`` label per index; an occurrence
-    pair passes, for each input pair of its callee, the two arguments at
-    that pair's input indices.
-    """
-    most = max((len(scope[4]) for scope in scopes.values()), default=0)
-    numbered = [Input(j) for j in range(1, most + 1)]
-    indices = {  # the input index pairs of each scope that has inputs
-        key: [(lab1[u1].index, lab2[u2].index) for u1, u2 in inputs]
-        for key, (lab1, _, lab2, _, inputs) in scopes.items() if inputs
-    }
-
-    def body(key, vid):
-        lab1, args1, lab2, args2, inputs = scopes[key]
-        number = dict(zip(inputs, numbered))
-        at = vid.__getitem__
-        lab, args = {}, {}
-        for p, v in vid.items():
-            x1, x2 = p
-            l1 = lab1[x1]
-            if isinstance(l1, Input):
-                lab[v], args[v] = number[p], ()
-            elif isinstance(l1, Nested):
-                k = callee(p, l1, lab2[x2])
-                ins = indices.get(k, ())
-                a1, a2 = args1[x1], args2[x2]
-                lab[v] = Nested(name(k), len(ins))
-                args[v] = tuple(at((a1[i - 1], a2[j - 1])) for i, j in ins)
-            else:
-                lab[v], args[v] = l1, tuple(map(at, zip(args1[x1], args2[x2])))
-        return lab, args
-
-    return {key: len(ins) for key, ins in indices.items()}, body

@@ -10,7 +10,6 @@ occurrence vertex it is nested under, the last letter of its chain.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -21,7 +20,6 @@ from .rgs import (
     NtgSignature,
     Rgs,
     _flat_names,
-    _pair_witness,
     _reachable_symbols,
     _require,
     _tree_dependencies,
@@ -303,36 +301,55 @@ class SntgConflict:
     reason: str
 
 
-def sntg_hom_explained(s1: Sntg, s2: Sntg):
-    """Propagate the unique homomorphism candidate from the root pair
-    through arguments, call and return links, then verify it in full.
-    An invalid structure raises ``ValueError`` naming its first violation."""
+def _closure(s1: Sntg, s2: Sntg) -> Tuple[List[Tuple[Vertex, Vertex]], bool]:
+    """The vertex pairs that the root pair reaches through arguments, call
+    and return links, in discovery order, and whether two labels clash.
+    On a clash the closure stops: it returns the pairs processed up to and
+    including the first clashing pair, which comes last, and not those
+    discovered after it.  An invalid structure raises ``ValueError``
+    naming its first violation."""
     _require(s1, "left structural representation")
     _require(s2, "right structural representation")
-    phi: Dict[Vertex, Vertex] = {}
-    queue = deque([(s1.root, s2.root)])
-    while queue:
-        v, w = queue.popleft()
-        if v in phi:
-            if phi[v] != w:
-                return None, SntgConflict(v, w, f"already mapped to {phi[v]!r}")
-            continue
-        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
-        if not _compatible(l1, l2):
-            return None, SntgConflict(v, w, f"labels {l1} and {l2} do not match")
-        phi[v] = w
+    lab1, args1, lab2, args2 = s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args
+    start = (s1.root, s2.root)
+    seen = {start}
+    order = [start]
+    for k, (v, w) in enumerate(order):  # the queue: a list read on while it grows
+        l1 = lab1[v]
+        if not _compatible(l1, lab2[w]):
+            del order[k + 1:]
+            return order, True
         if isinstance(l1, (Atomic, Output)):
             # occurrence successors are related through return links, not
             # positionally: input indices may be permuted or merged
-            queue.extend(zip(s1.tg.args[v], s2.tg.args[w]))
+            children = zip(args1[v], args2[w])
         elif isinstance(l1, Nested):
-            if w not in s2.call:
-                return None, SntgConflict(v, w, "call undefined on image")
-            queue.append((s1.call[v], s2.call[w]))
+            children = [(s1.call[v], s2.call[w])]
         else:
-            if w not in s2.ret:
-                return None, SntgConflict(v, w, "return undefined on image")
-            queue.append((s1.ret[v], s2.ret[w]))
+            children = [(s1.ret[v], s2.ret[w])]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return order, False
+
+
+def sntg_hom_explained(s1: Sntg, s2: Sntg):
+    """The unique homomorphism candidate, read off the pair closure from
+    the root pair as a functional bisimulation, then verified in full: a
+    conflict names the first pair whose left vertex meets a second right
+    vertex, else the clash that stopped the closure, else the first
+    failed condition.  An invalid structure raises ``ValueError`` naming
+    its first violation."""
+    pairs, clash = _closure(s1, s2)
+    phi: Dict[Vertex, Vertex] = {}
+    for v, w in pairs:
+        first = phi.setdefault(v, w)
+        if first != w:
+            return None, SntgConflict(v, w, f"already mapped to {first!r}")
+    if clash:
+        v, w = pairs[-1]
+        return None, SntgConflict(v, w, f"labels {s1.tg.lab[v]} and {s2.tg.lab[w]} do not match")
     problems = verify_sntg_hom(s1, s2, phi)
     if problems:
         return None, SntgConflict(s1.root, s2.root, problems[0])
@@ -392,59 +409,52 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
 
 
 def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
-    """Closure over vertex pairs from the root pair; on success returns the
-    witness structure over pairs whose projections are homomorphisms.
-    An invalid structure raises ``ValueError`` naming its first violation."""
-    _require(s1, "left structural representation")
-    _require(s2, "right structural representation")
-    start = (s1.root, s2.root)
-    seen = {start}
-    order = [start]
-    for v, w in order:  # the queue: a list read on while it grows
-        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
-        if not _compatible(l1, l2):
-            return None
-        if isinstance(l1, (Atomic, Output)):
-            children = list(zip(s1.tg.args[v], s2.tg.args[w]))
-        elif isinstance(l1, Nested):
-            children = [(s1.call[v], s2.call[w])]
-        else:
-            children = [(s1.ret[v], s2.ret[w])]
-        for child in children:
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
+    """The witness structure over the pairs of the closure from the root
+    pair, whose projections are homomorphisms, or None on a clash.
+
+    Each pair ``(v, w)`` lies in the scope that the pair of its innermost
+    ancestors opened, and the input pairs of each scope are numbered in
+    discovery order.  An occurrence pair takes, for each input pair of the
+    scope it opens, the pair that their return links lead to: in a valid
+    structure, the argument pair at those inputs' indices.  Every other
+    pair keeps the left label and pairs its successors position by
+    position.  An invalid structure raises ``ValueError`` naming its first
+    violation."""
+    order, clash = _closure(s1, s2)
+    if clash:
+        return None
+    lab1, args1, lab2, args2 = s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args
+    inner1, inner2 = s1.inner, s2.inner
+    inputs: Dict[tuple, List[tuple]] = {}  # scope key -> its input pairs, in discovery order
+    number: Dict[tuple, Input] = {}
+    for v, w in order:
+        if isinstance(lab1[v], Input):
+            ins = inputs.setdefault((inner1[v], inner2[w]), [])
+            ins.append((v, w))
+            number[(v, w)] = Input(len(ins))
 
     vid = _uniquify(order, lambda pair: f"({pair[0]},{pair[1]})")
-    # a pair lies in the scope the pair of its innermost ancestors opened,
-    # and the inputs of each scope are numbered in discovery order
-    in_scope: Dict[tuple, Dict[tuple, Vertex]] = {}  # scope key -> pair -> witness vertex
-    for (v, w), x in vid.items():
-        in_scope.setdefault((s1.inner[v], s2.inner[w]), {})[(v, w)] = x
-    maps = (s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args)
-    _, body = _pair_witness(
-        {key: (*maps, [p for p in ids if isinstance(maps[0][p[0]], Input)])
-         for key, ids in in_scope.items()},
-        lambda pair, l1, l2: pair,
-        lambda key: f"{s1.tg.lab[key[0]].name}&{s2.tg.lab[key[1]].name}",
-    )
-    built = {key: body(key, ids) for key, ids in in_scope.items()}  # scope key -> (lab, args)
-
+    at = vid.__getitem__
     lab: Dict[Vertex, object] = {}
     args: Dict[Vertex, tuple] = {}
     call: Dict[Vertex, Vertex] = {}
     ret: Dict[Vertex, Vertex] = {}
     inner: Dict[Vertex, Optional[Vertex]] = {}
-    for v, w in order:  # the witness lists its vertices in discovery order
-        x, scope = vid[(v, w)], (s1.inner[v], s2.inner[w])
-        inner[x] = vid.get(scope)  # None at the root pair
-        lab[x] = label = built[scope][0][x]
-        args[x] = built[scope][1][x]
-        if isinstance(label, Nested):
-            call[x] = vid[(s1.call[v], s2.call[w])]
-        elif isinstance(label, Input):
-            ret[x] = vid[(s1.ret[v], s2.ret[w])]
-    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, inner)
+    for p, x in vid.items():  # the witness lists its vertices in discovery order
+        v, w = p
+        inner[x] = vid.get((inner1[v], inner2[w]))  # None at the root pair
+        l1 = lab1[v]
+        if isinstance(l1, Input):
+            lab[x], args[x] = number[p], ()
+            ret[x] = at((s1.ret[v], s2.ret[w]))
+        elif isinstance(l1, Nested):
+            ins = inputs.get(p, ())
+            lab[x] = Nested(f"{l1.name}&{lab2[w].name}", len(ins))
+            args[x] = tuple(at((s1.ret[u1], s2.ret[u2])) for u1, u2 in ins)
+            call[x] = at((s1.call[v], s2.call[w]))
+        else:
+            lab[x], args[x] = l1, tuple(map(at, zip(args1[v], args2[w])))
+    witness = Sntg(TermGraph(lab, args, vid[order[0]]), call, ret, inner)
     if check_sntg(witness):
         return None
     proj1 = {vid[pair]: pair[0] for pair in order}

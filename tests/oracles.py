@@ -972,6 +972,47 @@ def reference_sntg_bisimilar(s1, s2):
     return None if check_sntg(witness) else witness
 
 
+def reference_sntg_hom_explained(s1, s2):
+    """``ntg.sntg.sntg_hom_explained`` as the library wrote it before it
+    read the homomorphism off the pair closure: its own propagation of the
+    candidate from the root pair through a queue that may hold a pair
+    twice, then the full check.  The reference for the map, in order, and
+    for the conflict.
+    """
+    from ntg.labels import Output, _compatible
+    from ntg.rgs import _require
+    from ntg.sntg import SntgConflict
+
+    _require(s1, "left structural representation")
+    _require(s2, "right structural representation")
+    phi = {}
+    queue = deque([(s1.root, s2.root)])
+    while queue:
+        v, w = queue.popleft()
+        if v in phi:
+            if phi[v] != w:
+                return None, SntgConflict(v, w, f"already mapped to {phi[v]!r}")
+            continue
+        l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
+        if not _compatible(l1, l2):
+            return None, SntgConflict(v, w, f"labels {l1} and {l2} do not match")
+        phi[v] = w
+        if isinstance(l1, (Atomic, Output)):
+            queue.extend(zip(s1.tg.args[v], s2.tg.args[w]))
+        elif isinstance(l1, Nested):
+            if w not in s2.call:
+                return None, SntgConflict(v, w, "call undefined on image")
+            queue.append((s1.call[v], s2.call[w]))
+        else:
+            if w not in s2.ret:
+                return None, SntgConflict(v, w, "return undefined on image")
+            queue.append((s1.ret[v], s2.ret[w]))
+    problems = verify_sntg_hom(s1, s2, phi)
+    if problems:
+        return None, SntgConflict(s1.root, s2.root, problems[0])
+    return phi, None
+
+
 def context_of(c1, c2, left_stack, right_stack):
     """The summary context of a configuration with these stacks: the pair
     of symbols their innermost entries call, or None when they are empty."""

@@ -259,6 +259,20 @@ def test_represent_runs_the_membership_pass_once(monkeypatch):
     assert code == 2 and calls == []  # not a first-order document: refused by the parser
 
 
+def test_bisim_parses_each_document_once(monkeypatch):
+    # the first-order method unfolds the specifications the nested method
+    # read, so both methods together parse each document once
+    import ntg.formats
+
+    calls = []
+    parse = ntg.formats.parse_rgs
+    monkeypatch.setattr(ntg.formats, "parse_rgs", lambda text: calls.append(text) or parse(text))
+    for method in ("nested", "firstorder", "both"):
+        calls.clear()
+        code, out, err = run("bisim", path("r0.rgs"), path("n.rgs"), "--method", method)
+        assert (code, out) == (0, "bisimilar\n") and len(calls) == 2, method
+
+
 def test_bisim_depth_is_a_usage_error(capsys):
     # the nested method is exact and the first-order one unfolds shared
     # input in full, so bisim takes no depth

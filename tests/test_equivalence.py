@@ -1272,6 +1272,26 @@ def test_summary_witness_equals_the_reference_witness():
     assert positives >= 300 and trees >= 200
 
 
+def test_structural_hom_equals_the_reference_hom():
+    # the homomorphism read off the pair closure is the one the library's
+    # own propagation found: the same map, in order, or the same conflict
+    from ntg.sntg import sntg_hom_explained
+    from oracles import reference_sntg_hom_explained
+
+    seen = {"hom": 0, "already": 0, "labels": 0}
+    for a, b in _table_corpus():
+        if not (is_ntg(a).ok and is_ntg(b).ok):
+            continue
+        s1, s2 = ntg_to_sntg(a), ntg_to_sntg(b)
+        for x, y in ((s1, s2), (s2, s1)):
+            phi, conflict = sntg_hom_explained(x, y)
+            ref_phi, ref_conflict = reference_sntg_hom_explained(x, y)
+            assert conflict == ref_conflict
+            assert (phi and list(phi.items())) == (ref_phi and list(ref_phi.items()))
+            seen["hom" if conflict is None else conflict.reason.split()[0]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_certificates_read_off_the_tables_are_unchanged():
     # every certificate and counter read off the tables keyed by body
     # vertices is the one read off the accessor-based reference tables

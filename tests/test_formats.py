@@ -48,6 +48,21 @@ def test_parse_rejects_two_outputs():
     assert any("output" in str(v) for v in exc.value.violations)
 
 
+def test_parse_lists_each_violation_once():
+    # the builder leaves the output-vertex count to validate_rgs, so the
+    # count is reported once, and a rejected signature is reported alone
+    with pytest.raises(ValidationError) as exc:
+        parse_rgs("atomic c/0; def r/0 { a: out(b); b: c; d: out(b); }")
+    assert list(map(str, exc.value.violations)) == [
+        "r: body has 2 output vertices, expected 1",
+        "r.d: output vertex is not the body root",
+        "r.d: body vertex unreachable from the output vertex",
+    ]
+    with pytest.raises(ValidationError) as exc:
+        parse_rgs("atomic c/0; def r/0 { a: out(b); b: c; d: out(b); } def in/0 { a: out(b); b: c; }")
+    assert list(map(str, exc.value.violations)) == ["?: symbol name 'in' is reserved"]
+
+
 def test_parse_rejects_unknown_symbol():
     with pytest.raises(ParseError):
         parse_rgs("atomic c/0;\ndef r/0 { a: out(b); b: mystery; }\n")
@@ -344,7 +359,8 @@ def test_reader_reads_what_the_grammar_reads():
     (parse_fo, "tg {\n root a;\n a: out_r(b);\n b: in 1;\n}\n", 4, "'in' is binary in a first-order document"),
     (parse_fo, "tg {\n root a;\n a: out_r(b, b);\n b: c;\n}\n", 3, "label 'out_r' needs 1 arguments, found 2"),
     (parse_fo, "tg {\n root a;\n a: out_r(b);\n\n b: f(z);\n}\n", 5, "unknown vertex 'z'"),
-    (parse_fo, "tg {\n root z;\n a: out_r(b);\n b: c;\n}\n", 1, "unknown root vertex 'z'"),
+    (parse_fo, "tg {\n root z;\n a: out_r(b);\n b: c;\n}\n", 2, "unknown root vertex 'z'"),
+    (parse_fo, "tg {\n\n\n root z;\n a: out_r(b);\n b: c;\n}\n", 4, "unknown root vertex 'z'"),
 ])
 def test_builders_name_each_error_with_its_line(parse, text, line, message):
     # the builders hand their graphs over without a second check, so each

@@ -9,6 +9,7 @@ from ntg import (
     check_sntg,
     ntg_isomorphic,
     ntg_to_sntg,
+    parse_rgs,
     sntg_bisimilar,
     sntg_hom,
     sntg_to_ntg,
@@ -226,6 +227,19 @@ def test_hom_agrees_with_brute_force_on_chain(sharing_chain):
             ours = sntg_hom(structures[i], structures[j])
             oracle = brute_force_sntg_hom(structures[i], structures[j])
             assert (ours is None) == (oracle is None), (i, j)
+
+
+def test_hom_reports_a_clash_processed_before_a_second_image():
+    # the closure stops at the clash (r.x, r.p); the pair (r.x, r.q), which
+    # meets a second right vertex, is discovered before it but processed
+    # after it, so the clash is the conflict
+    from ntg.sntg import SntgConflict, sntg_hom_explained
+    from oracles import reference_sntg_hom_explained
+
+    left = ntg_to_sntg(parse_rgs("atomic c/0, d/0, g/2; def r/0 { a: out(b); b: g(x, x); x: c; }"))
+    right = ntg_to_sntg(parse_rgs("atomic c/0, d/0, g/2; def r/0 { a: out(b); b: g(p, q); p: d; q: c; }"))
+    clash = SntgConflict("r.x", "r.p", "labels c and d do not match")
+    assert sntg_hom_explained(left, right) == reference_sntg_hom_explained(left, right) == (None, clash)
 
 
 def test_verify_sntg_hom_reports_partial_maps_and_foreign_images(fix_n):
