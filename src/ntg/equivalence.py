@@ -677,8 +677,14 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     whatever object it is, are reported, not looked up.  One pass over
     each body, in symbol order, reads its labels and successors directly,
     in linear time; the problems come in the order of the clauses per
-    vertex, body by body.
+    vertex, body by body.  An invalid specification is reported alone, by
+    its first ``validate_rgs`` violation: its bodies need not be defined
+    where the clauses read them.
     """
+    invalid = [f"invalid {side} specification: {r._violations[0]}"
+               for side, r in (("left", n1), ("right", n2)) if r._violations]
+    if invalid:
+        return invalid
     rec2 = n2.rec
     inputs: Dict[str, List[CV]] = {}  # by callee, listed on first use
     problems = []
@@ -734,11 +740,8 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
                         problems.append(f"{u}: input maps outside the related definition")
                         continue
                     i = n1.rec[u[0]].lab[u[1]].index
-                    j = l_at.index
-                    if j > l2.arity:
-                        problems.append(f"{u}: image input index exceeds arity")
-                        continue
-                    if img[args1[v][i - 1]] != (s2, rec2[s2].args[x2][j - 1]):
+                    # in a valid n2 the index is at most the callee's arity
+                    if img[args1[v][i - 1]] != (s2, rec2[s2].args[x2][l_at.index - 1]):
                         problems.append(f"{(sym, v)}: interface clause fails at input {i}")
     return problems
 

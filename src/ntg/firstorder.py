@@ -320,14 +320,14 @@ def exit_chain_ends(lab, args) -> Callable[[Vertex], Vertex]:
 
 
 def _member_ancestors(g: TermGraph):
-    """``((inner, depth, end), None)`` when ``g`` represents a nested
-    structure: the assignment as ``_propagate`` keeps it and the exit-chain
-    walk, for the read-back.  Otherwise ``(None, obstruction)``, found by
+    """``((depth, end), None)`` when ``g`` represents a nested structure:
+    each output vertex's depth as ``_propagate`` finds it and the
+    exit-chain walk, for the read-back.  Otherwise ``(None, obstruction)``, found by
     the checks in a fixed order, wherever the one propagation stopped."""
     end = exit_chain_ends(g.lab, g.args)
-    inner, depth, err = _propagate(g, end)
+    _, depth, err = _propagate(g, end)
     if err is None:
-        return (inner, depth, end), None
+        return (depth, end), None
     witness = check_root_connected(g)
     if witness is not None:
         return None, AncestorFailure(witness, "not root-connected")
@@ -393,13 +393,14 @@ def represent(g: TermGraph) -> Rgs:
     vertex along argument edges, through called definitions and back out
     along their exit vertices.
 
-    That walk is computed once per scope and stays on the scope's own
-    level: at a called output vertex it goes on to the actual arguments of
-    the callee's inputs, in the callee's order, since vertices of a level
-    are reached from deeper scopes only through one-level exits.  Scopes
-    are done innermost first, and the bodies are built from an explicit
-    stack, so the whole read-back takes time linear in the graph (after
-    the ancestor assignment) and no recursion, whatever the nesting depth.
+    The read-back is one walk per scope, and the walk stays on the scope's
+    own level: at a called output vertex it goes on to the actual
+    arguments of the callee's inputs, in the callee's order, since
+    vertices of a level are reached from deeper scopes only through
+    one-level exits.  Scopes are walked innermost first; the bodies are
+    then built from what the walks met, on an explicit stack, so the whole
+    read-back takes time linear in the graph (after the ancestor
+    assignment) and no recursion, whatever the nesting depth.
     """
     member, defect = _member_ancestors(g)
     if defect is not None:
@@ -407,57 +408,48 @@ def represent(g: TermGraph) -> Rgs:
     return _read_back(g, *member)
 
 
-class _Scope:
-    """A definition under construction: the body read back from the level
-    below output vertex ``o``."""
-
-    __slots__ = ("sym", "o", "index_of", "lab", "args", "memo")
-
-    def __init__(self, sym: str, o: Vertex, inputs: List[Vertex]):
-        self.sym = sym
-        self.o = o
-        self.index_of = {b: j for j, b in enumerate(inputs, start=1)}
-        self.lab: Dict[Vertex, object] = {f"{sym}:{o}": OUTPUT}
-        self.args: Dict[Vertex, tuple] = {}
-        # graph vertex -> body vertex standing for it.  Shared within the
-        # body: all argument edges to one output vertex yield one
-        # occurrence vertex, the single occurrence of that call in scope.
-        self.memo: Dict[Vertex, Vertex] = {}
-
-
-def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
-               depth: Mapping[Vertex, int], end=None) -> Rgs:
-    """``represent`` for a member ``g``, or for a carrier's quotient (whose
-    constants have no exit chains), given each vertex's innermost
-    enclosing output vertex ``inner``, each output vertex's ``depth`` and,
-    if walked already, the ``exit_chain_ends`` ``end``."""
-    end = end or exit_chain_ends(g.lab, g.args)
-
-    def is_chain(v: Vertex) -> bool:
-        return isinstance(g.lab[end(v)], RootInput)
-
-    # inputs of each scope in first-visit order; a scope's walk reads the
-    # input lists of the scopes it calls, which lie one level deeper
-    inputs_of: Dict[Vertex, List[Vertex]] = {}
+def _scope_walks(g: TermGraph, depth: Mapping[Vertex, int], end) -> Dict[Vertex, tuple]:
+    """Per output vertex ``o`` of ``depth``, innermost first: ``(met,
+    inputs)``, the vertices one depth-first walk of ``o``'s level meets
+    and, of those, the inputs of ``o``, each in first-visit order.  The
+    walk does not go on from constants, exit vertices and root links."""
+    walks: Dict[Vertex, tuple] = {}
     for o in sorted(depth, key=depth.__getitem__, reverse=True):
-        order: List[Vertex] = []
-        seen = set()
+        met: Dict[Vertex, None] = {}
+        inputs: List[Vertex] = []
         stack = [g.args[o][0]]
         while stack:
             v = stack.pop()
-            if v in seen or inner[v] != o:
+            if v in met:
                 continue
-            seen.add(v)
+            met[v] = None
             lbl = g.lab[v]
             if isinstance(lbl, Atomic):
                 stack.extend(reversed(g.args[v]))
             elif isinstance(lbl, Output):
-                stack.extend(g.args[b][0] for b in reversed(inputs_of[v]))
-            elif isinstance(lbl, FoInput) and not is_chain(v):
-                order.append(v)
-            # constants, chain links and root links lead off the level
-        inputs_of[o] = order
+                # the callee lies one level deeper, so it was walked already
+                stack.extend(g.args[b][0] for b in reversed(walks[v][1]))
+            elif isinstance(lbl, FoInput) and not isinstance(g.lab[end(v)], RootInput):
+                inputs.append(v)
+        walks[o] = met, inputs
+    return walks
 
+
+def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
+    """``represent`` for a member ``g``, or for a carrier's quotient (whose
+    constants have no exit chains), given each output vertex's ``depth``
+    and, if walked already, the ``exit_chain_ends`` ``end``.
+
+    Each scope's walk (``_scope_walks``) meets only vertices whose
+    innermost ancestor is that scope's output vertex ``o``, so no argument
+    crosses a scope level.  In a member, ``_propagate`` gives every
+    successor of a level-``o`` vertex the letter ``o``: an output vertex
+    pushes itself and an exit vertex pops one letter, so the arguments of
+    a callee's inputs are at level ``o`` again, and the walk follows no
+    back-link.  In ``ntg_collapse``'s quotient the refinement keys each
+    vertex by its innermost output vertex, so the same holds there.
+    """
+    walks = _scope_walks(g, depth, end or exit_chain_ends(g.lab, g.args))
     atomic: Dict[str, int] = {}
 
     def note_atomic(name: str, arity: int):
@@ -474,71 +466,58 @@ def _read_back(g: TermGraph, inner: Mapping[Vertex, Optional[Vertex]],
     new_name = _namer(lbl.name for lbl in g.lab.values() if isinstance(lbl, (Atomic, PrimedConst)))
     scope_names = (f"d{k}" for k in count())
 
-    def open_scope(o: Vertex) -> _Scope:
+    def vid(sym: str, w: Vertex) -> Vertex:
+        # the body vertex for w: all argument edges to one output vertex
+        # yield one occurrence vertex, the single occurrence of that call
+        return f"{sym}:call:{w}" if isinstance(g.lab[w], Output) else f"{sym}:{w}"
+
+    # per open scope: its symbol, output vertex, body and the rest of its walk
+    stack: List[tuple] = []
+
+    def open_scope(o: Vertex) -> str:
         sym = new_name(scope_names)
-        nested_sig[sym] = len(inputs_of[o])
-        return _Scope(sym, o, inputs_of[o])
+        met, inputs = walks[o]
+        nested_sig[sym] = len(inputs)
+        out_id = f"{sym}:{o}"
+        stack.append((sym, out_id, {b: j for j, b in enumerate(inputs, start=1)},
+                      {out_id: OUTPUT}, {out_id: (vid(sym, g.args[o][0]),)}, iter(met)))
+        return sym
 
-    # Work items, run last-in first-out in the order a recursive
-    # translation would run them: VISIT translates a vertex into a body,
-    # SEAL fixes the successors of a body vertex once they are translated,
-    # CLOSE finishes a body.
-    VISIT, SEAL, CLOSE = range(3)
-    root = open_scope(g.root)
-    work = [(CLOSE, root, None, None), (VISIT, root, g.args[g.root][0], None)]
-    while work:
-        step, scope, v, succ = work.pop()
-        if step == SEAL:
-            scope.args[v] = tuple(scope.memo[w] for w in succ)
-            continue
-        if step == CLOSE:
-            out_id = f"{scope.sym}:{scope.o}"
-            scope.args[out_id] = (scope.memo[g.args[scope.o][0]],)
-            rec[scope.sym] = TermGraph._prechecked(scope.lab, scope.args, out_id)
-            continue
-        if v in scope.memo:
-            continue
-        lbl = g.lab[v]
-        if isinstance(lbl, (Output, RootOutput)):
-            # argument edge into an output vertex: a call
-            if inner[v] != scope.o:
-                raise NotRepresentableError(f"call at {v!r} crosses a scope level")
-            occ_id = f"{scope.sym}:call:{v}"
-            scope.memo[v] = occ_id
-            callee = open_scope(v)
-            scope.lab[occ_id] = Nested(callee.sym, len(inputs_of[v]))
-            actual = [g.args[b][0] for b in inputs_of[v]]
-            work.append((SEAL, scope, occ_id, actual))
-            work.extend((VISIT, scope, w, None) for w in reversed(actual))
-            work.append((CLOSE, callee, None, None))
-            work.append((VISIT, callee, g.args[v][0], None))
-            continue
-        if isinstance(lbl, RootInput) or (isinstance(lbl, FoInput) and is_chain(v)):
-            raise NotRepresentableError(
-                f"argument at {v!r} references a constant's exit chain"
-            )
-        if inner[v] != scope.o:
-            raise NotRepresentableError(f"argument {v!r} crosses a scope level")
-        vid = f"{scope.sym}:{v}"
-        scope.memo[v] = vid
-        if isinstance(lbl, Atomic):
-            note_atomic(lbl.name, lbl.arity)
-            scope.lab[vid] = lbl
-            work.append((SEAL, scope, vid, g.args[v]))
-            work.extend((VISIT, scope, w, None) for w in reversed(g.args[v]))
-        elif isinstance(lbl, PrimedConst):
-            note_atomic(lbl.name, 0)
-            scope.lab[vid] = shared.get(lbl.name) or shared.setdefault(lbl.name, Atomic(lbl.name, 0))
-            scope.args[vid] = ()
+    root_sym = open_scope(g.root)
+    while stack:
+        sym, out_id, index_of, lab, args, rest = stack[-1]
+        for v in rest:
+            lbl = g.lab[v]
+            if isinstance(lbl, Output):
+                # argument edge into an output vertex: a call, whose body is
+                # read back before the rest of this one
+                actual = [g.args[b][0] for b in walks[v][1]]
+                u = f"{sym}:call:{v}"
+                lab[u] = Nested(open_scope(v), len(actual))
+                args[u] = tuple(vid(sym, w) for w in actual)
+                break
+            u = f"{sym}:{v}"
+            if isinstance(lbl, Atomic):
+                note_atomic(lbl.name, lbl.arity)
+                lab[u] = lbl
+                args[u] = tuple(vid(sym, w) for w in g.args[v])
+            elif isinstance(lbl, PrimedConst):
+                note_atomic(lbl.name, 0)
+                lab[u] = shared.get(lbl.name) or shared.setdefault(lbl.name, Atomic(lbl.name, 0))
+                args[u] = ()
+            elif v in index_of:
+                j = index_of[v]
+                lab[u] = shared.get(j) or shared.setdefault(j, Input(j))
+                args[u] = ()
+            else:  # a chain link or a root link
+                raise NotRepresentableError(f"argument at {v!r} references a constant's exit chain")
         else:
-            j = scope.index_of[v]
-            scope.lab[vid] = shared.get(j) or shared.setdefault(j, Input(j))
-            scope.args[vid] = ()
+            stack.pop()
+            rec[sym] = TermGraph._prechecked(lab, args, out_id)
 
-    if inputs_of[g.root]:
+    if walks[g.root][1]:
         raise NotRepresentableError("root definition has inputs")
-    sig = NtgSignature(atomic, nested_sig, root.sym)
-    n = Rgs(sig, rec)
+    n = Rgs(NtgSignature(atomic, nested_sig, root_sym), rec)
     assert not validate_rgs(n), f"reconstruction is ill-formed: {validate_rgs(n)[:1]}"
     assert is_ntg(n).ok, "reconstruction is not tree-shaped"
     return n
@@ -575,10 +554,7 @@ def ntg_collapse(n: Rgs) -> Rgs:
     seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
     block = _refine(c.lab, seqs)
     q = _quotient(c, block)
-    q_inner: Dict[Vertex, Optional[Vertex]] = {}
-    for v, b in block.items():
-        i = block.get(inner[v])  # None at the root output
-        q_inner.setdefault(b, i)
-        assert q_inner[b] == i, "the collapse must respect the scopes"
-    q_depth = {block[o]: k for o, k in depth.items()}
-    return _read_back(q, q_inner, q_depth)
+    q_inner: Dict[Vertex, Optional[Vertex]] = {}  # None at the root output
+    assert all(q_inner.setdefault(b, block.get(inner[v])) == block.get(inner[v])
+               for v, b in block.items()), "the collapse must respect the scopes"
+    return _read_back(q, {block[o]: k for o, k in depth.items()})

@@ -1663,11 +1663,124 @@ def reference_check_fully_backlinked(g):
     return True
 
 
-def reference_represent(g):
-    """``represent`` on the reference membership: the library's read-back
-    given the innermost letter and the length of every vertex's chain."""
-    from ntg.firstorder import _read_back
+def reference_read_back(g, inner, depth, end=None):
+    """``firstorder._read_back`` as the library wrote it before each scope
+    was read back in one walk: a walk per scope numbers its inputs, then a
+    second interpreter of work items (visit a vertex, seal a body vertex's
+    successors, close a body) builds the bodies with a memo per body, and
+    checks that no call or argument crosses a scope level.  ``inner`` maps
+    each vertex to its innermost enclosing output vertex, ``depth`` each
+    output vertex to its nesting depth."""
+    from ntg import NtgSignature, Rgs, is_ntg, validate_rgs
+    from ntg.firstorder import (
+        FoInput, NotRepresentableError, PrimedConst, RootInput, RootOutput, exit_chain_ends,
+    )
+    from ntg.labels import OUTPUT, Output
+    from ntg.rgs import _namer
 
+    end = end or exit_chain_ends(g.lab, g.args)
+
+    def is_chain(v):
+        return isinstance(g.lab[end(v)], RootInput)
+
+    inputs_of = {}
+    for o in sorted(depth, key=depth.__getitem__, reverse=True):
+        order, seen, stack = [], set(), [g.args[o][0]]
+        while stack:
+            v = stack.pop()
+            if v in seen or inner[v] != o:
+                continue
+            seen.add(v)
+            lbl = g.lab[v]
+            if isinstance(lbl, Atomic):
+                stack.extend(reversed(g.args[v]))
+            elif isinstance(lbl, Output):
+                stack.extend(g.args[b][0] for b in reversed(inputs_of[v]))
+            elif isinstance(lbl, FoInput) and not is_chain(v):
+                order.append(v)
+        inputs_of[o] = order
+
+    atomic, shared, nested_sig, rec = {}, {}, {}, {}
+
+    def note_atomic(name, arity):
+        if atomic.setdefault(name, arity) != arity:
+            raise NotRepresentableError(
+                f"symbol {name!r} occurs both as a constant and with arity {arity}"
+            )
+
+    new_name = _namer(lbl.name for lbl in g.lab.values() if isinstance(lbl, (Atomic, PrimedConst)))
+    scope_names = (f"d{k}" for k in count())
+
+    class Scope:
+        def __init__(self, o):
+            self.sym = new_name(scope_names)
+            nested_sig[self.sym] = len(inputs_of[o])
+            self.o = o
+            self.index_of = {b: j for j, b in enumerate(inputs_of[o], start=1)}
+            self.lab = {f"{self.sym}:{o}": OUTPUT}
+            self.args = {}
+            self.memo = {}
+
+    VISIT, SEAL, CLOSE = range(3)
+    root = Scope(g.root)
+    work = [(CLOSE, root, None, None), (VISIT, root, g.args[g.root][0], None)]
+    while work:
+        step, scope, v, succ = work.pop()
+        if step == SEAL:
+            scope.args[v] = tuple(scope.memo[w] for w in succ)
+            continue
+        if step == CLOSE:
+            out_id = f"{scope.sym}:{scope.o}"
+            scope.args[out_id] = (scope.memo[g.args[scope.o][0]],)
+            rec[scope.sym] = TermGraph._prechecked(scope.lab, scope.args, out_id)
+            continue
+        if v in scope.memo:
+            continue
+        lbl = g.lab[v]
+        if isinstance(lbl, (Output, RootOutput)):
+            if inner[v] != scope.o:
+                raise NotRepresentableError(f"call at {v!r} crosses a scope level")
+            occ_id = f"{scope.sym}:call:{v}"
+            scope.memo[v] = occ_id
+            callee = Scope(v)
+            scope.lab[occ_id] = Nested(callee.sym, len(inputs_of[v]))
+            actual = [g.args[b][0] for b in inputs_of[v]]
+            work.append((SEAL, scope, occ_id, actual))
+            work.extend((VISIT, scope, w, None) for w in reversed(actual))
+            work.append((CLOSE, callee, None, None))
+            work.append((VISIT, callee, g.args[v][0], None))
+            continue
+        if isinstance(lbl, RootInput) or (isinstance(lbl, FoInput) and is_chain(v)):
+            raise NotRepresentableError(f"argument at {v!r} references a constant's exit chain")
+        if inner[v] != scope.o:
+            raise NotRepresentableError(f"argument {v!r} crosses a scope level")
+        vid = f"{scope.sym}:{v}"
+        scope.memo[v] = vid
+        if isinstance(lbl, Atomic):
+            note_atomic(lbl.name, lbl.arity)
+            scope.lab[vid] = lbl
+            work.append((SEAL, scope, vid, g.args[v]))
+            work.extend((VISIT, scope, w, None) for w in reversed(g.args[v]))
+        elif isinstance(lbl, PrimedConst):
+            note_atomic(lbl.name, 0)
+            scope.lab[vid] = shared.get(lbl.name) or shared.setdefault(lbl.name, Atomic(lbl.name, 0))
+            scope.args[vid] = ()
+        else:
+            j = scope.index_of[v]
+            scope.lab[vid] = shared.get(j) or shared.setdefault(j, Input(j))
+            scope.args[vid] = ()
+
+    if inputs_of[g.root]:
+        raise NotRepresentableError("root definition has inputs")
+    n = Rgs(NtgSignature(atomic, nested_sig, root.sym), rec)
+    assert not validate_rgs(n) and is_ntg(n).ok
+    return n
+
+
+def reference_represent(g):
+    """``represent`` on the reference membership and the reference
+    read-back, given the innermost letter and the length of every vertex's
+    chain."""
     anc, defect = reference_member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
@@ -1676,7 +1789,21 @@ def reference_represent(g):
 
     inner = {v: chain[-1] if chain else None for v, chain in anc.items()}
     outputs = (v for v in anc if isinstance(g.lab[v], (Output, RootOutput)))
-    return _read_back(g, inner, {v: len(anc[v]) for v in outputs})
+    return reference_read_back(g, inner, {v: len(anc[v]) for v in outputs})
+
+
+def scoped_quotient(n):
+    """``ntg_collapse``'s quotient of the carrier of ``n``: ``(q, q_inner,
+    q_depth)``, the quotient by the refinement keyed by each vertex's
+    arguments and innermost output vertex, each block's innermost block
+    (None at the root output) and each output block's depth."""
+    from ntg.graph import _quotient, _refine
+
+    c, inner, depth = n._carrier
+    seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
+    block = _refine(c.lab, seqs)
+    q_inner = {b: block.get(inner[v]) for v, b in block.items()}
+    return _quotient(c, block), q_inner, {block[o]: k for o, k in depth.items()}
 
 
 def reference_tg_isomorphic(g1, g2):

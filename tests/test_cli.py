@@ -105,6 +105,16 @@ def test_represent_rejects_non_member(tmp_path):
     assert code == 1 and "not a representing graph" in err
 
 
+def test_represent_refuses_a_symbol_of_two_arities(tmp_path):
+    # a member of the representing class that no specification reads from
+    doc = tmp_path / "two.fo"
+    doc.write_text("tg { root r; r: out_r(a); a: f(c, k); c: c(e); e: in_r(r); "
+                   "k: c(m); m: z(e2); e2: in_r(r); }\n")
+    code, out, err = run("represent", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: symbol 'c' occurs both as a constant and with arity 1\n"
+
+
 def test_collapse_most_duplicated(tmp_path):
     out_file = tmp_path / "c.rgs"
     code, out, err = run("collapse", path("chain_d.rgs"), "-o", str(out_file))

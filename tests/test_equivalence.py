@@ -18,12 +18,14 @@ from ntg import (
     represent,
     sntg_hom,
     unfold_to_ntg,
+    validate_rgs,
     verify_nested_bisim,
     verify_ntg_hom,
 )
 from ntg.equivalence import NestedConfig
 from ntg.firstorder import interpret, ntg_collapse
 from generators import (
+    break_body,
     depth_family,
     fanout_family,
     mutate_ntg,
@@ -948,6 +950,10 @@ def test_verify_ntg_hom_equals_the_reference():
                     wrong[key] = rng.choice(outside if choice == 1 else vertices)
             for target in (n2, _raise_an_input(rng, n2)):
                 ours = verify_ntg_hom(n1, target, wrong)
+                invalid = validate_rgs(target)
+                if invalid:  # reported alone, by its first violation
+                    assert ours == [f"invalid right specification: {invalid[0]}"]
+                    continue
                 assert ours == reference_verify_ntg_hom(n1, target, wrong)
                 kinds.update(re.sub(r"^.*\): |\d+", "", m) for m in ours)
     assert kinds == {
@@ -962,7 +968,6 @@ def test_verify_ntg_hom_equals_the_reference():
         "occurrence not mapped to an occurrence",
         "definition roots not related",
         "input maps outside the related definition",
-        "image input index exceeds arity",
         "interface clause fails at input ",
     }
 
@@ -1395,3 +1400,30 @@ def test_verify_ntg_hom_reports_unhashable_images(fix_n):
         assert f"{key}: image is not a vertex of the target" in absent
         for bad in ((["s"], "v"), ("n", ["v"]), (key[0], [key[1]]), ([key[0]], key[1])):
             assert verify_ntg_hom(fix_n, fix_n, {**phi, key: bad}) == absent
+
+
+def test_verify_ntg_hom_reports_an_invalid_specification(fix_n, tree_corpus):
+    # an invalid specification on either side is reported alone, by its
+    # first violation, and its bodies are not looked up where they are
+    # undefined (an occurrence of an undeclared definition among them)
+    from ntg import Rgs, TermGraph
+    from ntg.labels import Nested
+
+    ident = {(s, v): (s, v) for s in fix_n.rec for v in fix_n.rec[s].lab}
+    body = fix_n.rec["n"]
+    bad = Rgs(fix_n.signature, {**fix_n.rec, "n": TermGraph({**body.lab, "gc": Nested("h", 0)}, body.args, body.root)})
+    first = "n.gc: unknown nested symbol 'h'"
+    assert verify_ntg_hom(bad, fix_n, ident) == [f"invalid left specification: {first}"]
+    assert verify_ntg_hom(fix_n, bad, ident) == [f"invalid right specification: {first}"]
+    assert verify_ntg_hom(bad, bad, ident) == [f"invalid {side} specification: {first}" for side in ("left", "right")]
+    rng = random.Random(29)
+    checked = 0
+    for r in tree_corpus * 30:
+        b = break_body(rng, r)
+        if not validate_rgs(b):
+            continue
+        checked += 1
+        phi = {(s, v): (s, v) for s in b.rec for v in b.rec[s].lab}
+        assert verify_ntg_hom(b, r, phi) == [f"invalid left specification: {validate_rgs(b)[0]}"]
+        assert verify_ntg_hom(r, b, phi) == [f"invalid right specification: {validate_rgs(b)[0]}"]
+    assert checked > 100

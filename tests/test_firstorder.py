@@ -52,7 +52,9 @@ from oracles import (
     reference_check_fully_backlinked,
     reference_infer_ancestors,
     reference_member_ancestors,
+    reference_read_back,
     reference_represent,
+    scoped_quotient,
     sntg_interpret,
     two_path_collapse,
 )
@@ -235,6 +237,19 @@ def test_member_outside_image_is_not_representable():
     assert is_rg_member(g)
     with pytest.raises(NotRepresentableError):
         represent(g)
+
+
+def test_member_with_a_symbol_of_two_arities_is_not_representable():
+    # a member whose symbol c labels both a unary vertex and a constant
+    # (whose successor heads an exit chain): no signature gives c both
+    from ntg import NotRepresentableError, parse_fo
+
+    g = parse_fo("tg { root r; r: out_r(a); a: f(c, k); c: c(e); e: in_r(r); "
+                 "k: c(m); m: z(e2); e2: in_r(r); }")
+    assert is_rg_member(g)
+    with pytest.raises(NotRepresentableError) as caught:
+        represent(g)
+    assert str(caught.value) == "symbol 'c' occurs both as a constant and with arity 1"
 
 
 def test_membership_of_collapse(fix_n):
@@ -849,16 +864,88 @@ def test_read_back_shares_equal_labels(tree_corpus):
                     assert seen.setdefault(lbl, lbl) is lbl, lbl
 
 
+def _read_back_shape(n):
+    """A read-back as printed, with its symbols' and each body's vertices'
+    order."""
+    return print_rgs(n), list(n.signature.nested), list(n.rec), [list(b.lab) for b in n.rec.values()]
+
+
+def _argument_into_exit_chain(rng, g):
+    """``g`` with one argument edge of an atomic vertex redirected to the
+    exit chain of a constant of the same level, or None: a member, when
+    the old target stays reachable, that does not read back."""
+    from ntg.firstorder import _propagate
+
+    inner = _propagate(g)[0]
+    pairs = [(u, g.args[v][0]) for v, lbl in g.lab.items() if isinstance(lbl, PrimedConst)
+             for u, l in g.lab.items() if type(l) is Atomic and l.arity and inner[u] == inner[v]]
+    if not pairs:
+        return None
+    u, head = rng.choice(pairs)
+    succ = list(g.args[u])
+    succ[rng.randrange(len(succ))] = head
+    return TermGraph(g.lab, {**g.args, u: tuple(succ)}, g.root)
+
+
 def test_represent_equals_the_reference(tree_corpus):
+    # on members, on graphs one or two faults away, on proper quotients and
+    # on arguments into exit chains, refusals included, and the collapse
+    # on its own quotient
+    from ntg import parse_fo
+
     rng = random.Random(193)
     specs = tree_corpus + [depth_family(d) for d in range(1, 16)]
     specs += [f(rng) for _ in range(60) for f in (random_ntg, random_ungrounded_ntg)]
+    refused = Counter()
     for n in specs:
         g = interpret(n)
-        for h in (g, tg_collapse(g)[0]):
+        quotient = random_quotient(rng, g)
+        collapsed = tg_collapse(g)[0]
+        graphs = [g, collapsed, parse_fo(print_fo(g)), mutate_fo(rng, g), mutate_fo(rng, collapsed),
+                  quotient and quotient[0], _argument_into_exit_chain(rng, g)]
+        for h in filter(None, graphs):
             (ours, err), (ref, ref_err) = _outcome(represent, h), _outcome(reference_represent, h)
             assert err == ref_err
-            assert ours is None or print_rgs(ours) == print_rgs(ref)
+            assert ours is None or _read_back_shape(ours) == _read_back_shape(ref)
+            refused[err is not None and err[0].__name__] += 1
+        assert _read_back_shape(ntg_collapse(n)) == _read_back_shape(reference_read_back(*scoped_quotient(n)))
+    assert refused["NotRepresentableError"] >= 20 and refused[False] >= 500  # 27 and 550
+
+
+def test_scope_walks_stay_on_their_level(tree_corpus):
+    # every vertex a scope's walk meets has that scope's output vertex as
+    # its innermost ancestor, on members and on the collapse's quotients,
+    # so the read-back needs no check that an argument crosses a level
+    from ntg.firstorder import _propagate, _scope_walks, exit_chain_ends
+
+    rng = random.Random(197)
+    specs = tree_corpus + [depth_family(d) for d in range(1, 8)]
+    specs += [f(rng) for _ in range(60) for f in (random_ntg, random_ungrounded_ntg)]
+    walked = 0
+    for n in specs:
+        g = interpret(n)
+        quotient = random_quotient(rng, g)
+        for h in [g, tg_collapse(g)[0]] + ([quotient[0]] if quotient else []):
+            inner, depth, err = _propagate(h)
+            assert err is None
+            for o, (met, _) in _scope_walks(h, depth, exit_chain_ends(h.lab, h.args)).items():
+                assert all(inner[v] == o for v in met)
+                walked += len(met)
+        q, q_inner, q_depth = scoped_quotient(n)
+        for o, (met, _) in _scope_walks(q, q_depth, exit_chain_ends(q.lab, q.args)).items():
+            assert all(q_inner[v] == o for v in met)
+            walked += len(met)
+    assert walked > 5000  # 5,443
+
+
+def test_read_back_bodies_list_arguments_in_vertex_order(tree_corpus):
+    # each body's successor map is filled as its vertices are read back
+    from ntg import parse_fo
+
+    for n in tree_corpus + [depth_family(6)]:
+        for back in (represent(parse_fo(print_fo(interpret(n)))), ntg_collapse(n)):
+            for body in back.rec.values():
+                assert list(body.args) == list(body.lab)
 
 
 def test_fully_backlinked_equals_the_reference():
