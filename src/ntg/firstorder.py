@@ -468,8 +468,10 @@ def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
 
     def vid(sym: str, w: Vertex) -> Vertex:
         # the body vertex for w: all argument edges to one output vertex
-        # yield one occurrence vertex, the single occurrence of that call
-        return f"{sym}:call:{w}" if isinstance(g.lab[w], Output) else f"{sym}:{w}"
+        # yield one occurrence vertex, the single occurrence of that call;
+        # a scope name ``d<k>`` has no ``:`` or ``/``, so an occurrence
+        # ``<sym>/<w>`` never meets another body vertex ``<sym>:<v>``
+        return f"{sym}/{w}" if isinstance(g.lab[w], Output) else f"{sym}:{w}"
 
     # per open scope: its symbol, output vertex, body and the rest of its walk
     stack: List[tuple] = []
@@ -492,7 +494,7 @@ def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
                 # argument edge into an output vertex: a call, whose body is
                 # read back before the rest of this one
                 actual = [g.args[b][0] for b in walks[v][1]]
-                u = f"{sym}:call:{v}"
+                u = f"{sym}/{v}"
                 lab[u] = Nested(open_scope(v), len(actual))
                 args[u] = tuple(vid(sym, w) for w in actual)
                 break

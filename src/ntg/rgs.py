@@ -101,7 +101,11 @@ class Rgs:
     computed on first use and kept on the object it describes, and so is
     the one walk of each body that these checks and the unfolding share,
     and the carrier (``firstorder._carrier``) that ``interpret`` and
-    ``ntg_collapse`` share and never change.
+    ``ntg_collapse`` share and never change.  A result can instead be
+    given by the construction that built the object, where that
+    construction proves it (``_given``): ``unfold_to_ntg`` gives an
+    unfolding without cuts of a valid specification its walks, its
+    violations and its ``is_ntg`` answer.
     """
 
     signature: NtgSignature
@@ -171,6 +175,14 @@ class Rgs:
     @cached_property
     def _carrier(self):
         return _package.firstorder._carrier(self)
+
+
+def _given(r: Rgs, **results):
+    """Keep on ``r`` check results that the construction that built it
+    has proved, where the cached properties of the same names keep what
+    they compute, so those are never computed on ``r``."""
+    assert all(isinstance(getattr(Rgs, k, None), cached_property) for k in results), results
+    r.__dict__.update(results)
 
 
 @dataclass(frozen=True)
@@ -498,6 +510,20 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     cyclic input needs ``depth`` and calls nested deeper than that are
     replaced by the nullary placeholder, yielding a truncated, non-semantic
     result meant for inspection only.
+
+    An unfolding without cuts of a valid specification carries its check
+    results (``_given``): no violation, ``is_ntg`` true, and each
+    copy's body walk, which is its source body's.  A valid body has no
+    unreachable vertex, so each copy keeps all its body's vertices, the
+    same successors and root, and hence the same walk; atomic, input and
+    output labels are kept; each occurrence names a fresh copy declared
+    at the occurrence's arity, which in a valid specification is the
+    callee's declared arity, so the copy's inputs number 1 to that arity.
+    Every copy is entered from exactly one occurrence and reached from the
+    root symbol, and without cuts the source has no reachable cycle (the
+    unfolding of one is cut at ``depth``), so the dependencies form a
+    tree.  A cut unfolding, or one of an invalid specification, is
+    checked from scratch: a placeholder can cut off an input vertex.
     """
     if depth is not None and depth < 0:
         raise ValueError(f"unfold depth must not be negative, got {depth}")
@@ -551,6 +577,9 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     atomic = dict(r.signature.atomic)
     if cuts:
         atomic[CUT_SYMBOL] = 0
-    sig = NtgSignature(atomic, new_nested, r.root_symbol)
-    return UnfoldResult(Rgs(sig, new_rec), cuts)
+    u = Rgs(NtgSignature(atomic, new_nested, r.root_symbol), new_rec)
+    if not cuts and not r._violations:
+        walks = {iname: r._walks[sym] for iname, sym, _ in queue}
+        _given(u, _walks=walks, _violations=(), _ntg=NtgResult(True))
+    return UnfoldResult(u, cuts)
 

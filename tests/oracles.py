@@ -1668,7 +1668,8 @@ def reference_read_back(g, inner, depth, end=None):
     was read back in one walk: a walk per scope numbers its inputs, then a
     second interpreter of work items (visit a vertex, seal a body vertex's
     successors, close a body) builds the bodies with a memo per body, and
-    checks that no call or argument crosses a scope level.  ``inner`` maps
+    checks that no call or argument crosses a scope level; occurrences are
+    named ``<sym>/<w>``, as the library names them.  ``inner`` maps
     each vertex to its innermost enclosing output vertex, ``depth`` each
     output vertex to its nesting depth."""
     from ntg import NtgSignature, Rgs, is_ntg, validate_rgs
@@ -1740,7 +1741,7 @@ def reference_read_back(g, inner, depth, end=None):
         if isinstance(lbl, (Output, RootOutput)):
             if inner[v] != scope.o:
                 raise NotRepresentableError(f"call at {v!r} crosses a scope level")
-            occ_id = f"{scope.sym}:call:{v}"
+            occ_id = f"{scope.sym}/{v}"
             scope.memo[v] = occ_id
             callee = Scope(v)
             scope.lab[occ_id] = Nested(callee.sym, len(inputs_of[v]))

@@ -938,6 +938,21 @@ def test_scope_walks_stay_on_their_level(tree_corpus):
     assert walked > 5000  # 5,443
 
 
+def test_read_back_keeps_a_vertex_named_like_a_call_apart_from_the_call():
+    # a constant renamed call:g.p beside the output vertex g.p it calls:
+    # both were read back as d0:call:g.p, one body vertex for two
+    from ntg import parse_rgs
+
+    n = parse_rgs("atomic f/2, c/0;\nroot r;\n"
+                  "def r/0 { o: out(a); a: f(x, y); x: g; y: c; }\ndef g/0 { p: out(b); b: c; }\n")
+    g = interpret(n)
+    name = {"r.y": "call:g.p", "r.y#er": "call:g.p#er"}
+    renamed = TermGraph({name.get(v, v): lbl for v, lbl in g.lab.items()},
+                        {name.get(v, v): tuple(name.get(w, w) for w in succ) for v, succ in g.args.items()},
+                        g.root)
+    assert ntg_isomorphic(represent(renamed), n) is not None
+
+
 def test_read_back_bodies_list_arguments_in_vertex_order(tree_corpus):
     # each body's successor map is filled as its vertices are read back
     from ntg import parse_fo

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntg import (
+    Rgs,
     check_sntg,
     interpret,
     is_rg_member,
@@ -55,8 +56,9 @@ def test_structural_roundtrip(seed):
 def test_unfolding_is_valid_and_bisimilar(seed):
     r = random_acyclic_rgs(random.Random(seed))
     res = unfold_to_ntg(r)
-    assert validate_rgs(res.rgs) == [] and is_ntg(res.rgs).ok
-    assert nested_bisim(r, res.rgs).bisimilar
+    fresh = Rgs(res.rgs.signature, res.rgs.rec)  # checked here, not given by the unfolding
+    assert validate_rgs(fresh) == [] and is_ntg(fresh).ok
+    assert nested_bisim(r, fresh).bisimilar
 
 
 @settings(max_examples=20, deadline=None)

@@ -236,7 +236,7 @@ def test_unfold_duplicates_shared_definition(fix_r0):
     res = unfold_to_ntg(fix_r0)
     assert res.cuts == 0
     assert len(res.rgs.signature.nested) == 4  # root, two copies, one g
-    assert is_ntg(res.rgs).ok
+    assert is_ntg(Rgs(res.rgs.signature, res.rgs.rec)).ok  # checked here, not given by the unfolding
     copies = [s for s in res.rgs.signature.nested if s.startswith("f2@")]
     assert len(copies) == 2
     assert ntg_isomorphic(res.rgs, unfold_to_ntg(res.rgs).rgs) is not None
@@ -256,6 +256,64 @@ def test_unfolded_copies_share_no_dict_with_their_source(fix_n, fix_r0, fix_r1):
         for sym, copy in res.rgs.rec.items():
             body = r.rec[sym.partition("@")[0]]
             assert copy.root == body.root and set(copy.lab) <= set(body.lab)
+
+
+def test_unfolding_results_equal_those_checked_from_scratch():
+    # an unfolding without cuts of a valid specification is given its walks,
+    # violations and is_ntg answer; a cut one, or one of an invalid
+    # specification, is checked from scratch, and all must agree with a
+    # fresh object built from the same signature and bodies
+    from generators import random_ungrounded_ntg
+
+    rng = random.Random(211)
+    seen = dict(given=0, cut=0, invalid_source=0, missing_input=0)
+    for _ in range(60):
+        for make in (random_ntg, random_ungrounded_ntg, random_acyclic_rgs, random_cyclic_rgs):
+            r = make(rng)
+            if rng.random() < 0.25:
+                r = break_body(rng, r)
+            for depth in (None, 0, 1, 2, 3, 6):
+                try:
+                    res = unfold_to_ntg(r, depth)
+                except MissingDepthError:
+                    continue
+                except KeyError:  # an occurrence of an undeclared symbol has no body to copy
+                    assert validate_rgs(r)
+                    continue
+                u = res.rgs
+                seen["given"] += "_violations" in vars(u)
+                fresh = Rgs(u.signature, u.rec)
+                assert u._walks == fresh._walks
+                assert validate_rgs(u) == validate_rgs(fresh)
+                assert is_ntg(u) == is_ntg(fresh)
+                seen["cut"] += res.truncated
+                seen["invalid_source"] += bool(validate_rgs(r))
+                seen["missing_input"] += any("missing input vertex" in v.message for v in validate_rgs(u))
+    # 710, 507, 234 and 124
+    assert seen["given"] > 600 and seen["cut"] > 400 and seen["invalid_source"] > 200
+    assert seen["missing_input"] > 100
+
+
+def test_no_unfolded_copy_is_checked_from_scratch(monkeypatch):
+    # ntg_bisimilar's tree-shape guard reads what the unfolding was given;
+    # only the two sources are checked, by the unfoldings, and the witness,
+    # by the self-check that asserts run
+    import ntg.rgs
+    from ntg import ntg_bisimilar
+
+    checked = []
+    check_bodies = ntg.rgs._check_bodies
+
+    def counted(r):
+        checked.append(r)
+        return check_bodies(r)
+
+    a, b = fanout_family(4), fanout_family(4, "x")
+    monkeypatch.setattr(ntg.rgs, "_check_bodies", counted)
+    ua, ub = unfold_to_ntg(a).rgs, unfold_to_ntg(b).rgs
+    assert ntg_bisimilar(ua, ub) is not None
+    assert not any(r is ua or r is ub for r in checked)
+    assert checked[0] is a and checked[1] is b and len(checked) == (3 if __debug__ else 2)
 
 
 def test_unfold_cyclic_needs_depth(fix_r1):
