@@ -540,6 +540,8 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
     queue = [(r.root_symbol, r.root_symbol, 0)]  # (instance name, symbol, level)
     new_nested[r.root_symbol] = 0
     for iname, sym, level in queue:
+        if sym not in r.rec:  # an occurrence of an undeclared symbol
+            _require(r, "specification")
         body = r.rec[sym]
         occurrences = [step.vertex for step in steps.get(sym, ())]
         # vertex names are local to a body, so a copy keeps its body's

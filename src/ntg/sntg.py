@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import TermGraph, _ancestor_chains, _label_of, reachable
-from .labels import Atomic, Input, Nested, Output, _compatible
+from .graph import HomConflict, TermGraph, _ancestor_chains, _first_clash, _label_of, reachable, tg_hom_explained
+from .labels import Atomic, Input, Nested, Output
 from .rgs import (
     NtgSignature,
     Rgs,
@@ -79,6 +79,21 @@ class Sntg:
         # is an output vertex
         violations, scopes = _check_sntg(self)
         return tuple(violations), scopes
+
+    @cached_property
+    def _encoding(self) -> TermGraph:
+        """``tg`` with each occurrence vertex's one successor its call link
+        (its arguments are related through return links, not by position:
+        input indices may be permuted or merged) and each input vertex's
+        its return link, labelled ``call`` and ``return``, the encoding's
+        only nested labels; atomic and output vertices keep theirs.  So two
+        encoded labels are equal exactly when ``_compatible`` holds.  Built
+        on first read, for a valid structure."""
+        lab, args = dict(self.tg.lab), dict(self.tg.args)
+        for links, label in ((self.call, Nested("call", 1)), (self.ret, Nested("return", 1))):
+            for v, u in links.items():
+                lab[v], args[v] = label, (u,)
+        return TermGraph._prechecked(lab, args, self.tg.root)
 
     @property
     def _violations(self) -> Tuple["SntgViolation", ...]:
@@ -294,65 +309,30 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     return n
 
 
-@dataclass(frozen=True)
-class SntgConflict:
-    left: Vertex
-    right: Vertex
-    reason: str
-
-
-def _closure(s1: Sntg, s2: Sntg) -> Tuple[List[Tuple[Vertex, Vertex]], bool]:
-    """The vertex pairs that the root pair reaches through arguments, call
-    and return links, in discovery order, and whether two labels clash.
-    On a clash the closure stops: it returns the pairs processed up to and
-    including the first clashing pair, which comes last, and not those
-    discovered after it.  An invalid structure raises ``ValueError``
-    naming its first violation."""
-    _require(s1, "left structural representation")
-    _require(s2, "right structural representation")
-    lab1, args1, lab2, args2 = s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args
-    start = (s1.root, s2.root)
-    seen = {start}
-    order = [start]
-    for k, (v, w) in enumerate(order):  # the queue: a list read on while it grows
-        l1 = lab1[v]
-        if not _compatible(l1, lab2[w]):
-            del order[k + 1:]
-            return order, True
-        if isinstance(l1, (Atomic, Output)):
-            # occurrence successors are related through return links, not
-            # positionally: input indices may be permuted or merged
-            children = zip(args1[v], args2[w])
-        elif isinstance(l1, Nested):
-            children = [(s1.call[v], s2.call[w])]
-        else:
-            children = [(s1.ret[v], s2.ret[w])]
-        for child in children:
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    return order, False
+SntgConflict = HomConflict  # the structural deciders' conflicts are first-order ones
 
 
 def sntg_hom_explained(s1: Sntg, s2: Sntg):
-    """The unique homomorphism candidate, read off the pair closure from
-    the root pair as a functional bisimulation, then verified in full: a
-    conflict names the first pair whose left vertex meets a second right
-    vertex, else the clash that stopped the closure, else the first
-    failed condition.  An invalid structure raises ``ValueError`` naming
-    its first violation."""
-    pairs, clash = _closure(s1, s2)
-    phi: Dict[Vertex, Vertex] = {}
-    for v, w in pairs:
-        first = phi.setdefault(v, w)
-        if first != w:
-            return None, SntgConflict(v, w, f"already mapped to {first!r}")
-    if clash:
-        v, w = pairs[-1]
-        return None, SntgConflict(v, w, f"labels {s1.tg.lab[v]} and {s2.tg.lab[w]} do not match")
+    """The unique homomorphism candidate, found by ``tg_hom_explained`` on
+    the two encodings, then verified in full: a conflict names the first
+    pair, in breadth-first order, whose left vertex meets a second right
+    vertex or whose labels clash, in the structures' labels, else the
+    first failed condition.  The encoding's successors are exactly the
+    steps a structural homomorphism is forced along (arguments, call and
+    return links), and its labels are equal exactly when ``_compatible``
+    holds, so this is the propagation over the structures themselves.  An
+    invalid structure raises ``ValueError`` naming its first violation."""
+    _require(s1, "left structural representation")
+    _require(s2, "right structural representation")
+    phi, conflict = tg_hom_explained(s1._encoding, s2._encoding)
+    if conflict is not None:
+        v, w = conflict.left, conflict.right
+        if conflict.reason.startswith("label "):  # a clash, in the encoding's labels
+            conflict = HomConflict(v, w, f"labels {s1.tg.lab[v]} and {s2.tg.lab[w]} do not match")
+        return None, conflict
     problems = verify_sntg_hom(s1, s2, phi)
     if problems:
-        return None, SntgConflict(s1.root, s2.root, problems[0])
+        return None, HomConflict(s1.root, s2.root, problems[0])
     return phi, None
 
 
@@ -409,22 +389,42 @@ def verify_sntg_hom(s1: Sntg, s2: Sntg, phi: Mapping[Vertex, Vertex]) -> List[st
 
 
 def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
-    """The witness structure over the pairs of the closure from the root
-    pair, whose projections are homomorphisms, or None on a clash.
+    """The witness structure over the vertex pairs that the root pair
+    reaches, whose projections are homomorphisms, or None when the roots
+    are not bisimilar.  An invalid structure raises ``ValueError`` naming
+    its first violation.
 
+    Decided by ``_first_clash`` on the encodings, with nothing built on a
+    clash: their successors are exactly the steps a bisimulation follows
+    and their labels are equal exactly when ``_compatible`` holds, and the
+    union-find classes of a clash-free closure form a bisimulation up to
+    equivalence, so every pair that their product reaches from the root
+    pair relates compatible labels.  Only a positive walks that product.
     Each pair ``(v, w)`` lies in the scope that the pair of its innermost
-    ancestors opened, and the input pairs of each scope are numbered in
-    discovery order.  An occurrence pair takes, for each input pair of the
-    scope it opens, the pair that their return links lead to: in a valid
-    structure, the argument pair at those inputs' indices.  Every other
-    pair keeps the left label and pairs its successors position by
-    position.  An invalid structure raises ``ValueError`` naming its first
-    violation."""
-    order, clash = _closure(s1, s2)
-    if clash:
+    ancestors opened, a pair found before it, and the input pairs of each
+    scope are numbered in discovery order.  An occurrence pair takes, for
+    each input pair of the scope it opens, the pair that their return
+    links lead to: in a valid structure, the argument pair at those
+    inputs' indices.  Every other pair keeps the left label and pairs its
+    successors position by position.  So the witness is valid by
+    construction, and ``check_sntg`` is only asserted: the call pair is a
+    scope's one output pair and reaches all of it, and the input pairs of
+    a scope are numbered 1 to the opening pair's arity, their return
+    pairs its successors in that order."""
+    _require(s1, "left structural representation")
+    _require(s2, "right structural representation")
+    enc1, enc2 = s1._encoding, s2._encoding
+    if _first_clash(enc1, enc2) is not None:
         return None
-    lab1, args1, lab2, args2 = s1.tg.lab, s1.tg.args, s2.tg.lab, s2.tg.args
-    inner1, inner2 = s1.inner, s2.inner
+    start = (s1.root, s2.root)
+    seen = {start}
+    order = [start]
+    for v, w in order:  # the queue: a list read on while it grows
+        for pair in zip(enc1.args[v], enc2.args[w]):
+            if pair not in seen:
+                seen.add(pair)
+                order.append(pair)
+    lab1, lab2, inner1, inner2 = s1.tg.lab, s2.tg.lab, s1.inner, s2.inner
     inputs: Dict[tuple, List[tuple]] = {}  # scope key -> its input pairs, in discovery order
     number: Dict[tuple, Input] = {}
     for v, w in order:
@@ -443,22 +443,20 @@ def sntg_bisimilar(s1: Sntg, s2: Sntg) -> Optional[Sntg]:
     for p, x in vid.items():  # the witness lists its vertices in discovery order
         v, w = p
         inner[x] = vid.get((inner1[v], inner2[w]))  # None at the root pair
-        l1 = lab1[v]
+        l1, succ = lab1[v], tuple(map(at, zip(enc1.args[v], enc2.args[w])))
         if isinstance(l1, Input):
-            lab[x], args[x] = number[p], ()
-            ret[x] = at((s1.ret[v], s2.ret[w]))
+            lab[x], args[x], ret[x] = number[p], (), succ[0]
         elif isinstance(l1, Nested):
             ins = inputs.get(p, ())
             lab[x] = Nested(f"{l1.name}&{lab2[w].name}", len(ins))
             args[x] = tuple(at((s1.ret[u1], s2.ret[u2])) for u1, u2 in ins)
-            call[x] = at((s1.call[v], s2.call[w]))
+            call[x] = succ[0]
         else:
-            lab[x], args[x] = l1, tuple(map(at, zip(args1[v], args2[w])))
-    witness = Sntg(TermGraph(lab, args, vid[order[0]]), call, ret, inner)
-    if check_sntg(witness):
-        return None
+            lab[x], args[x] = l1, succ
+    witness = Sntg(TermGraph(lab, args, vid[start]), call, ret, inner)
     proj1 = {vid[pair]: pair[0] for pair in order}
     proj2 = {vid[pair]: pair[1] for pair in order}
+    assert not check_sntg(witness), "constructed witness is ill-formed"
     assert not verify_sntg_hom(witness, s1, proj1), "left projection fails"
     assert not verify_sntg_hom(witness, s2, proj2), "right projection fails"
     return witness

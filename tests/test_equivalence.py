@@ -1037,6 +1037,46 @@ def test_cross_checks_catch_a_decider_that_ignores_atomic_names(monkeypatch):
     assert shared >= 3
 
 
+def test_cross_checks_catch_an_encoding_that_ignores_atomic_names(monkeypatch):
+    # the same pairs, with a structural encoding that gives all atomic
+    # labels of one arity one label: the encoded closure calls them
+    # bisimilar, so the witness's right projection fails its self-check,
+    # and without asserts the scoped bisimilarity entry disagrees;
+    # verify_sntg_hom re-checks atomic names, so it refutes every map the
+    # encoded propagation forces and the scoped homomorphism entry agrees
+    import ntg.sntg
+    from ntg import Atomic, sntg_bisimilar
+    from ntg.graph import TermGraph
+
+    encode = ntg.sntg.Sntg._encoding.func
+
+    def ignoring_names(s):
+        g = encode(s)
+        lab = {v: Atomic("a", x.arity) if isinstance(x, Atomic) else x for v, x in g.lab.items()}
+        return TermGraph._prechecked(lab, g.args, g.root)
+
+    monkeypatch.setattr(ntg.sntg.Sntg, "_encoding", property(ignoring_names))
+    rng = random.Random(197)
+    checked = 0
+    for make in (random_ntg, random_acyclic_rgs) * 10:
+        r = make(rng)
+        other = relabel_constant(rng, r)
+        if other is r:
+            continue
+        checked += 1
+        sa, sb = (ntg_to_sntg(x if is_ntg(x).ok else unfold_to_ntg(x).rgs) for x in (r, other))
+        assert sntg_hom(sa, sb) is None
+        if __debug__:
+            with pytest.raises(AssertionError, match="^right projection fails$"):
+                sntg_bisimilar(sa, sb)
+            continue
+        report = cross_check_theorems(r, other)
+        assert ("bisimilarity equals stack-based bisimilarity", True, False, False) in report.entries
+        hom = "homomorphism existence equals stack-based homomorphism existence"
+        assert (hom, False, False, True) in report.entries
+    assert checked >= 15
+
+
 def _carrier_corpus():
     """Specifications from every source the deciders see: the data files,
     random tree-shaped, shared and cyclic ones, unfoldings, summary
@@ -1278,15 +1318,18 @@ def test_summary_witness_equals_the_reference_witness():
 
 
 def test_structural_hom_equals_the_reference_hom():
-    # the homomorphism read off the pair closure is the one the library's
-    # own propagation found: the same map, in order, or the same conflict
+    # the homomorphism that the first-order propagation finds on the two
+    # encodings is the one the library's own propagation over the
+    # structures found: the same map, in order, or the same conflict, on
+    # the tree-shaped pairs of the corpus and on mutate_ntg partners
     from ntg.sntg import sntg_hom_explained
     from oracles import reference_sntg_hom_explained
 
+    rng = random.Random(229)
+    pairs = [(a, b) for a, b in _table_corpus() if is_ntg(a).ok and is_ntg(b).ok]
+    pairs += [(a, mutate_ntg(rng, b)) for a, b in pairs]
     seen = {"hom": 0, "already": 0, "labels": 0}
-    for a, b in _table_corpus():
-        if not (is_ntg(a).ok and is_ntg(b).ok):
-            continue
+    for a, b in pairs:
         s1, s2 = ntg_to_sntg(a), ntg_to_sntg(b)
         for x, y in ((s1, s2), (s2, s1)):
             phi, conflict = sntg_hom_explained(x, y)

@@ -277,8 +277,8 @@ def test_unfolding_results_equal_those_checked_from_scratch():
                     res = unfold_to_ntg(r, depth)
                 except MissingDepthError:
                     continue
-                except KeyError:  # an occurrence of an undeclared symbol has no body to copy
-                    assert validate_rgs(r)
+                except ValueError as e:  # an occurrence of an undeclared symbol has no body to copy
+                    assert str(e) == f"invalid specification: {validate_rgs(r)[0]}"
                     continue
                 u = res.rgs
                 seen["given"] += "_violations" in vars(u)
@@ -314,6 +314,17 @@ def test_no_unfolded_copy_is_checked_from_scratch(monkeypatch):
     assert ntg_bisimilar(ua, ub) is not None
     assert not any(r is ua or r is ub for r in checked)
     assert checked[0] is a and checked[1] is b and len(checked) == (3 if __debug__ else 2)
+
+
+def test_unfold_refuses_an_occurrence_of_an_undeclared_symbol():
+    # the unfolding raises the ValueError of the other entry points, not a
+    # KeyError, where it would copy a body that is not there; a cut one
+    # copies nothing
+    body = make_graph("x", {"x": (Output(), ["y"]), "y": (Nested("zz", 0), [])})
+    r = Rgs(NtgSignature({}, {"r": 0}, "r"), {"r": body})
+    with pytest.raises(ValueError, match=r"^invalid specification: r\.y: unknown nested symbol 'zz'$"):
+        unfold_to_ntg(r)
+    assert unfold_to_ntg(r, 0).truncated
 
 
 def test_unfold_cyclic_needs_depth(fix_r1):
