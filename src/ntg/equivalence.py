@@ -11,12 +11,16 @@ a clash, the runs of a functionality conflict, the witness of a positive
 bisimilarity verdict (also that of ``ntg_bisimilar``), the homomorphism
 certificate (also the map of ``ntg_hom``), the isomorphism of
 ``ntg_isomorphic`` (a bijective homomorphism) and, on acyclic input, the
-explicit relation.  Only the independent ``verify_nested_bisim`` applies
-the progression rules configuration by configuration.
+explicit relation.  The table is built once per ordered pair of
+specification objects and kept on the left one for its last partner, so
+every decider called on one pair reads the same table.  Only the
+independent ``verify_nested_bisim`` applies the progression rules
+configuration by configuration.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -171,6 +175,15 @@ def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
 # the two specifications whatever their sharing or recursion, so the
 # verdict is exact in every case.  A homomorphism asks in addition that
 # each context be functional, which the same tables answer.
+#
+# So one table serves every decider on a pair, and ``_summarize`` keeps
+# it on the left specification, for the last right one it was compared
+# with: an ``Rgs`` is immutable, and no reader changes a ``_Context``.
+# The right one is held by a weak reference, and the tables refer to the
+# two bodies' maps but not to either specification, so keeping them
+# neither keeps the right one alive nor makes a reference cycle.  Each
+# result derives its own path, witness, certificate, conflict and runs
+# from the shared tables.
 # ---------------------------------------------------------------------------
 
 
@@ -471,7 +484,8 @@ class _SummaryResult:
 
 
 def _summarize(r1: Rgs, r2: Rgs):
-    """Tabulate the summaries of ``r1`` against ``r2``.
+    """Tabulate the summaries of ``r1`` against ``r2``, or read the tables
+    that ``r1`` keeps when ``r2`` is the object it was last compared with.
 
     Returns ``(fields, clash)``: the result fields every verdict carries,
     the tables among them, and on a clash the fields that describe it and
@@ -479,7 +493,12 @@ def _summarize(r1: Rgs, r2: Rgs):
     """
     _require(r1, "left specification")
     _require(r2, "right specification")
-    contexts, clash = _tabulate(r1, r2)
+    kept = r1.__dict__.get("_summaries")
+    if kept is not None and kept[0]() is r2:
+        _, contexts, clash = kept
+    else:
+        contexts, clash = _tabulate(r1, r2)
+        r1.__dict__["_summaries"] = (weakref.ref(r2), contexts, clash)
     fields = dict(
         contexts=len(contexts),
         facts=sum(len(ctx.reached) + len(ctx.exits) for ctx in contexts.values()),

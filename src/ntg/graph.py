@@ -137,6 +137,9 @@ class HomConflict:
     right: Vertex
     reason: str
 
+    def __str__(self):
+        return f"<{self.left} ~ {self.right}> ({self.reason})"
+
 
 def tg_hom_explained(g1: TermGraph, g2: TermGraph):
     """Search the unique root-to-root homomorphism g1 -> g2.

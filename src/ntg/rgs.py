@@ -105,7 +105,10 @@ class Rgs:
     given by the construction that built the object, where that
     construction proves it (``_given``): ``unfold_to_ntg`` gives an
     unfolding without cuts of a valid specification its walks, its
-    violations and its ``is_ntg`` answer.
+    violations and its ``is_ntg`` answer.  A specification compared as the
+    left one by the stack-based deciders also keeps the summary tables of
+    that comparison (``equivalence._summarize``), for the last right
+    specification only, which it refers to weakly.
     """
 
     signature: NtgSignature

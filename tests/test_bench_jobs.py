@@ -108,3 +108,26 @@ def test_tiny_chain_jobs_refine_only_to_collapse(monkeypatch):
         data = job.run(ntg, workloads.Outcome())
         assert job.check(ntg, data) is None
         assert len(calls) == 2, calls
+
+
+def test_tiny_query_jobs_tabulate_each_pair_once(monkeypatch):
+    # nested_bisim and nested_hom of one pair read one summary table, and
+    # the unfolded pair that ntg_bisimilar decides gets its own
+    calls, parsed, unfolded = [], [], []
+    tabulate, parse, unfold = ntg.equivalence._tabulate, ntg.parse_rgs, ntg.unfold_to_ntg
+    monkeypatch.setattr(ntg.equivalence, "_tabulate", lambda r1, r2: calls.append((r1, r2)) or tabulate(r1, r2))
+    monkeypatch.setattr(ntg, "parse_rgs", lambda text: parsed.append(parse(text)) or parsed[-1])
+    monkeypatch.setattr(ntg, "unfold_to_ntg", lambda r, depth=None: unfolded.append(unfold(r, depth)) or unfolded[-1])
+    jobs, _ = workloads.WORKLOADS["shared-recursion"](random.Random(1), True)
+    assert jobs and all(isinstance(job, workloads.QueryJob) for job in jobs)
+    both = 0
+    for job in jobs:
+        for seen in (calls, parsed, unfolded):
+            seen.clear()
+        out = workloads.Outcome()
+        assert job.check(ntg, job.run(ntg, out)) is None
+        want = [tuple(parsed)] + ([tuple(u.rgs for u in unfolded)] if unfolded else [])
+        assert len(calls) == len(want)
+        assert all(x is u and y is v for (x, y), (u, v) in zip(calls, want))
+        both += len(want) == 2
+    assert 0 < both < len(jobs)

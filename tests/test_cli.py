@@ -299,6 +299,16 @@ def test_hom_levels():
         assert code == 1 and "no homomorphism" in err, level
 
 
+def test_hom_fo_and_sntg_refute_like_nested():
+    # a first-order conflict prints as <left ~ right> (reason), as the
+    # configurations of --level ntg and nested do
+    fo = run("hom", path("chain_a.rgs"), path("n.rgs"), "--level", "fo")
+    assert fo == (1, "none\n", "no homomorphism: <f.o ~ n.l> (label out vs lam)\n")
+    sntg = run("hom", path("chain_a.rgs"), path("n.rgs"), "--level", "sntg")
+    assert sntg == (1, "none\n", "no homomorphism: <r.fo ~ n.l> (labels f and lam do not match)\n")
+    assert sntg == run("hom", path("chain_a.rgs"), path("n.rgs"), "--level", "nested")
+
+
 def test_hom_ntg_prints_the_map_and_refutes_like_nested():
     code, out, err = run("hom", path("chain_d.rgs"), path("chain_c.rgs"), "--level", "ntg")
     assert (code, err) == (0, "")

@@ -1410,7 +1410,9 @@ def test_certificates_read_off_the_tables_are_unchanged():
 
 def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
     # the engine remembers label tests per pair of label objects, but each
-    # test goes through _compatible: a fault injected there decides
+    # test goes through _compatible: a fault injected there decides.  The
+    # patched half runs on fresh copies of each pair, since a pair of
+    # objects already decided keeps its tables
     import ntg.equivalence
     from ntg import Atomic
 
@@ -1432,6 +1434,7 @@ def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
     assert len(pairs) >= 6
     monkeypatch.setattr(ntg.equivalence, "_compatible", ignoring_names)
     for r, other in pairs:
+        r, other = _fresh(r), _fresh(other)
         assert nested_bisim(r, other).verdict == "bisimilar"
         assert nested_hom(r, other).verdict == "hom"
 
@@ -1470,3 +1473,145 @@ def test_verify_ntg_hom_reports_an_invalid_specification(fix_n, tree_corpus):
         assert verify_ntg_hom(b, r, phi) == [f"invalid left specification: {validate_rgs(b)[0]}"]
         assert verify_ntg_hom(r, b, phi) == [f"invalid right specification: {validate_rgs(b)[0]}"]
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# One summary table per ordered pair of specification objects
+# ---------------------------------------------------------------------------
+
+
+def _count_tabulations(monkeypatch):
+    """The ordered pairs of specifications tabulated from here on, each
+    as the two objects, in call order."""
+    import ntg.equivalence
+
+    calls = []
+    tabulate = ntg.equivalence._tabulate
+    monkeypatch.setattr(ntg.equivalence, "_tabulate", lambda r1, r2: calls.append((r1, r2)) or tabulate(r1, r2))
+    return calls
+
+
+def _fresh(r):
+    """A new specification object with the content of ``r`` and none of
+    its kept results."""
+    from ntg import Rgs
+
+    return Rgs(r.signature, r.rec)
+
+
+def _cache_corpus():
+    """Tree-shaped, shared and cyclic pairs, positive and negative; each
+    entry is ``(kind, left, right)``."""
+    rng = random.Random(271)
+    corpus = []
+    for _ in range(6):
+        n = random_ntg(rng)
+        corpus += [("tree", n, permute_inputs(rng, n)[0]), ("tree", n, mutate_ntg(rng, n))]
+        r = random_acyclic_rgs(rng)
+        corpus += [("shared", r, unfold_to_ntg(r).rgs), ("shared", r, relabel_constant(rng, r))]
+        split = split_shared_vertex(rng, r)
+        if split is not None:  # bisimilar; a functionality conflict in this direction
+            corpus.append(("shared", r, split))
+        c = random_cyclic_rgs(rng)
+        corpus += [("cyclic", c, unroll_twice(c)), ("cyclic", c, relabel_constant(rng, c))]
+    return [(kind, a, b) for kind, a, b in corpus if a is not b]
+
+
+def _observed(bis, hom, iso=None, phi=None):
+    """Every field the verdicts carry and derive from their tables."""
+    def summary(res):
+        return (res.verdict, res.reason, res.counterexample, res.path, res.path_length,
+                res.contexts, res.facts)
+
+    w = bis.witness
+    return (
+        summary(bis), bis.relation,
+        w and (print_rgs(w.witness), w.proj_left, w.proj_right),
+        summary(hom), hom.certificate, hom.conflict, hom.runs,
+        iso, phi,
+    )
+
+
+def test_verdicts_on_one_pair_read_one_table(monkeypatch):
+    # deciding one pair of objects again reads the table the first
+    # decision kept; every field matches the same calls, in the opposite
+    # order, on fresh copies, each pair of which tabulates once too
+    calls = _count_tabulations(monkeypatch)
+    kinds = {}
+    for kind, a, b in _cache_corpus():
+        tree = is_ntg(a).ok and is_ntg(b).ok
+        calls.clear()
+        bis, hom = nested_bisim(a, b), nested_hom(a, b)
+        iso, phi = (ntg_isomorphic(a, b), ntg_hom(a, b)) if tree else (None, None)
+        kept = _observed(bis, hom, iso, phi)
+        assert len(calls) == 1 and calls[0][0] is a and calls[0][1] is b
+        fa, fb = _fresh(a), _fresh(b)
+        calls.clear()
+        phi, iso = (ntg_hom(fa, fb), ntg_isomorphic(fa, fb)) if tree else (None, None)
+        hom = nested_hom(fa, fb)
+        bis = nested_bisim(fa, fb)
+        assert _observed(bis, hom, iso, phi) == kept
+        assert len(calls) == 1
+        kinds.setdefault(kind, set()).add((bis.verdict, hom.verdict))
+    for kind in ("tree", "shared", "cyclic"):
+        assert {("bisimilar", "hom"), ("not_bisimilar", "none")} <= kinds[kind], kind
+    assert ("bisimilar", "none") in kinds["shared"]
+
+
+def test_an_equal_right_specification_is_tabulated_again(monkeypatch):
+    # the table is kept for the right object, not for its content, and
+    # only for the last right specification the left one was compared with
+    calls = _count_tabulations(monkeypatch)
+    rng = random.Random(5)
+    r = random_cyclic_rgs(rng)
+    other = relabel_constant(rng, r)
+    twin = _fresh(other)
+    assert twin == other and twin is not other
+    first = nested_bisim(r, other)
+    assert nested_hom(r, twin).verdict == "none"
+    assert nested_hom(r, other).verdict == "none"
+    assert nested_bisim(r, other).path == first.path
+    assert len(calls) == 3 and all(left is r for left, _ in calls)
+    assert [right is other for _, right in calls] == [True, False, True]
+    assert calls[1][1] is twin
+
+
+def test_a_kept_table_does_not_keep_its_right_specification_alive():
+    import gc
+    import weakref
+
+    rng = random.Random(7)
+    r = random_cyclic_rgs(rng)
+    other = unroll_twice(r)
+    assert nested_bisim(r, other).bisimilar
+    gone = weakref.ref(other)
+    del other
+    gc.collect()
+    assert gone() is None
+    # and the kept table makes no reference cycle: both die without the collector
+    other = unroll_twice(r)
+    assert nested_hom(r, other).exists
+    left, right = weakref.ref(r), weakref.ref(other)
+    gc.disable()
+    try:
+        del r, other
+        assert left() is None and right() is None
+    finally:
+        gc.enable()
+
+
+def test_cross_checks_tabulate_each_ordered_pair_once(monkeypatch, fix_r1):
+    # cyclic input is decided in both orders, the rest in one
+    calls = _count_tabulations(monkeypatch)
+    rng = random.Random(11)
+    lefts = [(fix_r1, True), (random_cyclic_rgs(rng), True), (random_acyclic_rgs(rng), False),
+             (random_ntg(rng), False)]
+    for a, cyclic in lefts:
+        for b in (_fresh(a), relabel_constant(rng, a)):
+            assert b is not a
+            calls.clear()
+            report = cross_check_theorems(a, b)
+            assert report.all_agree, str(report)
+            want = [(a, b), (b, a)] if cyclic else [(a, b)]
+            assert len(calls) == len(want)
+            assert all(x is u and y is v for (x, y), (u, v) in zip(calls, want))
