@@ -228,12 +228,11 @@ def _tabulate(r1: Rgs, r2: Rgs):
     """Summaries of every context reachable from the root pair.
 
     Reads the ``lab`` and ``args`` maps of each context's two bodies
-    directly, and asks ``_compatible`` once per pair of label objects met.
+    directly, and asks ``_compatible`` of every pair it pops.
     Returns ``(contexts, clash)``; ``clash`` is None or ``(key, pair, via,
     reason)``, where ``via`` is the calling frame when the clash depends on
     the caller (an exit that the caller's arity cannot take), else None.
     """
-    compatible: Dict[Tuple[int, int], bool] = {}  # by the ids of two label objects
     contexts: Dict[Optional[tuple], _Context] = {}
     work = deque()  # (context key, context, pair)
 
@@ -265,11 +264,7 @@ def _tabulate(r1: Rgs, r2: Rgs):
         lab1, args1, lab2, args2 = ctx.bodies
         x1, x2 = pair
         l1, l2 = lab1[x1], lab2[x2]
-        ids = (id(l1), id(l2))
-        ok = compatible.get(ids)
-        if ok is None:
-            ok = compatible[ids] = _compatible(l1, l2)
-        if not ok:
+        if not _compatible(l1, l2):
             return contexts, (key, pair, None, f"labels {l1} and {l2} do not match")
         if isinstance(l1, (Atomic, Output)):
             seen = ctx.reached

@@ -105,7 +105,7 @@ def _carrier(n: Rgs):
     each vertex to its innermost enclosing output vertex (None at the
     root output), ``depth`` each output vertex to its nesting depth.
 
-    Built once per specification and kept on it (``Rgs._carrier``), where
+    Built once per specification and kept on it (``_kept_carrier``), where
     ``interpret`` and ``ntg_collapse`` share it and read it only.  Linear
     time; invalid or not tree-shaped input raises the same ``ValueError``
     as in ``ntg_to_sntg`` (``rgs._tree_dependencies``).
@@ -152,6 +152,16 @@ def _carrier(n: Rgs):
     return TermGraph._prechecked(lab, args, root), inner, depth
 
 
+def _kept_carrier(n: Rgs):
+    """The carrier of ``n``, built on first use and kept in ``n.__dict__``,
+    as ``equivalence._summarize`` keeps its tables; an error keeps
+    nothing."""
+    kept = n.__dict__.get("_carrier")
+    if kept is None:
+        kept = n.__dict__["_carrier"] = _carrier(n)
+    return kept
+
+
 def interpret(n: Rgs) -> TermGraph:
     """Flatten a tree-shaped specification into a first-order term graph.
 
@@ -162,7 +172,7 @@ def interpret(n: Rgs) -> TermGraph:
     ``v#e1``, ``v#e2``, … and ``v#er``, primed where a carrier vertex's
     name has a ``#`` and they would meet another name.
     """
-    c, inner, _ = n._carrier
+    c, inner, _ = _kept_carrier(n)
     root = c.root
     # the links ``<v>#e<k>`` and ``<v>#er`` of the chains of distinct
     # vertices differ, and they are clear of the carrier's names unless one
@@ -552,7 +562,7 @@ def ntg_collapse(n: Rgs) -> Rgs:
     This costs O(m log m) time for the m vertices and edges of ``n``,
     whose flattening can have Θ(m²) vertices on deep nesting.
     """
-    c, inner, depth = n._carrier
+    c, inner, depth = _kept_carrier(n)
     seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
     block = _refine(c.lab, seqs)
     q = _quotient(c, block)

@@ -79,12 +79,7 @@ CUT_SYMBOL = "⊥"  # ⊥
 def _compatible(l1, l2) -> bool:
     """Labels that a bisimulation may relate: equal atomic symbols, or two
     labels of the same kind among occurrence, output and input."""
-    if isinstance(l1, Atomic) and isinstance(l2, Atomic):
-        return l1 == l2
-    if isinstance(l1, Nested) and isinstance(l2, Nested):
-        return True
-    if isinstance(l1, Output) and isinstance(l2, Output):
-        return True
-    if isinstance(l1, Input) and isinstance(l2, Input):
-        return True
-    return False
+    kind = type(l1)
+    if kind is not type(l2):
+        return False
+    return l1 == l2 if kind is Atomic else kind in (Nested, Output, Input)

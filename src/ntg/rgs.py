@@ -11,7 +11,6 @@ by exactly one occurrence, no recursion).
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, repeat
@@ -19,10 +18,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .graph import TermGraph, reachable
 from .labels import CUT_SYMBOL, Atomic, Input, Nested, Output
-
-# where ``Rgs._carrier`` finds the first-order module of its own copy of
-# the package, even after a later import has replaced ``sys.modules``
-_package = sys.modules[__package__]
 
 _RESERVED = {"o", "out", "in", "out_r", "in_r", "tg", "root", "def", "atomic"}
 _RESERVED_RE = re.compile(r"^i_?\d+$")
@@ -99,16 +94,17 @@ class Rgs:
     Immutable.  Each check result (``validate_rgs``, ``dependency_ars``,
     ``is_ntg`` and the flat-name check of the structural conversions) is
     computed on first use and kept on the object it describes, and so is
-    the one walk of each body that these checks and the unfolding share,
-    and the carrier (``firstorder._carrier``) that ``interpret`` and
-    ``ntg_collapse`` share and never change.  A result can instead be
-    given by the construction that built the object, where that
-    construction proves it (``_given``): ``unfold_to_ntg`` gives an
-    unfolding without cuts of a valid specification its walks, its
-    violations and its ``is_ntg`` answer.  A specification compared as the
-    left one by the stack-based deciders also keeps the summary tables of
-    that comparison (``equivalence._summarize``), for the last right
-    specification only, which it refers to weakly.
+    the one walk of each body that these checks and the unfolding share.
+    A result can instead be given by the construction that built the
+    object, where that construction proves it (``_given``):
+    ``unfold_to_ntg`` gives an unfolding without cuts of a valid
+    specification its walks, its violations and its ``is_ntg`` answer.
+    The modules above keep their own results on a specification in the
+    same way: the carrier that ``interpret`` and ``ntg_collapse`` share
+    and never change (``firstorder._kept_carrier``), and, on a
+    specification compared as the left one by the stack-based deciders,
+    the summary tables of that comparison (``equivalence._summarize``),
+    for the last right specification only, which it refers to weakly.
     """
 
     signature: NtgSignature
@@ -174,10 +170,6 @@ class Rgs:
                 if other[1] != v:
                     return f"vertex name {name} is ambiguous: vertices {other[1]!r} and {v!r} of definition {sym}"
         return None
-
-    @cached_property
-    def _carrier(self):
-        return _package.firstorder._carrier(self)
 
 
 def _given(r: Rgs, **results):

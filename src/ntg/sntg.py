@@ -253,10 +253,10 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     """Cut a structural representation back into one definition per
     occurrence vertex; inverse of ``ntg_to_sntg`` up to isomorphism.
 
-    Input indices are recovered from the return links.  When an occurrence
-    has duplicate successors the indices are resolved deterministically:
-    inputs are scanned in breadth-first order from the definition's output
-    vertex, each taking the least index that is still free.
+    Every input vertex keeps its own label: ``check_sntg`` has matched
+    each index of a scope to the return link of its one input vertex, so
+    the labels already say which argument each input stands for, also
+    where an occurrence passes one vertex at two positions.
     """
     _require(s, "structural representation")
     g, scopes = s.tg, s._scan[1]
@@ -276,33 +276,16 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     nested_sig: Dict[str, int] = {}
     for w in nested_vertices:
         sym = sym_of[w]
-        arity = g.lab[w].arity
-        nested_sig[sym] = arity
-        o = s.call[w]
-        body_vertices = scopes[w]  # the check walked every scope of a valid structure
+        nested_sig[sym] = g.lab[w].arity
         body_lab: Dict[Vertex, object] = {}
         body_args: Dict[Vertex, tuple] = {}
-        assigned: Dict[Vertex, int] = {}
-        free = list(range(1, arity + 1))
-        for v in body_vertices:
-            if isinstance(g.lab[v], Input):
-                j = next((j for j in free if g.args[w][j - 1] == s.ret[v]), None)
-                if j is None:
-                    raise ValueError(f"return link of {v!r} matches no free successor of {w!r}")
-                free.remove(j)
-                assigned[v] = j
-        for v in body_vertices:
+        for v in scopes[w]:  # the check walked every scope of a valid structure
             lbl = g.lab[v]
-            if isinstance(lbl, Nested):
-                body_lab[v] = Nested(sym_of[v], lbl.arity)
-            elif isinstance(lbl, Input):
-                body_lab[v] = Input(assigned[v])
-            else:
-                body_lab[v] = lbl
+            body_lab[v] = Nested(sym_of[v], lbl.arity) if isinstance(lbl, Nested) else lbl
             body_args[v] = g.args[v]
         # a valid structure keeps every argument inside its scope, and the
-        # relabeling keeps every arity
-        rec[sym] = TermGraph._prechecked(body_lab, body_args, o)
+        # renaming keeps every arity
+        rec[sym] = TermGraph._prechecked(body_lab, body_args, s.call[w])
 
     n = Rgs(NtgSignature(atomic, nested_sig, sym_of[g.root]), rec)
     _require(n, "reconstruction", tree=True)

@@ -1798,9 +1798,10 @@ def scoped_quotient(n):
     q_depth)``, the quotient by the refinement keyed by each vertex's
     arguments and innermost output vertex, each block's innermost block
     (None at the root output) and each output block's depth."""
+    from ntg.firstorder import _kept_carrier
     from ntg.graph import _quotient, _refine
 
-    c, inner, depth = n._carrier
+    c, inner, depth = _kept_carrier(n)
     seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
     block = _refine(c.lab, seqs)
     q_inner = {b: block.get(inner[v]) for v, b in block.items()}

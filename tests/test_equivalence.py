@@ -1408,11 +1408,30 @@ def test_certificates_read_off_the_tables_are_unchanged():
     assert min(seen.values()) >= 40, seen
 
 
+def test_compatible_truth_table():
+    # equal atomic labels, or two body labels of one kind among occurrence,
+    # output and input; no first-order label is compatible with any label
+    from ntg import FO_INPUT, OUTPUT, ROOT_INPUT, ROOT_OUTPUT, Atomic, Input, Nested, Output, PrimedConst
+    from ntg.labels import _compatible
+
+    f1, f1_again, f2, g1 = Atomic("f", 1), Atomic("f", 1), Atomic("f", 2), Atomic("g", 1)
+    occurrences, outputs, inputs = [Nested("h", 1), Nested("k", 2)], [Output(), OUTPUT], [Input(1), Input(2)]
+    labels = [f1, f1_again, f2, g1, *occurrences, *outputs, *inputs]
+    labels += [PrimedConst("c"), FO_INPUT, ROOT_INPUT, ROOT_OUTPUT]
+    assert f1 is not f1_again and occurrences[0] != occurrences[1]
+    kinds = (occurrences, outputs, inputs)
+    for l1 in labels:
+        for l2 in labels:
+            expected = any(l1 in kind and l2 in kind for kind in kinds)
+            expected = expected or (isinstance(l1, Atomic) and l1 == l2)
+            assert _compatible(l1, l2) is expected, (l1, l2)
+    assert sum(_compatible(l1, l2) for l1 in labels for l2 in labels) == 4 + 1 + 1 + 3 * 4
+
+
 def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
-    # the engine remembers label tests per pair of label objects, but each
-    # test goes through _compatible: a fault injected there decides.  The
-    # patched half runs on fresh copies of each pair, since a pair of
-    # objects already decided keeps its tables
+    # every label test of the engine goes through _compatible: a fault
+    # injected there decides.  The patched half runs on fresh copies of
+    # each pair, since a pair of objects already decided keeps its tables
     import ntg.equivalence
     from ntg import Atomic
 

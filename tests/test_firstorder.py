@@ -41,6 +41,7 @@ from generators import (
     random_quotient,
     random_ungrounded_ntg,
 )
+from ntg.firstorder import _kept_carrier
 from ntg.graph import _refine
 from ntg.labels import Input
 from oracles import (
@@ -615,7 +616,7 @@ def _assert_carrier_is_the_reference(n):
     """The kept carrier of ``n`` is the one glued before each body's
     vertices were named once, item by item and in order, or both raise
     one error, which is returned."""
-    got, err = _outcome(lambda r: r._carrier, n)
+    got, err = _outcome(_kept_carrier, n)
     ref, ref_err = _outcome(reference_carrier, n)
     assert err == ref_err
     if err is not None:
@@ -665,14 +666,14 @@ def test_flattening_shares_no_dict_with_the_kept_carrier():
 
     for n in (depth_family(9), chain_spec(12, "r"), load_rgs("n.rgs")):
         g = interpret(n)
-        c, inner, depth = n._carrier
+        c, inner, depth = _kept_carrier(n)
         kept = [list(m.items()) for m in (c.lab, c.args, inner, depth)]
         flat = [list(g.lab.items()), list(g.args.items())]
         assert {id(g.lab), id(g.args)}.isdisjoint(map(id, (c.lab, c.args, inner, depth)))
         ntg_collapse(n)
         assert [list(m.items()) for m in (g.lab, g.args)] == flat
         assert [list(m.items()) for m in (c.lab, c.args, inner, depth)] == kept
-        assert n._carrier[0] is c
+        assert _kept_carrier(n)[0] is c
 
 
 def test_unchecked_builds_pass_the_constructor_checks():

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from ntg import (
+    Input,
     Sntg,
     TermGraph,
     check_sntg,
@@ -198,6 +199,23 @@ def test_roundtrip_on_random(tree_corpus):
         n = random_ntg(rng)
         back = sntg_to_ntg(ntg_to_sntg(n))
         assert ntg_isomorphic(n, back) is not None
+
+
+def test_sntg_to_ntg_keeps_each_input_label():
+    # the occurrence passes c at both positions, and breadth-first order
+    # from f's output meets ``in 2`` first: each input keeps its own index
+    n = parse_rgs(
+        "atomic g/2, k/0;\nroot r;\n"
+        "def r/0 { o: out(a); a: f(c, c); c: k; }\n"
+        "def f/2 { o: out(b); b: g(y, x); y: in 2; x: in 1; }\n"
+    )
+    s = ntg_to_sntg(n)
+    back = sntg_to_ntg(s)
+    cut = {v: lbl for body in back.rec.values() for v, lbl in body.lab.items()}
+    inputs = {v: lbl for v, lbl in s.tg.lab.items() if isinstance(lbl, Input)}
+    assert sorted(map(str, inputs.values())) == ["in 1", "in 2"]
+    assert all(cut[v] == lbl for v, lbl in inputs.items())
+    assert ntg_isomorphic(n, back) is not None
 
 
 def test_sntg_to_ntg_rejects_broken_input(fix_n):
