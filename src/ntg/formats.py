@@ -35,7 +35,6 @@ from .firstorder import (
     exit_chain_ends,
 )
 from .rgs import (
-    DependencyArs,
     NtgSignature,
     Rgs,
     Violation,
@@ -398,40 +397,45 @@ def _build_rgs(atomic: Dict[str, int], declared_root: Optional[str], defs) -> Rg
     return r
 
 
-def _body_discovery_order(g: TermGraph) -> List[str]:
-    """Vertices reachable from the root in breadth-first order, then the
-    rest sorted by name: O(n + m) plus the sort of the unreachable ones."""
-    order = reachable(g, g.root)
-    seen = set(order)
-    rest = sorted((v for v in g.lab if v not in seen), key=str)
-    return order + rest
+def _listing(g: TermGraph, first: List, prefix: str) -> Dict:
+    """The vertices of ``g`` in the order a document lists them, each with
+    its name ``<prefix><k>``: ``first``, then the rest sorted by name.
+    ``first`` is what the root reaches in breadth-first order, for a
+    specification body the walk its ``Rgs`` keeps."""
+    order = first
+    if len(first) < len(g.lab):
+        seen = set(first)
+        order = first + sorted((v for v in g.lab if v not in seen), key=str)
+    return {v: f"{prefix}{i}" for i, v in enumerate(order)}
 
 
-def _definition_order(r: Rgs, deps: Optional[DependencyArs] = None) -> List[str]:
+def _statements(g: TermGraph, names: Dict) -> List[str]:
+    """One ``name: label(successors);`` line per vertex, in listing order."""
+    lines = []
+    for v, name in names.items():
+        succ = ", ".join(names[w] for w in g.args[v])
+        lines.append(f"  {name}: {g.lab[v]}" + (f"({succ})" if succ else "") + ";")
+    return lines
+
+
+def _definition_order(r: Rgs) -> List[str]:
     """Symbols reachable from the root in breadth-first order, then the
     rest sorted by name."""
-    order = _reachable_symbols(deps or dependency_ars(r))
+    order = _reachable_symbols(dependency_ars(r))
     seen = set(order)
     return order + sorted(s for s in r.signature.nested if s not in seen)
 
 
 def print_rgs(r: Rgs) -> str:
     """Deterministic document: definitions in dependency breadth-first
-    order, vertices renamed in discovery order."""
-    out = []
+    order, vertices renamed in the order of the walk that ``r`` keeps of
+    each body, so printing walks no body again."""
     sig = ", ".join(f"{name}/{ar}" for name, ar in sorted(r.signature.atomic.items()))
-    out.append(f"atomic {sig};")
-    out.append(f"root {r.root_symbol};")
+    out = [f"atomic {sig};", f"root {r.root_symbol};"]
     for sym in _definition_order(r):
         body = r.rec[sym]
-        order = _body_discovery_order(body)
-        names = {v: f"v{i}" for i, v in enumerate(order)}
-        lines = []
-        for v in order:
-            succ = ", ".join(names[w] for w in body.args[v])
-            lines.append(f"  {names[v]}: {body.lab[v]}" + (f"({succ})" if succ else "") + ";")
         out.append(f"def {sym}/{r.signature.nested[sym]} {{")
-        out.extend(lines)
+        out += _statements(body, _listing(body, r._walks[sym][0], "v"))
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -503,16 +507,11 @@ def _build_fo(root: str, root_line: int, body_lines) -> TermGraph:
 def print_fo(g: TermGraph) -> str:
     """Deterministic single-block document; constants written unprimed.
 
-    Vertices are named and listed in the order of ``_body_discovery_order``,
-    so printing takes time linear in the graph.
+    Vertices are named and listed in breadth-first order from the root
+    (``_listing``), so printing takes time linear in the graph.
     """
-    order = _body_discovery_order(g)
-    names = {v: f"n{i}" for i, v in enumerate(order)}
-    lines = [f"tg {{", f"  root {names[g.root]};"]
-    for v in order:
-        succ = ", ".join(names[w] for w in g.args[v])
-        lines.append(f"  {names[v]}: {g.lab[v]}" + (f"({succ})" if succ else "") + ";")
-    lines.append("}")
+    names = _listing(g, reachable(g, g.root), "n")
+    lines = ["tg {", f"  root {names[g.root]};", *_statements(g, names), "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -558,96 +557,83 @@ def _dot_label(lbl) -> str:
     return lbl.name
 
 
-def _dot_rgs(r: Rgs) -> str:
-    deps = dependency_ars(r)
-    order = _definition_order(r, deps)
-    body_order = {sym: _body_discovery_order(r.rec[sym]) for sym in order}
-    node: Dict[tuple, str] = {}
-    for ci, sym in enumerate(order):
-        for vi, v in enumerate(body_order[sym]):
-            node[(sym, v)] = f"c{ci}_v{vi}"
-    lines = ["digraph G {"]
-    lines.append('  __start__ [shape=point, label=""];')
-    lines.append(f'  __root__ [label="{_dot_escape(r.root_symbol)}", shape=diamond];')
-    lines.append("  __start__ -> __root__;")
-    for ci, sym in enumerate(order):
-        body = r.rec[sym]
+def _node(name: str, text: str, diamond: bool = False) -> str:
+    shape = ", shape=diamond" if diamond else ""
+    return f'{name} [label="{_dot_escape(text)}"{shape}];'
+
+
+def _digraph(head: List[str], clusters: List[Tuple[str, List[str]]], tail: List[str]) -> str:
+    """A DOT digraph with an entry point: the ``head`` statements, one
+    subgraph per ``(label, statements)`` of ``clusters``, then the
+    ``tail`` statements."""
+    lines = ["digraph G {", '  __start__ [shape=point, label=""];']
+    lines += ["  " + x for x in head]
+    for ci, (label, statements) in enumerate(clusters):
         lines.append(f"  subgraph cluster_{ci} {{")
-        lines.append(f'    label="{_dot_escape(sym)}/{r.signature.nested[sym]}";')
-        for v in body_order[sym]:
-            shape = ", shape=diamond" if isinstance(body.lab[v], Nested) else ""
-            lines.append(
-                f'    {node[(sym, v)]} [label="{_dot_escape(_dot_label(body.lab[v]))}"{shape}];'
-            )
-        for v in body_order[sym]:
-            for w in body.args[v]:
-                lines.append(f"    {node[(sym, v)]} -> {node[(sym, w)]};")
+        lines.append(f'    label="{_dot_escape(label)}";')
+        lines += ["    " + x for x in statements]
         lines.append("  }")
-    # call links: the synthetic root occurrence plus every occurrence vertex
-    lines.append(f"  __root__ -> {node[(r.root_symbol, r.rec[r.root_symbol].root)]} [style=dashed];")
-    for step in deps.steps:
-        target_root = node[(step.target, r.rec[step.target].root)]
-        lines.append(f"  {node[(step.source, step.vertex)]} -> {target_root} [style=dashed];")
-    # return links: from each input vertex to the matching occurrence successor
-    for step in deps.steps:
-        body = r.rec[step.target]
-        occ_args = r.rec[step.source].args[step.vertex]
-        for v in body_order[step.target]:
-            lbl = body.lab[v]
-            if isinstance(lbl, Input) and lbl.index <= len(occ_args):
-                tgt = node[(step.source, occ_args[lbl.index - 1])]
-                lines.append(f"  {node[(step.target, v)]} -> {tgt} [style=dashed];")
+    lines += ["  " + x for x in tail]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_rgs(r: Rgs) -> str:
+    names = {}  # symbol -> the names of its body's vertices
+    clusters = []
+    for ci, sym in enumerate(_definition_order(r)):
+        body = r.rec[sym]
+        node = names[sym] = _listing(body, r._walks[sym][0], f"c{ci}_v")
+        nodes, edges = [], []
+        for v in node:
+            nodes.append(_node(node[v], _dot_label(body.lab[v]), isinstance(body.lab[v], Nested)))
+            for w in body.args[v]:
+                edges.append(f"{node[v]} -> {node[w]};")
+        clusters.append((f"{sym}/{r.signature.nested[sym]}", nodes + edges))
+    # call links, from the synthetic root occurrence and every occurrence
+    # vertex, then return links, from each input vertex to the matching
+    # occurrence successor, in the order the target's cluster lists them
+    root = r.root_symbol
+    calls, returns = [f"__root__ -> {names[root][r.rec[root].root]} [style=dashed];"], []
+    for step in dependency_ars(r).steps:
+        source, target, body = names[step.source], names[step.target], r.rec[step.target]
+        calls.append(f"{source[step.vertex]} -> {target[body.root]} [style=dashed];")
+        occ_args = r.rec[step.source].args[step.vertex]
+        for v, name in target.items():
+            lbl = body.lab[v]
+            if isinstance(lbl, Input) and lbl.index <= len(occ_args):
+                returns.append(f"{name} -> {source[occ_args[lbl.index - 1]]} [style=dashed];")
+    return _digraph([_node("__root__", root, True), "__start__ -> __root__;"], clusters, calls + returns)
 
 
 def _dot_sntg(s: Sntg) -> str:
     g = s.tg
-    order = sorted(g.lab, key=str)
-    node = {v: f"n{i}" for i, v in enumerate(order)}
-    # group bodies by the occurrence vertex that opens them
+    node = _listing(g, sorted(g.lab, key=str), "n")
+    # node lines grouped by the occurrence vertex that opens their body;
+    # argument edges, then call and return links
     scopes: Dict[Optional[str], List[str]] = {}
-    for v in order:
-        scopes.setdefault(s.inner[v], []).append(v)
-    top = scopes.pop(None, [])
-    lines = ["digraph G {"]
-    lines.append('  __start__ [shape=point, label=""];')
-    lines.append(f"  __start__ -> {node[g.root]};")
-    for v in top:
-        shape = ", shape=diamond" if v in s.call else ""
-        lines.append(f'  {node[v]} [label="{_dot_escape(_dot_label(g.lab[v]))}"{shape}];')
-    for ci, occ in enumerate(sorted(scopes, key=str)):
-        lines.append(f"  subgraph cluster_{ci} {{")
-        lines.append(f'    label="{_dot_escape(str(g.lab[occ]))}";')
-        for v in scopes[occ]:
-            shape = ", shape=diamond" if v in s.call else ""
-            lines.append(f'    {node[v]} [label="{_dot_escape(_dot_label(g.lab[v]))}"{shape}];')
-        lines.append("  }")
-    for v in order:
+    edges, links = [], []
+    for v in node:
+        scopes.setdefault(s.inner[v], []).append(_node(node[v], _dot_label(g.lab[v]), v in s.call))
         for w in g.args[v]:
-            lines.append(f"  {node[v]} -> {node[w]};")
-    for v in order:
+            edges.append(f"{node[v]} -> {node[w]};")
         if v in s.call:
-            lines.append(f"  {node[v]} -> {node[s.call[v]]} [style=dashed];")
+            links.append(f"{node[v]} -> {node[s.call[v]]} [style=dashed];")
         if v in s.ret:
-            lines.append(f"  {node[v]} -> {node[s.ret[v]]} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            links.append(f"{node[v]} -> {node[s.ret[v]]} [style=dashed];")
+    head = [f"__start__ -> {node[g.root]};"] + scopes.pop(None, [])
+    clusters = [(str(g.lab[occ]), scopes[occ]) for occ in sorted(scopes, key=str)]
+    return _digraph(head, clusters, edges + links)
 
 
 def _dot_fo(g: TermGraph) -> str:
-    order = _body_discovery_order(g)
-    node = {v: f"n{i}" for i, v in enumerate(order)}
-    lines = ["digraph G {"]
-    lines.append('  __start__ [shape=point, label=""];')
-    lines.append(f"  __start__ -> {node[g.root]};")
-    for v in order:
-        lines.append(f'  {node[v]} [label="{_dot_escape(_dot_label(g.lab[v]))}"];')
-    for v in order:
+    node = _listing(g, reachable(g, g.root), "n")
+    nodes, edges = [], []
+    for v in node:
         lbl = g.lab[v]
+        nodes.append(_node(node[v], _dot_label(lbl)))
         for i, w in enumerate(g.args[v]):
             backlink = (isinstance(lbl, FoInput) and i == 1) or isinstance(lbl, RootInput)
             style = " [style=dotted]" if backlink else ""
-            lines.append(f"  {node[v]} -> {node[w]}{style};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges.append(f"{node[v]} -> {node[w]}{style};")
+    return _digraph([f"__start__ -> {node[g.root]};"], [], nodes + edges)

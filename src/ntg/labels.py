@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class Atomic:
-    """An ordinary function symbol."""
-
+class _Symbol:
     name: str
     arity: int
 
@@ -25,18 +23,13 @@ class Atomic:
 
 
 @dataclass(frozen=True)
-class Nested:
+class Atomic(_Symbol):
+    """An ordinary function symbol."""
+
+
+@dataclass(frozen=True)
+class Nested(_Symbol):
     """A defined symbol, i.e. one that carries its own graph definition."""
-
-    name: str
-    arity: int
-
-    def __post_init__(self):
-        if self.arity < 0:
-            raise ValueError(f"negative arity for {self.name!r}")
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)

@@ -172,12 +172,11 @@ class Rgs:
         return None
 
 
-def _given(r: Rgs, **results):
-    """Keep on ``r`` check results that the construction that built it
-    has proved, where the cached properties of the same names keep what
-    they compute, so those are never computed on ``r``."""
-    assert all(isinstance(getattr(Rgs, k, None), cached_property) for k in results), results
-    r.__dict__.update(results)
+def _given(r: Rgs, walks: Dict[str, Tuple[List[str], bool]]):
+    """Keep on ``r`` what the construction that built it has proved, where
+    the cached properties keep what they compute: ``walks`` as its body
+    walks, no violation and ``is_ntg`` true."""
+    r.__dict__.update(_walks=walks, _violations=(), _ntg=NtgResult(True))
 
 
 @dataclass(frozen=True)
@@ -576,7 +575,6 @@ def unfold_to_ntg(r: Rgs, depth: Optional[int] = None) -> UnfoldResult:
         atomic[CUT_SYMBOL] = 0
     u = Rgs(NtgSignature(atomic, new_nested, r.root_symbol), new_rec)
     if not cuts and not r._violations:
-        walks = {iname: r._walks[sym] for iname, sym, _ in queue}
-        _given(u, _walks=walks, _violations=(), _ntg=NtgResult(True))
+        _given(u, {iname: r._walks[sym] for iname, sym, _ in queue})
     return UnfoldResult(u, cuts)
 

@@ -20,10 +20,12 @@ from .rgs import (
     NtgSignature,
     Rgs,
     _flat_names,
+    _given,
     _reachable_symbols,
     _require,
     _tree_dependencies,
     _uniquify,
+    symbol_name_ok,
 )
 
 Vertex = str
@@ -73,12 +75,11 @@ class Sntg:
         return self.tg.root
 
     @cached_property
-    def _scan(self) -> Tuple[Tuple["SntgViolation", ...], Dict[Vertex, List[Vertex]]]:
-        # the violations, and what the call target of each occurrence
-        # vertex reaches, in the order of ``reachable``, where that target
-        # is an output vertex
-        violations, scopes = _check_sntg(self)
-        return tuple(violations), scopes
+    def _scan(self) -> Tuple[Tuple["SntgViolation", ...], Dict[Vertex, List[Vertex]], Dict[str, int]]:
+        # the violations; what the call target of each occurrence vertex
+        # reaches, in the order of ``reachable``, where that target is an
+        # output vertex; and the first arity met of each atomic name
+        return _check_sntg(self)
 
     @cached_property
     def _encoding(self) -> TermGraph:
@@ -114,27 +115,29 @@ def check_sntg(s: Sntg) -> List[SntgViolation]:
     """Evaluate every well-formedness condition; empty list means valid.
 
     The conditions are checked independently so that a single fault shows
-    up under the condition it breaks.  Beyond the defining conditions one
-    completeness check is included: every vertex of a definition must be
-    reachable from that definition's output vertex ("body-connected"),
-    which rules out disconnected junk that the pointwise conditions alone
-    cannot see.
+    up under the condition it breaks.  Beyond the defining conditions, the
+    ones a cut into bodies needs are included: no edge enters an output
+    vertex ("arguments"); every label is atomic, nested, output or input,
+    and each atomic name has one arity and is not reserved ("labels"); and
+    every vertex but the root must lie in a definition and be reachable
+    from its output vertex ("body-connected"), which rules out junk that
+    the pointwise conditions alone cannot see.
 
     Chains are compared by their last letters, and the constructor rejects
     repeated letters.  One scan of the vertices and one walk per scope,
     linear in the size of the structure; only the violations found are
     sorted, into the report's order: by condition, then by vertex name.
     The check runs once per structure, kept on it with the scopes it
-    walked, which ``sntg_to_ntg`` cuts into bodies; each call returns a
-    fresh list.
+    walked and the arity of each atomic name, which ``sntg_to_ntg`` cuts
+    into bodies; each call returns a fresh list.
     """
     return list(s._violations)
 
 
-def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]]]:
+def _check_sntg(s: Sntg) -> Tuple[Tuple[SntgViolation, ...], Dict[Vertex, List[Vertex]], Dict[str, int]]:
     g, inner = s.tg, s.inner
     # per condition, in scan order: (the vertex it is reported by, violation)
-    roots, arguments, defined, steps, outside, strays = [], [], [], [], [], []
+    roots, arguments, defined, labels, steps, outside, strays = [], [], [], [], [], [], []
 
     def bad(into, cond, vs, msg, at=None):
         into.append((vs[0] if at is None else at, SntgViolation(cond, tuple(vs), msg)))
@@ -149,18 +152,33 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
 
     occurrences = []
     levels: Dict[Optional[Vertex], List[Vertex]] = {}  # innermost ancestor -> the vertices below it
+    arity, clashes = {}, set()  # atomic name -> the first arity met; the names met at two
     for v, lbl in g.lab.items():
         x = inner[v]
         levels.setdefault(x, []).append(v)
         for w in g.args[v]:
             if inner[w] != x:
                 bad(arguments, "arguments", [v, w], "successor has a different ancestor chain")
+            elif isinstance(g.lab[w], Output):
+                bad(arguments, "arguments", [v, w], "edge into the output vertex")
         if (v in s.call) != isinstance(lbl, Nested):
             bad(defined, "defined", [v], "call must be defined exactly on defined-symbol vertices")
         if (v in s.ret) != isinstance(lbl, Input):
             bad(defined, "defined", [v], "return must be defined exactly on input vertices")
-        if isinstance(lbl, Nested) and v in s.call:
+        if isinstance(lbl, Atomic):
+            if arity.setdefault(lbl.name, lbl.arity) != lbl.arity:
+                clashes.add(lbl.name)
+        elif isinstance(lbl, Nested) and v in s.call:
             occurrences.append(v)
+        elif not isinstance(lbl, (Nested, Output, Input)):
+            bad(labels, "labels", [v], f"label {lbl} is not allowed in a body")
+    reserved = {name for name in arity if not symbol_name_ok(name)}
+    if clashes or reserved:  # each vertex of a faulty atomic name
+        for v, lbl in g.lab.items():
+            if isinstance(lbl, Atomic) and lbl.name in reserved:
+                bad(labels, "labels", [v], f"symbol name {lbl.name!r} is reserved")
+            if isinstance(lbl, Atomic) and lbl.name in clashes:
+                bad(labels, "labels", [v], f"atomic symbol {lbl.name!r} used at two arities")
 
     scopes: Dict[Vertex, List[Vertex]] = {}  # occurrence -> what its call target reaches
     for v in occurrences:
@@ -195,8 +213,8 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
             bad(steps, "step-out", [v] + by_index[j], msg)
 
     # completeness: the vertices assigned to a definition level are exactly
-    # the vertices its output can reach, and the top level holds only the root
-    top = [v for v in levels.get(None, ()) if v != root]
+    # the vertices its output can reach, and the other levels hold only the root
+    top = [v for x, below in levels.items() if x not in s.call for v in below if v != root]
     if top:
         bad(outside, "body-connected", sorted(top, key=str), "vertices outside every definition")
     for v, scope in scopes.items():
@@ -204,8 +222,8 @@ def _check_sntg(s: Sntg) -> Tuple[List[SntgViolation], Dict[Vertex, List[Vertex]
         if stray:
             msg = f"unreachable from the output vertex {s.call[v]}"
             bad(strays, "body-connected", sorted(stray, key=str), msg, at=v)
-    sections = (roots, arguments, defined, steps, outside, strays)
-    return [x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))], scopes
+    sections = (roots, arguments, defined, labels, steps, outside, strays)
+    return tuple(x for found in sections for _, x in sorted(found, key=lambda e: str(e[0]))), scopes, arity
 
 
 def ntg_to_sntg(n: Rgs) -> Sntg:
@@ -257,15 +275,20 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     each index of a scope to the return link of its one input vertex, so
     the labels already say which argument each input stands for, also
     where an occurrence passes one vertex at two positions.
+
+    A valid structure cuts into a valid, tree-shaped specification, so
+    the cut is given its check results (``_given``), and only an
+    ``assert`` checks them again: its walks are the scopes the check
+    walked, it has no violation and ``is_ntg`` holds.  Each scope is one
+    body, closed under successors and rooted at its one output vertex,
+    which no edge enters and whose walk reaches all of the body; its
+    inputs carry each index from 1 to its arity once.  Each occurrence
+    vertex but the root lies in exactly one scope and opens its own
+    symbol, at its own arity, and the innermost-ancestor pointers have no
+    cycle, so the dependencies form a tree.
     """
     _require(s, "structural representation")
-    g, scopes = s.tg, s._scan[1]
-
-    atomic: Dict[str, int] = {}
-    for lbl in g.lab.values():
-        if isinstance(lbl, Atomic):
-            if atomic.setdefault(lbl.name, lbl.arity) != lbl.arity:
-                raise ValueError(f"atomic symbol {lbl.name!r} used at two arities")
+    g, (_, scopes, atomic) = s.tg, s._scan
 
     # one definition per occurrence vertex, named by that vertex (primed
     # until clear of atomic, reserved and already-taken names)
@@ -283,12 +306,11 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
             lbl = g.lab[v]
             body_lab[v] = Nested(sym_of[v], lbl.arity) if isinstance(lbl, Nested) else lbl
             body_args[v] = g.args[v]
-        # a valid structure keeps every argument inside its scope, and the
-        # renaming keeps every arity
         rec[sym] = TermGraph._prechecked(body_lab, body_args, s.call[w])
 
     n = Rgs(NtgSignature(atomic, nested_sig, sym_of[g.root]), rec)
-    _require(n, "reconstruction", tree=True)
+    _given(n, {sym_of[w]: (scopes[w], False) for w in nested_vertices})
+    assert (fresh := Rgs(n.signature, rec))._walks == n._walks and not fresh._violations and fresh._ntg.ok
     return n
 
 

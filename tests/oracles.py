@@ -1418,7 +1418,7 @@ def reference_check_sntg(s):
     the vertices sorted by name once per condition, and each level's
     vertices grouped by their ancestor chain.  The reference for the
     violations and their order."""
-    from ntg import Input, Nested, Output, SntgViolation
+    from ntg import Atomic, Input, Nested, NtgSignature, Output, SntgViolation
 
     g = s.tg
     out: list = []
@@ -1444,6 +1444,8 @@ def reference_check_sntg(s):
         for w in g.args[v]:
             if s.anc[w] != s.anc[v]:
                 bad("arguments", [v, w], "successor has a different ancestor chain")
+            elif isinstance(g.lab[w], Output):
+                bad("arguments", [v, w], "edge into the output vertex")
 
     for v in sorted(g.lab, key=str):
         lbl = g.lab[v]
@@ -1451,6 +1453,24 @@ def reference_check_sntg(s):
             bad("defined", [v], "call must be defined exactly on defined-symbol vertices")
         if (v in s.ret) != isinstance(lbl, Input):
             bad("defined", [v], "return must be defined exactly on input vertices")
+
+    # and the atomic signature that a cut into bodies declares: one arity
+    # per name, and no reserved name
+    arities: dict = {}
+    for lbl in g.lab.values():
+        if isinstance(lbl, Atomic):
+            arities.setdefault(lbl.name, set()).add(lbl.arity)
+    for v in sorted(g.lab, key=str):
+        lbl = g.lab[v]
+        if not isinstance(lbl, (Atomic, Nested, Output, Input)):
+            bad("labels", [v], f"label {lbl} is not allowed in a body")
+        elif isinstance(lbl, Atomic):
+            try:
+                NtgSignature({}, {lbl.name: 0}, lbl.name)
+            except ValueError as e:
+                bad("labels", [v], str(e))
+            if len(arities[lbl.name]) > 1:
+                bad("labels", [v], f"atomic symbol {lbl.name!r} used at two arities")
 
     scopes: dict = {}  # occurrence -> what its call target reaches
     for v in sorted(g.lab, key=str):
@@ -1486,11 +1506,12 @@ def reference_check_sntg(s):
             bad("step-out", [v] + by_index[j], f"scope has an input with index {j} beyond the arity")
 
     # completeness: the vertices assigned to a definition level are exactly
-    # the vertices its output can reach, and the top level holds only the root
+    # the vertices its output can reach, and every vertex but the root lies
+    # below a vertex with a call link
     levels: dict = {}
     for v in sorted(g.lab, key=str):
         levels.setdefault(s.anc[v], []).append(v)
-    extra = [v for v in levels.get((), []) if v != root]
+    extra = [v for v in sorted(g.lab, key=str) if v != root and (not s.anc[v] or s.anc[v][-1] not in s.call)]
     if extra:
         bad("body-connected", extra, "vertices outside every definition")
     for v, scope in scopes.items():

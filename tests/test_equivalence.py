@@ -1428,6 +1428,25 @@ def test_compatible_truth_table():
     assert sum(_compatible(l1, l2) for l1 in labels for l2 in labels) == 4 + 1 + 1 + 3 * 4
 
 
+def test_atomic_and_nested_symbols_stay_apart():
+    # the two symbol classes share their fields but never compare equal
+    import dataclasses
+
+    from ntg import Atomic, Nested
+
+    a, n = Atomic("c", 1), Nested("c", 1)
+    assert a != n and n != a and len({a, n}) == 2
+    assert a == Atomic("c", 1) and hash(a) == hash(Atomic("c", 1)) and n == Nested("c", 1)
+    assert (repr(a), repr(n), str(a), str(n)) == ("Atomic(name='c', arity=1)", "Nested(name='c', arity=1)", "c", "c")
+    for label in (a, n):
+        for field in ("name", "arity", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(label, field, 0)
+    for cls in (Atomic, Nested):
+        with pytest.raises(ValueError, match="negative arity for 'c'"):
+            cls("c", -1)
+
+
 def test_engine_asks_compatible_for_every_label_pair(monkeypatch):
     # every label test of the engine goes through _compatible: a fault
     # injected there decides.  The patched half runs on fresh copies of

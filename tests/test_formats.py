@@ -368,3 +368,61 @@ def test_builders_name_each_error_with_its_line(parse, text, line, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.message) == (line, message)
+
+
+def _writer_outputs():
+    """Every text that ``print_rgs``, ``print_fo`` and ``export_dot`` write
+    for the files of ``tests/data`` and a seeded generated corpus: each
+    specification, its unfoldings at depths 0 to 2 and, for each of these
+    that is a valid nested term graph, its structure and its flattening;
+    each first-order graph."""
+    from ntg import is_ntg, validate_rgs
+    from generators import depth_family, random_cyclic_rgs
+
+    data = pathlib.Path(__file__).parent / "data"
+    rng = random.Random(5)
+    specs = [parse_rgs(p.read_text()) for p in sorted(data.glob("*.rgs"))]
+    for make in (random_ntg, random_acyclic_rgs, random_cyclic_rgs):
+        specs += [make(rng) for _ in range(12)]
+    specs += [depth_family(d) for d in (1, 3, 7)]
+    graphs = [parse_fo(p.read_text()) for p in sorted(data.glob("*.fo"))]
+    for r in specs:
+        for n in [r] + [unfold_to_ntg(r, depth).rgs for depth in (0, 1, 2)]:
+            yield print_rgs(n)
+            yield export_dot(n)
+            if not validate_rgs(n) and is_ntg(n):
+                yield export_dot(ntg_to_sntg(n))
+                graphs.append(interpret(n))
+    for g in graphs:
+        yield print_fo(g)
+        yield export_dot(g)
+
+
+def test_writers_are_byte_stable():
+    # pinned to the writers' output before they shared one listing: a
+    # change to any written byte fails
+    import hashlib
+
+    digest = hashlib.sha256()
+    count = 0
+    for text in _writer_outputs():
+        digest.update(text.encode() + b"\0")
+        count += 1
+    assert (count, digest.hexdigest()) == (
+        842, "21e4c3009c137177bf7bb11519f45c4c7da7eeb278ff19c27237a3701074ff8e"
+    )
+
+
+def test_specification_writers_walk_no_body(monkeypatch):
+    # a parsed specification is checked, and so keeps the walk of each
+    # body that its listing reads
+    from ntg import formats
+
+    data = pathlib.Path(__file__).parent / "data"
+    specs = [parse_rgs(p.read_text()) for p in sorted(data.glob("*.rgs"))]
+    calls, walk = [], formats.reachable
+    monkeypatch.setattr(formats, "reachable", lambda g, v: calls.append(v) or walk(g, v))
+    for r in specs:
+        print_rgs(r)
+        export_dot(r)
+    assert calls == []

@@ -128,17 +128,87 @@ def test_fault_injection_wrong_return_target(fix_n):
 
 
 def test_check_rejects_disconnected_body_junk(fix_triv):
-    s = ntg_to_sntg(fix_triv)
-    lab = dict(s.tg.lab)
-    args = dict(s.tg.args)
-    from ntg import Atomic
+    # junk beside the body, and junk below a vertex that opens no body,
+    # which the cut into bodies used to drop
+    from ntg import Atomic, SntgViolation
 
-    lab["junk"] = Atomic("c", 0)
-    args["junk"] = ()
-    inner = dict(s.inner)
-    inner["junk"] = inner[s.call[s.tg.root]]
-    broken = Sntg(TermGraph(lab, args, s.tg.root), s.call, s.ret, inner)
-    assert any(v.condition == "body-connected" for v in check_sntg(broken))
+    s = ntg_to_sntg(fix_triv)
+    lab = {**s.tg.lab, "junk": Atomic("c", 0)}
+    args = {**s.tg.args, "junk": ()}
+    cases = [(s.tg.root, "unreachable from the output vertex r.a"), ("r.b", "vertices outside every definition")]
+    for above, message in cases:
+        broken = Sntg(TermGraph(lab, args, s.tg.root), s.call, s.ret, {**s.inner, "junk": above})
+        assert check_sntg(broken) == [SntgViolation("body-connected", ("junk",), message)]
+        with pytest.raises(ValueError, match="^invalid left structural representation: "):
+            sntg_hom(broken, s)
+
+
+def _edited(text, lab=(), args=()):
+    """The structure of the specification ``text`` with the labels and
+    successors of some vertices replaced."""
+    s = ntg_to_sntg(parse_rgs(text))
+    g = s.tg
+    return Sntg(TermGraph({**g.lab, **dict(lab)}, {**g.args, **dict(args)}, g.root), s.call, s.ret, s.inner)
+
+
+def _cut_faults():
+    """Structures that break only conditions that the cut into bodies
+    needs, each with its violations."""
+    from ntg import Atomic, PrimedConst, SntgViolation
+
+    loop = "atomic c/1; def r/0 { o: out(a); a: c(a); }"
+    pair = "atomic c/0, f/1; def r/0 { o: out(a); a: f(k); k: c; }"
+    two_arities = "atomic symbol 'c' used at two arities"
+    cases = [
+        (_edited(loop, args={"r.a": ("r.o",)}), [("arguments", ("r.a", "r.o"), "edge into the output vertex")]),
+        (_edited(loop, lab={"r.a": PrimedConst("c")}), [("labels", ("r.a",), "label c is not allowed in a body")]),
+        (_edited(pair, lab={"r.a": Atomic("c", 1)}),
+         [("labels", ("r.a",), two_arities), ("labels", ("r.k",), two_arities)]),
+    ]
+    for name in ("root", "in", "i_3"):
+        reserved = ("labels", ("r.k",), f"symbol name {name!r} is reserved")
+        cases.append((_edited(pair, lab={"r.k": Atomic(name, 0)}), [reserved]))
+    return [(b, [SntgViolation(*v) for v in vs]) for b, vs in cases]
+
+
+def test_check_reports_what_the_cut_needs():
+    # each case passed the check once, and the cut into bodies refused it
+    good = ntg_to_sntg(parse_rgs("atomic c/0; def r/0 { o: out(k); k: c; }"))
+    for b, violations in _cut_faults():
+        assert check_sntg(b) == violations
+        for decide in (sntg_hom, sntg_bisimilar):
+            with pytest.raises(ValueError) as left:
+                decide(b, good)
+            assert str(left.value) == f"invalid left structural representation: {violations[0]}"
+            with pytest.raises(ValueError, match="^invalid right structural representation: "):
+                decide(good, b)
+        with pytest.raises(ValueError, match="^invalid structural representation: "):
+            sntg_to_ntg(b)
+
+
+def test_every_accepted_structure_cuts(tree_corpus):
+    # mutants that the check accepts, and the cut gives the results that a
+    # fresh specification of the same bodies computes
+    from ntg import Rgs
+
+    rng = random.Random(5)
+    structures = [ntg_to_sntg(random_ntg(rng)) for _ in range(60)]
+    structures += [ntg_to_sntg(depth_family(d)) for d in (2, 5)]
+    accepted = []
+    for _ in range(40):
+        for s in structures:
+            try:
+                b = break_structure(rng, s)
+            except ValueError:  # a link to an unknown vertex, or a pointer cycle
+                continue
+            if not check_sntg(b):
+                accepted.append(b)
+    assert len(accepted) > 200
+    for s in accepted + [ntg_to_sntg(n) for n in tree_corpus]:
+        n = sntg_to_ntg(s)
+        fresh = Rgs(n.signature, n.rec)
+        assert (n._walks, n._violations, n._ntg) == (fresh._walks, fresh._violations, fresh._ntg)
+        assert n._violations == () and n._ntg.ok
 
 
 def test_check_equals_the_sorted_reference(tree_corpus):
@@ -155,6 +225,17 @@ def test_check_equals_the_sorted_reference(tree_corpus):
         nested_bisim(n, relabel_constant(rng, n)).witness for n in randoms[::3]
     ) if w is not None]
     structures = [ntg_to_sntg(n) for n in specs]
+    # the faults that only the cut into bodies used to find, one by one
+    # and together: a reserved name at two arities beside a first-order
+    # label and an edge into the output vertex
+    from ntg import Atomic, FO_INPUT
+
+    structures += [b for b, _ in _cut_faults()]
+    structures.append(_edited(
+        "atomic c/0, f/1, g/2; def r/0 { o: out(a); a: g(k, m); k: c; m: f(n); n: f(k); }",
+        lab={"r.a": FO_INPUT, "r.k": Atomic("in", 0), "r.m": Atomic("in", 1), "r.n": Atomic("c", 1)},
+        args={"r.n": ("r.o",)},
+    ))
     kinds = set()
     for s in list(structures):
         for _ in range(4):
@@ -172,6 +253,14 @@ def test_check_equals_the_sorted_reference(tree_corpus):
         ("root", "root vertex must have an empty ancestor chain"),
         ("root", "root vertex must be nullary"),
         ("arguments", "successor has a different ancestor chain"),
+        ("arguments", "edge into the output vertex"),
+        ("labels", "label c is not allowed in a body"),
+        ("labels", "atomic symbol 'c' used at two arities"),
+        ("labels", "atomic symbol 'in' used at two arities"),
+        ("labels", "symbol name 'root' is reserved"),
+        ("labels", "symbol name 'in' is reserved"),
+        ("labels", "symbol name 'i_#' is reserved"),
+        ("labels", "label in is not allowed in a body"),
         ("defined", "call must be defined exactly on defined-symbol vertices"),
         ("defined", "return must be defined exactly on input vertices"),
         ("step-into", "call target is not an output vertex"),
