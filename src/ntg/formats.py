@@ -41,6 +41,7 @@ from .rgs import (
     dependency_ars,
     validate_rgs,
     _reachable_symbols,
+    _require,
 )
 from .sntg import Sntg
 
@@ -152,84 +153,71 @@ def _parse_lines(toks: _Tokens, stop: str):
 # ---------------------------------------------------------------------------
 # Statement-level reader
 #
-# A well-formed document is read one statement at a time: each header and
-# each vertex statement is one match of a compiled pattern.  The patterns
-# accept the token sequences of the grammar above and read them the same
-# way: blanks, line breaks and comments may stand between any two tokens, a
+# A document's ``#`` comments are stripped once, first; a comment holds no
+# line break, so lines and token boundaries stay put.  Each header is then
+# one match of a compiled pattern, and each definition body one ``findall``
+# of the statement pattern up to the first ``}``.  The patterns read the
+# grammar's token sequences as it does: blanks may stand between tokens, a
 # keyword is a whole name, and names and numbers use the tokenizer's
-# character classes, so the first way a pattern matches is the tokenizer's
-# longest-token reading.  The reader returns None at the first statement
-# it cannot match, and at a duplicate that the grammar reports while it
-# reads; the grammar then re-reads the text and names the first error.
+# classes, so a pattern's first match is the longest-token reading.  The
+# reader returns None unless the statements tile each body, and at a
+# duplicate the grammar reports while it reads.  Its statements have no
+# lines: where it returns None, or a builder raises a ParseError on them,
+# the grammar reads the text again and names the line.
 # ---------------------------------------------------------------------------
 
 _NAME_CHAR = "[A-Za-z0-9_@.']"
 _NAME = "[A-Za-z_]" + _NAME_CHAR + "*"
-# blanks, line breaks and comments; a comment runs to the end of its line,
-# so a gap splits one way only and a failed match backtracks linearly
-_GAP = r"\s*(?:\#[^\n]*(?![^\n])\s*)*"
 
 
 def _keyword(word: str) -> str:
-    return _GAP + word + f"(?!{_NAME_CHAR})"
+    return rf"\s*{word}(?!{_NAME_CHAR})"
 
 
-# ``ID : LABEL [n] [(a, b, ...)] ;`` or the closing brace
+# the whole of ``ID : LABEL [n] [(a, b, ...)] ;`` and its parts
 _STATEMENT_RE = re.compile(
-    _GAP + rf"(?:({_NAME}){_GAP}:{_GAP}({_NAME})(?:{_GAP}(\d+))?"
-    rf"(?:{_GAP}\(({_GAP}{_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP}\))?{_GAP};|\}})"
+    rf"(\s*({_NAME})\s*:\s*({_NAME})(?:\s*(\d+))?(?:\s*\((\s*{_NAME}(?:\s*,\s*{_NAME})*)\s*\))?\s*;)"
 )
-_ITEM = rf"{_GAP}{_NAME}{_GAP}/{_GAP}\d+"
-_ATOMIC_RE = re.compile(_keyword("atomic") + rf"(?:{_GAP};|({_ITEM}(?:{_GAP},{_ITEM})*){_GAP};)")
+_ITEM = rf"\s*{_NAME}\s*/\s*\d+"
+_ATOMIC_RE = re.compile(_keyword("atomic") + rf"(?:\s*;|({_ITEM}(?:\s*,{_ITEM})*)\s*;)")
 _ITEM_RE = re.compile(rf"({_NAME})\s*/\s*(\d+)")
-_ROOT_RE = re.compile(_keyword("root") + rf"{_GAP}({_NAME}){_GAP};")
-_DEF_RE = re.compile(_keyword("def") + rf"{_GAP}({_NAME}){_GAP}/{_GAP}(\d+){_GAP}\{{")
-_TG_RE = re.compile(_keyword("tg") + rf"{_GAP}\{{" + _keyword("root") + rf"{_GAP}({_NAME}){_GAP};")
-_END_RE = re.compile(_GAP + r"\Z")
+_ROOT_RE = re.compile(_keyword("root") + rf"\s*({_NAME})\s*;")
+_DEF_RE = re.compile(_keyword("def") + rf"\s*({_NAME})\s*/\s*(\d+)\s*\{{")
+_TG_RE = re.compile(_keyword("tg") + r"\s*\{" + _keyword("root") + rf"\s*({_NAME})\s*;")
+_END_RE = re.compile(r"\s*\Z")
 _COMMENT_RE = re.compile(r"\#[^\n]*")
 _NAME_RE = re.compile(_NAME)
 
 
-def _read_lines(text: str, pos: int, line: int, at: int):
-    """The vertex statements from ``pos`` up to the closing brace, in the
-    grammar's form, as ``(lines, end, line, at)``: ``line`` is the line
-    number at offset ``at``.  None when a statement does not match."""
+def _read_body(text: str, pos: int):
+    """The vertex statements from ``pos`` to the next ``}``, lineless, and
+    the offset after it; None unless they tile the stretch up to blanks
+    before it (each ends in ``;``, so any other gap shows in the tail)."""
+    close = text.find("}", pos)
+    if close < 0:
+        return None
     lines = []
     append = lines.append
-    match = _STATEMENT_RE.match
-    count = text.count
-    while True:
-        m = match(text, pos)
-        if m is None:
+    names = _NAME_RE.findall
+    size = 0
+    for whole, vid, label, nat, succ in _STATEMENT_RE.findall(text, pos, close):
+        if nat and label != "in":
             return None
-        vid, label, nat, succ = m.groups()
-        pos = m.end()
-        if vid is None:
-            return lines, pos, line, at
-        start = m.start(1)
-        line += count("\n", at, start)
-        at = start
-        if nat is not None:
-            if label != "in":
-                return None
-            nat = int(nat)
-        if succ is None:
-            succ = ()
-        else:
-            if "#" in succ:
-                succ = _COMMENT_RE.sub("", succ)
-            succ = tuple(_NAME_RE.findall(succ))
-        append((vid, label, nat, succ, line))
+        size += len(whole)
+        append((vid, label, int(nat) if nat else None, tuple(names(succ)) if succ else (), None))
+    if size != close - pos and not text[pos + size:close].isspace():
+        return None
+    return lines, close + 1
 
 
 def _read_rgs(text: str):
-    """``(atomic, root, defs)`` as ``_grammar_rgs`` gives them, or None."""
+    """``(atomic, root, defs)`` as ``_grammar_rgs`` reads them, without lines; or None."""
     m = _ATOMIC_RE.match(text)
     if m is None:
         return None
     atomic: Dict[str, int] = {}
     if m.group(1) is not None:
-        for name, ar in _ITEM_RE.findall(_COMMENT_RE.sub("", m.group(1))):
+        for name, ar in _ITEM_RE.findall(m.group(1)):
             if name in atomic:
                 return None
             atomic[name] = int(ar)
@@ -238,36 +226,43 @@ def _read_rgs(text: str):
     m = _ROOT_RE.match(text, pos)
     if m is not None:
         declared_root, pos = m.group(1), m.end()
-    defs: Dict[str, Tuple[int, list, int]] = {}
-    line, at = 1, 0
+    defs: Dict[str, Tuple[int, list, None]] = {}
     while (m := _DEF_RE.match(text, pos)) is not None:
         name = m.group(1)
         if name in defs or name in atomic:
             return None
-        start = m.start(1)
-        line += text.count("\n", at, start)
-        at = start
-        body = _read_lines(text, m.end(), line, at)
+        body = _read_body(text, m.end())
         if body is None:
             return None
-        defs[name] = (int(m.group(2)), body[0], line)
-        pos, line, at = body[1:]
+        defs[name] = (int(m.group(2)), body[0], None)
+        pos = body[1]
     if not defs or _END_RE.match(text, pos) is None:
         return None
     return atomic, declared_root, defs
 
 
 def _read_fo(text: str):
-    """``(root, line, lines)`` as ``_grammar_fo`` gives them, or None."""
+    """``(root, line, lines)`` as ``_grammar_fo`` reads them, without lines; or None."""
     m = _TG_RE.match(text)
     if m is None:
         return None
-    at = m.start(1)
-    line = 1 + text.count("\n", 0, at)
-    body = _read_lines(text, m.end(), line, at)
+    body = _read_body(text, m.end())
     if body is None or _END_RE.match(text, body[1]) is None:
         return None
-    return m.group(1), line, body[0]
+    return m.group(1), None, body[0]
+
+
+def _parse(text: str, read, grammar, build):
+    """What ``build`` makes of ``read``'s reading of ``text`` without
+    comments or, where ``read`` declines or ``build`` raises a ParseError,
+    of the grammar's reading of ``text``, which has lines."""
+    statements = read(_COMMENT_RE.sub("", text) if "#" in text else text)
+    if statements is not None:
+        try:
+            return build(*statements)
+        except ParseError:
+            pass
+    return build(*grammar(text))
 
 
 def parse_rgs(text: str) -> Rgs:
@@ -276,7 +271,7 @@ def parse_rgs(text: str) -> Rgs:
     Raises ParseError for syntax and arity problems, ValidationError when
     the parsed specification breaks a well-formedness invariant.
     """
-    return _build_rgs(*(_read_rgs(text) or _grammar_rgs(text)))
+    return _parse(text, _read_rgs, _grammar_rgs, _build_rgs)
 
 
 def _grammar_rgs(text: str):
@@ -420,9 +415,12 @@ def _statements(g: TermGraph, names: Dict) -> List[str]:
 
 def _definition_order(r: Rgs) -> List[str]:
     """Symbols reachable from the root in breadth-first order, then the
-    rest sorted by name."""
+    rest sorted by name; the first violation of ``r`` as a ValueError
+    where an occurrence it reaches names a symbol without a body."""
     order = _reachable_symbols(dependency_ars(r))
     seen = set(order)
+    if not seen.issubset(r.rec):
+        _require(r, "specification")
     return order + sorted(s for s in r.signature.nested if s not in seen)
 
 
@@ -447,7 +445,7 @@ def parse_fo(text: str) -> TermGraph:
     a constant exactly when its successor chain of exit vertices ends in a
     root link.
     """
-    return _build_fo(*(_read_fo(text) or _grammar_fo(text)))
+    return _parse(text, _read_fo, _grammar_fo, _build_fo)
 
 
 def _grammar_fo(text: str):
@@ -596,6 +594,8 @@ def _dot_rgs(r: Rgs) -> str:
     root = r.root_symbol
     calls, returns = [f"__root__ -> {names[root][r.rec[root].root]} [style=dashed];"], []
     for step in dependency_ars(r).steps:
+        if step.target not in names:  # an occurrence in a body the root does not reach
+            _require(r, "specification")
         source, target, body = names[step.source], names[step.target], r.rec[step.target]
         calls.append(f"{source[step.vertex]} -> {target[body.root]} [style=dashed];")
         occ_args = r.rec[step.source].args[step.vertex]

@@ -77,8 +77,7 @@ class NtgSignature:
         if overlap:
             raise ValueError(f"symbols declared both atomic and nested: {sorted(overlap)}")
         for name, ar in list(self.atomic.items()) + list(self.nested.items()):
-            if name != CUT_SYMBOL:
-                _check_symbol_name(name)
+            _check_symbol_name(name)
             if ar < 0:
                 raise ValueError(f"negative arity for {name!r}")
         if self.root_symbol not in self.nested:

@@ -420,16 +420,20 @@ def break_structure(rng: random.Random, s):
     pointer moved to the grandparent, to any vertex or to another
     vertex's ancestor, a dropped, added or redirected call or return link,
     a relabelled input, an edge redirected to any vertex or to an output
-    vertex, an added vertex, or a changed root.  A pointer cycle raises
-    ``ValueError``."""
+    vertex, an added vertex, the root put below a vertex taken out of its
+    scope, a relabelled root, or a vertex relabelled with a label foreign
+    to a body, with an atomic name of the structure at another arity or
+    with a reserved atomic name, its successors drawn from its scope.  A
+    pointer cycle raises ``ValueError``."""
     from ntg import Sntg
+    from ntg.firstorder import FO_INPUT, PrimedConst
 
     g = s.tg
     lab, args, root = dict(g.lab), dict(g.args), g.root
     call, ret, inner = dict(s.call), dict(s.ret), dict(s.inner)
     vs = list(lab)
     v = rng.choice(vs)
-    op = rng.randrange(10)
+    op = rng.randrange(11)
     if op == 0:
         inner[v] = inner.get(inner[v])  # None stays None
     elif op == 1:
@@ -451,10 +455,24 @@ def break_structure(rng: random.Random, s):
     elif op == 7:
         extra = rng.choice(["zz", "x.y"])
         lab[extra], args[extra], inner[extra] = Atomic("ca", 0), (), inner[rng.choice(vs)]
-    elif op == 8:
-        inner[root] = v
-    else:
+    elif op == 8:  # ``v`` leaves its scope, so that no pointer cycle closes
+        inner[v], inner[root] = None, v
+    elif op == 9:
         lab[root], args[root] = Atomic("u0", 1), (v,)
+    else:
+        kind = rng.randrange(3)
+        if kind == 0:
+            lbl = rng.choice([FO_INPUT, PrimedConst("c")])
+        elif kind == 1:
+            arity = {x.name: x.arity for x in lab.values() if type(x) is Atomic} or {"ca": 0}
+            name = rng.choice(sorted(arity))
+            lbl = Atomic(name, rng.choice([k for k in range(4) if k != arity[name]]))
+        else:
+            lbl = Atomic(rng.choice(["in", "root"]), len(args[v]))
+        scope = [u for u in vs if inner[u] == inner[v] and not isinstance(lab[u], Output)] or [v]
+        lab[v] = lbl
+        if lbl.arity != len(args[v]):
+            args[v] = tuple(rng.choice(scope) for _ in range(lbl.arity))
     return Sntg(TermGraph(lab, args, root), call, ret, inner)
 
 

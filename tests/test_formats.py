@@ -284,7 +284,7 @@ def _fuzz(rng, text):
     statements and atomic symbols, unknown successors, dropped or stray
     punctuation, and stray characters."""
     gaps = ["\n", "\r\n", "\t", "  ", "# note\n", "# a(b, c);\n", "#\n", "\n# x # y\n",
-            " #:(\n", "\x0b", "　", "\x85"]
+            " #:(\n", "\x0b", "　", "\x85", "# }\n", "# {\n", "#;\n", "\x1c"]
     stray = ["$", "é", "٣", "7", "x", "@", "'", "\\", ";", ",", "(", ")", "{", "}", ":", "/", "#"]
     for _ in range(rng.randrange(1, 5)):
         cuts = [m.end() for m in re.finditer(r"[:;,(){}/]|\bin\b", text)] or [len(text)]
@@ -321,11 +321,25 @@ def _fuzz(rng, text):
     return text
 
 
+def _without_lines(reading):
+    """A reading of the grammar or of the statement-level reader with each
+    line number replaced by None."""
+    def statements(lines):
+        return [(*statement[:4], None) for statement in lines]
+
+    if isinstance(reading[2], dict):  # a specification
+        atomic, root, defs = reading
+        return atomic, root, {name: (ar, statements(lines), None) for name, (ar, lines, _) in defs.items()}
+    root, _, lines = reading
+    return root, None, statements(lines)
+
+
 def test_reader_reads_what_the_grammar_reads():
-    """On every text, the statement-level reader either declines or
-    returns the grammar's reading, line numbers included; it declines
-    only texts the grammar rejects; and the parsers give what the grammar
-    alone gives, or raise what it raises."""
+    """On every text, the statement-level reader, given the text without
+    its comments, either declines or returns the grammar's reading of the
+    text, but without line numbers; it declines only texts the grammar
+    rejects; and the parsers give what the grammar alone gives, or raise
+    what it raises, error lines included."""
     from ntg import formats
 
     rng = random.Random(97)
@@ -339,14 +353,44 @@ def test_reader_reads_what_the_grammar_reads():
     for text in texts + fuzzed:
         for read, grammar, parse, build in readers:
             theirs = _grammar_or_error(grammar, text)
-            ours = read(text)
-            assert ours == (None if isinstance(theirs, dict) else theirs), repr(text)
+            ours = read(formats._COMMENT_RE.sub("", text))
+            assert ours == (None if isinstance(theirs, dict) else _without_lines(theirs)), repr(text)
             direct = _outcome(lambda t: build(*grammar(t)), text)
             assert _outcome(parse, text) == direct, repr(text)
             accepted += ours is not None
             declined += ours is None and read is formats._read_rgs and text.startswith("atomic")
     # the fuzzed texts reach both sides of the reader
     assert accepted > 300 and declined > 300
+
+
+def test_parse_errors_name_the_grammars_line():
+    """Every ParseError that the parsers raise over the fuzzed corpus
+    names a line, the one that the builders name on the grammar's
+    reading, also where the statement-level reader, which keeps no
+    lines, read the statements that the builder refused."""
+    from ntg import formats
+
+    rng = random.Random(101)
+    texts = _reader_corpus(rng)
+    parsers = [
+        (parse_rgs, formats._read_rgs, formats._grammar_rgs, formats._build_rgs),
+        (parse_fo, formats._read_fo, formats._grammar_fo, formats._build_fo),
+    ]
+    errors = read = 0
+    for text in [_fuzz(rng, rng.choice(texts)) for _ in range(1200)]:
+        for parse, reader, grammar, build in parsers:
+            try:
+                parse(text)
+            except ParseError as e:
+                with pytest.raises(ParseError) as direct:
+                    build(*grammar(text))
+                assert type(e.line) is int, repr(text)
+                assert (e.line, e.message) == (direct.value.line, direct.value.message), repr(text)
+                errors += 1
+                read += reader(formats._COMMENT_RE.sub("", text)) is not None
+            except ValueError:
+                pass
+    assert errors > 1000 and read > 100
 
 
 @pytest.mark.parametrize("parse, text, line, message", [
@@ -426,3 +470,42 @@ def test_specification_writers_walk_no_body(monkeypatch):
         print_rgs(r)
         export_dot(r)
     assert calls == []
+
+
+def _undeclared_occurrence(reached: bool):
+    """A specification whose body ``r`` (or, when not ``reached``, the
+    body ``h``, which the root does not reach) has an occurrence of the
+    undeclared nested symbol ``g``."""
+    from ntg import Atomic, Nested, NtgSignature, Output, Rgs, TermGraph
+
+    leaf = TermGraph({"o": Output(), "k": Atomic("c", 0)}, {"o": ("k",), "k": ()}, "o")
+    calls = TermGraph(
+        {"o": Output(), "a": Nested("g", 1), "k": Atomic("c", 0)}, {"o": ("a",), "a": ("k",), "k": ()}, "o"
+    )
+    if reached:
+        return Rgs(NtgSignature({"c": 0}, {"r": 0}, "r"), {"r": calls})
+    return Rgs(NtgSignature({"c": 0}, {"r": 0, "h": 0}, "r"), {"r": leaf, "h": calls})
+
+
+def _cut_off_input():
+    """A cut unfolding in which a placeholder cuts off the input vertex of
+    ``f@1``: invalid, and printed all the same."""
+    r = parse_rgs("atomic c/0; root r; def r/0 { o: out(a); a: f(k); k: c; } def f/1 { o: out(a); a: f(i); i: in 1; }")
+    return unfold_to_ntg(r, 1).rgs
+
+
+def test_print_rgs_reports_an_undeclared_nested_symbol():
+    with pytest.raises(ValueError) as exc:
+        print_rgs(_undeclared_occurrence(reached=True))
+    assert str(exc.value) == "invalid specification: r.a: unknown nested symbol 'g'"
+    # a body that the root does not reach names no definition to list
+    assert "  v1: g(v2);" in print_rgs(_undeclared_occurrence(reached=False))
+    assert "def f@1/1 {\n  v0: out(v1);\n  v1: ⊥;\n}" in print_rgs(_cut_off_input())
+
+
+def test_export_dot_reports_an_undeclared_nested_symbol():
+    for reached, where in ((True, "r.a"), (False, "h.a")):
+        with pytest.raises(ValueError) as exc:
+            export_dot(_undeclared_occurrence(reached))
+        assert str(exc.value) == f"invalid specification: {where}: unknown nested symbol 'g'"
+    assert check_dot(export_dot(_cut_off_input())) == []

@@ -195,7 +195,7 @@ def test_every_accepted_structure_cuts(tree_corpus):
     structures = [ntg_to_sntg(random_ntg(rng)) for _ in range(60)]
     structures += [ntg_to_sntg(depth_family(d)) for d in (2, 5)]
     accepted = []
-    for _ in range(40):
+    for _ in range(45):  # one mutant in 11 relabels a vertex, which the check always refuses
         for s in structures:
             try:
                 b = break_structure(rng, s)
@@ -230,25 +230,39 @@ def test_check_equals_the_sorted_reference(tree_corpus):
     # label and an edge into the output vertex
     from ntg import Atomic, FO_INPUT
 
-    structures += [b for b, _ in _cut_faults()]
-    structures.append(_edited(
+    faults = [b for b, _ in _cut_faults()]
+    faults.append(_edited(
         "atomic c/0, f/1, g/2; def r/0 { o: out(a); a: g(k, m); k: c; m: f(n); n: f(k); }",
         lab={"r.a": FO_INPUT, "r.k": Atomic("in", 0), "r.m": Atomic("in", 1), "r.n": Atomic("c", 1)},
         args={"r.n": ("r.o",)},
     ))
-    kinds = set()
-    for s in list(structures):
-        for _ in range(4):
-            try:
-                s = break_structure(rng, s)
-            except ValueError:  # a link to an unknown vertex, or a pointer cycle
-                continue
-            structures.append(s)
-    for s in structures:
-        ours = check_sntg(s)
-        assert ours == reference_check_sntg(s)
-        kinds.update((v.condition, re.sub(r"\d+|(?<=vertex )\S+$", "#", v.message)) for v in ours)
-    assert kinds == {
+
+    def mutants(structures):
+        out = []
+        for s in structures:
+            for _ in range(4):
+                try:
+                    s = break_structure(rng, s)
+                except ValueError:  # a link to an unknown vertex, or a pointer cycle
+                    continue
+                out.append(s)
+        return out
+
+    def kinds(structures):
+        found = set()
+        for s in structures:
+            ours = check_sntg(s)
+            assert ours == reference_check_sntg(s)
+            found.update((v.condition, re.sub(r"\d+|(?<=vertex )\S+$", "#", v.message)) for v in ours)
+        return found
+
+    # the mutants alone reach each kind of the ``labels`` condition
+    alone = kinds(mutants(structures))
+    assert {re.sub(r"'[^']*'|(?<=^label )\S+", "X", m) for c, m in alone if c == "labels"} == {
+        "label X is not allowed in a body", "atomic symbol X used at two arities", "symbol name X is reserved",
+    }
+    found = alone | kinds(structures + faults + mutants(faults))
+    assert found == {
         ("root", "root vertex must carry a defined symbol"),
         ("root", "root vertex must have an empty ancestor chain"),
         ("root", "root vertex must be nullary"),
@@ -257,6 +271,9 @@ def test_check_equals_the_sorted_reference(tree_corpus):
         ("labels", "label c is not allowed in a body"),
         ("labels", "atomic symbol 'c' used at two arities"),
         ("labels", "atomic symbol 'in' used at two arities"),
+        # and, from the mutants, the atomic names of the generated corpus
+        *(("labels", f"atomic symbol {name!r} used at two arities")
+          for name in ("app", "b#", "ca", "cb", "root", "t#", "u#")),
         ("labels", "symbol name 'root' is reserved"),
         ("labels", "symbol name 'in' is reserved"),
         ("labels", "symbol name 'i_#' is reserved"),
