@@ -24,8 +24,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .firstorder import interpret
 from .graph import TermGraph, tg_bisimilar
@@ -51,16 +50,6 @@ def _entry(r: Rgs, sym: str) -> CV:
     return sym, r.rec[sym].root
 
 
-def _inputs(r: Rgs, sym: str) -> List[CV]:
-    """The input vertices of ``sym``'s body by index; only repeated
-    indices (an invalid body) are ordered by vertex name."""
-    by_index: Dict[int, List[str]] = {}
-    for v, lbl in r.rec[sym].lab.items():
-        if isinstance(lbl, Input):
-            by_index.setdefault(lbl.index, []).append(v)
-    return [(sym, v) for i in sorted(by_index) for v in sorted(by_index[i], key=str)]
-
-
 def _merge_atomic(s1: NtgSignature, s2: NtgSignature) -> Dict[str, int]:
     merged = dict(s1.atomic)
     for name, ar in s2.atomic.items():
@@ -74,9 +63,11 @@ def _merge_atomic(s1: NtgSignature, s2: NtgSignature) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NestedConfig:
-    """A pair of visits, each prefixed with its stack of nesting ancestors."""
+class NestedConfig(NamedTuple):
+    """A pair of visits, each prefixed with its stack of nesting ancestors.
+
+    A named tuple, so it is built and hashed as a tuple is, and it equals
+    the plain 4-tuple ``(left_stack, left, right_stack, right)``."""
 
     left_stack: Tuple[CV, ...]
     left: CV
@@ -399,25 +390,27 @@ def _summary_witness(r1: Rgs, r2: Rgs, contexts) -> BisimWitness:
         number = dict(zip(ctx.exits.values(), numbered))
         # vertex ids need only be unique within their own body; two pairs
         # format alike only when a vertex name holds a ``|``
-        vid = {(x1, x2): f"{x1}|{x2}" for x1, x2 in ctx.reached}
+        vid = {p: f"{p[0]}|{p[1]}" for p in ctx.reached}
         if len(set(vid.values())) < len(vid):
             vid = _uniquify(vid, vid.__getitem__)
-        at = vid.__getitem__
         lab, args = {}, {}
         for p, v in vid.items():
             x1, x2 = p
             l1 = lab1[x1]
-            if isinstance(l1, Input):
+            kind = type(l1)  # a clash-free pair has two labels of one class
+            if kind is Input:
                 lab[v], args[v] = number[p], ()
-            elif isinstance(l1, Nested):
+            elif kind is Nested:
                 callee = (l1.name, lab2[x2].name)
                 exits = contexts[callee].exits
                 a1, a2 = args1[x1], args2[x2]
                 lab[v] = Nested(sym_name[callee], len(exits))
-                args[v] = tuple(at((a1[i - 1], a2[j - 1])) for i, j in exits)
+                args[v] = tuple([vid[a1[i - 1], a2[j - 1]] for i, j in exits])
             else:
-                lab[v], args[v] = l1, tuple(map(at, zip(args1[x1], args2[x2])))
-            proj_left[(sym, v)], proj_right[(sym, v)] = (s1, x1), (s2, x2)
+                lab[v], args[v] = l1, tuple([vid[q] for q in zip(args1[x1], args2[x2])])
+            cv = (sym, v)
+            proj_left[cv] = (s1, x1)
+            proj_right[cv] = (s2, x2)
         rec[sym] = TermGraph(lab, args, next(iter(vid.values())))  # the entry pair came first
     nested = {sym_name[key]: len(ctx.exits) for key, ctx in contexts.items()}
     witness = Rgs(NtgSignature(atomic, nested, sym_name[None]), rec)
@@ -700,73 +693,78 @@ def verify_ntg_hom(n1: Rgs, n2: Rgs, phi: Dict[CV, CV]) -> List[str]:
     if invalid:
         return invalid
     rec2 = n2.rec
-    inputs: Dict[str, List[CV]] = {}  # by callee, listed on first use
+    inputs: Dict[str, List[CV]] = {}  # by callee, in index order, listed on first use
     problems = []
     if phi.get(_entry(n1, n1.root_symbol)) != _entry(n2, n2.root_symbol):
         problems.append("root definitions are not related")
     for sym in sorted(n1.rec):
         lab1, args1 = n1.rec[sym].lab, n1.rec[sym].args
         img = {v: phi.get((sym, v)) for v in lab1}
-
-        def kept(v, s2, x2) -> bool:  # whether the successors of v map onto those of (s2, x2)
-            return tuple(map(img.__getitem__, args1[v])) == tuple(zip(repeat(s2), rec2[s2].args[x2]))
         for v, l1 in lab1.items():
             w = img[v]
             if w is None:
                 problems.append(f"{(sym, v)}: map is not total")
                 continue
-            l2 = _label_at(rec2, w)
-            if l2 is None:
+            try:  # an image of another shape, or with an unhashable or absent part, is no vertex
+                s2, x2 = w if isinstance(w, tuple) else ()
+                g2 = rec2[s2]
+                l2 = g2.lab[x2]
+            except (TypeError, KeyError, ValueError):
                 problems.append(f"{(sym, v)}: image is not a vertex of the target")
                 continue
-            s2, x2 = w
             if isinstance(l1, Atomic):
                 if l1 != l2:
                     problems.append(f"{(sym, v)}: atomic label not preserved")
-                elif not kept(v, s2, x2):
-                    problems.append(f"{(sym, v)}: arguments not preserved")
+                    continue
+                clause = "arguments not preserved"
             elif isinstance(l1, Output):
                 if not isinstance(l2, Output):
                     problems.append(f"{(sym, v)}: output vertex not mapped to an output vertex")
-                elif not kept(v, s2, x2):
-                    problems.append(f"{(sym, v)}: output successor not preserved")
+                    continue
+                clause = "output successor not preserved"
             elif isinstance(l1, Input):
                 if not isinstance(l2, Input):
                     problems.append(f"{(sym, v)}: input vertex not mapped to an input vertex")
+                continue
             else:  # nested occurrence: interface conditions
                 if not isinstance(l2, Nested):
                     problems.append(f"{(sym, v)}: occurrence not mapped to an occurrence")
                     continue
-                if phi.get(_entry(n1, l1.name)) != _entry(n2, l2.name):
+                callee = l1.name
+                if phi.get(_entry(n1, callee)) != _entry(n2, l2.name):
                     problems.append(f"{(sym, v)}: definition roots not related")
-                ins = inputs.get(l1.name)
-                if ins is None:
-                    ins = inputs[l1.name] = _inputs(n1, l1.name)
-                for u in ins:
+                ins = inputs.get(callee)
+                if ins is None:  # a valid body has one input per index, from 1 to its arity
+                    ins = inputs[callee] = [None] * n1.signature.nested[callee]
+                    for u, lbl in n1.rec[callee].lab.items():
+                        if isinstance(lbl, Input):
+                            ins[lbl.index - 1] = (callee, u)
+                a1, a2 = args1[v], g2.args[x2]
+                for i, u in enumerate(ins, 1):
                     at = phi.get(u)
                     if at is None:
                         problems.append(f"{u}: map is not total")
                         continue
-                    l_at = _label_at(rec2, at)
-                    if not (isinstance(l_at, Input) and at[0] == l2.name):
+                    try:
+                        t2, y2 = at if isinstance(at, tuple) else ()
+                        l_at = rec2[t2].lab[y2] if t2 == l2.name else None
+                    except (TypeError, KeyError, ValueError):
+                        l_at = None
+                    if not isinstance(l_at, Input):
                         # the redundancy remark: images of inputs stay inputs
                         # of the related definition
                         problems.append(f"{u}: input maps outside the related definition")
                         continue
-                    i = n1.rec[u[0]].lab[u[1]].index
                     # in a valid n2 the index is at most the callee's arity
-                    if img[args1[v][i - 1]] != (s2, rec2[s2].args[x2][l_at.index - 1]):
+                    if img[a1[i - 1]] != (s2, a2[l_at.index - 1]):
                         problems.append(f"{(sym, v)}: interface clause fails at input {i}")
+                continue
+            # equal labels, or two outputs, have equal arities in valid bodies
+            for u, u2 in zip(args1[v], g2.args[x2]):
+                if img[u] != (s2, u2):
+                    problems.append(f"{(sym, v)}: {clause}")
+                    break
     return problems
-
-
-def _label_at(rec: Dict[str, TermGraph], cv):
-    """The label of ``cv``, which may be any object, in the bodies ``rec``;
-    None when it is not a vertex there."""
-    try:
-        return rec[cv[0]].lab[cv[1]] if isinstance(cv, tuple) and len(cv) == 2 else None
-    except (TypeError, KeyError):  # an unhashable or absent part
-        return None
 
 
 def ntg_bisimilar(n1: Rgs, n2: Rgs) -> Optional[BisimWitness]:

@@ -24,7 +24,8 @@ _RESERVED_RE = re.compile(r"^i_?\d+$")
 
 
 def symbol_name_ok(name: str) -> bool:
-    return not (name in _RESERVED or _RESERVED_RE.match(name))
+    # only a name that starts with ``i`` can match ``_RESERVED_RE``
+    return name not in _RESERVED and not (name[:1] == "i" and _RESERVED_RE.match(name))
 
 
 def _check_symbol_name(name: str):

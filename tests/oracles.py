@@ -76,7 +76,8 @@ class ReferenceCarrier:
     built as the library built it before its carrier became sort-free:
     every body's vertices sorted by name, inputs then stably sorted by
     index, and the occurrence map built up front.  The reference of
-    ``ntg.equivalence._entry`` and ``_inputs``, and the carrier of the
+    ``ntg.equivalence._entry`` and of the order in which
+    ``verify_ntg_hom`` lists a callee's inputs, and the carrier of the
     closure oracles here, so they share no carrier code with the
     library."""
 

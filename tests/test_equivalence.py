@@ -883,7 +883,6 @@ def _redirections(target, phi):
 
 def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
     from conftest import load_rgs
-    from ntg.equivalence import _inputs
 
     pairs = [(fix_r0, fix_r0), (fix_r0, unfold_to_ntg(fix_r0).rgs), (fix_r1, load_rgs("r1_unrolled.rgs"))]
     rng = random.Random(149)
@@ -891,7 +890,8 @@ def test_verify_ntg_hom_rejects_redirected_projections(fix_r0, fix_r1):
     outside = 0
     for a, b in pairs:
         w = nested_bisim(a, b).witness
-        inputs = [u for sym in w.witness.rec for u in _inputs(w.witness, sym)]
+        ref = ReferenceCarrier(w.witness)
+        inputs = [u for sym in w.witness.rec for u in ref.inputs(sym)]
         for target, phi in ((a, w.proj_left), (b, w.proj_right)):
             assert verify_ntg_hom(w.witness, target, phi) == []
             for wrong in _redirections(target, phi):
@@ -926,6 +926,10 @@ def _raise_an_input(rng, r):
     return Rgs(r.signature, {**r.rec, sym: TermGraph(lab, body.args, body.root)})
 
 
+class _Pair(tuple):
+    """A tuple subclass, to stand for a vertex of the target."""
+
+
 def test_verify_ntg_hom_equals_the_reference():
     rng = random.Random(193)
     cases = []
@@ -939,6 +943,8 @@ def test_verify_ntg_hom_equals_the_reference():
     for n1, n2, phi in cases:
         vertices = ReferenceCarrier(n2).vertices()
         outside = [("absent", "o"), (n2.root_symbol, "absent"), "absent", "ab", 3, (1, 2, 3)]
+        # a list that names a vertex is no vertex; a tuple subclass that names one is
+        outside += [list(rng.choice(vertices)), _Pair(rng.choice(vertices))]
         for k in range(12):
             wrong = dict(phi)
             for _ in range(k % 3):
@@ -1080,7 +1086,8 @@ def test_cross_checks_catch_an_encoding_that_ignores_atomic_names(monkeypatch):
 def _carrier_corpus():
     """Specifications from every source the deciders see: the data files,
     random tree-shaped, shared and cyclic ones, unfoldings, summary
-    witnesses, and a body whose input indices repeat."""
+    witnesses, copies whose bodies list their inputs out of index order,
+    and a body whose input indices repeat."""
     from conftest import DATA, load_rgs
     from ntg import Input, NtgSignature, Output, Rgs
     from ntg.graph import TermGraph
@@ -1092,6 +1099,7 @@ def _carrier_corpus():
     specs += [random_ntg(rng) for _ in range(25)] + shared + cyclic
     specs += [unfold_to_ntg(r).rgs for r in shared] + [unfold_to_ntg(r, 2).rgs for r in cyclic]
     specs += [nested_bisim(r, unroll_twice(r)).witness.witness for r in shared + cyclic]
+    specs += [permute_inputs(rng, r)[0] for r in shared[:10] + cyclic[:10]]
     twice = TermGraph(
         {"o": Output(), "b": Input(2), "y": Input(1), "a": Input(2), "x": Input(1)},
         {"o": ("x",), "b": (), "y": (), "a": (), "x": ()},
@@ -1104,22 +1112,41 @@ def _carrier_corpus():
 
 
 def test_entries_and_inputs_equal_the_sorted_reference():
-    from ntg.equivalence import _entry, _inputs, _label_at
+    # ``verify_ntg_hom`` lists each callee's inputs in the reference's
+    # order, and reports an image that is not a vertex without looking it up
+    from ntg.equivalence import _entry
 
     for r in _carrier_corpus():
         ref = ReferenceCarrier(r)
         assert [(sym, _entry(r, sym)) for sym in r.rec] == list(ref.rootof.items())
         assert _entry(r, r.root_symbol) == ref.root
-        for sym in r.rec:
-            assert _inputs(r, sym) == ref.inputs(sym)
-        for cv in ref.vertices():
-            assert _label_at(r.rec, cv) is ref.lab(cv)
+        ident = {cv: cv for cv in ref.vertices()}
+        invalid = validate_rgs(r)
+        if invalid:  # the body whose input indices repeat is reported alone
+            assert verify_ntg_hom(r, r, ident) == [
+                f"invalid {side} specification: {invalid[0]}" for side in ("left", "right")
+            ]
+            continue
+        inputs = [u for sym in r.rec for u in ref.inputs(sym)]
+        partial = {cv: w for cv, w in ident.items() if cv not in inputs}
+        assert verify_ntg_hom(r, r, partial) == reference_verify_ntg_hom(r, r, partial)
         outside = (
             ("absent", "o"), (r.root_symbol, "absent"), "ab", None, [r.root_symbol, "o"],
             ([r.root_symbol], "o"), (r.root_symbol, ["o"]), (r.root_symbol, "o", "x"),
         )
         assert not any(ref.has(cv) for cv in outside[:4])
-        assert all(_label_at(r.rec, cv) is None for cv in outside)
+        assert verify_ntg_hom(r, r, ident) == []
+        for key in [ref.root] + inputs[:1]:
+            # a tuple subclass that names the vertex is the vertex, a list is not
+            assert verify_ntg_hom(r, r, {**ident, key: _Pair(key)}) == []
+            for cv in outside + (list(key),):
+                problems = verify_ntg_hom(r, r, {**ident, key: cv})
+                if cv is None:
+                    assert f"{key}: map is not total" in problems
+                    continue
+                assert f"{key}: image is not a vertex of the target" in problems
+                if key != ref.root:
+                    assert f"{key}: input maps outside the related definition" in problems
 
 
 def test_witness_reads_back():
@@ -1426,6 +1453,25 @@ def test_compatible_truth_table():
             expected = expected or (isinstance(l1, Atomic) and l1 == l2)
             assert _compatible(l1, l2) is expected, (l1, l2)
     assert sum(_compatible(l1, l2) for l1 in labels for l2 in labels) == 4 + 1 + 1 + 3 * 4
+
+
+def test_nested_config_is_a_named_tuple():
+    # read by name, printed as before, immutable, and equal and hashed as
+    # its plain 4-tuple
+    parts = ((("f", "x"),), ("g", "o"), (("h", "y"),), ("k", "o"))
+    cfg = NestedConfig(*parts)
+    assert (cfg.left_stack, cfg.left, cfg.right_stack, cfg.right) == parts
+    assert repr(cfg) == (
+        "NestedConfig(left_stack=(('f', 'x'),), left=('g', 'o'), right_stack=(('h', 'y'),), right=('k', 'o'))"
+    )
+    assert str(cfg) == "<f.x g.o ~ h.y k.o>"
+    assert str(NestedConfig((), ("r", "o"), (), ("s", "o"))) == "<r.o ~ s.o>"
+    for name in ("left_stack", "left", "right_stack", "right", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, ())
+    same = NestedConfig(*parts)
+    assert same is not cfg and same == cfg and hash(same) == hash(cfg)
+    assert cfg == parts and hash(cfg) == hash(parts) and len({cfg, same, parts}) == 1
 
 
 def test_atomic_and_nested_symbols_stay_apart():

@@ -49,6 +49,17 @@ def test_signature_invariants():
         NtgSignature({"i1": 0}, {"r": 0}, "r")  # reserved input name
 
 
+def test_symbol_name_ok_equals_the_full_pattern():
+    # the pattern runs only on names that start with ``i``; ``\d`` also
+    # matches other digits, and ``$`` matches before a final newline
+    from ntg.rgs import _RESERVED, _RESERVED_RE, symbol_name_ok
+
+    names = ["", "i", "i_", "i1", "i_12", "i1\n", "in", "ix1", "I1", "f@1", "o", "⊥", "i١"]
+    for name in names:
+        assert symbol_name_ok(name) == (not (name in _RESERVED or _RESERVED_RE.match(name))), name
+    assert [name for name in names if not symbol_name_ok(name)] == ["i1", "i_12", "i1\n", "in", "o", "i١"]
+
+
 def test_validate_accepts_corpus(fix_n, fix_triv, fix_r0, fix_r1):
     for r in (fix_n, fix_triv, fix_r0, fix_r1):
         assert validate_rgs(r) == []
