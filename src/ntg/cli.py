@@ -238,11 +238,11 @@ def _cmd_interpret(ns, stdout, stderr) -> int:
 
 def _cmd_represent(ns, stdout, stderr) -> int:
     g = formats.parse_fo(_read(ns.fofile))
-    member, defect = firstorder._member_ancestors(g)  # one membership pass
+    depth, defect = firstorder._member_ancestors(g)  # one membership pass
     if defect is not None:
         print(f"not a representing graph: {defect}", file=stderr)
         return FAIL
-    n = firstorder._read_back(g, *member)
+    n = firstorder._read_back(g, depth)
     _write_out(formats.print_rgs(n), ns.output, stdout)
     return OK
 

@@ -11,6 +11,10 @@ unique ancestor assignment, which also drives the inverse translation.
 Membership is one forward pass that keeps each vertex's innermost
 ancestor and checks the exit chains on the way; ``represent`` reads back
 from its result, and only a rejected graph is walked again, for a report.
+A unary vertex is a former constant exactly when its chain of exit
+vertices, followed along argument 0, ends at a root link: ``_grounded``
+walks every chain once, and ``parse_fo`` and the membership pass keep its
+answers on the graph, so each chain of a graph is walked once in all.
 
 ``interpret`` and ``ntg_collapse`` share one carrier: the specification's
 own vertices under these rules, with constants left nullary.  The
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .graph import TermGraph, _ancestor_chains, _quotient, _refine, check_root_connected
 from .labels import OUTPUT, Atomic, Input, Nested, Output
@@ -220,7 +224,7 @@ class AncestorFailure:
 _FO_LABELS = (Atomic, PrimedConst, Output, RootOutput, FoInput, RootInput)
 
 
-def _propagate(g: TermGraph, end: Optional[Callable[[Vertex], Vertex]] = None):
+def _propagate(g: TermGraph, grounded: Optional[Mapping[Vertex, bool]] = None):
     """Propagate the forced ancestor assignment from the root, breadth-first.
 
     Output vertices push themselves onto the chain of their successor,
@@ -231,8 +235,8 @@ def _propagate(g: TermGraph, end: Optional[Callable[[Vertex], Vertex]] = None):
     are kept: ``(inner, depth, None)`` maps each vertex, in the order it is
     reached, to its innermost ancestor (None at the root) and each output
     vertex to its chain length; ``(None, None, failure)`` at the first
-    obstruction.  Given ``exit_chain_ends``'s ``end``, the pass also fails
-    at a root-output label away from the root and at a bad exit chain.
+    obstruction.  Given ``_grounded``'s chain test, the pass also fails at
+    a root-output label away from the root and at a bad exit chain.
     """
     lab, args, root = g.lab, g.args, g.root
     if not isinstance(lab[root], RootOutput):
@@ -254,12 +258,12 @@ def _propagate(g: TermGraph, end: Optional[Callable[[Vertex], Vertex]] = None):
                 return fail(v, "back-link target is not an output vertex")
             x = inner[back]  # the back-link's own chain is already x's
         elif isinstance(lbl, (Output, RootOutput)):
-            if end is not None and v != root and isinstance(lbl, RootOutput):
+            if grounded is not None and v != root and isinstance(lbl, RootOutput):
                 return fail(v, "root-output label away from the root")
             depth[v] = 0 if x is None else depth[x] + 1
             x = v
         elif isinstance(lbl, PrimedConst):
-            if end is not None and not isinstance(lab[end(succ[0])], RootInput):
+            if grounded is not None and not grounded.get(succ[0]):
                 return fail(v, "constant's exit chain does not end at a root link")
         elif isinstance(lbl, RootInput):
             if x != root:
@@ -292,52 +296,54 @@ def infer_ancestors(g: TermGraph):
     return _ancestor_chains(inner), None
 
 
-def exit_chain_ends(lab, args) -> Callable[[Vertex], Vertex]:
-    """Memoised walk along the exit chains of a first-order graph.
-
-    ``end(v)`` follows argument edge 0 from ``v`` for as long as it stands
-    on an exit vertex and returns where the walk stops: the first vertex
-    that is not an exit vertex (a root link, for a well-formed chain), or,
-    when the walk runs into a cycle, the first exit vertex met twice.
-    Every exit vertex keeps its answer once walked, so the chains of all
-    constants together cost time linear in the graph, even when many
-    constants share one long chain.
+def _grounded(lab, args) -> Dict[Vertex, bool]:
+    """Per exit vertex and root link of a first-order graph, whether the
+    chain of exit vertices from it, followed along argument 0, ends at a
+    root link; every other vertex is absent, so ``.get`` of it is falsy.
+    A walk marks each exit vertex ungrounded as it enters it, so a chain
+    that runs into a cycle stops there; linear time, each walked once.
     """
-    memo: Dict[Vertex, Vertex] = {}
-
-    def end(v: Vertex) -> Vertex:
-        path: List[Vertex] = []
-        at: Dict[Vertex, int] = {}
+    memo = {v: True for v, lbl in lab.items() if isinstance(lbl, RootInput)}
+    for v in lab:
         x = v
-        while x not in memo and isinstance(lab[x], FoInput):
-            if x in at:
-                # on the cycle each vertex is the first met twice from itself
-                first = at[x]
-                for u in path[first:]:
-                    memo[u] = u
-                for u in path[:first]:
-                    memo[u] = x
-                return memo[v]
-            at[x] = len(path)
-            path.append(x)
+        while isinstance(lab[x], FoInput) and x not in memo:
+            memo[x] = False
             x = args[x][0]
-        stop = memo.get(x, x)
-        for u in path:
-            memo[u] = stop
-        return stop
+        if memo.get(x):  # the walk from v to x met no cycle
+            while v != x:
+                memo[v] = True
+                v = args[v][0]
+    return memo
 
-    return end
+
+def _kept_grounded(g: TermGraph) -> Dict[Vertex, bool]:
+    """``_grounded`` of ``g``, kept in ``g.__dict__`` as ``_kept_carrier`` keeps the carrier."""
+    kept = g.__dict__.get("_grounded")
+    if kept is None:
+        kept = g.__dict__["_grounded"] = _grounded(g.lab, g.args)
+    return kept
+
+
+def _with_constants(lab: dict, args: dict, root: Vertex) -> TermGraph:
+    """The first-order graph over the checked maps of a document, with
+    each unary atomic vertex whose exit chain ends at a root link relabeled
+    as the constant it was, and its chain test kept on it."""
+    g = TermGraph._prechecked(lab, args, root)
+    grounded = _kept_grounded(g)  # relabeling keeps every exit vertex and root link
+    for v, lbl in lab.items():
+        if isinstance(lbl, Atomic) and lbl.arity == 1 and grounded.get(args[v][0]):
+            lab[v] = PrimedConst(lbl.name)
+    return g
 
 
 def _member_ancestors(g: TermGraph):
-    """``((depth, end), None)`` when ``g`` represents a nested structure:
-    each output vertex's depth as ``_propagate`` finds it and the
-    exit-chain walk, for the read-back.  Otherwise ``(None, obstruction)``, found by
-    the checks in a fixed order, wherever the one propagation stopped."""
-    end = exit_chain_ends(g.lab, g.args)
-    _, depth, err = _propagate(g, end)
+    """``(depth, None)`` when ``g`` represents a nested structure, with each
+    output vertex's depth as ``_propagate`` finds it; else ``(None,
+    obstruction)``, by the checks in a fixed order, wherever it stopped."""
+    grounded = _kept_grounded(g)
+    _, depth, err = _propagate(g, grounded)
     if err is None:
-        return (depth, end), None
+        return depth, None
     witness = check_root_connected(g)
     if witness is not None:
         return None, AncestorFailure(witness, "not root-connected")
@@ -349,7 +355,7 @@ def _member_ancestors(g: TermGraph):
     # after a propagation each exit vertex's argument lies one level up, so
     # no exit chain is cyclic; one of them is what the pass stopped at
     bad = (v for v, lbl in g.lab.items()
-           if isinstance(lbl, PrimedConst) and not isinstance(g.lab[end(g.args[v][0])], RootInput))
+           if isinstance(lbl, PrimedConst) and not grounded.get(g.args[v][0]))
     return None, _propagate(g)[2] or AncestorFailure(
         next(bad), "constant's exit chain does not end at a root link")
 
@@ -412,17 +418,18 @@ def represent(g: TermGraph) -> Rgs:
     read-back takes time linear in the graph (after the ancestor
     assignment) and no recursion, whatever the nesting depth.
     """
-    member, defect = _member_ancestors(g)
+    depth, defect = _member_ancestors(g)
     if defect is not None:
         raise ValueError(f"not a representing graph: {defect}")
-    return _read_back(g, *member)
+    return _read_back(g, depth)
 
 
-def _scope_walks(g: TermGraph, depth: Mapping[Vertex, int], end) -> Dict[Vertex, tuple]:
+def _scope_walks(g: TermGraph, depth: Mapping[Vertex, int]) -> Dict[Vertex, tuple]:
     """Per output vertex ``o`` of ``depth``, innermost first: ``(met,
     inputs)``, the vertices one depth-first walk of ``o``'s level meets
     and, of those, the inputs of ``o``, each in first-visit order.  The
     walk does not go on from constants, exit vertices and root links."""
+    grounded = _kept_grounded(g)
     walks: Dict[Vertex, tuple] = {}
     for o in sorted(depth, key=depth.__getitem__, reverse=True):
         met: Dict[Vertex, None] = {}
@@ -439,16 +446,15 @@ def _scope_walks(g: TermGraph, depth: Mapping[Vertex, int], end) -> Dict[Vertex,
             elif isinstance(lbl, Output):
                 # the callee lies one level deeper, so it was walked already
                 stack.extend(g.args[b][0] for b in reversed(walks[v][1]))
-            elif isinstance(lbl, FoInput) and not isinstance(g.lab[end(v)], RootInput):
+            elif isinstance(lbl, FoInput) and not grounded[v]:
                 inputs.append(v)
         walks[o] = met, inputs
     return walks
 
 
-def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
+def _read_back(g: TermGraph, depth: Mapping[Vertex, int]) -> Rgs:
     """``represent`` for a member ``g``, or for a carrier's quotient (whose
-    constants have no exit chains), given each output vertex's ``depth``
-    and, if walked already, the ``exit_chain_ends`` ``end``.
+    constants have no exit chains), given each output vertex's ``depth``.
 
     Each scope's walk (``_scope_walks``) meets only vertices whose
     innermost ancestor is that scope's output vertex ``o``, so no argument
@@ -459,7 +465,7 @@ def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
     back-link.  In ``ntg_collapse``'s quotient the refinement keys each
     vertex by its innermost output vertex, so the same holds there.
     """
-    walks = _scope_walks(g, depth, end or exit_chain_ends(g.lab, g.args))
+    walks = _scope_walks(g, depth)
     atomic: Dict[str, int] = {}
 
     def note_atomic(name: str, arity: int):
@@ -527,8 +533,7 @@ def _read_back(g: TermGraph, depth: Mapping[Vertex, int], end=None) -> Rgs:
             stack.pop()
             rec[sym] = TermGraph._prechecked(lab, args, out_id)
 
-    if walks[g.root][1]:
-        raise NotRepresentableError("root definition has inputs")
+    assert not walks[g.root][1], "root inputs would back-link to the RootOutput; a quotient's root is nullary"
     n = Rgs(NtgSignature(atomic, nested_sig, root_sym), rec)
     assert not validate_rgs(n), f"reconstruction is ill-formed: {validate_rgs(n)[:1]}"
     assert is_ntg(n).ok, "reconstruction is not tree-shaped"

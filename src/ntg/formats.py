@@ -32,7 +32,7 @@ from .firstorder import (
     PrimedConst,
     RootInput,
     RootOutput,
-    exit_chain_ends,
+    _with_constants,
 )
 from .rgs import (
     NtgSignature,
@@ -442,8 +442,10 @@ def parse_fo(text: str) -> TermGraph:
     """Parse a first-order document.
 
     Former constants are written unprimed; a unary vertex is read back as
-    a constant exactly when its successor chain of exit vertices ends in a
-    root link.
+    a constant exactly when its chain of exit vertices, followed along
+    argument 0, ends at a root link.  ``firstorder._with_constants``
+    decides it in one walk of every chain and keeps the answers on the
+    graph, where ``rg_defect`` and ``represent`` read them.
     """
     return _parse(text, _read_fo, _grammar_fo, _build_fo)
 
@@ -465,7 +467,7 @@ def _grammar_fo(text: str):
 
 def _build_fo(root: str, root_line: int, body_lines) -> TermGraph:
     """The first-order graph that read statements describe, after the
-    checks that need all of them."""
+    checks that need all of them, with its constants restored."""
     lab: Dict[str, object] = {}
     args: Dict[str, tuple] = {}
     interface = {"out_r": ROOT_OUTPUT, "out": OUTPUT, "in": FO_INPUT, "in_r": ROOT_INPUT}
@@ -492,14 +494,7 @@ def _build_fo(root: str, root_line: int, body_lines) -> TermGraph:
     if root not in lab:
         raise ParseError(root_line, f"unknown root vertex {root!r}")
 
-    # recover constant labels: unary symbol whose successor chain of exit
-    # vertices grounds out at a root link
-    end = exit_chain_ends(lab, args)
-    for v in list(lab):
-        lbl = lab[v]
-        if isinstance(lbl, Atomic) and lbl.arity == 1 and isinstance(lab[end(args[v][0])], RootInput):
-            lab[v] = PrimedConst(lbl.name)
-    return TermGraph._prechecked(lab, args, root)
+    return _with_constants(lab, args, root)
 
 
 def print_fo(g: TermGraph) -> str:

@@ -34,8 +34,11 @@ Membership as it was before one propagation accepted members, with
 whole ancestor chains and its checks run in order on every graph, is the
 reference of ``infer_ancestors``, ``rg_defect`` and, through the
 library's read-back, ``represent``; a walk from every vertex is the
-reference of ``check_fully_backlinked``.  Synchronized bijective walks,
-of two graphs and of each pair of bodies, are the references of
+reference of ``check_fully_backlinked``, and a walk along the exit chain
+of each vertex alone, with a visited set, is that of the chain test
+``_grounded``; the reference membership and read-back use it.
+Synchronized bijective walks, of two graphs and of each pair of bodies,
+are the references of
 ``tg_isomorphic`` and ``ntg_isomorphic``, which read the homomorphism
 engines.  The tabulation as it was before it read the bodies directly,
 asking the carrier for every label and successor tuple and keying every
@@ -49,7 +52,7 @@ the references of the names of witnesses, of ``sntg_to_ntg`` and of the
 read-back.
 None of them share search code with the library, except that the
 reference checks walk with the library's ``reachable``,
-``check_root_connected``, ``exit_chain_ends`` and ``_find_cycle``, ``two_path_collapse``
+``check_root_connected`` and ``_find_cycle``, ``two_path_collapse``
 takes its plain path from ``tg_collapse``, whose block map is checked
 against ``moore_refine``,
 ``flat_collapse`` runs the library's ``_refine`` on the flattening,
@@ -1645,10 +1648,7 @@ def reference_member_ancestors(g):
     of ``reference_infer_ancestors`` and a scan of every constant's exit
     chain, in that order on every graph.  ``(anc, None)`` or ``(None,
     obstruction)``: the reference of ``rg_defect``'s reports."""
-    from ntg.firstorder import (
-        _FO_LABELS, AncestorFailure, FoInput, PrimedConst, RootInput, RootOutput,
-        exit_chain_ends,
-    )
+    from ntg.firstorder import _FO_LABELS, AncestorFailure, PrimedConst, RootOutput
     from ntg.graph import check_root_connected
 
     witness = check_root_connected(g)
@@ -1662,15 +1662,25 @@ def reference_member_ancestors(g):
     anc, err = reference_infer_ancestors(g)
     if err is not None:
         return None, err
-    end = exit_chain_ends(g.lab, g.args)
+    # each exit vertex's argument now lies one level up, so no chain cycles
     for v in g.lab:
-        if isinstance(g.lab[v], PrimedConst):
-            x = end(g.args[v][0])
-            if isinstance(g.lab[x], FoInput):
-                return None, AncestorFailure(x, "cyclic exit chain")
-            if not isinstance(g.lab[x], RootInput):
-                return None, AncestorFailure(v, "constant's exit chain does not end at a root link")
+        if isinstance(g.lab[v], PrimedConst) and not reference_grounded(g.lab, g.args, g.args[v][0]):
+            return None, AncestorFailure(v, "constant's exit chain does not end at a root link")
     return anc, None
+
+
+def reference_grounded(lab, args, v):
+    """Whether the chain of exit vertices from ``v``, followed along
+    argument 0, ends at a root link: one walk from ``v`` alone, with a
+    visited set that stops it on a cycle.  The reference of
+    ``firstorder._grounded``."""
+    from ntg.firstorder import FoInput, RootInput
+
+    seen = set()
+    while isinstance(lab[v], FoInput) and v not in seen:
+        seen.add(v)
+        v = args[v][0]
+    return isinstance(lab[v], RootInput)
 
 
 def reference_check_fully_backlinked(g):
@@ -1685,7 +1695,7 @@ def reference_check_fully_backlinked(g):
     return True
 
 
-def reference_read_back(g, inner, depth, end=None):
+def reference_read_back(g, inner, depth):
     """``firstorder._read_back`` as the library wrote it before each scope
     was read back in one walk: a walk per scope numbers its inputs, then a
     second interpreter of work items (visit a vertex, seal a body vertex's
@@ -1695,16 +1705,12 @@ def reference_read_back(g, inner, depth, end=None):
     each vertex to its innermost enclosing output vertex, ``depth`` each
     output vertex to its nesting depth."""
     from ntg import NtgSignature, Rgs, is_ntg, validate_rgs
-    from ntg.firstorder import (
-        FoInput, NotRepresentableError, PrimedConst, RootInput, RootOutput, exit_chain_ends,
-    )
+    from ntg.firstorder import FoInput, NotRepresentableError, PrimedConst, RootInput, RootOutput
     from ntg.labels import OUTPUT, Output
     from ntg.rgs import _namer
 
-    end = end or exit_chain_ends(g.lab, g.args)
-
     def is_chain(v):
-        return isinstance(g.lab[end(v)], RootInput)
+        return reference_grounded(g.lab, g.args, v)
 
     inputs_of = {}
     for o in sorted(depth, key=depth.__getitem__, reverse=True):
@@ -1793,8 +1799,6 @@ def reference_read_back(g, inner, depth, end=None):
             scope.lab[vid] = shared.get(j) or shared.setdefault(j, Input(j))
             scope.args[vid] = ()
 
-    if inputs_of[g.root]:
-        raise NotRepresentableError("root definition has inputs")
     n = Rgs(NtgSignature(atomic, nested_sig, root.sym), rec)
     assert not validate_rgs(n) and is_ntg(n).ok
     return n

@@ -408,3 +408,25 @@ def test_dot_byte_identical_across_processes():
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"digraph")
+
+
+def test_no_subcommand_prints_the_usage():
+    code, out, err = run()
+    assert code == 2 and out == "" and err.startswith("usage: ntg [-h]")
+
+
+def test_is_ntg_reports_each_violation_of_an_invalid_document(tmp_path):
+    doc = tmp_path / "bad.rgs"
+    doc.write_text("atomic c/0;\ndef r/0 { a: out(b); b: out(k); k: c; }\n")
+    code, out, err = run("is-ntg", str(doc))
+    assert code == 2 and out == ""
+    assert err == ("invalid specification: r: body has 2 output vertices, expected 1\n"
+                   "invalid specification: r.b: output vertex is not the body root\n"
+                   "invalid specification: r.a: edge into the output vertex\n")
+
+
+def test_sntg_prints_the_return_links_of_inputs():
+    code, out, err = run("sntg", path("chain_a.rgs"))
+    assert code == 0 and err == ""
+    assert "f.x: in 1 return->r.cv anc=[root r.fo]\n" in out
+    assert out.count("return->") == 1 and out.count("call->") == 2

@@ -210,6 +210,34 @@ def test_verifier_rejects_broken_relation(fix_triv):
     assert verify_nested_bisim(smaller, fix_triv, fix_triv) != []
 
 
+def test_verifier_names_each_broken_clause():
+    # one hand-broken relation per rejection of verify_nested_bisim, each
+    # with its exact problem list
+    from ntg import parse_rgs
+    from ntg.equivalence import NestedBisimRelation
+
+    r = parse_rgs("atomic c/0, f/1; root m; def m/0 { o: out(a); a: g(x); x: c; } "
+                  "def g/1 { o: out(b); b: f(i); i: in 1; }")
+    rel = nested_bisim(r, r).relation.configs
+    root = NestedConfig((), ("m", "o"), (), ("m", "o"))
+    call = NestedConfig((), ("m", "a"), (), ("m", "a"))
+    assert root in rel and call in rel and verify_nested_bisim(NestedBisimRelation(rel, None), r, r) == []
+
+    def problems(configs):
+        return verify_nested_bisim(NestedBisimRelation(frozenset(configs), None), r, r)
+
+    assert problems(rel - {root}) == ["root configuration missing"]
+    uneven = NestedConfig((), ("m", "a"), (("m", "a"),), ("g", "o"))
+    assert problems(rel | {uneven}) == [f"{uneven}: stacks have different lengths"]
+    clash = NestedConfig((), ("m", "x"), (), ("m", "a"))
+    assert problems(rel | {clash}) == [f"{clash}: labels c and g do not match"]
+    outside = NestedConfig((), ("g", "i"), (), ("g", "i"))
+    assert problems(rel | {outside}) == [f"{outside}: input vertex reached outside any call"]
+    beyond = NestedConfig((("m", "x"),), ("g", "i"), (("m", "x"),), ("g", "i"))
+    assert problems(rel | {beyond}) == [f"{beyond}: input index exceeds the calling occurrence's arity"]
+    assert problems(rel - {call}) == [f"{root}: required configuration {call} missing"]
+
+
 def test_witness_from_diagonal_relation(fix_n):
     rel = nested_bisim(fix_n, fix_n).relation
     witness = relation_witness(rel, fix_n, fix_n)
@@ -1699,3 +1727,12 @@ def test_cross_checks_tabulate_each_ordered_pair_once(monkeypatch, fix_r1):
             want = [(a, b), (b, a)] if cyclic else [(a, b)]
             assert len(calls) == len(want)
             assert all(x is u and y is v for (x, y), (u, v) in zip(calls, want))
+
+
+def test_ntg_hom_refuses_conflicting_atomic_arities():
+    from ntg import parse_rgs
+
+    a = parse_rgs("atomic c/0; def r/0 { o: out(b); b: c; }")
+    b = parse_rgs("atomic c/1, k/0; def r/0 { o: out(b); b: c(k); k: k; }")
+    with pytest.raises(ValueError, match=r"^atomic symbol 'c' has conflicting arities$"):
+        ntg_hom(a, b)

@@ -1,3 +1,5 @@
+import io
+import pathlib
 import random
 import re
 from collections import Counter
@@ -917,7 +919,7 @@ def test_scope_walks_stay_on_their_level(tree_corpus):
     # every vertex a scope's walk meets has that scope's output vertex as
     # its innermost ancestor, on members and on the collapse's quotients,
     # so the read-back needs no check that an argument crosses a level
-    from ntg.firstorder import _propagate, _scope_walks, exit_chain_ends
+    from ntg.firstorder import _propagate, _scope_walks
 
     rng = random.Random(197)
     specs = tree_corpus + [depth_family(d) for d in range(1, 8)]
@@ -929,11 +931,11 @@ def test_scope_walks_stay_on_their_level(tree_corpus):
         for h in [g, tg_collapse(g)[0]] + ([quotient[0]] if quotient else []):
             inner, depth, err = _propagate(h)
             assert err is None
-            for o, (met, _) in _scope_walks(h, depth, exit_chain_ends(h.lab, h.args)).items():
+            for o, (met, _) in _scope_walks(h, depth).items():
                 assert all(inner[v] == o for v in met)
                 walked += len(met)
         q, q_inner, q_depth = scoped_quotient(n)
-        for o, (met, _) in _scope_walks(q, q_depth, exit_chain_ends(q.lab, q.args)).items():
+        for o, (met, _) in _scope_walks(q, q_depth).items():
             assert all(q_inner[v] == o for v in met)
             walked += len(met)
     assert walked > 5000  # 5,443
@@ -996,3 +998,116 @@ def test_accepting_membership_runs_no_diagnosis(monkeypatch, tree_corpus):
         assert check_fully_backlinked(g) in (True, False)
         assert ntg_isomorphic(n, represent(g)) is not None
     assert check_fully_backlinked(flats[-1])
+
+
+# documents whose unary vertices head exit chains that cycle, run into a
+# cycle, or end at a root link, with each unary vertex's parsed label and
+# the report of rg_defect, as both were when the parser and the
+# membership pass each walked the chains
+CHAIN_DOCUMENTS = [
+    ("tg { root r; r: out_r(b); b: c(e); e: in(e, r); }",
+     {"b": "Atomic"}, "e: back-link target is not an output vertex"),
+    ("tg { root r; r: out_r(o); o: out(b); b: c(e1); e1: in(e2, o); e2: in(e1, o); }",
+     {"b": "Atomic"}, "e2: back-link does not target the innermost ancestor"),
+    ("tg { root r; r: out_r(o); o: out(b); b: c(e0); e0: in(e1, o); e1: in(e2, o); e2: in(e1, o); }",
+     {"b": "Atomic"}, "e1: back-link does not target the innermost ancestor"),
+    ("tg { root r; r: out_r(o); o: out(a); a: f(b, d); b: c(e0); e0: in(e1, o); e1: in(e1, o); "
+     "d: c(x); x: in(y, o); y: in_r(r); }",
+     {"a": "Atomic", "b": "Atomic", "d": "PrimedConst"},
+     "e1: back-link does not target the innermost ancestor"),
+    ("tg { root r; r: out_r(o); o: out(a); a: f(b, d); b: c(x); d: c(x); x: in(y, o); y: in_r(r); }",
+     {"a": "Atomic", "b": "PrimedConst", "d": "PrimedConst"}, "None"),
+]
+
+
+def test_parse_keeps_a_unary_vertex_whose_exit_chain_cycles_atomic():
+    from ntg import parse_fo
+
+    for text, kinds, defect in CHAIN_DOCUMENTS:
+        g = parse_fo(text)
+        unary = {v: type(lbl).__name__ for v, lbl in g.lab.items() if isinstance(lbl, (Atomic, PrimedConst))}
+        assert unary == kinds
+        assert str(rg_defect(g)) == defect
+        # a constant label over a cycling chain is refused for the same reason
+        primed = {v: PrimedConst(lbl.name) if isinstance(lbl, Atomic) and lbl.arity == 1 else lbl
+                  for v, lbl in g.lab.items()}
+        assert str(rg_defect(TermGraph(primed, g.args, g.root))) == defect
+
+
+def _random_chains(rng, n):
+    """Random maps of exit vertices, root links and atomic vertices, whose
+    uniform successors give chains that share vertices, cycle, and lead
+    into cycles, listed in a random order."""
+    from ntg.firstorder import FO_INPUT, ROOT_INPUT
+
+    vs = [f"v{k}" for k in range(n)]
+    lab, args = {}, {}
+    for v in rng.sample(vs, n):
+        kind = rng.random()
+        if kind < 0.6:
+            lab[v], args[v] = FO_INPUT, (rng.choice(vs), rng.choice(vs))
+        elif kind < 0.75:
+            lab[v], args[v] = ROOT_INPUT, (rng.choice(vs),)
+        elif kind < 0.9:
+            lab[v], args[v] = Atomic("c", 1), (rng.choice(vs),)
+        else:
+            lab[v], args[v] = Atomic("k", 0), ()
+    return lab, args
+
+
+def test_grounded_equals_a_walk_from_each_vertex():
+    from ntg.firstorder import _grounded
+    from oracles import reference_grounded
+
+    rng = random.Random(41)
+    ends = Counter()
+    for _ in range(600):
+        lab, args = _random_chains(rng, rng.randint(1, 30))
+        memo = _grounded(lab, args)
+        assert set(memo) == {v for v, lbl in lab.items() if isinstance(lbl, (FoInput, RootInput))}
+        # how many exit vertices continue at each vertex
+        joins = Counter(args[v][0] for v, lbl in lab.items() if isinstance(lbl, FoInput))
+        for v, lbl in lab.items():
+            assert bool(memo.get(v)) == reference_grounded(lab, args, v)
+            if isinstance(lbl, FoInput):
+                seen, x = [], v
+                while isinstance(lab[x], FoInput) and x not in seen:
+                    seen.append(x)
+                    x = args[x][0]
+                ends[type(lab[x]).__name__ if x not in seen else "cycle" if x == v else "into a cycle"] += 1
+                ends["shared"] += any(joins[u] > 1 for u in seen[1:] + [x])
+    # 1,602 / 2,643 / 746 / 682 / 3,546
+    assert min(ends[k] for k in ("RootInput", "Atomic", "cycle", "into a cycle", "shared")) >= 500, ends
+
+
+def test_each_graph_walks_its_exit_chains_once(monkeypatch):
+    # the parser keeps its chain memo on the graph, where rg_defect and
+    # represent read it; an unparsed graph builds one on first use
+    import pickle
+
+    import ntg.firstorder
+    from ntg import parse_fo, run_cli
+    from ntg.firstorder import _grounded
+
+    builds = []
+    monkeypatch.setattr(ntg.firstorder, "_grounded", lambda lab, args: builds.append(1) or _grounded(lab, args))
+    rng = random.Random(43)
+    for n in [depth_family(5), random_ntg(rng), random_ungrounded_ntg(rng)]:
+        text = print_fo(interpret(n))
+        builds.clear()
+        g = parse_fo(text)
+        assert rg_defect(g) is None and is_rg_member(g)
+        assert print_rgs(represent(g)) == print_rgs(represent(parse_fo(text)))
+        assert len(builds) == 2  # one per parsed graph
+        builds.clear()
+        h = interpret(n)
+        assert rg_defect(h) is None and check_fully_backlinked(h) in (True, False)
+        represent(h)
+        assert len(builds) == 1
+        # the kept memo is a plain dict: the graph pickles and compares as before
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g == TermGraph(g.lab, g.args, g.root) and again.__dict__ == g.__dict__
+    builds.clear()
+    flattened = pathlib.Path(__file__).parent / "data" / "n_flattened.fo"
+    assert run_cli(["represent", str(flattened)], stdout=io.StringIO()) == 0
+    assert len(builds) == 1

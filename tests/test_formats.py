@@ -509,3 +509,32 @@ def test_export_dot_reports_an_undeclared_nested_symbol():
             export_dot(_undeclared_occurrence(reached))
         assert str(exc.value) == f"invalid specification: {where}: unknown nested symbol 'g'"
     assert check_dot(export_dot(_cut_off_input())) == []
+
+
+def test_dot_refuses_other_values():
+    from ntg import export_dot
+
+    with pytest.raises(TypeError, match=r"^cannot render int$"):
+        export_dot(3)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("atomic c/0; def f/1 { a: out(b); b: c; }", ValidationError, "?: no nullary definition to act as root"),
+    ("atomic c/0; root q; def f/0 { a: out(b); b: c; }", ValidationError, "?: root symbol 'q' is not defined"),
+    ("atomic c/0; def c/0 { a: out(b); b: c; }", ParseError, "line 1: symbol 'c' is declared atomic"),
+    ("atomic c/0;\n", ParseError, "line 1: a specification needs at least one definition"),
+    # read without atomic symbols, then again by the grammar for the line
+    ("atomic ;\ndef r/0 {\n  a: out(b);\n  b: zz;\n}\n", ParseError, "line 4: unknown symbol 'zz'"),
+])
+def test_parse_rgs_names_each_document_level_fault(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_rgs(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_print_fo_lists_unreached_vertices_last_by_name():
+    from ntg import Atomic, TermGraph
+
+    c, f = Atomic("c", 0), Atomic("f", 1)
+    g = TermGraph({"z": f, "r": f, "y": c, "b": c, "a": f}, {"z": ("y",), "r": ("b",), "y": (), "b": (), "a": ("b",)}, "r")
+    assert print_fo(g) == "tg {\n  root n0;\n  n0: f(n1);\n  n1: c;\n  n2: f(n1);\n  n3: c;\n  n4: f(n3);\n}\n"

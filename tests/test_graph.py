@@ -430,3 +430,16 @@ def test_backtracking_and_product_brute_force_agree():
         assert (brute_force_tg_hom(g1, g2) is None) == (
             backtracking_tg_hom(g1, g2) is None
         )
+
+
+def test_constructor_and_walk_refuse_unknown_vertices():
+    from ntg import Atomic, TermGraph
+    from ntg.graph import reachable
+
+    c = Atomic("c", 0)
+    with pytest.raises(ValueError, match=r"^root 'z' is not a vertex$"):
+        TermGraph({"a": c}, {"a": ()}, "z")
+    with pytest.raises(ValueError, match=r"^lab/args domains differ at \['b'\]$"):
+        TermGraph({"a": c}, {"a": (), "b": ()}, "a")
+    with pytest.raises(KeyError, match="unknown vertex 'z'"):
+        reachable(TermGraph({"a": c}, {"a": ()}, "a"), "z")

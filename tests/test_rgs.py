@@ -29,7 +29,7 @@ from ntg import (
     unfold_to_ntg,
     validate_rgs,
 )
-from ntg.labels import CUT_SYMBOL
+from ntg.labels import CUT_SYMBOL, OUTPUT
 from generators import (
     Foreign, break_body, fanout_family, random_acyclic_rgs, random_cyclic_rgs, random_ntg,
     unroll_twice,
@@ -47,6 +47,11 @@ def test_signature_invariants():
         NtgSignature({"o": 0}, {"r": 0}, "r")  # reserved interface name
     with pytest.raises(ValueError):
         NtgSignature({"i1": 0}, {"r": 0}, "r")  # reserved input name
+    with pytest.raises(ValueError, match=r"^negative arity for 'f'$"):
+        NtgSignature({"f": -1}, {"r": 0}, "r")
+    body = TermGraph({"o": OUTPUT, "k": Atomic("c", 0)}, {"o": ("k",), "k": ()}, "o")
+    with pytest.raises(ValueError, match=r"^definitions and nested symbols differ at \['g'\]$"):
+        Rgs(NtgSignature({"c": 0}, {"r": 0, "g": 0}, "r"), {"r": body})
 
 
 def test_symbol_name_ok_equals_the_full_pattern():

@@ -82,6 +82,8 @@ def test_constructor_rejects_bad_ancestor_pointers(fix_n):
     del partial[out]
     with pytest.raises(ValueError, match="total"):
         _mutate(s, inner=partial)
+    with pytest.raises(ValueError, match=r"^call map mentions unknown vertex 'nowhere' or "):
+        _mutate(s, call={**s.call, "nowhere": s.tg.root})
 
 
 def test_chains_are_the_chains_stored_before(tree_corpus):
@@ -484,3 +486,11 @@ def test_round_trip_walks_each_scope_once(monkeypatch, tree_corpus):
         back = sntg_to_ntg(ntg_to_sntg(n))
         assert len(calls) == len(n.rec) == len(back.rec)
         assert ntg_isomorphic(n, back) is not None
+
+
+def test_hom_check_reports_an_unmapped_root():
+    s = ntg_to_sntg(parse_rgs("atomic c/0; def r/0 { a: out(b); b: c; }"))
+    phi = {v: v for v in s.tg.lab}
+    assert verify_sntg_hom(s, s, phi) == []
+    other = next(v for v in s.tg.lab if v != s.tg.root)
+    assert verify_sntg_hom(s, s, {**phi, s.tg.root: other})[0] == "root not mapped to root"
