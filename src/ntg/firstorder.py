@@ -24,6 +24,7 @@ chain is fixed by its constant's name and enclosing scopes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from typing import Dict, List, Mapping, Optional
@@ -462,8 +463,8 @@ def _read_back(g: TermGraph, depth: Mapping[Vertex, int]) -> Rgs:
     successor of a level-``o`` vertex the letter ``o``: an output vertex
     pushes itself and an exit vertex pops one letter, so the arguments of
     a callee's inputs are at level ``o`` again, and the walk follows no
-    back-link.  In ``ntg_collapse``'s quotient the refinement keys each
-    vertex by its innermost output vertex, so the same holds there.
+    back-link.  In ``ntg_collapse``'s quotient the refinement keeps the
+    innermost output vertices apart, so the same holds there.
     """
     walks = _scope_walks(g, depth)
     atomic: Dict[str, int] = {}
@@ -544,8 +545,9 @@ def ntg_collapse(n: Rgs) -> Rgs:
     """Maximally shared form of a tree-shaped specification.
 
     One run of the refinement engine on the carrier (see ``_carrier``),
-    which ``interpret`` shares, keyed by each vertex's arguments and
-    innermost enclosing output vertex, then the quotient and the
+    which ``interpret`` shares, keyed by each vertex's label, the depth of
+    its scope and its arguments and, where two scopes share that depth,
+    its innermost enclosing output vertex; then the quotient and the
     read-back; the flattening is never built.  Idempotent up to
     isomorphism, and bisimilar inputs collapse to isomorphic results.
 
@@ -564,12 +566,35 @@ def ntg_collapse(n: Rgs) -> Rgs:
     collapse of the flattening exactly when their innermost output
     vertices share a block, so both collapses agree on the carrier.
 
-    This costs O(m log m) time for the m vertices and edges of ``n``,
-    whose flattening can have Θ(m²) vertices on deep nesting.
+    The depth leaves the partition of that key unchanged and lets the
+    innermost output vertex be left out where a scope is alone at its
+    depth.  Vertices at different depths never share a block under it,
+    since their chains differ in length, and the vertices of a scope alone
+    at its depth all have the one innermost output vertex, so appending it
+    tells none of them apart.  Such a scope's output vertex is then alone
+    in its start block, and the engine settles it from the start; every
+    cycle that leaves a body enters a deeper scope through its output
+    vertex, so where every depth holds one scope and the bodies are
+    acyclic, the carrier settles with no splitter.
+
+    This costs O(m) time for the m vertices and edges of ``n`` in that
+    case, and O(m log m) time where sibling scopes or cyclic bodies leave
+    vertices to split; the flattening can have Θ(m²) vertices on deep
+    nesting.
     """
     c, inner, depth = _kept_carrier(n)
-    seqs = {v: c.args[v] if inner[v] is None else c.args[v] + (inner[v],) for v in c.lab}
-    block = _refine(c.lab, seqs)
+    scopes = Counter(depth.values())  # per depth, how many output vertices
+    lab: Dict[Vertex, object] = {}
+    seqs: Dict[Vertex, tuple] = {}
+    for v, lbl in c.lab.items():
+        o = inner[v]
+        if o is None:  # the root output
+            lab[v], seqs[v] = lbl, c.args[v]
+            continue
+        k = depth[o]
+        lab[v] = lbl, k
+        seqs[v] = c.args[v] + (o,) if scopes[k] > 1 else c.args[v]
+    block = _refine(lab, seqs)
     q = _quotient(c, block)
     q_inner: Dict[Vertex, Optional[Vertex]] = {}  # None at the root output
     assert all(q_inner.setdefault(b, block.get(inner[v])) == block.get(inner[v])

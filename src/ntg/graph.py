@@ -4,11 +4,16 @@ A term graph is a rooted directed graph whose vertices carry labels and
 whose outgoing edges form an ordered sequence matching the label arity.
 This module provides reachability, sub-graphs, homomorphism (functional
 bisimulation), bisimilarity, the bisimulation collapse, and isomorphism.
+
+The collapse settles the well-founded part of a graph by hashing, as
+hash-consing shares the subterms of a term DAG, and splits only what its
+cycles keep back (the rank-first order of Dovier, Piazza and Policriti,
+"An efficient algorithm for computing bisimulation equivalence", 2004).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -197,29 +202,25 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
     """Coarsest partition in which block-mates agree on their label and on
     the blocks of their successors, position by position.
 
-    ``args`` may list more vertices than the label's arity: ``ntg_collapse``
-    refines the carrier of a specification (``firstorder._carrier``) with
-    each vertex's innermost enclosing output vertex appended.
+    A label may be any value that hashes, and ``args`` may list more
+    vertices than the label's arity: ``ntg_collapse`` refines the carrier
+    of a specification (``firstorder._carrier``) with each label paired
+    with the depth of its scope and, where two scopes share that depth,
+    the innermost enclosing output vertex appended.
 
-    Splitter-worklist refinement with the "process the smaller half" rule
-    (Hopcroft 1971; Paige and Tarjan 1987; Valmari and Lehtinen 2008).  The
-    vertices are indexed once, with a predecessor list that records the
-    position of each incoming edge.  The start partition groups equal
-    labels (by hash and ``==``) with equally long sequences, and every
-    start block but the largest is queued: each position is defined on a
-    union of start blocks, so stability against the largest follows from
-    the others.  A
-    splitter block S taken off the worklist marks every vertex u with the
-    set of positions at which u has a successor in S, and every block
-    holding marked vertices is split by that set.  If the split block is
-    already queued, all its new parts are queued; otherwise all parts but
-    the largest.  A vertex therefore lies in at most log2(n) + 1 processed
-    splitters, so the refinement takes O(m log n) time for n vertices and
-    m successor entries.
+    The vertices are indexed once, with a predecessor list that records the
+    position of each incoming edge, and the start partition groups equal
+    labels (by hash and ``==``) with equally long sequences.  Then
+    ``_settle`` classes bottom-up, by hashing, every vertex whose
+    successors are all settled, in O(m) time for the m successor entries,
+    and ``_split`` runs the splitter worklist over what is left, if
+    anything, in O(m log n) time for n vertices.  A graph whose every
+    cycle passes a vertex alone in its start block, an acyclic one among
+    them, is refined with no splitter.
 
-    Returns the map from each vertex to its block representative.  Blocks
-    are named once at the end by their least member under ``key=str``, so
-    the output is reproducible and equals that of round-by-round (Moore)
+    Returns the map from each vertex, in ``key=str`` order, to its block
+    representative, the block's least member under ``key=str``, so the
+    output is reproducible and equals that of round-by-round (Moore)
     refinement, which reaches the same coarsest partition.
     """
     verts = list(lab)
@@ -228,30 +229,125 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
     blocks: list = []  # block number -> set of vertex indices
     block_of: list = []
     start: Dict[tuple, int] = {}
+    by_id: Dict[tuple, int] = {}  # (id of a label object, length) -> start block
     for u, v in enumerate(verts):
+        succ = args[v]
         bit = 1
-        for w in args[v]:
+        for w in succ:
             preds[index[w]].append((bit, u))
             bit <<= 1
-        b = start.setdefault((lab[v], len(args[v])), len(blocks))
-        if b == len(blocks):
-            blocks.append(set())
+        # vertices often share one label object, whose own hash and == are
+        # slow next to a lookup by identity
+        b = by_id.get((id(lab[v]), len(succ)))
+        if b is None:
+            b = by_id[id(lab[v]), len(succ)] = start.setdefault((lab[v], len(succ)), len(blocks))
+            if b == len(blocks):
+                blocks.append(set())
         blocks[b].add(u)
         block_of.append(b)
 
-    largest = max(range(len(blocks)), key=lambda b: len(blocks[b]), default=-1)
-    queued = [b != largest for b in range(len(blocks))]
-    queue = [b for b in range(len(blocks)) if b != largest]
+    left = _settle(verts, args, index, preds, blocks, block_of, start)
+    if left:
+        largest = max(left, key=lambda b: len(blocks[b]))
+        _split(blocks, block_of, preds, [b for b in left if b != largest])
+
+    # a stable sort keeps vertex order among equal strings, as ``min`` does
+    name: Dict[int, Vertex] = {}
+    return {v: name.setdefault(block_of[index[v]], v) for v in sorted(verts, key=str)}
+
+
+def _settle(verts, args, index, preds, blocks, block_of, start) -> list:
+    """Give every vertex whose successors are all settled its final block,
+    bottom-up, and return the blocks of the vertices left to split.
+
+    A vertex alone in its start block, and a start block of vertices with
+    no successors, are settled from the start: their block cannot change.
+    A vertex is settled once its last successor entry is, into the block
+    of its start block and its successors' blocks, position by position,
+    found by hashing; these blocks are numbered after the start blocks
+    and have no member set.  This is the coarsest stable partition on the
+    settled vertices (by induction on their height), none of which is
+    equivalent to a vertex left over: equivalent vertices share a start
+    block and have equivalent successors, so by the same induction a
+    vertex equivalent to a settled one is settled.
+
+    What is left keeps its start blocks, but a vertex with a settled
+    successor moves to a block keyed by its start block and the blocks of
+    its settled successors.  Within each returned block the positions
+    with a successor left over are then the same, so that block set is
+    stable against its own union, as the splitter worklist needs.  The
+    work is linear in the settled vertices and the entries into them.
+    """
+    settled = bytearray(len(verts))
+    whole = [b for (_, length), b in start.items() if length == 0 or len(blocks[b]) == 1]
+    ready = [u for b in whole for u in blocks[b]]
+    for u in ready:
+        settled[u] = 1
+    first = len(blocks)
+    hashed: Dict[tuple, int] = {}
+    seen: Dict[int, int] = {}  # vertex left over -> its settled successor entries
+    for w in ready:  # a list read on while it grows
+        for _, u in preds[w]:
+            if settled[u]:
+                continue
+            succ = args[verts[u]]
+            k = seen.get(u, 0) + 1
+            if k < len(succ):
+                seen[u] = k
+                continue
+            if k > 1:
+                del seen[u]
+            b = block_of[u]
+            blocks[b].discard(u)
+            key = (b, tuple([block_of[index[x]] for x in succ]))
+            block_of[u] = hashed.setdefault(key, first + len(hashed))
+            settled[u] = 1
+            ready.append(u)
+    if len(ready) == len(verts):
+        return []
+    blocks.extend([None] * len(hashed))
+    moved: Dict[tuple, int] = {}
+    for u in seen:
+        b = block_of[u]
+        blocks[b].discard(u)
+        key = (b, tuple([block_of[x] if settled[x] else None for x in map(index.__getitem__, args[verts[u]])]))
+        c = moved.setdefault(key, len(blocks))
+        if c == len(blocks):
+            blocks.append(set())
+        blocks[c].add(u)
+        block_of[u] = c
+    whole = set(whole)
+    return [b for b in range(first) if blocks[b] and b not in whole] + list(moved.values())
+
+
+def _split(blocks: list, block_of: list, preds: list, queue: list) -> None:
+    """Refine ``blocks`` in place with the splitter worklist ``queue``.
+
+    The "process the smaller half" rule (Hopcroft 1971; Paige and Tarjan
+    1987; Valmari and Lehtinen 2008): the partition must be stable against
+    the union of the blocks that ``queue`` leaves out.  A splitter block S
+    taken off the worklist marks every vertex u with the set of positions
+    at which u has a successor in S, and every block holding marked
+    vertices is split by that set.  If the split block is already queued,
+    all its new parts are queued; otherwise all parts but the largest.  A
+    vertex therefore lies in at most log2(n) + 1 processed splitters, so
+    the refinement takes O(m log n) time for n vertices and m successor
+    entries.
+    """
+    queued = [False] * len(blocks)
+    for b in queue:
+        queued[b] = True
     while queue:
         s = queue.pop()
         queued[s] = False
         marks: Dict[int, int] = {}
+        get = marks.get
         for w in blocks[s]:
             for bit, u in preds[w]:
-                marks[u] = marks.get(u, 0) | bit
-        touched: Dict[int, dict] = {}
+                marks[u] = get(u, 0) | bit
+        touched: Dict[int, dict] = defaultdict(lambda: defaultdict(list))
         for u, mask in marks.items():
-            touched.setdefault(block_of[u], {}).setdefault(mask, []).append(u)
+            touched[block_of[u]][mask].append(u)
         for x, by_mask in touched.items():
             members = blocks[x]
             parts = sorted(by_mask.values(), key=len)
@@ -273,16 +369,6 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
                 queued[b] = True
                 queue.append(b)
 
-    groups: Dict[int, list] = {}
-    for u, v in enumerate(verts):
-        groups.setdefault(block_of[u], []).append(v)
-    rep: Dict[Vertex, Vertex] = {}
-    for members in groups.values():
-        name = min(members, key=str)
-        for v in members:
-            rep[v] = name
-    return rep
-
 
 def _quotient(g: TermGraph, block: Mapping[Vertex, Vertex]) -> TermGraph:
     """The graph on the block representatives, with successors mapped:
@@ -297,9 +383,12 @@ def tg_collapse(g: TermGraph):
     """Maximally shared form of ``g`` plus the quotient map onto it.
 
     The collapse is the quotient by the coarsest stable refinement of the
-    label partition, computed by ``_refine`` in O(m log n) time for n
-    vertices and m edges.  It is the least homomorphic image: the quotient
-    map is a homomorphism and the result is minimal up to isomorphism.
+    label partition, computed by ``_refine``: in O(m) time for the m
+    edges when every cycle passes a vertex whose label no other vertex
+    has, as in an acyclic graph, else in O(m log n) time for n vertices.
+    It is the least homomorphic image: the quotient map is a homomorphism
+    and the result is minimal up to isomorphism.  The map lists the
+    vertices in ``key=str`` order.
     """
     block = _refine(g.lab, g.args)
     return _quotient(g, block), block

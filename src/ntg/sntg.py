@@ -292,7 +292,7 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
 
     # one definition per occurrence vertex, named by that vertex (primed
     # until clear of atomic, reserved and already-taken names)
-    nested_vertices = [v for v in sorted(g.lab, key=str) if isinstance(g.lab[v], Nested)]
+    nested_vertices = sorted((v for v, lbl in g.lab.items() if isinstance(lbl, Nested)), key=str)
     sym_of = _uniquify(nested_vertices, str, avoid=atomic)
 
     rec: Dict[str, TermGraph] = {}

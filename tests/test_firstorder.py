@@ -35,6 +35,7 @@ from ntg import (
 from generators import (
     chain_spec,
     depth_family,
+    fanout_family,
     mutate_fo,
     mutate_ntg,
     random_acyclic_rgs,
@@ -454,6 +455,53 @@ def test_scoped_refinement_equals_moore_reference():
         g = interpret(make(rng))
         anc, _ = infer_ancestors(g)
         assert _refine(g.lab, _innermost_key(g, anc)) == moore_refine(g.lab, g.args, anc)
+
+
+def test_depth_key_keeps_the_partition_and_bytes_of_the_innermost_key(monkeypatch):
+    # ntg_collapse keys each carrier vertex by the depth of its scope and
+    # appends the innermost output vertex only where two scopes share that
+    # depth: the partition equals the round-by-round refinement with the
+    # innermost output vertex appended everywhere, and the written collapse
+    # that of scoped_quotient, which appends it everywhere
+    from ntg import firstorder, unfold_to_ntg
+    from ntg.firstorder import _read_back
+
+    kept = []
+    monkeypatch.setattr(firstorder, "_refine", lambda lab, seqs: kept.append(_refine(lab, seqs)) or kept[-1])
+    rng = random.Random(199)
+    specs = [_scope_local_cycles()] + [unfold_to_ntg(fanout_family(k)).rgs for k in range(1, 6)]
+    specs += [random_ntg(rng, max_defs=6) for _ in range(60)]
+    specs += [random_ungrounded_ntg(rng, max_defs=8, max_arity=1, extra_budget=2) for _ in range(60)]
+    specs += [unfold_to_ntg(random_acyclic_rgs(rng)).rgs for _ in range(60)]
+    sibling = 0
+    for n in specs:
+        kept.clear()
+        text = print_rgs(ntg_collapse(n))
+        c, inner, depth = _kept_carrier(n)
+        assert kept == [moore_refine(c.lab, c.args, {v: () if o is None else (o,) for v, o in inner.items()})]
+        q, _, q_depth = scoped_quotient(n)
+        assert text == print_rgs(_read_back(q, q_depth))
+        sibling += max(Counter(depth.values()).values()) > 1
+    assert sibling >= 90  # 118 of 186 have two scopes at one depth
+
+
+def test_depth_family_carriers_and_chain_flattenings_settle_with_no_splitter(monkeypatch):
+    # with one scope at each depth every output vertex is alone in its
+    # start block, so every cycle of the carrier passes a settled vertex
+    from ntg import graph, unfold_to_ntg
+
+    split, runs = graph._split, []
+    monkeypatch.setattr(graph, "_split", lambda *a: (runs.append(a[-1][:]), split(*a)))
+    for d in range(1, 13):
+        ntg_collapse(depth_family(d))
+    for k in (1, 8, 60):
+        n = chain_spec(k, "r")
+        tg_collapse(interpret(n))
+        ntg_collapse(n)
+    assert runs == []
+    # sibling scopes keep their cycles through the output vertices
+    ntg_collapse(unfold_to_ntg(fanout_family(3)).rgs)
+    assert runs
 
 
 def test_one_path_collapse_equals_two_path_reference():
