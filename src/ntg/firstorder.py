@@ -586,13 +586,17 @@ def ntg_collapse(n: Rgs) -> Rgs:
     scopes = Counter(depth.values())  # per depth, how many output vertices
     lab: Dict[Vertex, object] = {}
     seqs: Dict[Vertex, tuple] = {}
+    keys: Dict[tuple, tuple] = {}  # one key object per label object and depth
     for v, lbl in c.lab.items():
         o = inner[v]
         if o is None:  # the root output
             lab[v], seqs[v] = lbl, c.args[v]
             continue
         k = depth[o]
-        lab[v] = lbl, k
+        key = id(lbl), k
+        if key not in keys:  # so that _refine finds it by identity
+            keys[key] = lbl, k
+        lab[v] = keys[key]
         seqs[v] = c.args[v] + (o,) if scopes[k] > 1 else c.args[v]
     block = _refine(lab, seqs)
     q = _quotient(c, block)

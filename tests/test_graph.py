@@ -232,8 +232,11 @@ def test_refine_equals_moore_reference_on_settled_and_cyclic_graphs(monkeypatch)
         block = _refine(lab, args)
         assert block == moore_refine(lab, args)
         merged[shape] += len(set(block.values())) < len(block)
+        # one label object shared by vertices with sequences of other lengths
+        names = {v: lbl.name for v, lbl in lab.items()}
+        assert _refine(names, args) == moore_refine(names, args)
     assert not splits["acyclic"] and not splits["cut"]
-    assert splits["partly cyclic"] >= 30 and splits["cyclic"] >= 50  # 48 and 78
+    assert splits["partly cyclic"] >= 30 and splits["cyclic"] >= 50  # 48 and 78, each counted twice
     assert min(merged.values()) >= 50  # 71 to 81 graphs of each shape merge some vertices
 
 
