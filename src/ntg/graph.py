@@ -251,7 +251,8 @@ def _refine(lab: Mapping, args: Mapping) -> Dict[Vertex, Vertex]:
         largest = max(left, key=lambda b: len(blocks[b]))
         _split(blocks, block_of, preds, [b for b in left if b != largest])
 
-    # a stable sort keeps vertex order among equal strings, as ``min`` does
+    # the sort is stable, so among members with equal strings the first
+    # listed names the block
     name: Dict[int, Vertex] = {}
     return {v: name.setdefault(block_of[index[v]], v) for v in sorted(verts, key=str)}
 
