@@ -11,11 +11,12 @@ a clash, the runs of a functionality conflict, the witness of a positive
 bisimilarity verdict (also that of ``ntg_bisimilar``), the homomorphism
 certificate (also the map of ``ntg_hom``), the isomorphism of
 ``ntg_isomorphic`` (a bijective homomorphism) and, on acyclic input, the
-explicit relation.  The table is built once per ordered pair of
-specification objects and kept on the left one for its last partner, so
-every decider called on one pair reads the same table.  Only the
-independent ``verify_nested_bisim`` applies the progression rules
-configuration by configuration.
+explicit relation, the least nested bisimulation with every stack
+spelled out; no depth bounds any of them.  The table is built once per
+ordered pair of specification objects and kept on the left one for its
+last partner, so every decider called on one pair reads the same table.
+Only the independent ``verify_nested_bisim`` applies the progression
+rules configuration by configuration.
 """
 
 from __future__ import annotations
@@ -83,12 +84,10 @@ class NestedConfig(NamedTuple):
 
 @dataclass(frozen=True)
 class NestedBisimRelation:
-    configs: frozenset
-    depth_bound: Optional[int]  # None when exact, else closed only below this stack depth
+    """Configurations, each with its two stacks spelled out, such as the
+    least nested bisimulation that ``relation`` lists, with no depth bound."""
 
-    @property
-    def exact(self) -> bool:
-        return self.depth_bound is None
+    configs: frozenset
 
     def __len__(self):
         return len(self.configs)
@@ -100,23 +99,20 @@ class NestedBisimRelation:
 def _progressions(r1: Rgs, r2: Rgs, cfg: NestedConfig):
     """Successor configurations forced by the local progression rules.
 
-    Returns (children, pushes) where pushes flags the call rule, or raises
-    _Clash when no rule applies.
+    Returns ``(children, problem)``: ``problem`` is None, or why no rule
+    applies, and then there are no children.  A child pushes a stack
+    letter only by the call rule.
     """
     (s1, x1), (s2, x2) = cfg.left, cfg.right
     g1, g2 = r1.rec[s1], r2.rec[s2]
     l1, l2 = g1.lab[x1], g2.lab[x2]
     if not _compatible(l1, l2):
-        raise _Clash(cfg, f"labels {l1} and {l2} do not match")
-    if isinstance(l1, Atomic):
+        return [], f"labels {l1} and {l2} do not match"
+    if isinstance(l1, (Atomic, Output)):
         return [
             NestedConfig(cfg.left_stack, (s1, w1), cfg.right_stack, (s2, w2))
             for w1, w2 in zip(g1.args[x1], g2.args[x2])
-        ], False
-    if isinstance(l1, Output):
-        (w1,) = g1.args[x1]
-        (w2,) = g2.args[x2]
-        return [NestedConfig(cfg.left_stack, (s1, w1), cfg.right_stack, (s2, w2))], False
+        ], None
     if isinstance(l1, Nested):
         child = NestedConfig(
             cfg.left_stack + (cfg.left,),
@@ -124,28 +120,21 @@ def _progressions(r1: Rgs, r2: Rgs, cfg: NestedConfig):
             cfg.right_stack + (cfg.right,),
             _entry(r2, l2.name),
         )
-        return [child], True
+        return [child], None
     # both inputs: pop one stack letter and continue at the argument
     if not cfg.left_stack or not cfg.right_stack:
-        raise _Clash(cfg, "input vertex reached outside any call")
+        return [], "input vertex reached outside any call"
     (t1, o1), (t2, o2) = cfg.left_stack[-1], cfg.right_stack[-1]
     a1, a2 = r1.rec[t1].args[o1], r2.rec[t2].args[o2]
     if l1.index > len(a1) or l2.index > len(a2):
-        raise _Clash(cfg, "input index exceeds the calling occurrence's arity")
+        return [], "input index exceeds the calling occurrence's arity"
     child = NestedConfig(
         cfg.left_stack[:-1],
         (t1, a1[l1.index - 1]),
         cfg.right_stack[:-1],
         (t2, a2[l2.index - 1]),
     )
-    return [child], False
-
-
-class _Clash(Exception):
-    def __init__(self, cfg, message):
-        super().__init__(message)
-        self.cfg = cfg
-        self.message = message
+    return [child], None
 
 
 def _needs_depth(r1: Rgs, r2: Rgs) -> bool:
@@ -519,7 +508,7 @@ class NestedBisimResult(_SummaryResult):
         its explicit stacks, so it is exponential in sharing."""
         if not self.bisimilar or _needs_depth(*self._specs):
             return None
-        return NestedBisimRelation(_expand(self._contexts), None)
+        return NestedBisimRelation(_expand(self._contexts))
 
     @cached_property
     def witness(self) -> Optional[BisimWitness]:
@@ -610,8 +599,8 @@ def verify_nested_bisim(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> List[str]
     """Clause-by-clause check that ``rel`` is a nested bisimulation.
 
     Independent of the summary tables that ``relation`` is expanded from:
-    every membership obligation is re-derived from the definition.
-    Bounded relations are only required to be closed below their bound.
+    every membership obligation is re-derived from the definition by the
+    progression rules, at every stack depth: the relation is exact.
     """
     problems = []
     root_cfg = NestedConfig((), _entry(r1, r1.root_symbol), (), _entry(r2, r2.root_symbol))
@@ -622,14 +611,9 @@ def verify_nested_bisim(rel: NestedBisimRelation, r1: Rgs, r2: Rgs) -> List[str]
         if len(cfg.left_stack) != len(cfg.right_stack):
             found.append((cfg, "stacks have different lengths"))
             continue
-        try:
-            children, pushes = _progressions(r1, r2, cfg)
-        except _Clash as e:
-            found.append((cfg, e.message))
-            continue
-        if pushes and rel.depth_bound is not None:
-            if len(cfg.left_stack) + 1 > rel.depth_bound:
-                continue
+        children, problem = _progressions(r1, r2, cfg)
+        if problem is not None:
+            found.append((cfg, problem))
         for child in children:
             if child not in rel.configs:
                 found.append((cfg, f"required configuration {child} missing"))
@@ -799,15 +783,15 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     input labels and occurrence successor order.
 
     An isomorphism is a homomorphism that is a bijection, so this reads
-    the summary tables that decide ``nested_hom``.  Every definition of a
-    tree-shaped specification is entered from one occurrence, so with no
-    clash the reached pairs form a homomorphism when there are as many of
-    them as ``n1`` has vertices, one per left vertex; it is an isomorphism
-    when it is also a bijection onto the vertices of ``n2``.  The contexts
-    then pair the defined symbols, and the exits of each context, the
-    pairs of input indices, are its input permutation.  One tabulation,
-    polynomial like ``nested_hom``; specifications of different sizes are
-    told apart before it.
+    the summary tables that decide ``nested_hom``.  With no clash, every
+    context reaches every vertex of both its bodies, and every defined
+    symbol of either tree-shaped specification is entered, so when there
+    are as many reached pairs as each side has vertices, each body is
+    paired with one body of the other side, vertex for vertex: the pairs
+    are an isomorphism.  The contexts then pair the defined symbols, and
+    the exits of each context, the pairs of input indices, are its input
+    permutation.  One tabulation, polynomial like ``nested_hom``;
+    specifications of different sizes are told apart before it.
     """
     _require(n1, "left argument", tree=True)
     _require(n2, "right argument", tree=True)
@@ -819,8 +803,9 @@ def ntg_isomorphic(n1: Rgs, n2: Rgs) -> Optional[NtgIso]:
     if clash is not None or sum(len(ctx.reached) for ctx in contexts.values()) != size:
         return None
     vertex_map = {v1: v2 for ctx in contexts.values() for v1, v2 in ctx.cv_reached()}
-    if len(set(vertex_map.values())) != size:  # then no left vertex is in two pairs
-        return None
+    # each context of a clash-free table reaches every vertex of both its
+    # bodies and every symbol is entered, so ``size`` pairs are a bijection
+    assert len(vertex_map) == len(set(vertex_map.values())) == size, "the pairs are not a bijection"
     symbol_map = {n1.root_symbol: n2.root_symbol}
     input_perm: Dict[str, Dict[int, int]] = {n1.root_symbol: {}}
     for key, ctx in contexts.items():

@@ -409,33 +409,32 @@ def is_ntg(r: Rgs) -> NtgResult:
     """Decide whether the dependency structure restricted to the reachable
     symbols is a tree: acyclic, at most one step into each symbol, and all
     declared symbols reachable.  The answer is computed once per
-    specification and kept on it.  One walk over the steps accepts in
-    linear time: it reaches every declared symbol over one step fewer than
-    it reaches, so each but the root has exactly one step into it.  Only a
-    rejected specification is diagnosed: first a cycle, then a symbol
-    introduced twice, then an unreachable one."""
+    specification and kept on it, from the one depth-first walk of the
+    steps that ``DependencyArs._walk`` keeps, in linear time.  A rejected
+    specification is diagnosed by the first defect of: the cycle that walk
+    meets, the least symbol that reachable bodies introduce twice, and the
+    least declared symbol the walk does not reach."""
     return r._ntg
 
 
 def _decide_ntg(r: Rgs, deps: DependencyArs) -> NtgResult:
-    order = _reachable_symbols(deps)
-    reach_set = set(order)
-    steps = sum(len(deps._by_source.get(s, ())) for s in order)
-    if steps == len(order) - 1 and reach_set.issuperset(r.signature.nested):
-        return NtgResult(True)
-    cycle = _find_cycle(deps)
+    cycle, finished = deps._walk
     if cycle is not None:
         return NtgResult(False, Cycle(cycle))
-    incoming: Dict[str, List[DepStep]] = {}
-    for step in deps.steps:
-        if step.source in reach_set:
-            incoming.setdefault(step.target, []).append(step)
-    for sym in sorted(incoming):
-        if len(incoming[sym]) > 1:
-            return NtgResult(False, CoDetViolation(sym, (incoming[sym][0], incoming[sym][1])))
-    for sym in sorted(r.signature.nested):
-        if sym not in reach_set:
-            return NtgResult(False, UnreachableSymbol(sym))
+    # Without a cycle the walk finished every reachable symbol, and each but
+    # the root was entered over a step from another, so a reachable body
+    # holds more steps than that only if it introduces some symbol twice.
+    if sum(len(deps._by_source.get(s, ())) for s in finished) >= len(finished):
+        reached = set(finished)
+        incoming: Dict[str, List[DepStep]] = {}
+        for step in deps.steps:
+            if step.source in reached:
+                incoming.setdefault(step.target, []).append(step)
+        sym = min(s for s, into in incoming.items() if len(into) > 1)
+        return NtgResult(False, CoDetViolation(sym, (incoming[sym][0], incoming[sym][1])))
+    unreachable = set(r.signature.nested).difference(finished)
+    if unreachable:
+        return NtgResult(False, UnreachableSymbol(min(unreachable)))
     return NtgResult(True)
 
 

@@ -314,9 +314,6 @@ def sntg_to_ntg(s: Sntg) -> Rgs:
     return n
 
 
-SntgConflict = HomConflict  # the structural deciders' conflicts are first-order ones
-
-
 def sntg_hom_explained(s1: Sntg, s2: Sntg):
     """The unique homomorphism candidate, found by ``tg_hom_explained`` on
     the two encodings, then verified in full: a conflict names the first

@@ -671,21 +671,18 @@ def replay_path(r1, r2, path, end=None):
     This replays the explicit rules of the closure and shares nothing with
     the summary tabulation.
     """
-    from ntg.equivalence import NestedConfig, _Clash, _progressions
+    from ntg.equivalence import NestedConfig, _progressions
 
     c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
     if not path or path[0] != NestedConfig((), c1.root, (), c2.root):
         return "the path does not start at the root configuration"
     for k in range(1, len(path)):
-        try:
-            children, _ = _progressions(r1, r2, path[k - 1])
-        except _Clash:
+        children, problem = _progressions(r1, r2, path[k - 1])
+        if problem is not None:
             return f"configuration {k - 1} already clashes"
         if path[k] not in children:
             return f"configuration {k} is not a successor of configuration {k - 1}"
-    try:
-        _progressions(r1, r2, path[-1])
-    except _Clash:
+    if _progressions(r1, r2, path[-1])[1] is not None:
         return None if end is None else "the last configuration clashes"
     if end is None:
         return "the last configuration does not clash"
@@ -700,9 +697,11 @@ def closure(c1, c2, depth):
     library decided with before its call/return summaries: exponential in
     sharing, and on cyclic dependencies finite only under a ``depth``
     bound.  Returns ``(configurations, bounded, clash)``, where ``clash``
-    is the first ``_Clash`` met, or None.
+    is ``(configuration, problem)`` for the first configuration no rule
+    applies to, or None.  Only the call rule pushes, and its one child has
+    the longer stack.
     """
-    from ntg.equivalence import NestedConfig, _Clash, _progressions
+    from ntg.equivalence import NestedConfig, _progressions
 
     root_cfg = NestedConfig((), c1.root, (), c2.root)
     seen = {root_cfg}
@@ -711,11 +710,11 @@ def closure(c1, c2, depth):
     clash = None
     while queue:
         cfg = queue.popleft()
-        try:
-            children, pushes = _progressions(c1.rgs, c2.rgs, cfg)
-        except _Clash as e:
-            clash = e
+        children, problem = _progressions(c1.rgs, c2.rgs, cfg)
+        if problem is not None:
+            clash = cfg, problem
             break
+        pushes = children and len(children[0].left_stack) > len(cfg.left_stack)
         if pushes and depth is not None and len(cfg.left_stack) + 1 > depth:
             bounded = True
             continue
@@ -726,16 +725,16 @@ def closure(c1, c2, depth):
     return seen, bounded, clash
 
 
-def closure_relation(r1, r2, depth=None):
-    """The closure of the root pair as a ``NestedBisimRelation``, bounded
-    when ``depth`` cut it; None on a clash.  The reference of
+def closure_relation(r1, r2):
+    """The closure of the root pair as a ``NestedBisimRelation``, or None
+    on a clash; finite on acyclic specifications.  The reference of
     ``NestedBisimResult.relation``, which expands the summary tables."""
     from ntg.equivalence import NestedBisimRelation
 
-    configs, bounded, clash = closure(ReferenceCarrier(r1), ReferenceCarrier(r2), depth)
+    configs, _, clash = closure(ReferenceCarrier(r1), ReferenceCarrier(r2), None)
     if clash is not None:
         return None
-    return NestedBisimRelation(frozenset(configs), depth if bounded else None)
+    return NestedBisimRelation(frozenset(configs))
 
 
 class ReferenceContext:
@@ -985,7 +984,7 @@ def reference_sntg_hom_explained(s1, s2):
     """
     from ntg.labels import Output, _compatible
     from ntg.rgs import _require
-    from ntg.sntg import SntgConflict
+    from ntg.graph import HomConflict
 
     _require(s1, "left structural representation")
     _require(s2, "right structural representation")
@@ -995,25 +994,25 @@ def reference_sntg_hom_explained(s1, s2):
         v, w = queue.popleft()
         if v in phi:
             if phi[v] != w:
-                return None, SntgConflict(v, w, f"already mapped to {phi[v]!r}")
+                return None, HomConflict(v, w, f"already mapped to {phi[v]!r}")
             continue
         l1, l2 = s1.tg.lab[v], s2.tg.lab[w]
         if not _compatible(l1, l2):
-            return None, SntgConflict(v, w, f"labels {l1} and {l2} do not match")
+            return None, HomConflict(v, w, f"labels {l1} and {l2} do not match")
         phi[v] = w
         if isinstance(l1, (Atomic, Output)):
             queue.extend(zip(s1.tg.args[v], s2.tg.args[w]))
         elif isinstance(l1, Nested):
             if w not in s2.call:
-                return None, SntgConflict(v, w, "call undefined on image")
+                return None, HomConflict(v, w, "call undefined on image")
             queue.append((s1.call[v], s2.call[w]))
         else:
             if w not in s2.ret:
-                return None, SntgConflict(v, w, "return undefined on image")
+                return None, HomConflict(v, w, "return undefined on image")
             queue.append((s1.ret[v], s2.ret[w]))
     problems = verify_sntg_hom(s1, s2, phi)
     if problems:
-        return None, SntgConflict(s1.root, s2.root, problems[0])
+        return None, HomConflict(s1.root, s2.root, problems[0])
     return phi, None
 
 
@@ -1048,7 +1047,7 @@ def closure_nested_hom(r1, r2, depth=None):
     c1, c2 = ReferenceCarrier(r1), ReferenceCarrier(r2)
     configs, bounded, clash = closure(c1, c2, depth)
     if clash is not None:
-        return ClosureHomResult("none", reason=clash.message)
+        return ClosureHomResult("none", reason=clash[1])
     mapping = {}
     twice = set()
     for cfg in configs:
@@ -1174,8 +1173,6 @@ def relation_witness(rel, r1, r2):
     from ntg.rgs import _uniquify
     from ntg import Input, NtgSignature, Output, Rgs, is_ntg, validate_rgs
 
-    if not rel.exact:
-        raise ValueError("only exact relations induce a specification")
     problems = verify_nested_bisim(rel, r1, r2)
     if problems:
         raise ValueError("relation is not a nested bisimulation: " + problems[0])
@@ -1311,10 +1308,11 @@ def reference_dependency_steps(r):
 
 
 def reference_decide_ntg(r, deps):
-    """``is_ntg`` as the library decided it before one walk accepted: the
-    full ordered diagnosis on every specification, first the cycle met by
-    a depth-first walk, then the least symbol introduced twice, then the
-    least unreachable symbol.  The reference for verdicts and defects."""
+    """``is_ntg`` as the library decided it before the depth-first walk
+    alone answered: the full ordered diagnosis on every specification,
+    first the cycle met by that walk, then the least symbol introduced
+    twice, over a breadth-first reach of its own, then the least
+    unreachable symbol.  The reference for verdicts and defects."""
     from ntg import CoDetViolation, Cycle, NtgResult, UnreachableSymbol
     from ntg.rgs import _find_cycle
 

@@ -70,6 +70,28 @@ def test_is_ntg_rejects_cycle():
     assert code == 1 and "cycle" in err
 
 
+@pytest.mark.parametrize("text, defect", [
+    # g's call of f lies in an unreachable body, so f is introduced once
+    ("atomic c/0; def r/0 { o: out(a); a: f; } def f/0 { o: out(a); a: c; } "
+     "def g/0 { o: out(a); a: f; }", "symbol 'g' is unreachable from the root symbol"),
+    # the walk from the root symbol meets no cycle among unreachable symbols
+    ("atomic c/0; def r/0 { o: out(a); a: c; } def g/0 { o: out(a); a: h; } "
+     "def h/0 { o: out(a); a: g; }", "symbol 'g' is unreachable from the root symbol"),
+    # a cycle comes before an unreachable symbol
+    ("atomic c/0, u/1; def r/0 { o: out(a); a: f; } def f/0 { o: out(a); a: u(b); b: f; } "
+     "def g/0 { o: out(a); a: c; }", "cycle f ~> f"),
+    # and so does a symbol introduced twice
+    ("atomic c/0, u/2; def r/0 { o: out(a); a: u(b, d); b: f; d: f; } "
+     "def f/0 { o: out(a); a: c; } def g/0 { o: out(a); a: c; }",
+     "symbol 'f' is introduced twice: at r.b and at r.d"),
+])
+def test_is_ntg_names_the_first_defect(tmp_path, text, defect):
+    doc = tmp_path / "spec.rgs"
+    doc.write_text(text)
+    assert run("validate", str(doc)) == (0, "ok\n", "")
+    assert run("is-ntg", str(doc)) == (1, "no\n", defect + "\n")
+
+
 def test_unfold_requires_depth_for_cycles():
     code, out, err = run("unfold", path("r1.rgs"))
     assert code == 2 and "--depth" in err
@@ -381,6 +403,16 @@ def test_comment_runs_to_newline_when_sniffing_the_format(tmp_path):
     doc.write_text("# note\u2028tg {\n" + (DATA / "n.rgs").read_text(), encoding="utf-8")
     code, out, err = run("dot", str(doc))
     assert code == 0 and out.startswith("digraph"), err
+
+
+def test_document_of_only_comments_is_a_parse_error(tmp_path):
+    # with no line to sniff the document is read as a specification
+    doc = tmp_path / "empty.rgs"
+    doc.write_text("# a comment\n\n   # another\n")
+    for argv in (["dot", str(doc)], ["hom", str(doc), str(doc), "--level", "fo"]):
+        code, out, err = run(*argv)
+        assert code == 2 and out == "" and err.startswith("parse error: "), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_negative_unfold_depth_is_usage_error():

@@ -799,6 +799,20 @@ def test_vertices_of_one_body_whose_names_print_alike_are_refused():
             f(n)
 
 
+def test_dotted_symbols_whose_vertex_names_differ_are_accepted():
+    # f.g and its vertex b.c yield names no other vertex has, so the
+    # specification converts as its copy with the dots left out does
+    from ntg import parse_rgs
+
+    text = ("atomic c/0, u/1, h/2; def r/0 { o: out(p); p: h(b.c, y); b.c: f.g(y); y: c; } "
+            "def f.g/1 { o: out(a); a: u(i); i: in 1; }")
+    n, plain = parse_rgs(text), parse_rgs(text.replace(".", ""))
+    assert n._name_clash is None
+    assert set(ntg_to_sntg(n).tg.lab) == {"root", "r.o", "r.p", "r.b.c", "r.y", "f.g.o", "f.g.a", "f.g.i"}
+    assert print_fo(interpret(n)) == print_fo(interpret(plain))
+    assert print_rgs(ntg_collapse(n)) == print_rgs(ntg_collapse(plain))
+
+
 def test_collapse_refines_only_the_specification(monkeypatch):
     # the collapse refines the specification's own vertices, not the
     # flattening: at depth 400 the specification has 2,803 vertices, 400

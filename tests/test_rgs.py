@@ -384,7 +384,7 @@ def test_unfold_path_count_matches_dependency_paths():
 
 def test_minimal_self_bisimulation_trivial(fix_triv):
     rel = nested_bisim(fix_triv, fix_triv).relation
-    assert rel.exact and len(rel) == 2
+    assert len(rel) == 2
     for cfg in rel.configs:
         assert cfg.left_stack == cfg.right_stack == ()
         assert cfg.left == cfg.right
@@ -392,7 +392,6 @@ def test_minimal_self_bisimulation_trivial(fix_triv):
 
 def test_minimal_self_bisimulation_diagonal_with_bounded_depth(fix_n):
     rel = nested_bisim(fix_n, fix_n).relation
-    assert rel.exact
     assert rel.max_stack_depth() <= 2
     for cfg in rel.configs:
         assert cfg.left == cfg.right and cfg.left_stack == cfg.right_stack
@@ -593,8 +592,8 @@ def test_dependency_checks_equal_the_reference():
 
 
 def test_accepting_checks_run_no_diagnosis(monkeypatch):
-    # validate_rgs and is_ntg accept with one scan and one walk per body:
-    # neither the reachability helpers nor the cycle search may run
+    # validate_rgs and is_ntg accept with one scan and one walk per body and
+    # the one walk of the steps: no reachability helper or other cycle search
     import ntg.rgs
 
     rng = random.Random(181)
@@ -613,7 +612,7 @@ def test_accepting_checks_run_no_diagnosis(monkeypatch):
         fresh = Rgs(r.signature, r.rec)  # no check result cached yet
         assert validate_rgs(fresh) == [] and is_ntg(fresh).ok
         assert calls == []
-    for r in shared:  # is_ntg rejects most of them, and only then diagnoses
+    for r in shared:  # is_ntg rejects most of them, from the same walk
         assert validate_rgs(Rgs(r.signature, r.rec)) == []
         assert calls == []
     assert sum(not is_ntg(r).ok for r in shared) >= 5

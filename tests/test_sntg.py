@@ -362,12 +362,13 @@ def test_hom_reports_a_clash_processed_before_a_second_image():
     # the closure stops at the clash (r.x, r.p); the pair (r.x, r.q), which
     # meets a second right vertex, is discovered before it but processed
     # after it, so the clash is the conflict
-    from ntg.sntg import SntgConflict, sntg_hom_explained
+    from ntg.graph import HomConflict
+    from ntg.sntg import sntg_hom_explained
     from oracles import reference_sntg_hom_explained
 
     left = ntg_to_sntg(parse_rgs("atomic c/0, d/0, g/2; def r/0 { a: out(b); b: g(x, x); x: c; }"))
     right = ntg_to_sntg(parse_rgs("atomic c/0, d/0, g/2; def r/0 { a: out(b); b: g(p, q); p: d; q: c; }"))
-    clash = SntgConflict("r.x", "r.p", "labels c and d do not match")
+    clash = HomConflict("r.x", "r.p", "labels c and d do not match")
     assert sntg_hom_explained(left, right) == reference_sntg_hom_explained(left, right) == (None, clash)
 
 
